@@ -35,6 +35,7 @@ from .kernels import (
     p_closedform,
     p_recursion,
     poisson_reversible_penta,
+    restricted_kernel,
     state_space,
 )
 from .lumping import (

@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 
 from .exactdist import ExactDist, pi_conditioned, tv_distance, zeta_law
-from .kernels import StochasticKernel, birth_death_stationary, build_restricted
+from .kernels import StochasticKernel, birth_death_stationary, build_restricted, restricted_kernel
 from .rng import Stream, VectorStreams
 
 SELECTORS = ("pcheck-r", "r-r", "pcheck-rtilde")
@@ -491,10 +491,9 @@ def drift_certificate(
     """
     if N < 5:
         raise ValueError("N must be >= 5")
-    p_check, r, r_tilde = build_restricted(N)
-    kernel = {"R": r, "R_tilde": r_tilde}.get(which)
-    if kernel is None:
+    if which not in ("R", "R_tilde"):
         raise ValueError("which must be 'R' or 'R_tilde'")
+    kernel = restricted_kernel(N, which)
     if theta is not None:
         return _drift_for(kernel, N, Fraction(theta), digits)
     if which == "R":

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
@@ -45,13 +45,14 @@ class StochasticKernel:
     states: tuple[Hashable, ...]
     rows: tuple[Mapping[Hashable, Fraction], ...]
     label: str = ""
+    _positions: Mapping[Hashable, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.states) != len(self.rows):
             raise ValueError("states/rows length mismatch")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate states")
         index = {s: i for i, s in enumerate(self.states)}
+        if len(index) != len(self.states):
+            raise ValueError("duplicate states")
         frozen = []
         for s, row in zip(self.states, self.rows):
             total = Fraction(0)
@@ -65,13 +66,17 @@ class StochasticKernel:
                 raise ValueError(f"row {s!r} sums to {total}, not 1")
             frozen.append({t: Fraction(w) for t, w in row.items() if w != 0})
         object.__setattr__(self, "rows", tuple(frozen))
+        object.__setattr__(self, "_positions", index)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def index(self, state: Hashable) -> int:
-        return self.states.index(state)
+        try:
+            return self._positions[state]
+        except KeyError:
+            raise ValueError(f"{state!r} is not a state of kernel {self.label!r}") from None
 
     def row(self, state: Hashable) -> Mapping[Hashable, Fraction]:
         return self.rows[self.index(state)]
@@ -81,7 +86,7 @@ class StochasticKernel:
 
     def bandwidth(self) -> int:
         """Largest |i - j| over nonzero off-diagonal entries, in list positions."""
-        pos = {s: i for i, s in enumerate(self.states)}
+        pos = self._positions
         width = 0
         for s, row in zip(self.states, self.rows):
             for t in row:
@@ -355,18 +360,32 @@ def _birth_death(N: int, up_num, label: str) -> StochasticKernel:
     return StochasticKernel(states, tuple(_fill_diagonal(states, partial)), label=label)
 
 
-def build_restricted(N: int) -> tuple[StochasticKernel, StochasticKernel, StochasticKernel]:
-    """(P_check, R, R_tilde) on [0, N-4].
+RESTRICTED_LABELS = ("P_check", "R", "R_tilde")
+
+
+def restricted_kernel(N: int, label: str) -> StochasticKernel:
+    """One of the restricted kernels P_check, R, R_tilde on [0, N-4].
 
     Up-rates are N-x-2p(x), N-x-1 and N-x-1/2 respectively over the common
     down-rate x(N-x); R is the p = 1/2 member whose reversible law is the
     conditioned Poisson zeta, and R_tilde dominates the p-chain from above.
+    Only P_check needs p, so only it pays for `p_closedform`.
     """
-    p = p_closedform(N)
-    p_check = _birth_death(N, lambda x: Fraction(N - x) - 2 * p[x], "P_check")
-    r = _birth_death(N, lambda x: Fraction(N - x - 1), "R")
-    r_tilde = _birth_death(N, lambda x: Fraction(N - x) - Fraction(1, 2), "R_tilde")
-    return p_check, r, r_tilde
+    if label == "P_check":
+        p = p_closedform(N)
+        up_num = lambda x: Fraction(N - x) - 2 * p[x]
+    elif label == "R":
+        up_num = lambda x: Fraction(N - x - 1)
+    elif label == "R_tilde":
+        up_num = lambda x: Fraction(N - x) - Fraction(1, 2)
+    else:
+        raise ValueError(f"label must be one of {RESTRICTED_LABELS}")
+    return _birth_death(N, up_num, label)
+
+
+def build_restricted(N: int) -> tuple[StochasticKernel, StochasticKernel, StochasticKernel]:
+    """(P_check, R, R_tilde) on [0, N-4]; see `restricted_kernel`."""
+    return tuple(restricted_kernel(N, label) for label in RESTRICTED_LABELS)
 
 
 def poisson_reversible_penta(N: int) -> StochasticKernel:
@@ -429,7 +448,14 @@ def birth_death_stationary(kernel: StochasticKernel, label: str = "") -> ExactDi
 
 @dataclass(frozen=True)
 class ReversibilityReport:
-    """Outcome of exact detailed-balance and Kolmogorov-cycle verification."""
+    """Outcome of exact detailed-balance and Kolmogorov-cycle verification.
+
+    `pairs_checked` counts the pairs covered by the detailed-balance check:
+    all S(S-1)/2 unordered pairs of distinct states of an S-state kernel.
+    Only the pairs with a nonzero entry in either direction are compared;
+    on every other pair both sides are 0.  `triangles_checked` counts the
+    S-2 triangles of consecutive states in the Kolmogorov check.
+    """
 
     kernel_label: str
     dist_label: str
@@ -447,21 +473,32 @@ class ReversibilityReport:
 def check_reversibility(kernel: StochasticKernel, dist: ExactDist | Mapping) -> ReversibilityReport:
     """Verify d(x) K(x,y) = d(y) K(y,x) on all pairs and the Kolmogorov cycle
     condition on all triangles of consecutive states; states carrying zero
-    weight are rejected outright."""
+    weight are rejected outright.
+
+    Detailed balance is compared only on the pairs (i < j, in state-list
+    positions) with K(x,y) or K(y,x) nonzero, visited in (i, j) order, so
+    the first violation is the one an all-pairs scan would meet first.
+    """
     weights = dist.as_dict() if isinstance(dist, ExactDist) else dict(dist)
     for s in kernel.states:
         if weights.get(s, Fraction(0)) <= 0:
             raise ValueError(f"state {s!r} has zero weight under {getattr(dist, 'label', 'dist')}")
 
+    states = kernel.states
+    later: list[set[int]] = [set() for _ in states]
+    for i, row in enumerate(kernel.rows):
+        for t in row:
+            j = kernel.index(t)
+            if i != j:
+                later[min(i, j)].add(max(i, j))
+
     db_ok = True
     first = None
-    pairs = 0
-    states = kernel.states
     for i, x in enumerate(states):
-        for y in states[i + 1:]:
+        for j in sorted(later[i]):
+            y = states[j]
             lhs = weights[x] * kernel.entry(x, y)
             rhs = weights[y] * kernel.entry(y, x)
-            pairs += 1
             if lhs != rhs and db_ok:
                 db_ok = False
                 first = (x, y, lhs - rhs)
@@ -483,7 +520,7 @@ def check_reversibility(kernel: StochasticKernel, dist: ExactDist | Mapping) -> 
         dist_label=getattr(dist, "label", ""),
         detailed_balance_ok=db_ok,
         kolmogorov_ok=kol_ok,
-        pairs_checked=pairs,
+        pairs_checked=len(states) * (len(states) - 1) // 2,
         triangles_checked=triangles,
         first_violation=first,
     )

@@ -58,6 +58,14 @@ class TestDerangements:
         with pytest.raises(ValueError):
             DerangementTable((1, 0, 1, 2, 8))
 
+    def test_late_entry_fails_running_sum(self):
+        from permfix.exactdist import DerangementTable
+
+        values = list(derangements(40).values)
+        values[40] += 1
+        with pytest.raises(ValueError, match="D_40 fails the alternating-sum identity"):
+            DerangementTable(tuple(values))
+
 
 class TestFixedPointPmf:
     @pytest.mark.parametrize("n", range(1, 9))

@@ -24,8 +24,10 @@ from permfix.kernels import (
     poisson_reversible_penta,
     prop41_bound,
     recursion_map,
+    restricted_kernel,
     state_space,
 )
+from permfix.lumping import transposition_walk, uniform_on_permutations
 from permfix.perms import EnumerationGuardError
 
 
@@ -237,3 +239,130 @@ class TestReversibilityChecker:
         report = check_reversibility(P, fixed_point_pmf(n))
         assert report.pairs_checked == n * (n - 1) // 2
         assert report.triangles_checked == n - 2
+
+
+def dense_reversibility(kernel, weights):
+    """All-pairs reference for `check_reversibility`: (ok, first_violation,
+    pairs_checked), detailed balance scanned over every pair i < j."""
+    db_ok = True
+    first = None
+    pairs = 0
+    states = kernel.states
+    for i, x in enumerate(states):
+        for y in states[i + 1:]:
+            lhs = weights[x] * kernel.entry(x, y)
+            rhs = weights[y] * kernel.entry(y, x)
+            pairs += 1
+            if lhs != rhs and db_ok:
+                db_ok = False
+                first = (x, y, lhs - rhs)
+    kol_ok = True
+    for i in range(len(states) - 2):
+        x, y, z = states[i], states[i + 1], states[i + 2]
+        fwd = kernel.entry(x, y) * kernel.entry(y, z) * kernel.entry(z, x)
+        bwd = kernel.entry(x, z) * kernel.entry(z, y) * kernel.entry(y, x)
+        if fwd != bwd:
+            kol_ok = False
+            if first is None:
+                first = (x, y, z, fwd - bwd)
+    return db_ok and kol_ok, first, pairs
+
+
+def every_builder(n):
+    """(kernel, its reversible law) for every kernel builder at n."""
+    p = p_closedform(n)
+    pi = fixed_point_pmf(n)
+    p_check, r, r_tilde = build_restricted(n)
+    return [
+        (build_penta(n, p), pi),
+        (build_tridiag_tilde(n, p), pi),
+        (build_hat(n), hat_stationary(n)),
+        (p_check, pi_conditioned(n)),
+        (r, zeta_law(n)),
+        (r_tilde, birth_death_stationary(r_tilde)),
+        (poisson_reversible_penta(n), poisson_box_law(n)),
+    ]
+
+
+def bumped(kernel, moves, bump=Fraction(1, 1000)):
+    """kernel with weight `bump` moved from each (x, x) to (x, y), y in moves[x]."""
+    rows = [dict(kernel.row(x)) for x in kernel.states]
+    for x, targets in moves.items():
+        i = kernel.index(x)
+        for y in targets:
+            rows[i][y] = rows[i].get(y, Fraction(0)) + bump
+            rows[i][x] -= bump
+    return StochasticKernel(kernel.states, tuple(rows), label=f"{kernel.label}_bumped")
+
+
+def assert_matches_dense(kernel, law):
+    weights = law.as_dict() if hasattr(law, "as_dict") else law
+    report = check_reversibility(kernel, law)
+    assert (report.ok, report.first_violation, report.pairs_checked) == dense_reversibility(
+        kernel, weights
+    )
+    return report
+
+
+class TestSparseReversibilityAgainstDense:
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_every_builder(self, n):
+        for kernel, law in every_builder(n):
+            assert assert_matches_dense(kernel, law).ok
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_every_builder_against_a_wrong_law(self, n):
+        for kernel, _ in every_builder(n):
+            uniform = {s: Fraction(1, kernel.size) for s in kernel.states}
+            assert not assert_matches_dense(kernel, uniform).ok
+
+    def test_transposition_walk(self):
+        walk = transposition_walk(4)
+        assert walk.bandwidth() > 12
+        assert assert_matches_dense(walk, uniform_on_permutations(4)).ok
+        skewed = {s: Fraction(i + 1) for i, s in enumerate(walk.states)}
+        assert not assert_matches_dense(walk, skewed).ok
+
+    def test_penta_size_two_bump(self):
+        n = 8
+        penta = build_penta(n, p_closedform(n))
+        report = assert_matches_dense(bumped(penta, {3: [5]}), fixed_point_pmf(n))
+        assert report.first_violation[:2] == (3, 5)
+
+    def test_bump_on_pairs_zero_in_both_directions(self):
+        n = 9
+        penta = build_penta(n, p_closedform(n))
+        # (6, 2) lies outside the band and is seen only from the later row;
+        # it precedes (4, 7) in the scan order, so it is the first violation
+        report = assert_matches_dense(bumped(penta, {4: [7], 6: [2]}), fixed_point_pmf(n))
+        assert report.first_violation[:2] == (2, 6)
+
+    def test_hat_bump(self):
+        n = 9
+        hat = build_hat(n)
+        report = assert_matches_dense(bumped(hat, {5: [4]}), hat_stationary(n))
+        assert report.first_violation[:2] == (4, 5)
+
+    def test_restricted_bump(self):
+        n = 8
+        _, r, _ = build_restricted(n)
+        report = assert_matches_dense(bumped(r, {1: [2], 3: [2]}), zeta_law(n))
+        assert report.first_violation[:2] == (1, 2)
+
+
+class TestLookupErrors:
+    def test_unknown_state_raises_value_error(self):
+        n = 6
+        P = build_penta(n, p_closedform(n))
+        assert n - 1 not in P.states
+        with pytest.raises(ValueError):
+            P.index(n - 1)
+        with pytest.raises(ValueError):
+            P.row(n - 1)
+        with pytest.raises(ValueError):
+            P.entry(n - 1, 0)
+
+
+    def test_unknown_restricted_label(self):
+        with pytest.raises(ValueError):
+            restricted_kernel(8, "P")
