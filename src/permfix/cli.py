@@ -293,7 +293,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    stats = coupling.run_coupling(cfg, jobs=args.jobs)
+    stats = coupling.run_coupling(cfg)
     rows = []
     for n in cfg.checkpoints:
         agg = stats.by_time[n]
@@ -503,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--digits", type=int, default=50)
 
     p = sub.add_parser("exact", help="exact laws, distances and bounds")

@@ -144,15 +144,10 @@ def monotone_step(x: int, y: int, u, k_x: StochasticKernel, k_y: StochasticKerne
     u may be a float or an exact Fraction; comparisons against the exact
     thresholds then decide the move exactly.
     """
-    dx, sx = _state_thresholds(k_x, x)
-    dy, sy = _state_thresholds(k_y, y)
-    return _move(x, u, dx, sx), _move(y, u, dy, sy)
-
-
-def _state_thresholds(kernel: StochasticKernel, x) -> tuple[Fraction, Fraction]:
-    i = kernel.index(x)
-    d = kernel.entry(x, kernel.states[i - 1]) if i > 0 else Fraction(0)
-    return d, d + kernel.entry(x, x)
+    down_x, stay_x = birth_death_thresholds(k_x)
+    down_y, stay_y = birth_death_thresholds(k_y)
+    i, j = k_x.index(x), k_y.index(y)
+    return _move(x, u, down_x[i], stay_x[i]), _move(y, u, down_y[j], stay_y[j])
 
 
 def _move(x: int, u, down: Fraction, stay: Fraction) -> int:
@@ -175,7 +170,9 @@ def _float_tables(kernel: StochasticKernel) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _sample_initial_vector(dist: ExactDist, u: np.ndarray) -> np.ndarray:
+def _float_quantile(dist: ExactDist, u: np.ndarray | float) -> np.ndarray:
+    """Inverse CDF of dist against its float-rounded cumulative table, for an
+    array of uniforms or a single one."""
     cum = np.array([float(c) for c in dist.cumulative()])
     support = np.array(dist.support, dtype=np.int64)
     return support[np.searchsorted(cum, u, side="right").clip(0, len(support) - 1)]
@@ -188,11 +185,11 @@ def _run_block_double(cfg: RunConfig, first: int, count: int) -> dict[int, dict[
 
     streams = VectorStreams(cfg.seed, first, count)
     u0 = streams.uniforms()
-    X = _sample_initial_vector(law_x, u0)
+    X = _float_quantile(law_x, u0)
     if cfg.start_mode == "shared":
-        Y = _sample_initial_vector(law_y, u0)
+        Y = _float_quantile(law_y, u0)
     elif cfg.start_mode == "independent":
-        Y = _sample_initial_vector(law_y, streams.uniforms())
+        Y = _float_quantile(law_y, streams.uniforms())
     else:
         Y = X.copy()
 
@@ -238,14 +235,6 @@ def _run_block_double(cfg: RunConfig, first: int, count: int) -> dict[int, dict[
     return out
 
 
-def _quantile_double(dist: ExactDist, u: float) -> int:
-    """Float-threshold inverse CDF, matching the vectorized searchsorted path."""
-    for x, c in zip(dist.support, dist.cumulative()):
-        if u < float(c):
-            return x
-    return dist.support[-1]
-
-
 def _run_scalar(cfg: RunConfig) -> tuple[dict[int, dict[str, int]], list[CouplingTrace]]:
     """Reference engine: per-replica scalar loop, exact or double thresholds."""
     k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
@@ -262,7 +251,7 @@ def _run_scalar(cfg: RunConfig) -> tuple[dict[int, dict[str, int]], list[Couplin
     traces: list[CouplingTrace] = []
 
     def invert(dist: ExactDist, u) -> int:
-        return dist.quantile(u) if exact else _quantile_double(dist, u)
+        return dist.quantile(u) if exact else int(_float_quantile(dist, u))
 
     for r in range(cfg.replicas):
         stream = Stream(cfg.seed, r)
@@ -312,12 +301,6 @@ def _run_scalar(cfg: RunConfig) -> tuple[dict[int, dict[str, int]], list[Couplin
                 zt_steps.append(k)
             if xb >= yb and x < y:
                 zh_steps.append(k)
-            if cfg.emit_traces:
-                # order preservation holds except exactly at counter increments
-                if xb <= yb and x > y:
-                    assert zt_steps and zt_steps[-1] == k
-                if xb >= yb and x < y:
-                    assert zh_steps and zh_steps[-1] == k
             if x == y and not met:
                 met = True
                 tau = k + 1
@@ -346,38 +329,22 @@ def _run_scalar(cfg: RunConfig) -> tuple[dict[int, dict[str, int]], list[Couplin
     return counts, traces
 
 
-def run_coupling(cfg: RunConfig, jobs: int = 1, block_size: int = 1 << 14) -> CouplingStats:
+def run_coupling(cfg: RunConfig, block_size: int = 1 << 14) -> CouplingStats:
     """Simulate all replicas and aggregate the event counts.
 
     Replica r always consumes stream (seed, r), so the aggregate counts are
-    identical for any jobs/block split; blocks are reduced in replica order
-    and all counts are exact integers.
+    identical for any block size; blocks are reduced in replica order and
+    all counts are exact integers.
     """
     if cfg.precision == "exact" or cfg.emit_traces:
         counts, traces = _run_scalar(cfg)
     else:
         counts = {n: {s: 0 for s in STAT_NAMES} for n in cfg.checkpoints}
-        blocks = [
-            (first, min(block_size, cfg.replicas - first))
-            for first in range(0, cfg.replicas, block_size)
-        ]
-
-        def merge(block_counts: dict[int, dict[str, int]]) -> None:
-            for n, row in block_counts.items():
+        for first in range(0, cfg.replicas, block_size):
+            block = _run_block_double(cfg, first, min(block_size, cfg.replicas - first))
+            for n, row in block.items():
                 for s, v in row.items():
                     counts[n][s] += v
-
-        if jobs > 1 and len(blocks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for result in pool.map(
-                    lambda fc: _run_block_double(cfg, fc[0], fc[1]), blocks
-                ):
-                    merge(result)
-        else:
-            for first, cnt in blocks:
-                merge(_run_block_double(cfg, first, cnt))
         traces = []
 
     by_time = {

@@ -447,17 +447,12 @@ def separation_discrepancy(d1: DistLike, d2: DistLike) -> Fraction | Interval:
     """sup_x (1 - d1(x)/d2(x)).
 
     Points with d2 = 0 = d1 are ignored; d2 = 0 < d1 contributes the value 1.
-    Against the Poisson reference (positive everywhere) any point outside the
-    support of d1 forces the supremum to its maximal value 1.
     """
     if isinstance(d2, PoissonRef):
         if not isinstance(d1, ExactDist):
             raise ValueError("d1 must be an ExactDist")
-        top = d1.support[-1]
-        if set(d1.support) != set(range(top + 1)):
-            return Fraction(1)  # a gap in the support: 1 - 0/P(x) = 1
-        # d1 is finitely supported while the reference never vanishes,
-        # so the tail always realizes the supremum.
+        # d1 is finitely supported while the reference is positive everywhere,
+        # so any point outside the support realizes the maximal value 1.
         return Fraction(1)
     assert isinstance(d2, ExactDist)
     if not isinstance(d1, ExactDist):

@@ -82,7 +82,9 @@ class StochasticKernel:
         return self.rows[self.index(state)]
 
     def entry(self, x: Hashable, y: Hashable) -> Fraction:
-        return self.row(x).get(y, Fraction(0))
+        row = self.row(x)
+        self.index(y)  # an unknown target raises ValueError, as a source does
+        return row.get(y, Fraction(0))
 
     def bandwidth(self) -> int:
         """Largest |i - j| over nonzero off-diagonal entries, in list positions."""

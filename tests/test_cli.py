@@ -92,6 +92,18 @@ def test_couple_outputs_deterministic(tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_all_outputs_deterministic(tmp_path, capsys):
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    for name in ("a", "b"):
+        assert main(["all", "--seed", "1", "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    first = tree(tmp_path / "a")
+    assert len(first) == 22
+    assert first == tree(tmp_path / "b")
+
+
 def test_couple_traces(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({

@@ -361,6 +361,10 @@ class TestLookupErrors:
             P.row(n - 1)
         with pytest.raises(ValueError):
             P.entry(n - 1, 0)
+        with pytest.raises(ValueError):
+            P.entry(0, n - 1)
+        with pytest.raises(ValueError):
+            P.entry(0, -1)
 
 
     def test_unknown_restricted_label(self):

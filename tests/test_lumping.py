@@ -94,7 +94,15 @@ class TestProjection:
         n = 6
         result = project(cycle_type_chain(n))
         assert result.mu1 == fixed_point_pmf(n).as_dict()
-        assert result.link_row == result.mu1
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_walk_projects_to_cycle_type_chain(self, n):
+        # W != V: the transposition walk on S_n lumped by cycle type
+        projected = project(permutation_chain(n)).kernel
+        reference = cycle_type_chain(n).kernel
+        assert set(projected.states) == set(reference.states)
+        for t in reference.states:
+            assert projected.row(t) == reference.row(t)
 
     def test_zero_mass_block_impossible_by_construction(self):
         chain = cycle_type_chain(4)
@@ -124,6 +132,21 @@ class TestReversibilityTransfer:
         report = reversibility_transfer(chain)
         assert report.upstream_reversible
         assert report.projected_reversible
+
+    def test_zero_weight_state_rejected(self):
+        # state 1 leaks into the absorbing state 0, so mu = (1, 0) is invariant
+        kernel = StochasticKernel(
+            (0, 1),
+            ({0: Fraction(1)}, {0: Fraction(1, 2), 1: Fraction(1, 2)}),
+            label="absorbing",
+        )
+        chain = PartitionedChain(
+            kernel=kernel,
+            invariant={0: Fraction(1), 1: Fraction(0)},
+            blocks={0: 0, 1: 0},
+        )
+        with pytest.raises(ValueError):
+            reversibility_transfer(chain)
 
 
 class TestDynkin:
