@@ -24,7 +24,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -280,23 +279,34 @@ def ascent_peak_batch(
 
 
 def peak_tail_exact(N: int, guard: int = 10) -> Fraction:
-    """Exact P[T > N] by enumerating the (N+1)! relative orderings.
+    """Exact P[T > N]: the share of the (N+1)! relative orderings of
+    U_1..U_{N+1} with no interior local maximum at an index n in [2, N].
 
-    T depends only on the relative order of U_1..U_{N+1}; T > N means no
-    interior index n in [2, N] is a local maximum.  The count is verified
+    The orderings are counted by extending prefixes one entry at a time; a
+    prefix whose last three entries already form a peak is dropped with its
+    whole subtree, since every ordering in it has a peak, so the count is
+    exact while only peak-free prefixes are visited.  The result is verified
     against the bound 2^N / (N+1)! before returning.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     check_guard(N, guard, "peak_tail_exact")
     m = N + 1
-    count = 0
-    for perm in permutations(range(m)):
-        for i in range(1, m - 1):
-            if perm[i - 1] < perm[i] > perm[i + 1]:
-                break
-        else:
-            count += 1
+
+    def extensions(prev: int, last: int, unused: int) -> int:
+        """Peak-free completions of a prefix ending (prev, last), where bit v
+        of unused marks the values still to place."""
+        if not unused:
+            return 1
+        count = 0
+        for v in range(m):
+            if unused >> v & 1 and not prev < last > v:
+                count += extensions(last, v, unused & ~(1 << v))
+        return count
+
+    # the sentinel m as prev keeps the first entry from counting as a peak
+    full = (1 << m) - 1
+    count = sum(extensions(m, v, full & ~(1 << v)) for v in range(m))
     prob = Fraction(count, math.factorial(m))
     if prob > Fraction(2 ** N, math.factorial(N + 1)):
         raise AssertionError("enumerated P[T > N] exceeds 2^N/(N+1)!")

@@ -197,11 +197,12 @@ def cmd_project(args: argparse.Namespace) -> int:
         return report.finish()
 
     try:
-        result = lumping.project(chain)
+        transfer = lumping.reversibility_transfer(chain)
         report.verdict("intertwining", True)
     except AssertionError:
         report.verdict("intertwining", False)
         return report.finish()
+    result = transfer.projection
 
     # The projected walk reproduces the penta kernel's size-two entries
     # exactly; its size-one entries come out at exactly twice the penta
@@ -223,7 +224,6 @@ def cmd_project(args: argparse.Namespace) -> int:
     report.verdict("projection_matches_penta_size_two", size_two_equal)
     report.verdict("projection_size_one_exactly_doubled", size_one_doubled)
 
-    transfer = lumping.reversibility_transfer(chain)
     report.verdict("reversibility_transfer",
                    transfer.upstream_reversible and transfer.projected_reversible)
 

@@ -170,26 +170,38 @@ def _float_tables(kernel: StochasticKernel) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _float_quantile(dist: ExactDist, u: np.ndarray | float) -> np.ndarray:
-    """Inverse CDF of dist against its float-rounded cumulative table, for an
-    array of uniforms or a single one."""
-    cum = np.array([float(c) for c in dist.cumulative()])
-    support = np.array(dist.support, dtype=np.int64)
+def _float_cdf(dist: ExactDist) -> tuple[np.ndarray, np.ndarray]:
+    """(float-rounded cumulative table, support) of dist."""
+    return (
+        np.array([float(c) for c in dist.cumulative()]),
+        np.array(dist.support, dtype=np.int64),
+    )
+
+
+def _float_quantile(cdf: tuple[np.ndarray, np.ndarray], u: np.ndarray | float) -> np.ndarray:
+    """Inverse CDF against a `_float_cdf` table, for an array of uniforms or
+    a single one."""
+    cum, support = cdf
     return support[np.searchsorted(cum, u, side="right").clip(0, len(support) - 1)]
 
 
-def _run_block_double(cfg: RunConfig, first: int, count: int) -> dict[int, dict[str, int]]:
+def _double_tables(cfg: RunConfig) -> tuple:
+    """Float (down, stay) thresholds of both chains and the CDF tables of
+    both initial laws, built once per run and shared by its blocks."""
     k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
-    down_x, stay_x = _float_tables(k_x)
-    down_y, stay_y = _float_tables(k_y)
+    return (*_float_tables(k_x), *_float_tables(k_y), _float_cdf(law_x), _float_cdf(law_y))
+
+
+def _run_block_double(cfg: RunConfig, tables: tuple, first: int, count: int) -> dict[int, dict[str, int]]:
+    down_x, stay_x, down_y, stay_y, cdf_x, cdf_y = tables
 
     streams = VectorStreams(cfg.seed, first, count)
     u0 = streams.uniforms()
-    X = _float_quantile(law_x, u0)
+    X = _float_quantile(cdf_x, u0)
     if cfg.start_mode == "shared":
-        Y = _float_quantile(law_y, u0)
+        Y = _float_quantile(cdf_y, u0)
     elif cfg.start_mode == "independent":
-        Y = _float_quantile(law_y, streams.uniforms())
+        Y = _float_quantile(cdf_y, streams.uniforms())
     else:
         Y = X.copy()
 
@@ -251,7 +263,7 @@ def _run_scalar(cfg: RunConfig) -> tuple[dict[int, dict[str, int]], list[Couplin
     traces: list[CouplingTrace] = []
 
     def invert(dist: ExactDist, u) -> int:
-        return dist.quantile(u) if exact else int(_float_quantile(dist, u))
+        return dist.quantile(u) if exact else int(_float_quantile(_float_cdf(dist), u))
 
     for r in range(cfg.replicas):
         stream = Stream(cfg.seed, r)
@@ -340,8 +352,9 @@ def run_coupling(cfg: RunConfig, block_size: int = 1 << 14) -> CouplingStats:
         counts, traces = _run_scalar(cfg)
     else:
         counts = {n: {s: 0 for s in STAT_NAMES} for n in cfg.checkpoints}
+        tables = _double_tables(cfg)
         for first in range(0, cfg.replicas, block_size):
-            block = _run_block_double(cfg, first, min(block_size, cfg.replicas - first))
+            block = _run_block_double(cfg, tables, first, min(block_size, cfg.replicas - first))
             for n, row in block.items():
                 for s, v in row.items():
                     counts[n][s] += v

@@ -16,7 +16,7 @@ fixed-point count that reproduces the penta-diagonal kernel.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping
@@ -28,6 +28,7 @@ from .perms import (
     all_cycle_types,
     apply_transposition,
     check_guard,
+    cycle_counts,
     iter_permutations,
 )
 
@@ -115,12 +116,15 @@ def project(chain: PartitionedChain) -> ProjectionResult:
 class TransferReport:
     upstream_reversible: bool
     projected_reversible: bool
+    projection: ProjectionResult
 
 
 def reversibility_transfer(chain: PartitionedChain) -> TransferReport:
-    """Check mu reversible for Q and mu_1 reversible for the projection.
+    """Check mu reversible for Q and mu_1 reversible for the projection,
+    which the report carries.
 
-    A state of zero weight raises `ValueError`, as in `check_reversibility`.
+    A state of zero weight raises `ValueError`, as in `check_reversibility`;
+    a projection that fails its check raises `AssertionError`, as in `project`.
     """
     upstream = kernels.check_reversibility(chain.kernel, chain.invariant)
     result = project(chain)
@@ -128,6 +132,7 @@ def reversibility_transfer(chain: PartitionedChain) -> TransferReport:
     return TransferReport(
         upstream_reversible=upstream.detailed_balance_ok,
         projected_reversible=projected.detailed_balance_ok,
+        projection=result,
     )
 
 
@@ -240,31 +245,45 @@ def _cycle_type_row(ct: CycleType) -> dict[CycleType, Fraction]:
 def cycle_type_chain(N: int, guard: int = 8) -> PartitionedChain:
     """The coagulation-fragmentation chain on cycle types of S_N.
 
-    Built two independent ways and cross-checked entry by entry: (a) lumping
-    the transposition walk by cycle type, after verifying the Dynkin
-    condition really holds across each conjugacy class, and (b) the direct
-    merge/split case analysis.  Any discrepancy is a hard failure.  The
-    result carries the class-size invariant law and the eta_1 partition.
+    Built two independent ways and cross-checked entry by entry.  Route (a)
+    lumps the transposition walk by brute force without building it: for
+    every sigma in S_N it forms the C(N,2) products tau sigma (swapping the
+    positions of the values a and b), counts their cycle types in integers,
+    and requires every member of a conjugacy class to give the same counts
+    (the Dynkin condition); each class's counts become the probabilities
+    2 count / (N(N-1)) once.  Route (b) is the direct merge/split case
+    analysis.  Any discrepancy is a hard failure.  The result carries the
+    class-size invariant law and the eta_1 partition.
     """
     check_guard(N, guard, "cycle_type_chain")
     types = all_cycle_types(N)
 
-    # route (a): lump the walk over S_N by conjugacy class
-    walk = transposition_walk(N, guard=guard)
-    lumped: dict[CycleType, dict[CycleType, Fraction]] = {}
-    for sigma in walk.states:
-        ct = CycleType.of_permutation(sigma)
-        acc: dict[CycleType, Fraction] = defaultdict(Fraction)
-        for sigma2, q in walk.row(sigma).items():
-            acc[CycleType.of_permutation(sigma2)] += q
-        acc = {t: w for t, w in acc.items() if w != 0}
-        if ct in lumped:
-            if lumped[ct] != acc:
+    # route (a): count the targets of each sigma by cycle type, in integers
+    counts_of: dict[tuple[int, ...], Counter] = {}
+    for sigma in iter_permutations(N):
+        where = [0] * N
+        for i, v in enumerate(sigma):
+            where[v] = i
+        targets: Counter = Counter()
+        for a in range(N):
+            for b in range(a + 1, N):
+                moved = list(sigma)
+                moved[where[a]] = b
+                moved[where[b]] = a
+                targets[cycle_counts(moved)] += 1
+        ct = cycle_counts(sigma)
+        if ct in counts_of:
+            if counts_of[ct] != targets:
                 raise RuntimeError(
                     f"Dynkin condition fails within class {ct}: rows differ"
                 )
         else:
-            lumped[ct] = acc
+            counts_of[ct] = targets
+    den = N * (N - 1)
+    lumped = {
+        CycleType(ct): {CycleType(t): Fraction(2 * k, den) for t, k in targets.items()}
+        for ct, targets in counts_of.items()
+    }
 
     # route (b): direct case analysis
     for ct in types:

@@ -132,9 +132,10 @@ class TestPeakTailExact:
         ratio = peak_tail_exact(n) / Fraction(2 ** n, math.factorial(n + 1))
         assert ratio <= 1
 
-    def test_matches_direct_recount(self):
-        # independent recount: permutations whose interior has no local max
-        n = 5
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_direct_recount(self, n):
+        # independent recount over all (n+1)! orderings: those whose
+        # interior has no local max
         m = n + 1
         count = sum(
             1
@@ -142,6 +143,12 @@ class TestPeakTailExact:
             if not any(p[i - 1] < p[i] > p[i + 1] for i in range(1, m - 1))
         )
         assert peak_tail_exact(n) == Fraction(count, math.factorial(m))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_v_shaped_count(self, n):
+        # a peak-free ordering decreases to its minimum and then increases;
+        # each of the other n values goes left or right of it: 2^n orderings
+        assert peak_tail_exact(n) == Fraction(2 ** n, math.factorial(n + 1))
 
     def test_guard(self):
         with pytest.raises(EnumerationGuardError):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from permfix import lumping
 from permfix.exactdist import fixed_point_pmf
 from permfix.kernels import (
     StochasticKernel,
@@ -95,7 +96,7 @@ class TestProjection:
         result = project(cycle_type_chain(n))
         assert result.mu1 == fixed_point_pmf(n).as_dict()
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, 6])
     def test_walk_projects_to_cycle_type_chain(self, n):
         # W != V: the transposition walk on S_n lumped by cycle type
         projected = project(permutation_chain(n)).kernel
@@ -114,6 +115,14 @@ class TestReversibilityTransfer:
         report = reversibility_transfer(permutation_chain(4))
         assert report.upstream_reversible
         assert report.projected_reversible
+
+    def test_report_carries_the_projection(self):
+        chain = cycle_type_chain(5)
+        carried = reversibility_transfer(chain).projection
+        direct = project(chain)
+        assert carried.kernel.states == direct.kernel.states
+        assert all(carried.kernel.row(v) == direct.kernel.row(v) for v in direct.kernel.states)
+        assert carried.mu1 == direct.mu1
 
     def test_rotation_chain_fails_upstream(self):
         report = reversibility_transfer(rotation_chain())
@@ -247,6 +256,37 @@ class TestCycleTypeChain:
     def test_guard(self):
         with pytest.raises(EnumerationGuardError):
             cycle_type_chain(9)
+
+    def test_dynkin_failure_raises(self, monkeypatch):
+        # misreport the transposition (0 1) as a 3-cycle: only four of the
+        # eight 3-cycles of S_4 are one transposition away from it, so their
+        # rows differ from the rest of their class
+        real = lumping.cycle_counts
+        wrong = (1, 0, 1, 0)
+
+        def misreporting(perm):
+            return wrong if tuple(perm) == (1, 0, 2, 3) else real(perm)
+
+        monkeypatch.setattr(lumping, "cycle_counts", misreporting)
+        with pytest.raises(RuntimeError, match="Dynkin"):
+            cycle_type_chain(4)
+
+    def test_case_analysis_disagreement_raises(self, monkeypatch):
+        # move a little mass of one case-analysis row onto its diagonal
+        real = lumping._cycle_type_row
+        target = CycleType((0, 2, 0, 0))
+
+        def perturbed(ct):
+            row = real(ct)
+            if ct == target:
+                some = next(iter(row))
+                row[some] -= Fraction(1, 12)
+                row[ct] = row.get(ct, Fraction(0)) + Fraction(1, 12)
+            return row
+
+        monkeypatch.setattr(lumping, "_cycle_type_row", perturbed)
+        with pytest.raises(RuntimeError, match="disagreement"):
+            cycle_type_chain(4)
 
     def test_guard_override(self, monkeypatch):
         monkeypatch.setenv("PERMFIX_GUARD_N", "3")
