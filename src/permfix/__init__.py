@@ -55,7 +55,6 @@ from .coupling import (
     RunConfig,
     assemble_tv_bound,
     drift_certificate,
-    monotone_step,
     monotonicity_certificate,
     run_coupling,
     suggested_horizon,

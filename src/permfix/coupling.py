@@ -1,7 +1,7 @@
 """Monotone coupling of the restricted birth-and-death chains on [0, N-4].
 
 Two chains X (kernel P_check, reversible law pi_check) and Y (kernel R,
-reversible law zeta) are driven by one shared uniform per step,
+reversible law zeta) are driven by one shared uniform per step (`step`),
 
     x' = x - 1  if u < K(x, x-1)
     x' = x      if u < K(x, x-1) + K(x, x)
@@ -9,10 +9,13 @@ reversible law zeta) are driven by one shared uniform per step,
 
 together with the event counters Z (meetings that split), Z-tilde
 (order violations downward) and Z-hat (order violations upward), the
-coupling time tau and the hitting times of zero.  The production engine is
-vectorized over replicas in double precision with thresholds rounded once
-from the exact kernels; an exact-rational scalar engine with the same
-uniform streams validates it on small runs.
+coupling time tau and the hitting times of zero.
+
+Two engines take every move from `step`.  precision="double" runs the
+vectorized engine over blocks of replicas with thresholds rounded once from
+the exact kernels; it alone records per-replica traces (emit_traces).
+precision="exact" runs a scalar loop on exact rational uniforms and
+thresholds: the rounding oracle for the vectorized engine, counts only.
 """
 from __future__ import annotations
 
@@ -61,6 +64,8 @@ class RunConfig:
             raise ValueError(f"precision must be one of {PRECISIONS}")
         if self.start_mode not in START_MODES:
             raise ValueError(f"start_mode must be one of {START_MODES}")
+        if self.emit_traces and self.precision == "exact":
+            raise ValueError("emit_traces needs precision 'double'")
         points = sorted(set(self.checkpoints) | {self.horizon})
         if any(p < 0 or p > self.horizon for p in points):
             raise ValueError("checkpoints must lie in [0, horizon]")
@@ -138,29 +143,24 @@ def birth_death_thresholds(kernel: StochasticKernel) -> tuple[list[Fraction], li
     return down, stay
 
 
-def monotone_step(x: int, y: int, u, k_x: StochasticKernel, k_y: StochasticKernel) -> tuple[int, int]:
-    """One shared-uniform monotone step of both chains.
+def step(x, u, down, stay):
+    """The shared-uniform monotone move: x - 1 if u < down[x], x if
+    u < stay[x], else x + 1.
 
-    u may be a float or an exact Fraction; comparisons against the exact
-    thresholds then decide the move exactly.
+    Restricted states are 0..N-4, so a state is its own index into its
+    chain's `birth_death_thresholds`.  The same expression moves an int
+    under a Fraction or float u and a numpy array of states under an array
+    of uniforms.
     """
-    down_x, stay_x = birth_death_thresholds(k_x)
-    down_y, stay_y = birth_death_thresholds(k_y)
-    i, j = k_x.index(x), k_y.index(y)
-    return _move(x, u, down_x[i], stay_x[i]), _move(y, u, down_y[j], stay_y[j])
-
-
-def _move(x: int, u, down: Fraction, stay: Fraction) -> int:
-    if u < down:
-        return x - 1
-    if u < stay:
-        return x
-    return x + 1
+    return x + 1 - (u < stay[x]) - (u < down[x])
 
 
 # ---------------------------------------------------------------------------
 # the vectorized production engine
 # ---------------------------------------------------------------------------
+
+BLOCK_SIZE = 1 << 14  # replicas per vectorized block; counts do not depend on it
+
 
 def _float_tables(kernel: StochasticKernel) -> tuple[np.ndarray, np.ndarray]:
     down, stay = birth_death_thresholds(kernel)
@@ -178,9 +178,8 @@ def _float_cdf(dist: ExactDist) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _float_quantile(cdf: tuple[np.ndarray, np.ndarray], u: np.ndarray | float) -> np.ndarray:
-    """Inverse CDF against a `_float_cdf` table, for an array of uniforms or
-    a single one."""
+def _float_quantile(cdf: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of an array of uniforms against a `_float_cdf` table."""
     cum, support = cdf
     return support[np.searchsorted(cum, u, side="right").clip(0, len(support) - 1)]
 
@@ -192,7 +191,9 @@ def _double_tables(cfg: RunConfig) -> tuple:
     return (*_float_tables(k_x), *_float_tables(k_y), _float_cdf(law_x), _float_cdf(law_y))
 
 
-def _run_block_double(cfg: RunConfig, tables: tuple, first: int, count: int) -> dict[int, dict[str, int]]:
+def _run_block_double(
+    cfg: RunConfig, tables: tuple, first: int, count: int
+) -> tuple[dict[int, dict[str, int]], list[CouplingTrace]]:
     down_x, stay_x, down_y, stay_y, cdf_x, cdf_y = tables
 
     streams = VectorStreams(cfg.seed, first, count)
@@ -211,6 +212,7 @@ def _run_block_double(cfg: RunConfig, tables: tuple, first: int, count: int) -> 
     z_f = np.zeros(count, dtype=bool)
     zt_f = np.zeros(count, dtype=bool)
     zh_f = np.zeros(count, dtype=bool)
+    xs, ys, us = [X], [Y], []  # the path, kept when traces are asked for
 
     wanted = set(cfg.checkpoints)
     out: dict[int, dict[str, int]] = {}
@@ -233,8 +235,8 @@ def _run_block_double(cfg: RunConfig, tables: tuple, first: int, count: int) -> 
         eq_b = X == Y
         le_b = X <= Y
         ge_b = X >= Y
-        Xn = X + 1 - (u < stay_x[X]) - (u < down_x[X])
-        Yn = Y + 1 - (u < stay_y[Y]) - (u < down_y[Y])
+        Xn = step(X, u, down_x, stay_x)
+        Yn = step(Y, u, down_y, stay_y)
         z_f |= eq_b & (Xn != Yn)
         zt_f |= le_b & (Xn > Yn)
         zh_f |= ge_b & (Xn < Yn)
@@ -242,123 +244,105 @@ def _run_block_double(cfg: RunConfig, tables: tuple, first: int, count: int) -> 
         met |= X == Y
         hit_x |= X == 0
         hit_y |= Y == 0
+        if cfg.emit_traces:
+            xs.append(X)
+            ys.append(Y)
+            us.append(u)
         if k + 1 in wanted:
             snapshot(k + 1)
-    return out
+    if not cfg.emit_traces:
+        return out, []
+    return out, _traces_from_path(np.array(xs), np.array(ys), np.array(us).reshape(cfg.horizon, count))
 
 
-def _run_scalar(cfg: RunConfig) -> tuple[dict[int, dict[str, int]], list[CouplingTrace]]:
-    """Reference engine: per-replica scalar loop, exact or double thresholds."""
+def _traces_from_path(xs: np.ndarray, ys: np.ndarray, us: np.ndarray) -> list[CouplingTrace]:
+    """One trace per replica (column) from its states xs, ys at times 0..n
+    and its uniforms us; step k takes time k to k + 1 under us[k]."""
+
+    def first(hit: np.ndarray) -> list[int | None]:
+        return [int(t) if h else None for t, h in zip(hit.argmax(axis=0), hit.any(axis=0))]
+
+    def times(flags: np.ndarray) -> list[tuple[int, ...]]:
+        return [tuple(np.flatnonzero(col).tolist()) for col in flags.T]
+
+    eq = xs == ys
+    tau, tau0_x, tau0_y = first(eq), first(xs == 0), first(ys == 0)
+    z = times(eq[:-1] & ~eq[1:])
+    zt = times((xs[:-1] <= ys[:-1]) & (xs[1:] > ys[1:]))
+    zh = times((xs[:-1] >= ys[:-1]) & (xs[1:] < ys[1:]))
+    paths = zip(xs.T.tolist(), ys.T.tolist(), us.T.tolist())
+    return [
+        CouplingTrace(
+            steps=tuple(zip(x, y, u)), final=(x[-1], y[-1]), tau=tau[r], tau0_x=tau0_x[r],
+            tau0_y=tau0_y[r], z_incr=z[r], ztilde_incr=zt[r], zhat_incr=zh[r],
+        )
+        for r, (x, y, u) in enumerate(paths)
+    ]
+
+
+def _run_scalar(cfg: RunConfig) -> dict[int, dict[str, int]]:
+    """Rounding oracle: one replica at a time, exact Fraction uniforms from
+    the same streams against the exact thresholds and initial laws."""
     k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
-    exact = cfg.precision == "exact"
-    thr_x = birth_death_thresholds(k_x)
-    thr_y = birth_death_thresholds(k_y)
-    if not exact:
-        thr_x = tuple([float(v) for v in arr] for arr in thr_x)
-        thr_y = tuple([float(v) for v in arr] for arr in thr_y)
-
-    counts: dict[int, dict[str, int]] = {
-        n: {s: 0 for s in STAT_NAMES} for n in cfg.checkpoints
-    }
-    traces: list[CouplingTrace] = []
-
-    def invert(dist: ExactDist, u) -> int:
-        return dist.quantile(u) if exact else int(_float_quantile(_float_cdf(dist), u))
+    down_x, stay_x = birth_death_thresholds(k_x)
+    down_y, stay_y = birth_death_thresholds(k_y)
+    counts = {n: {s: 0 for s in STAT_NAMES} for n in cfg.checkpoints}
 
     for r in range(cfg.replicas):
-        stream = Stream(cfg.seed, r)
-        draw = stream.uniform_fraction if exact else stream.uniform
+        draw = Stream(cfg.seed, r).uniform_fraction
         u0 = draw()
-        x = invert(law_x, u0)
+        x = law_x.quantile(u0)
         if cfg.start_mode == "shared":
-            y = invert(law_y, u0)
+            y = law_y.quantile(u0)
         elif cfg.start_mode == "independent":
-            y = invert(law_y, draw())
+            y = law_y.quantile(draw())
         else:
             y = x
-
-        met = x == y
-        hit_x = x == 0
-        hit_y = y == 0
-        tau = 0 if met else None
-        tau0_x = 0 if hit_x else None
-        tau0_y = 0 if hit_y else None
-        z_steps: list[int] = []
-        zt_steps: list[int] = []
-        zh_steps: list[int] = []
-        steps: list[tuple[int, int, float]] = []
-
-        def record(n: int) -> None:
-            row = counts[n]
-            row["neq"] += x != y
-            row["tau_gt"] += not met
-            row["z_pos"] += bool(z_steps)
-            row["ztilde_pos"] += bool(zt_steps)
-            row["zhat_pos"] += bool(zh_steps)
-            row["tau0x_gt"] += not hit_x
-            row["tau0y_gt"] += not hit_y
-
-        if 0 in counts:
-            record(0)
-        for k in range(cfg.horizon):
+        met, hit_x, hit_y = x == y, x == 0, y == 0
+        z = zt = zh = False
+        for k in range(cfg.horizon + 1):
+            if k in counts:
+                row = counts[k]
+                row["neq"] += x != y
+                row["tau_gt"] += not met
+                row["z_pos"] += z
+                row["ztilde_pos"] += zt
+                row["zhat_pos"] += zh
+                row["tau0x_gt"] += not hit_x
+                row["tau0y_gt"] += not hit_y
+            if k == cfg.horizon:
+                break
             u = draw()
-            if cfg.emit_traces:
-                steps.append((x, y, float(u)))
-            xb, yb = x, y
-            x = _move(x, u, thr_x[0][k_x.index(x)], thr_x[1][k_x.index(x)])
-            y = _move(y, u, thr_y[0][k_y.index(y)], thr_y[1][k_y.index(y)])
-            if xb == yb and x != y:
-                z_steps.append(k)
-            if xb <= yb and x > y:
-                zt_steps.append(k)
-            if xb >= yb and x < y:
-                zh_steps.append(k)
-            if x == y and not met:
-                met = True
-                tau = k + 1
-            if x == 0 and not hit_x:
-                hit_x = True
-                tau0_x = k + 1
-            if y == 0 and not hit_y:
-                hit_y = True
-                tau0_y = k + 1
-            if k + 1 in counts:
-                record(k + 1)
-
-        if cfg.emit_traces:
-            traces.append(
-                CouplingTrace(
-                    steps=tuple(steps),
-                    final=(x, y),
-                    tau=tau,
-                    tau0_x=tau0_x,
-                    tau0_y=tau0_y,
-                    z_incr=tuple(z_steps),
-                    ztilde_incr=tuple(zt_steps),
-                    zhat_incr=tuple(zh_steps),
-                )
-            )
-    return counts, traces
+            xn, yn = step(x, u, down_x, stay_x), step(y, u, down_y, stay_y)
+            z = z or (x == y and xn != yn)
+            zt = zt or (x <= y and xn > yn)
+            zh = zh or (x >= y and xn < yn)
+            x, y = xn, yn
+            met = met or x == y
+            hit_x = hit_x or x == 0
+            hit_y = hit_y or y == 0
+    return counts
 
 
-def run_coupling(cfg: RunConfig, block_size: int = 1 << 14) -> CouplingStats:
+def run_coupling(cfg: RunConfig) -> CouplingStats:
     """Simulate all replicas and aggregate the event counts.
 
-    Replica r always consumes stream (seed, r), so the aggregate counts are
-    identical for any block size; blocks are reduced in replica order and
-    all counts are exact integers.
+    Replica r always consumes stream (seed, r), so the counts and traces do
+    not depend on BLOCK_SIZE; blocks are reduced in replica order and all
+    counts are exact integers.
     """
-    if cfg.precision == "exact" or cfg.emit_traces:
-        counts, traces = _run_scalar(cfg)
+    traces: list[CouplingTrace] = []
+    if cfg.precision == "exact":
+        counts = _run_scalar(cfg)
     else:
         counts = {n: {s: 0 for s in STAT_NAMES} for n in cfg.checkpoints}
         tables = _double_tables(cfg)
-        for first in range(0, cfg.replicas, block_size):
-            block = _run_block_double(cfg, tables, first, min(block_size, cfg.replicas - first))
+        for first in range(0, cfg.replicas, BLOCK_SIZE):
+            block, block_traces = _run_block_double(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first))
+            traces += block_traces
             for n, row in block.items():
                 for s, v in row.items():
                     counts[n][s] += v
-        traces = []
 
     by_time = {
         n: Aggregates(n=n, replicas=cfg.replicas, counts=row)

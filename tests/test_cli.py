@@ -1,7 +1,10 @@
 """End-to-end runs of the command-line interface."""
+import csv
 import json
 
-from permfix.cli import main, parse_range
+import pytest
+
+from permfix.cli import ConfigError, build_parser, main, parse_range
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +119,51 @@ def test_couple_traces(tmp_path, capsys):
     lines = (tmp_path / "run" / "traces.jsonl").read_text().splitlines()
     assert len(lines) == 5
     assert len(json.loads(lines[0])["steps"]) == 50
+
+
+def test_couple_traces_agree_with_aggregates(tmp_path, capsys):
+    horizon = 300
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "N": 9, "n": horizon, "replicas": 60, "seed": (1 << 64) - 5,
+        "selector": "pcheck-rtilde", "emit_traces": True, "checkpoints": [0, 100],
+    }))
+    run_cli(capsys, "couple", "--config", str(config), "--out", str(tmp_path / "run"))
+    with (tmp_path / "run" / "aggregates.csv").open() as fh:
+        counts = {
+            row["stat"]: int(row["count"]) for row in csv.DictReader(fh)
+            if int(row["n"]) == horizon
+        }
+    traces = [json.loads(line) for line in (tmp_path / "run" / "traces.jsonl").open()]
+
+    def later(t):
+        return t is None or t > horizon
+
+    from_traces = {
+        "neq": sum(tr["final"][0] != tr["final"][1] for tr in traces),
+        "tau_gt": sum(later(tr["tau"]) for tr in traces),
+        "z_pos": sum(bool(tr["z_incr"]) for tr in traces),
+        "ztilde_pos": sum(bool(tr["ztilde_incr"]) for tr in traces),
+        "zhat_pos": sum(bool(tr["zhat_incr"]) for tr in traces),
+        "tau0x_gt": sum(later(tr["tau0_x"]) for tr in traces),
+        "tau0y_gt": sum(later(tr["tau0_y"]) for tr in traces),
+    }
+    assert from_traces == counts
+    assert counts["z_pos"] > 0
+
+
+def test_couple_rejects_exact_traces(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "N": 8, "n": 10, "precision": "exact", "emit_traces": True,
+    }))
+    args = build_parser().parse_args(
+        ["couple", "--config", str(config), "--out", str(tmp_path / "x")]
+    )
+    with pytest.raises(ConfigError, match="emit_traces"):
+        args.fn(args)
+    assert main(["couple", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert "emit_traces" in capsys.readouterr().err
 
 
 def test_couple_bad_config(tmp_path, capsys):

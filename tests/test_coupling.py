@@ -2,22 +2,35 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from permfix import coupling
 from permfix.coupling import (
+    SELECTORS,
+    START_MODES,
     Aggregates,
+    CouplingTrace,
     RunConfig,
     assemble_tv_bound,
     birth_death_thresholds,
     drift_certificate,
     exact_tv_pi_check_zeta,
-    monotone_step,
     monotonicity_certificate,
     run_coupling,
     selector_kernels,
+    step,
     suggested_horizon,
 )
 from permfix.kernels import StochasticKernel, build_restricted, p_closedform
+from permfix.rng import Stream
+
+SEED_NEAR_2_64 = (1 << 64) - 5
+
+
+def pair_step(x, y, u, k_x, k_y):
+    """One shared-uniform move of both chains on their exact thresholds."""
+    return step(x, u, *birth_death_thresholds(k_x)), step(y, u, *birth_death_thresholds(k_y))
 
 
 class TestRunConfig:
@@ -34,24 +47,26 @@ class TestRunConfig:
             RunConfig(N=8, horizon=1, replicas=1, seed=0, selector="nope")
         with pytest.raises(ValueError):
             RunConfig(N=8, horizon=5, replicas=1, seed=0, checkpoints=(9,))
+        with pytest.raises(ValueError, match="emit_traces"):
+            RunConfig(N=8, horizon=5, replicas=1, seed=0, precision="exact", emit_traces=True)
 
 
 class TestMonotoneStep:
     def test_u_zero_steps_down(self):
         p_check, r, _ = build_restricted(10)
-        x, y = monotone_step(3, 5, 0.0, p_check, r)
+        x, y = pair_step(3, 5, 0.0, p_check, r)
         assert (x, y) == (2, 4)
 
     def test_u_near_one_steps_up(self):
         p_check, r, _ = build_restricted(10)
-        x, y = monotone_step(3, 3, Fraction((1 << 53) - 1, 1 << 53), p_check, r)
+        x, y = pair_step(3, 3, Fraction((1 << 53) - 1, 1 << 53), p_check, r)
         assert (x, y) == (4, 4)
 
     def test_identical_kernels_stay_coupled(self):
         _, r, _ = build_restricted(9)
         for k in range(0, 64):
             u = Fraction(2 * k + 1, 128)
-            x, y = monotone_step(2, 2, u, r, r)
+            x, y = pair_step(2, 2, u, r, r)
             assert x == y
 
     def test_disagreement_measure_equals_p_gap(self):
@@ -68,9 +83,22 @@ class TestMonotoneStep:
     def test_boundaries_respected(self):
         _, r, _ = build_restricted(8)
         big_u = Fraction((1 << 53) - 1, 1 << 53)
-        assert monotone_step(0, 0, 0.0, r, r) == (0, 0)
+        assert pair_step(0, 0, 0.0, r, r) == (0, 0)
         top = r.states[-1]
-        assert monotone_step(top, top, big_u, r, r) == (top, top)
+        assert pair_step(top, top, big_u, r, r) == (top, top)
+        # u exactly on a cut point falls in the interval above it
+        down, stay = birth_death_thresholds(r)
+        assert step(2, down[2], down, stay) == 2
+        assert step(2, stay[2], down, stay) == 3
+
+    def test_array_step_matches_scalar_step(self):
+        p_check, _, _ = build_restricted(9)
+        down, stay = birth_death_thresholds(p_check)
+        down_f, stay_f = np.array([float(v) for v in down]), np.array([float(v) for v in stay])
+        xs = np.repeat(np.arange(6), 7)
+        us = np.tile(np.linspace(0.0, 0.999, 7), 6)
+        moved = step(xs, us, down_f, stay_f)
+        assert moved.tolist() == [step(int(x), Fraction(u), down, stay) for x, u in zip(xs, us)]
 
 
 class TestRunCoupling:
@@ -80,12 +108,16 @@ class TestRunCoupling:
         assert stats.final.counts["neq"] == 0
         assert stats.final.counts["tau_gt"] == 0
 
-    def test_deterministic_across_blocks(self):
-        cfg = RunConfig(N=8, horizon=300, replicas=500, seed=3)
-        a = run_coupling(cfg, block_size=128)
-        b = run_coupling(cfg, block_size=64)
-        c = run_coupling(cfg, block_size=1 << 14)
-        assert a.final.counts == b.final.counts == c.final.counts
+    def test_deterministic_across_blocks(self, monkeypatch):
+        cfg = RunConfig(N=8, horizon=300, replicas=500, seed=3, checkpoints=(0, 150))
+        traced = RunConfig(N=8, horizon=60, replicas=300, seed=3, emit_traces=True)
+        runs = []
+        for block_size in (64, 128, 1 << 14):
+            monkeypatch.setattr(coupling, "BLOCK_SIZE", block_size)
+            plain, with_traces = run_coupling(cfg), run_coupling(traced)
+            runs.append((plain.by_time, with_traces.by_time, with_traces.traces))
+        assert len(runs[0][2]) == 300
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_exact_mode_matches_double(self):
         kwargs = dict(N=8, horizon=400, replicas=200, seed=42, checkpoints=(0, 100, 400))
@@ -93,6 +125,17 @@ class TestRunCoupling:
         exact = run_coupling(RunConfig(precision="exact", **kwargs))
         for n in (0, 100, 400):
             assert double.by_time[n].counts == exact.by_time[n].counts
+
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_exact_mode_matches_double_seed_near_2_64(self, selector, start_mode):
+        kwargs = dict(
+            N=8, horizon=200, replicas=80, seed=SEED_NEAR_2_64, selector=selector,
+            start_mode=start_mode, checkpoints=(0, 20, 150),
+        )
+        double = run_coupling(RunConfig(precision="double", **kwargs))
+        exact = run_coupling(RunConfig(precision="exact", **kwargs))
+        assert double.by_time == exact.by_time
 
     def test_trace_mode_matches_vector(self):
         kwargs = dict(N=8, horizon=250, replicas=150, seed=11, checkpoints=(0, 250))
@@ -131,6 +174,60 @@ class TestRunCoupling:
             N=8, horizon=100, replicas=100, seed=2, selector="r-r", start_mode="copy_x"
         )
         assert run_coupling(cfg).final.counts["neq"] == 0
+
+
+class TestTraceReplay:
+    """Oracle for the traces of the vectorized engine: redraw each replica's
+    exact uniforms, replay its path with `step` on the exact thresholds and
+    recompute every field of its trace in a plain loop."""
+
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_traces_replay_exactly(self, selector, start_mode):
+        cfg = RunConfig(
+            N=9, horizon=300, replicas=60, seed=SEED_NEAR_2_64, selector=selector,
+            start_mode=start_mode, emit_traces=True,
+        )
+        k_x, k_y, law_x, law_y = selector_kernels(cfg.N, selector)
+        thr_x, thr_y = birth_death_thresholds(k_x), birth_death_thresholds(k_y)
+        traces = run_coupling(cfg).traces
+        assert len(traces) == cfg.replicas
+        for r, trace in enumerate(traces):
+            stream = Stream(cfg.seed, r)
+            u0 = stream.uniform_fraction()
+            x = law_x.quantile(u0)
+            if start_mode == "shared":
+                y = law_y.quantile(u0)
+            elif start_mode == "independent":
+                y = law_y.quantile(stream.uniform_fraction())
+            else:
+                y = x
+            tau = 0 if x == y else None
+            tau0_x = 0 if x == 0 else None
+            tau0_y = 0 if y == 0 else None
+            z, zt, zh = [], [], []
+            assert len(trace.steps) == cfg.horizon
+            for k, (tx, ty, tu) in enumerate(trace.steps):
+                u = stream.uniform_fraction()
+                assert (tx, ty, Fraction(tu)) == (x, y, u)
+                xn, yn = step(x, u, *thr_x), step(y, u, *thr_y)
+                if x == y and xn != yn:
+                    z.append(k)
+                if x <= y and xn > yn:
+                    zt.append(k)
+                if x >= y and xn < yn:
+                    zh.append(k)
+                x, y = xn, yn
+                if tau is None and x == y:
+                    tau = k + 1
+                if tau0_x is None and x == 0:
+                    tau0_x = k + 1
+                if tau0_y is None and y == 0:
+                    tau0_y = k + 1
+            assert trace == CouplingTrace(
+                steps=trace.steps, final=(x, y), tau=tau, tau0_x=tau0_x, tau0_y=tau0_y,
+                z_incr=tuple(z), ztilde_incr=tuple(zt), zhat_incr=tuple(zh),
+            )
 
 
 class TestMonotonicityCertificate:

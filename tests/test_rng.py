@@ -21,13 +21,14 @@ def test_streams_distinct_across_replicas():
 
 
 def test_scalar_vector_identity():
-    seed, first, count, steps = 2024, 7, 11, 200
-    vector = VectorStreams(seed, first, count)
-    scalars = [Stream(seed, first + r) for r in range(count)]
-    for _ in range(steps):
-        vec = vector.uniforms()
-        ref = np.array([s.uniform() for s in scalars])
-        assert np.array_equal(vec, ref)
+    first, count, steps = 7, 11, 200
+    for seed in (2024, (1 << 64) - 1, (1 << 64) - 5):
+        vector = VectorStreams(seed, first, count)
+        scalars = [Stream(seed, first + r) for r in range(count)]
+        for _ in range(steps):
+            vec = vector.uniforms()
+            ref = np.array([s.uniform() for s in scalars])
+            assert np.array_equal(vec, ref)
 
 
 def test_uniform_fraction_matches_float():
