@@ -90,13 +90,21 @@ class Report:
 
 def parse_range(text: str) -> list[int]:
     """'4..15' or '7' -> list of N values."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if lo_i > hi_i:
-            raise ConfigError(f"n-range: empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        ns = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        ns = []
+    if not ns:
+        raise ConfigError(f"n-range: expected N or a nonempty range like 4..15, got {text!r}")
+    return ns
+
+
+def require_n(N: int, minimum: int) -> int:
+    """N itself, or a ConfigError when it is below the subcommand's minimum."""
+    if N < minimum:
+        raise ConfigError(f"n: must be >= {minimum}, got {N}")
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +113,7 @@ def parse_range(text: str) -> list[int]:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
+    require_n(ns[0], 1)
     report = Report("exact", {"n": ns, "digits": args.digits, "seed": None})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -139,13 +148,13 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    N = int(args.n)
+    N = require_n(args.n, 4)
     report = Report("kernel", {"n": N, "seed": None})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     p_closed = kernels.p_closedform(N)
-    p_rec = kernels.p_recursion(N) if N >= 4 else p_closed
+    p_rec = kernels.p_recursion(N)
     try:
         p_brute = kernels.p_bruteforce(N)
         report.verdict("p_triple_agreement",
@@ -186,7 +195,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    N = int(args.n)
+    N = require_n(args.n, 2)
     report = Report("project", {"n": N, "seed": None})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,7 +260,7 @@ def _load_couple_config(args: argparse.Namespace) -> coupling.RunConfig:
     for key, flag in (("N", args.n), ("n", args.horizon), ("replicas", args.replicas),
                       ("seed", args.seed)):
         if flag is not None:
-            data[key] = int(flag)
+            data[key] = flag
     fields = {
         "N": int, "n": int, "replicas": int, "seed": int,
         "selector": str, "precision": str, "emit_traces": bool, "start_mode": str,
@@ -366,8 +375,8 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
 
 def cmd_alt(args: argparse.Namespace) -> int:
-    seed = int(args.seed or 0)
-    samples = int(args.replicas or 100_000)
+    seed = args.seed or 0
+    samples = args.replicas or 100_000
     report = Report("alt", {"seed": seed, "samples": samples})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -423,7 +432,7 @@ def cmd_alt(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    N = int(args.n)
+    N = require_n(args.n, 4)
     report = Report("moments", {"n": N, "seed": None})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -477,11 +486,11 @@ def cmd_all(args: argparse.Namespace) -> int:
     failures = 0
     for name, fn, overrides in (
         ("exact", cmd_exact, {"n": "4..12"}),
-        ("kernel", cmd_kernel, {"n": "8"}),
-        ("project", cmd_project, {"n": "6"}),
-        ("couple", cmd_couple, {"n": "8", "horizon": "2000", "replicas": "2000"}),
-        ("alt", cmd_alt, {"replicas": "20000"}),
-        ("moments", cmd_moments, {"n": "7"}),
+        ("kernel", cmd_kernel, {"n": 8}),
+        ("project", cmd_project, {"n": 6}),
+        ("couple", cmd_couple, {"n": 8, "horizon": 2000, "replicas": 2000}),
+        ("alt", cmd_alt, {"replicas": 20000}),
+        ("moments", cmd_moments, {"n": 7}),
     ):
         sub = argparse.Namespace(**vars(args))
         sub.out = str(base / name)
@@ -502,48 +511,48 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", default=None)
-        p.add_argument("--digits", type=int, default=50)
 
     p = sub.add_parser("exact", help="exact laws, distances and bounds")
     p.add_argument("--n", "--n-range", dest="n", required=True,
                    help="N or a range like 4..15")
+    p.add_argument("--digits", type=int, default=50, help="digits of e^-1")
     common(p)
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("kernel", help="build and verify all kernels at one N")
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=int, required=True, help="N >= 4")
     common(p)
     p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("project", help="cycle-type chain and its projection")
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=int, required=True, help="N >= 2")
     common(p)
     p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("couple", help="monotone coupling simulation")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--n", default=None, help="N override")
-    p.add_argument("--horizon", default=None, help="horizon override")
-    p.add_argument("--replicas", default=None, help="replica count override")
+    p.add_argument("--n", type=int, default=None, help="N override")
+    p.add_argument("--horizon", type=int, default=None, help="horizon override")
+    p.add_argument("--replicas", type=int, default=None, help="replica count override")
+    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(fn=cmd_couple)
 
     p = sub.add_parser("alt", help="Mallows and ascent/peak couplings")
-    p.add_argument("--replicas", default=None, help="Monte Carlo sample count")
+    p.add_argument("--replicas", type=int, default=None, help="Monte Carlo sample count")
+    p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(fn=cmd_alt)
 
     p = sub.add_parser("moments", help="falling moments, Bell numbers, Gram")
-    p.add_argument("--n", required=True)
+    p.add_argument("--n", type=int, required=True, help="N >= 4")
     common(p)
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("all", help="run every subcommand with small defaults")
-    p.add_argument("--n", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--horizon", default=None)
-    p.add_argument("--replicas", default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--digits", type=int, default=50, help="digits of e^-1")
     common(p)
     p.set_defaults(fn=cmd_all)
     return parser

@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
-import mpmath
 import numpy as np
 
-from .exactdist import ExactDist, pi_conditioned, tv_distance, zeta_law
+from .exactdist import ExactDist, exp_interval, pi_conditioned, tv_distance, zeta_law
 from .kernels import StochasticKernel, birth_death_stationary, build_restricted, restricted_kernel
 from .rng import Stream, VectorStreams
 
@@ -366,85 +366,69 @@ class MonotonicityReport:
 
 def monotonicity_certificate(kernel: StochasticKernel) -> MonotonicityReport:
     down, stay = birth_death_thresholds(kernel)
-    states = kernel.states
-    margins = []
-    ok = True
-    for i in range(len(states) - 1):
-        margin = stay[i] - down[i + 1]
-        ok = ok and margin >= 0
-        margins.append((states[i], margin))
-    return MonotonicityReport(kernel_label=kernel.label, ok=ok, margins=tuple(margins))
+    margins = tuple((x, stay[i] - down[i + 1]) for i, x in enumerate(kernel.states[:-1]))
+    return MonotonicityReport(kernel.label, ok=all(m >= 0 for _, m in margins), margins=margins)
 
 
 @dataclass(frozen=True)
 class DriftCertificate:
-    """Numerically certified per-step contraction of exp(theta y / N).
+    """Certified per-step contraction of exp(theta y / N).
 
     F(y) = E[exp(theta (Y' - y)/N) | Y = y]
          = 1 + (e^{-theta/N} - 1) K(y, y-1) + (e^{theta/N} - 1) K(y, y+1)
 
-    c_est = N^3 (1 - max_{y in [1, N-4]} F(y)); positivity certifies the
+    Both rates are >= 0, so the upper ends of rational enclosures of
+    e^{-theta/N} and e^{theta/N} give an exact rational F_bar >= F; `table`
+    holds F_bar on [1, N-4] and c_est = N^3 (1 - max F_bar) is an exact
+    rational lower bound on the contraction rate.  Positivity certifies the
     hitting-time tail P[tau_0 > n] <= e^{1 - c_est n / N^3} for any initial
     law (theta <= 1 keeps the constant e valid).
     """
 
     N: int
     kernel_label: str
-    theta: float
-    c_est: float
-    table: tuple[tuple[int, float], ...]
+    theta: Fraction
+    c_est: Fraction
+    table: tuple[tuple[int, Fraction], ...]
     max_at_endpoints: bool
     vertex: float
 
     def tail_bound(self, n: int) -> float:
-        return math.exp(min(1.0 - self.c_est * n / self.N ** 3, 700.0))
+        return math.exp(min(1 - self.c_est * n / self.N ** 3, 700))
 
 
-def _drift_for(kernel: StochasticKernel, N: int, theta: Fraction, digits: int) -> DriftCertificate:
+_DRIFT_DIGITS = 45  # enclosure width of e^{-+theta/N}; far below any margin c/N^3
+
+
+def _drift_for(kernel: StochasticKernel, N: int, theta: Fraction) -> DriftCertificate:
     down, stay = birth_death_thresholds(kernel)
-    states = kernel.states
-    with mpmath.workdps(digits):
-        em = mpmath.e ** (-mpmath.mpf(theta.numerator) / (theta.denominator * N)) - 1
-        ep = mpmath.e ** (mpmath.mpf(theta.numerator) / (theta.denominator * N)) - 1
-        table = []
-        for i, y in enumerate(states):
-            if y == 0:
-                continue
-            d = down[i]
-            up = Fraction(1) - stay[i]
-            f = 1 + em * mpmath.mpf(d.numerator) / d.denominator + ep * mpmath.mpf(
-                up.numerator
-            ) / up.denominator
-            table.append((y, f))
-        worst = max(v for _, v in table)
-        c_est = N ** 3 * (1 - worst)
-        endpoint = max(table[0][1], table[-1][1])
-        # vertex of the quadratic continuation, via finite differences in mpf
-        if len(table) >= 3:
-            f1, f2, f3 = (v for _, v in table[:3])
-            second = f3 - 2 * f2 + f1
-            first = f2 - f1
-            vertex = (
-                float(table[0][0] + mpmath.mpf(1) / 2 - first / second)
-                if second != 0
-                else float("nan")
-            )
-        else:
-            vertex = float("nan")
+    em = exp_interval(-theta / N, _DRIFT_DIGITS).hi - 1
+    ep = exp_interval(theta / N, _DRIFT_DIGITS).hi - 1
+    table = [
+        (y, 1 + em * down[i] + ep * (1 - stay[i]))
+        for i, y in enumerate(kernel.states)
+        if y != 0
+    ]
+    worst = max(v for _, v in table)
+    vertex = float("nan")
+    if len(table) >= 3:
+        # vertex of the quadratic through the first three values
+        f1, f2, f3 = (v for _, v in table[:3])
+        second = f3 - 2 * f2 + f1
+        if second != 0:
+            vertex = float(table[0][0] + Fraction(1, 2) - (f2 - f1) / second)
     return DriftCertificate(
         N=N,
         kernel_label=kernel.label,
-        theta=float(theta),
-        c_est=float(c_est),
-        table=tuple((y, float(v)) for y, v in table),
-        max_at_endpoints=worst == endpoint,
+        theta=theta,
+        c_est=N ** 3 * (1 - worst),
+        table=tuple(table),
+        max_at_endpoints=worst == max(table[0][1], table[-1][1]),
         vertex=vertex,
     )
 
 
-def drift_certificate(
-    N: int, which: str = "R", theta: Fraction | None = None, digits: int = 40
-) -> DriftCertificate:
+def drift_certificate(N: int, which: str = "R", theta: Fraction | None = None) -> DriftCertificate:
     """Drift certificate for R (theta = 1, the classical exp(y/N) function)
     or R_tilde.
 
@@ -459,14 +443,18 @@ def drift_certificate(
         raise ValueError("which must be 'R' or 'R_tilde'")
     kernel = restricted_kernel(N, which)
     if theta is not None:
-        return _drift_for(kernel, N, Fraction(theta), digits)
-    if which == "R":
-        return _drift_for(kernel, N, Fraction(1), digits)
-    candidates = [
-        _drift_for(kernel, N, t, digits)
-        for t in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
-    ]
-    return max(candidates, key=lambda cert: cert.c_est)
+        thetas = (Fraction(theta),)
+    elif which == "R":
+        thetas = (Fraction(1),)
+    else:
+        thetas = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+    return max((_drift_for(kernel, N, t) for t in thetas), key=lambda cert: cert.c_est)
+
+
+@lru_cache(maxsize=None)
+def _drift_rates(N: int) -> tuple[float, float]:
+    """(c_R, c_R_tilde), the certified rates behind c_hat, once per N."""
+    return float(drift_certificate(N, "R").c_est), float(drift_certificate(N, "R_tilde").c_est)
 
 
 @dataclass(frozen=True)
@@ -481,15 +469,12 @@ class TVBoundReport:
     terms: Mapping[str, float]
 
 
-def assemble_tv_bound(
-    N: int, n: int, estimates: Aggregates | None = None, digits: int = 40
-) -> TVBoundReport:
+def assemble_tv_bound(N: int, n: int, estimates: Aggregates | None = None) -> TVBoundReport:
     """5 * 2^N n / N! + 2 e^{1 - c_hat n / N^3} with c_hat the smaller of the
     R and R_tilde drift rates, plus the same bound rebuilt from empirical
     terms (Z, Z-tilde, Z-hat and both hitting tails) when provided."""
-    cert_r = drift_certificate(N, "R", digits=digits)
-    cert_rt = drift_certificate(N, "R_tilde", digits=digits)
-    c_hat = min(cert_r.c_est, cert_rt.c_est)
+    c_r, c_rt = _drift_rates(N)
+    c_hat = min(c_r, c_rt)
     linear = float(Fraction(5 * 2 ** N * n, math.factorial(N)))
     exp_term = 2 * math.exp(min(1.0 - c_hat * n / N ** 3, 700.0))
     analytic = linear + exp_term
@@ -497,8 +482,8 @@ def assemble_tv_bound(
     terms = {
         "linear": linear,
         "exponential": exp_term,
-        "c_R": cert_r.c_est,
-        "c_R_tilde": cert_rt.c_est,
+        "c_R": c_r,
+        "c_R_tilde": c_rt,
     }
     if estimates is not None:
         empirical = sum(
@@ -520,12 +505,10 @@ def assemble_tv_bound(
 
 def exact_tv_pi_check_zeta(N: int) -> Fraction:
     """Half-convention distance between pi_check and zeta (both exact)."""
-    result = tv_distance(pi_conditioned(N), zeta_law(N), "half")
-    assert isinstance(result, Fraction)
-    return result
+    return tv_distance(pi_conditioned(N), zeta_law(N), "half")
 
 
-def suggested_horizon(N: int, exponent: int = 4, digits: int = 40) -> int:
+def suggested_horizon(N: int, exponent: int = 4) -> int:
     """ceil(N^exponent ln N / c_hat): the horizon at which the exponential
     term of the assembled bound drops to about e^{1 - N ln N}.
 
@@ -533,9 +516,7 @@ def suggested_horizon(N: int, exponent: int = 4, digits: int = 40) -> int:
     exponent 1 is the other reading found in the source material and is
     exposed so both assembled bounds can be reported side by side.
     """
-    cert_r = drift_certificate(N, "R", digits=digits)
-    cert_rt = drift_certificate(N, "R_tilde", digits=digits)
-    c_hat = min(cert_r.c_est, cert_rt.c_est)
+    c_hat = min(_drift_rates(N))
     if c_hat <= 0:
         raise ValueError(f"no positive drift certificate at N={N}")
     return math.ceil(N ** exponent * math.log(N) / c_hat)

@@ -3,8 +3,9 @@
 Everything here is computed in rational arithmetic.  The only transcendental
 constant that ever enters is e^{-1}; it is carried around as an exact rational
 enclosure (an interval whose endpoints are consecutive partial sums of the
-alternating series sum (-1)^k / k!), so every comparison against an analytic
-bound can be certified rather than merely observed in floating point.
+alternating series sum (-1)^k / k!, see `exp_interval`), so every comparison
+against an analytic bound can be certified rather than merely observed in
+floating point.
 """
 from __future__ import annotations
 
@@ -96,30 +97,34 @@ class Interval:
         return self.certainly_ge(lo) and self.certainly_le(hi)
 
 
-@lru_cache(maxsize=None)
-def inv_e_interval(digits: int = 50) -> Interval:
-    """Rational enclosure of e^{-1} of width below 10^-digits.
+def exp_interval(x: Fraction | int, digits: int) -> Interval:
+    """Rational enclosure of e^x for rational |x| <= 1.
 
-    Consecutive partial sums of sum_k (-1)^k / k! bracket e^{-1} from
-    alternating sides, so the last two partial sums are exact rational
-    bounds once the next term drops below the target width.
+    The terms |x|^k / k! decrease, so consecutive partial sums of the
+    alternating series sum_k (-|x|)^k / k! bracket e^{-|x|}; the sum stops at
+    the first term below 10^-digits, which bounds the width.  For x > 0 the
+    bracket is inverted, which widens it by at most a factor e^2.
     """
+    x = Fraction(x)
+    if abs(x) > 1:
+        raise ValueError("exp_interval needs |x| <= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     target = Fraction(1, 10 ** digits)
-    s = Fraction(0)
-    prev = s
+    term = s = Fraction(1)
     k = 0
-    fact = 1
-    while True:
-        prev = s
-        s += Fraction((-1) ** k, fact)
+    while abs(term) >= target:
         k += 1
-        fact *= k
-        if k >= 3 and Fraction(1, fact) < target:
-            s_next = s + Fraction((-1) ** k, fact)
-            lo, hi = sorted((s, s_next))
-            return Interval(lo, hi)
+        term = term * -abs(x) / k
+        prev, s = s, s + term
+    lo, hi = sorted((prev, s))
+    return Interval(1 / hi, 1 / lo) if x > 0 else Interval(lo, hi)
+
+
+@lru_cache(maxsize=None)
+def inv_e_interval(digits: int = 50) -> Interval:
+    """Rational enclosure of e^{-1} of width below 10^-digits."""
+    return exp_interval(-1, digits)
 
 
 # ---------------------------------------------------------------------------

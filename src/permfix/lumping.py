@@ -255,6 +255,8 @@ def cycle_type_chain(N: int, guard: int = 8) -> PartitionedChain:
     analysis.  Any discrepancy is a hard failure.  The result carries the
     class-size invariant law and the eta_1 partition.
     """
+    if N < 2:
+        raise ValueError("N must be >= 2")
     check_guard(N, guard, "cycle_type_chain")
     types = all_cycle_types(N)
 

@@ -38,6 +38,18 @@ class TestMallowsExact:
 
 
 class TestMallowsDiscrepancy:
+    @pytest.mark.parametrize("n", [10, 20])
+    def test_vector_estimate_counts_the_scalar_samples(self, n):
+        # replica r of the vectorized estimate draws the words of Stream(seed, r)
+        replicas, K, seed = 2000, 2 * n, 7
+        d = mallows_discrepancy(n, replicas=replicas, K=K, seed=seed)
+        differ = 0
+        for r in range(replicas):
+            sample = mallows_sample(n, K, Stream(seed, r))
+            differ += sample.s_n != sample.s_trunc
+        assert round(d.estimate * replicas) == differ
+        assert differ > 0
+
     def test_estimate_scales_like_one_over_n(self):
         scaled = []
         for n in (10, 20, 40, 80):

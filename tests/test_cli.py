@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from permfix.cli import ConfigError, build_parser, main, parse_range
+from permfix.cli import FAIL, ConfigError, build_parser, main, parse_range
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +18,76 @@ def test_parse_range():
     assert parse_range("9") == [9]
 
 
+@pytest.mark.parametrize("text", ["4..", "..4", "abc", "4..x", "", "7..5"])
+def test_parse_range_rejects_bad_input(text):
+    with pytest.raises(ConfigError, match="n-range"):
+        parse_range(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--n", "4.."],
+    ["exact", "--n", "abc"],
+    ["exact", "--n", "0..3"],
+    ["kernel", "--n", "1"],
+    ["kernel", "--n", "3"],
+    ["project", "--n", "1"],
+    ["moments", "--n", "3"],
+    ["couple", "--n", "4", "--horizon", "10"],
+])
+def test_bad_n_is_a_configuration_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--n", "x"],
+    ["project", "--n", "2.5"],
+    ["moments", "--n", ""],
+    ["couple", "--n", "8", "--horizon", "ten"],
+    ["alt", "--replicas", "1e5"],
+    ["couple", "--n", "8", "--horizon", "10", "--seed", "s"],
+])
+def test_non_integer_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--n", "4", "--seed", "1"],
+    ["kernel", "--n", "6", "--seed", "1"],
+    ["project", "--n", "4", "--seed", "1"],
+    ["moments", "--n", "5", "--seed", "1"],
+    ["kernel", "--n", "6", "--digits", "60"],
+    ["project", "--n", "4", "--digits", "60"],
+    ["couple", "--n", "8", "--horizon", "10", "--digits", "60"],
+    ["alt", "--digits", "60"],
+    ["moments", "--n", "5", "--digits", "60"],
+    ["all", "--n", "8"],
+    ["all", "--horizon", "10"],
+    ["all", "--replicas", "10"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--n", "4"],
+    ["project", "--n", "2"],
+    ["moments", "--n", "4"],
+])
+def test_smallest_accepted_n(argv, tmp_path, capsys):
+    code, report = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    assert FAIL not in report["verdicts"].values()
+
+
 def test_exact_command(tmp_path, capsys):
     code, report = run_cli(capsys, "exact", "--n", "4..6", "--out", str(tmp_path))
     assert code == 0
@@ -25,6 +95,12 @@ def test_exact_command(tmp_path, capsys):
     table = (tmp_path / "pi_table.csv").read_text().splitlines()
     assert table[0] == "N,x,num,den"
     assert "4,0,3,8" in table
+
+
+def test_exact_command_smallest_n(tmp_path, capsys):
+    code, report = run_cli(capsys, "exact", "--n", "1..3", "--out", str(tmp_path))
+    assert code == 0
+    assert set(report["verdicts"]) == {"tv_bracket_N1", "tv_bracket_N2", "tv_bracket_N3"}
 
 
 def test_exact_high_precision_log_rate_row(tmp_path, capsys):

@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ from permfix.coupling import (
     step,
     suggested_horizon,
 )
-from permfix.kernels import StochasticKernel, build_restricted, p_closedform
+from permfix.kernels import StochasticKernel, build_restricted, p_closedform, restricted_kernel
 from permfix.rng import Stream
 
 SEED_NEAR_2_64 = (1 << 64) - 5
@@ -284,6 +285,55 @@ class TestDriftCertificate:
         assert cert.tail_bound(0) == math.e
         assert cert.tail_bound(10 ** 5) < 1e-6
 
+    def test_values_are_exact(self):
+        cert = drift_certificate(9, "R_tilde")
+        assert isinstance(cert.theta, Fraction) and isinstance(cert.c_est, Fraction)
+        assert all(isinstance(v, Fraction) for _, v in cert.table)
+        assert cert.c_est == 9 ** 3 * (1 - max(v for _, v in cert.table))
+
+
+def drift_rate_mp(N, which, theta):
+    """N^3 (1 - max_{y >= 1} F(y)) for the true F, evaluated at 100 digits."""
+    kernel = restricted_kernel(N, which)
+    with mpmath.workdps(100):
+        t = mpmath.mpf(theta.numerator) / (theta.denominator * N)
+        em, ep = mpmath.exp(-t) - 1, mpmath.exp(t) - 1
+
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        worst = max(
+            1 + em * mp(kernel.row(y).get(y - 1, Fraction(0)))
+            + ep * mp(kernel.row(y).get(y + 1, Fraction(0)))
+            for y in kernel.states if y != 0
+        )
+        return N ** 3 * (1 - worst)
+
+
+class TestDriftRigour:
+    """c_est is a lower bound on the true rate, and a tight one."""
+
+    CASES = [
+        (N, which, theta)
+        for N in (5, 10, 57, 200)
+        for which, thetas in (("R", (1,)), ("R_tilde", (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))))
+        for theta in thetas
+    ]
+
+    @pytest.mark.parametrize("N, which, theta", CASES)
+    def test_c_est_below_and_within_1e_30(self, N, which, theta):
+        cert = drift_certificate(N, which, theta=Fraction(theta))
+        c_true = drift_rate_mp(N, which, Fraction(theta))
+        with mpmath.workdps(100):
+            c_est = mpmath.mpf(cert.c_est.numerator) / cert.c_est.denominator
+            assert c_est <= c_true
+            assert c_true - c_est < mpmath.mpf(10) ** -30
+
+    def test_auto_theta_is_the_best_of_the_grid(self):
+        grid = [drift_certificate(20, "R_tilde", theta=t).c_est
+                for t in (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))]
+        assert drift_certificate(20, "R_tilde").c_est == max(grid)
+
 
 class TestAssembledBound:
     def test_n_zero_is_vacuous_but_finite(self):
@@ -303,6 +353,29 @@ class TestAssembledBound:
         assert 0.9 * 10 ** 3 <= quartic / linear <= 1.1 * 10 ** 3
         assert assemble_tv_bound(10, quartic).analytic_bound > 0
         assert assemble_tv_bound(10, linear).analytic_bound > 0
+
+    def test_rates_computed_once_per_n(self, monkeypatch):
+        # R takes one certificate, R_tilde one per theta of its grid
+        calls = []
+        real = coupling._drift_for
+
+        def counted(kernel, N, theta):
+            calls.append(N)
+            return real(kernel, N, theta)
+
+        monkeypatch.setattr(coupling, "_drift_for", counted)
+        coupling._drift_rates.cache_clear()
+        for n in (0, 100, 10 ** 6):
+            assemble_tv_bound(11, n)
+        suggested_horizon(11, exponent=4)
+        suggested_horizon(11, exponent=1)
+        assert calls == [11] * 5
+
+    def test_rates_are_the_certificates(self):
+        report = assemble_tv_bound(12, 50)
+        assert report.terms["c_R"] == float(drift_certificate(12, "R").c_est)
+        assert report.terms["c_R_tilde"] == float(drift_certificate(12, "R_tilde").c_est)
+        assert report.c_hat == min(report.terms["c_R"], report.terms["c_R_tilde"])
 
     def test_empirical_assembly_monotone_in_inputs(self):
         low = Aggregates(n=10, replicas=100, counts={

@@ -5,12 +5,15 @@ from itertools import permutations
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permfix.exactdist import (
     ExactDist,
     Interval,
     PrecisionInsufficient,
     derangements,
+    exp_interval,
     fixed_point_pmf,
     inv_e_interval,
     log_rate,
@@ -128,6 +131,10 @@ class TestPoissonRef:
             val = mpmath.exp(-1)
             assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator < val
             assert mpmath.mpf(iv.hi.numerator) / iv.hi.denominator > val
+
+    @pytest.mark.parametrize("digits", [1, 2, 10, 50, 200])
+    def test_inv_e_is_the_exp_enclosure_at_minus_one(self, digits):
+        assert inv_e_interval(digits) == exp_interval(-1, digits)
 
     def test_truncation_proportional_to_inverse_factorials(self):
         zeta = poisson_truncated(4)
@@ -308,3 +315,60 @@ class TestInterval:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Interval(Fraction(1), Fraction(0))
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+rationals = st.fractions(min_value=-1, max_value=1, max_denominator=10 ** 6)
+
+
+def mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+class TestExpInterval:
+    @PROPERTY
+    @given(rationals, st.integers(1, 60))
+    def test_encloses_exp(self, x, digits):
+        iv = exp_interval(x, digits)
+        with mpmath.workdps(120):
+            assert mp(iv.lo) <= mpmath.exp(mp(x)) <= mp(iv.hi)
+        assert iv.width * 10 ** digits <= Fraction(739, 100)  # e^2 < 7.39
+
+    def test_exact_at_zero(self):
+        assert exp_interval(0, 30) == Interval.point(1)
+
+    @pytest.mark.parametrize("x, digits", [(Fraction(101, 100), 10), (-2, 10), (1, 0)])
+    def test_rejects_out_of_range(self, x, digits):
+        with pytest.raises(ValueError):
+            exp_interval(x, digits)
+
+
+def intervals():
+    ends = st.fractions(min_value=-10, max_value=10, max_denominator=1000)
+    return st.tuples(ends, ends).map(lambda ab: Interval(min(ab), max(ab)))
+
+
+def members(iv):
+    t = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+    return t.map(lambda s: iv.lo + s * iv.width)
+
+
+def contains(iv, value):
+    return iv.lo <= value <= iv.hi
+
+
+class TestIntervalSoundness:
+    @PROPERTY
+    @given(st.data(), intervals(), intervals())
+    def test_add_and_sub(self, data, a, b):
+        x, y = data.draw(members(a)), data.draw(members(b))
+        assert contains(a + b, x + y)
+        assert contains(a - b, x - y)
+
+    @PROPERTY
+    @given(st.data(), intervals(), st.fractions(min_value=-5, max_value=5, max_denominator=100))
+    def test_scale_abs_positive_part(self, data, a, factor):
+        x = data.draw(members(a))
+        assert contains(a.scale(factor), x * factor)
+        assert contains(abs(a), abs(x))
+        assert contains(a.positive_part(), max(x, Fraction(0)))

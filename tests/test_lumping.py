@@ -257,6 +257,16 @@ class TestCycleTypeChain:
         with pytest.raises(EnumerationGuardError):
             cycle_type_chain(9)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_points(self, n):
+        # S_1 has no transposition, so the walk has no rows to lump
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            cycle_type_chain(n)
+
+    def test_n2(self):
+        chain = cycle_type_chain(2)
+        assert chain.kernel.row(CycleType((2, 0))) == {CycleType((0, 1)): Fraction(1)}
+
     def test_dynkin_failure_raises(self, monkeypatch):
         # misreport the transposition (0 1) as a 3-cycle: only four of the
         # eight 3-cycles of S_4 are one transposition away from it, so their

@@ -1,5 +1,7 @@
 """Determinism and cross-path identity of the SplitMix64 streams."""
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permfix.rng import MASK64, Stream, VectorStreams, scramble
 
@@ -47,3 +49,15 @@ def test_uniforms_cover_unit_interval():
     values = [s.uniform() for _ in range(2000)]
     assert 0.0 <= min(values) and max(values) < 1.0
     assert abs(sum(values) / len(values) - 0.5) < 0.05
+
+
+seeds = st.one_of(st.integers(0, MASK64), st.integers(MASK64 - 1000, MASK64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seeds, st.integers(0, 10 ** 9), st.integers(1, 8))
+def test_scalar_vector_identity_random(seed, first, count):
+    vector = VectorStreams(seed, first, count)
+    scalars = [Stream(seed, first + r) for r in range(count)]
+    for _ in range(5):
+        assert vector.uniforms().tolist() == [s.uniform() for s in scalars]
