@@ -8,6 +8,7 @@ from .exactdist import (
     PoissonRef,
     PrecisionInsufficient,
     derangements,
+    enclosure_digits,
     exp_interval,
     fixed_point_pmf,
     inv_e_interval,

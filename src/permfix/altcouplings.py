@@ -210,19 +210,11 @@ class AscentPeakBatch:
     m_n_counts: Mapping[int, Mapping[int, int]]
     disagree: Mapping[int, int]  # count of M != M_N per N
 
-    def m_pmf(self) -> dict[int, float]:
-        return {k: v / self.samples for k, v in sorted(self.m_counts.items())}
-
-    def m_n_pmf(self, N: int) -> dict[int, float]:
-        return {k: v / self.samples for k, v in sorted(self.m_n_counts[N].items())}
-
     def disagree_rate(self, N: int) -> float:
         return self.disagree[N] / self.samples
 
 
-def ascent_peak_batch(
-    samples: int, seed: int, ns: Sequence[int] = (), max_columns: int = 64
-) -> AscentPeakBatch:
+def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> AscentPeakBatch:
     """Vectorized batch sampling of (S, T) over many replicas.
 
     Uniforms are consumed column by column from per-replica streams until
@@ -239,7 +231,7 @@ def ascent_peak_batch(
     u_prev = None
     u_curr = streams.uniforms()
     n = 1
-    while n < max_columns:
+    while n < 64:  # P[T > 63] <= 2^63/64!: never reached in practice
         u_next = streams.uniforms()
         tie |= u_curr == u_next
         asc = (s_val == 0) & (u_curr < u_next)
@@ -253,7 +245,7 @@ def ascent_peak_batch(
         if np.all(((s_val > 0) & (t_val > 0)) | tie):
             break
     else:
-        raise RuntimeError(f"S or T unresolved after {max_columns} uniforms")
+        raise RuntimeError("S or T unresolved after 64 uniforms")
 
     ok = ~tie
     ties = int(np.count_nonzero(tie))
@@ -278,7 +270,7 @@ def ascent_peak_batch(
     )
 
 
-def peak_tail_exact(N: int, guard: int = 10) -> Fraction:
+def peak_tail_exact(N: int) -> Fraction:
     """Exact P[T > N]: the share of the (N+1)! relative orderings of
     U_1..U_{N+1} with no interior local maximum at an index n in [2, N].
 
@@ -290,7 +282,7 @@ def peak_tail_exact(N: int, guard: int = 10) -> Fraction:
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    check_guard(N, guard, "peak_tail_exact")
+    check_guard(N, 10, "peak_tail_exact")
     m = N + 1
 
     def extensions(prev: int, last: int, unused: int) -> int:

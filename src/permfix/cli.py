@@ -100,10 +100,10 @@ def parse_range(text: str) -> list[int]:
     return ns
 
 
-def require_n(N: int, minimum: int) -> int:
+def require_n(N: int, minimum: int, field: str = "n") -> int:
     """N itself, or a ConfigError when it is below the subcommand's minimum."""
     if N < minimum:
-        raise ConfigError(f"n: must be >= {minimum}, got {N}")
+        raise ConfigError(f"{field}: must be >= {minimum}, got {N}")
     return N
 
 
@@ -114,7 +114,7 @@ def require_n(N: int, minimum: int) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
     require_n(ns[0], 1)
-    report = Report("exact", {"n": ns, "digits": args.digits, "seed": None})
+    report = Report("exact", {"n": ns, "seed": None})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -123,7 +123,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         pi = exactdist.fixed_point_pmf(N)
         for x, w in pi.as_dict().items():
             pi_rows.append({"N": N, "x": x, "num": w.numerator, "den": w.denominator})
-        ref = exactdist.poisson_pmf(N, digits=args.digits)
+        ref = exactdist.poisson_pmf(N)
         tv_half = exactdist.tv_distance(pi, ref, "half")
         tv_total = exactdist.tv_distance(pi, ref, "total")
         lower, upper = exactdist.tv_bracket(N)
@@ -140,7 +140,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             "in_bracket": in_bracket,
             "separation": _fmt(exactdist.separation_discrepancy(pi, ref)),
         }
-        row["log_rate"] = exactdist.log_rate(N, digits=args.digits if args.digits > 50 else None) if N >= 4 else ""
+        row["log_rate"] = exactdist.log_rate(N) if N >= 4 else ""
         summary.append(row)
     report.emit(write_table(out / "pi_table", pi_rows, args.format))
     report.emit(write_table(out / "exact_summary", summary, args.format))
@@ -270,7 +270,9 @@ def _load_couple_config(args: argparse.Namespace) -> coupling.RunConfig:
     if unknown:
         raise ConfigError(f"config.{sorted(unknown)[0]}: unknown field")
     for name, typ in fields.items():
-        if name in data and not isinstance(data[name], typ):
+        # bool is a subclass of int, so `true` would otherwise pass as 1
+        if name in data and (not isinstance(data[name], typ)
+                             or typ is int and isinstance(data[name], bool)):
             raise ConfigError(f"config.{name}: expected {typ.__name__}")
     for required in ("N", "n"):
         if required not in data:
@@ -376,7 +378,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
 def cmd_alt(args: argparse.Namespace) -> int:
     seed = args.seed or 0
-    samples = args.replicas or 100_000
+    samples = 100_000 if args.replicas is None else require_n(args.replicas, 1, "replicas")
     report = Report("alt", {"seed": seed, "samples": samples})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -515,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact laws, distances and bounds")
     p.add_argument("--n", "--n-range", dest="n", required=True,
                    help="N or a range like 4..15")
-    p.add_argument("--digits", type=int, default=50, help="digits of e^-1")
     common(p)
     p.set_defaults(fn=cmd_exact)
 
@@ -552,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("all", help="run every subcommand with small defaults")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--digits", type=int, default=50, help="digits of e^-1")
     common(p)
     p.set_defaults(fn=cmd_all)
     return parser

@@ -66,6 +66,8 @@ class RunConfig:
             raise ValueError(f"start_mode must be one of {START_MODES}")
         if self.emit_traces and self.precision == "exact":
             raise ValueError("emit_traces needs precision 'double'")
+        if any(not isinstance(p, int) or isinstance(p, bool) for p in self.checkpoints):
+            raise ValueError("checkpoints must be integers")
         points = sorted(set(self.checkpoints) | {self.horizon})
         if any(p < 0 or p > self.horizon for p in points):
             raise ValueError("checkpoints must lie in [0, horizon]")

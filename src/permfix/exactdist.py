@@ -5,11 +5,11 @@ constant that ever enters is e^{-1}; it is carried around as an exact rational
 enclosure (an interval whose endpoints are consecutive partial sums of the
 alternating series sum (-1)^k / k!, see `exp_interval`), so every comparison
 against an analytic bound can be certified rather than merely observed in
-floating point.
+floating point.  The enclosure for a quantity at N has `enclosure_digits(N)`
+digits, enough to resolve the distance between pi_N and Poisson(1).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,9 +122,15 @@ def exp_interval(x: Fraction | int, digits: int) -> Interval:
 
 
 @lru_cache(maxsize=None)
-def inv_e_interval(digits: int = 50) -> Interval:
+def inv_e_interval(digits: int) -> Interval:
     """Rational enclosure of e^{-1} of width below 10^-digits."""
     return exp_interval(-1, digits)
+
+
+def enclosure_digits(N: int) -> int:
+    """Digits of e^{-1} that resolve 2^N/(N+1)!, about 10^{-N log10 N}: that
+    many plus a 20-digit guard, and never fewer than 50."""
+    return max(50, math.ceil(N * math.log10(max(N, 1))) + 20)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +251,13 @@ class ExactDist:
                 return x
         return self.support[-1]
 
-    def to_json_dict(self, precision_digits: int | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "label": self.label,
             "entries": [
                 {"x": x, "num": w.numerator, "den": w.denominator}
                 for x, w in zip(self.support, self.weights)
             ],
-            "precision_digits": precision_digits,
         }
 
     @staticmethod
@@ -261,9 +266,6 @@ class ExactDist:
             {e["x"]: Fraction(e["num"], e["den"]) for e in data["entries"]},
             label=data.get("label", ""),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def fixed_point_pmf(N: int) -> ExactDist:
@@ -303,8 +305,7 @@ class PoissonRef:
     """
 
     k_max: int
-    digits: int = 50
-    label: str = "poisson(1)"
+    digits: int
 
     def __post_init__(self) -> None:
         if self.k_max < 0:
@@ -318,19 +319,16 @@ class PoissonRef:
     def mass(self, k: int) -> Interval:
         return inv_e_interval(self.digits).scale(self.coefficient(k))
 
-    def partial_coefficient_sum(self, n: int) -> Fraction:
-        return sum((self.coefficient(k) for k in range(n + 1)), Fraction(0))
-
     def tail_mass(self, beyond: int) -> Interval:
         """Enclosure of P[X > beyond] = 1 - e^{-1} sum_{k<=beyond} 1/k!."""
-        return Fraction(1) - inv_e_interval(self.digits).scale(
-            self.partial_coefficient_sum(beyond)
-        )
+        head = sum((self.coefficient(k) for k in range(beyond + 1)), Fraction(0))
+        return Fraction(1) - inv_e_interval(self.digits).scale(head)
 
 
-def poisson_pmf(k_max: int, digits: int = 50) -> PoissonRef:
-    """Poisson(1) weights as exact 1/k! coefficients times a shared e^{-1} unit."""
-    return PoissonRef(k_max=k_max, digits=digits)
+def poisson_pmf(k_max: int, digits: int | None = None) -> PoissonRef:
+    """Poisson(1) weights 1/k! times an e^{-1} enclosure of
+    `enclosure_digits(k_max)` digits, or of `digits` when given."""
+    return PoissonRef(k_max=k_max, digits=enclosure_digits(k_max) if digits is None else digits)
 
 
 def poisson_truncated(k_max: int, label: str = "") -> ExactDist:
@@ -424,24 +422,22 @@ def tv_bracket(N: int) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-def log_rate(N: int, convention: str = "total", digits: int | None = None) -> float:
-    """ln(TV(pi_N, Poisson(1))) / (N ln N).
+def log_rate(N: int) -> float:
+    """ln(TV(pi_N, Poisson(1))) / (N ln N), total convention.
 
-    The distance has magnitude about 2^{N+1}/(N+1)!, so resolving it needs
-    roughly N log10 N digits of e^{-1}; the default precision grows with N
-    accordingly, with a 20-digit guard.
+    The distance is computed against `poisson_pmf(N)`, whose e^{-1} enclosure
+    has `enclosure_digits(N)` digits.
     """
     if N < 4:
         raise ValueError("log_rate needs N >= 4")
-    if digits is None:
-        digits = max(50, math.ceil(N * math.log10(N)) + 20)
-    tv = tv_distance(fixed_point_pmf(N), poisson_pmf(N, digits=digits), convention)
+    ref = poisson_pmf(N)
+    tv = tv_distance(fixed_point_pmf(N), ref, "total")
     assert isinstance(tv, Interval)
     if tv.lo <= 0:
         raise PrecisionInsufficient(
-            f"TV for N={N} not resolved away from zero at {digits} digits"
+            f"TV for N={N} not resolved away from zero at {ref.digits} digits"
         )
-    with mpmath.workdps(digits + 15):
+    with mpmath.workdps(ref.digits + 15):
         lo = mpmath.log(mpmath.mpf(tv.lo.numerator) / tv.lo.denominator)
         hi = mpmath.log(mpmath.mpf(tv.hi.numerator) / tv.hi.denominator)
         denom = N * mpmath.log(N)
@@ -477,7 +473,7 @@ def separation_discrepancy(d1: DistLike, d2: DistLike) -> Fraction | Interval:
     return best if best is not None else Fraction(0)
 
 
-def separation_ratio_term(N: int, x: int, digits: int = 50) -> Interval:
+def separation_ratio_term(N: int, x: int) -> Interval:
     """Enclosure of 1 - pi_N(x) / P(x) = 1 - e * D_{N-x} / (N-x)!.
 
     Pins down the sign of the conditioned-law separation at the boundary
@@ -485,7 +481,7 @@ def separation_ratio_term(N: int, x: int, digits: int = 50) -> Interval:
     equals 1 - e/3 > 0.
     """
     pi = fixed_point_pmf(N)
-    inv_e = inv_e_interval(digits)
+    inv_e = inv_e_interval(enclosure_digits(N))
     coeff = Fraction(1, math.factorial(x))
     # 1 - pi(x)/(e^{-1}/x!) = 1 - pi(x) x! / e^{-1}; bound via interval division
     ratio_lo = pi.pmf(x) / coeff / inv_e.hi

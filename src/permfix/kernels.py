@@ -13,7 +13,6 @@ and exact reversibility checking.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -123,9 +122,6 @@ class StochasticKernel:
             ],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # the conditional two-cycle mean p
@@ -173,11 +169,11 @@ class PFunction:
         return self.values[x]
 
 
-def p_bruteforce(N: int, guard: int = 8) -> PFunction:
+def p_bruteforce(N: int) -> PFunction:
     """p by full enumeration of S_N (guarded: N! permutations)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    check_guard(N, guard, "p_bruteforce")
+    check_guard(N, 8, "p_bruteforce")
     count: dict[int, int] = defaultdict(int)
     total2: dict[int, int] = defaultdict(int)
     for perm in iter_permutations(N):

@@ -162,11 +162,11 @@ def dynkin_check(chain: PartitionedChain) -> dict[tuple[Hashable, Hashable], boo
 # symmetric-group instances
 # ---------------------------------------------------------------------------
 
-def transposition_walk(N: int, guard: int = 8) -> StochasticKernel:
+def transposition_walk(N: int) -> StochasticKernel:
     """The random-transposition walk on S_N: T(sigma, tau sigma) = 2/(N(N-1))."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    check_guard(N, guard, "transposition_walk")
+    check_guard(N, 8, "transposition_walk")
     states = tuple(iter_permutations(N))
     weight = Fraction(2, N * (N - 1))
     rows = []
@@ -242,7 +242,7 @@ def _cycle_type_row(ct: CycleType) -> dict[CycleType, Fraction]:
     return {t: w for t, w in row.items() if w != 0}
 
 
-def cycle_type_chain(N: int, guard: int = 8) -> PartitionedChain:
+def cycle_type_chain(N: int) -> PartitionedChain:
     """The coagulation-fragmentation chain on cycle types of S_N.
 
     Built two independent ways and cross-checked entry by entry.  Route (a)
@@ -257,7 +257,7 @@ def cycle_type_chain(N: int, guard: int = 8) -> PartitionedChain:
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    check_guard(N, guard, "cycle_type_chain")
+    check_guard(N, 8, "cycle_type_chain")
     types = all_cycle_types(N)
 
     # route (a): count the targets of each sigma by cycle type, in integers
@@ -304,9 +304,9 @@ def cycle_type_chain(N: int, guard: int = 8) -> PartitionedChain:
     return PartitionedChain(kernel=kernel, invariant=invariant, blocks=blocks)
 
 
-def permutation_chain(N: int, guard: int = 8) -> PartitionedChain:
+def permutation_chain(N: int) -> PartitionedChain:
     """The transposition walk with the uniform law, partitioned by cycle type."""
-    walk = transposition_walk(N, guard=guard)
+    walk = transposition_walk(N)
     return PartitionedChain(
         kernel=walk,
         invariant=uniform_on_permutations(N),

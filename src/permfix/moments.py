@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactdist import Interval, fixed_point_pmf, inv_e_interval
+from .exactdist import Interval, enclosure_digits, fixed_point_pmf, inv_e_interval
 from .kernels import p_closedform, state_space
 from .perms import check_guard, eta1, eta2, iter_permutations
 
@@ -64,7 +64,7 @@ def raw_moment_equality(N: int, k: int) -> tuple[Fraction, int, bool]:
     return moment, bell, moment == bell
 
 
-def eta2_fk(N: int, k: int, method: str = "closed", guard: int = 8) -> Fraction:
+def eta2_fk(N: int, k: int, method: str = "closed") -> Fraction:
     """E[eta_2 F_k] under the uniform law on S_N.
 
     Closed value: 1/2 for k <= N-2 and 0 for k in {N-1, N}.  The bruteforce
@@ -75,7 +75,7 @@ def eta2_fk(N: int, k: int, method: str = "closed", guard: int = 8) -> Fraction:
     if method == "closed":
         return Fraction(1, 2) if k <= N - 2 else Fraction(0)
     if method == "bruteforce":
-        check_guard(N, guard, "eta2_fk bruteforce")
+        check_guard(N, 8, "eta2_fk bruteforce")
         total = 0
         for perm in iter_permutations(N):
             total += eta2(perm) * falling_factorial(eta1(perm), k)
@@ -133,9 +133,9 @@ def gram(N: int) -> GramMatrix:
     return GramMatrix(N=N, indices=idx, entries=tuple(entries))
 
 
-def gram_bruteforce(N: int, guard: int = 7) -> GramMatrix:
+def gram_bruteforce(N: int) -> GramMatrix:
     """E[F_k F_l] by enumeration of S_N (the oracle for the closed form)."""
-    check_guard(N, guard, "gram_bruteforce")
+    check_guard(N, 7, "gram_bruteforce")
     idx = state_space(N)
     hist: dict[int, int] = {}
     for perm in iter_permutations(N):
@@ -192,7 +192,7 @@ class CoefficientSystems:
     needed_functional: Interval
 
 
-def coefficient_systems(N: int, digits: int = 50) -> CoefficientSystems:
+def coefficient_systems(N: int) -> CoefficientSystems:
     """Solve the Gram systems and verify f = 2p exactly on V."""
     if N < 4:
         raise ValueError("N must be >= 4")
@@ -219,7 +219,7 @@ def coefficient_systems(N: int, digits: int = 50) -> CoefficientSystems:
         (abs(f_values[x] - 1) * Fraction(1, math.factorial(x)) for x in range(N - 1)),
         Fraction(0),
     )
-    functional = inv_e_interval(digits).scale(rational_sum)
+    functional = inv_e_interval(enclosure_digits(N)).scale(rational_sum)
     return CoefficientSystems(
         N=N,
         indices=idx,

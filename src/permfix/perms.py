@@ -1,9 +1,9 @@
 """Permutation and cycle-type utilities for the enumeration oracles.
 
 Permutations are tuples of images on range(N).  Cycle decomposition is done
-by the usual marking sweep.  Enumeration guards are configuration rather than
-constants: the environment variable PERMFIX_GUARD_N, when set, overrides the
-per-call default so larger machines can push N.
+by the usual marking sweep.  Each enumeration oracle refuses N above its own
+fixed guard; the environment variable PERMFIX_GUARD_N, when set, overrides
+every guard so larger machines can push N.
 """
 from __future__ import annotations
 
@@ -21,22 +21,17 @@ class EnumerationGuardError(ValueError):
     """Raised when a brute-force enumeration is asked beyond its guard."""
 
 
-def enumeration_guard(default: int) -> int:
-    """The active guard: PERMFIX_GUARD_N if set, else the given default."""
+def check_guard(N: int, limit: int, what: str) -> None:
+    """Refuse N above the limit, or above PERMFIX_GUARD_N when that is set."""
     raw = os.environ.get(GUARD_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{GUARD_ENV} must be an integer, got {raw!r}") from exc
-
-
-def check_guard(N: int, default: int, what: str) -> None:
-    guard = enumeration_guard(default)
-    if N > guard:
+    if raw is not None:
+        try:
+            limit = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{GUARD_ENV} must be an integer, got {raw!r}") from exc
+    if N > limit:
         raise EnumerationGuardError(
-            f"{what} refuses N={N} above the enumeration guard {guard} "
+            f"{what} refuses N={N} above the enumeration guard {limit} "
             f"(override with {GUARD_ENV})"
         )
 

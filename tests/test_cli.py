@@ -66,6 +66,8 @@ def test_non_integer_flag_is_a_usage_error(argv, capsys):
     ["couple", "--n", "8", "--horizon", "10", "--digits", "60"],
     ["alt", "--digits", "60"],
     ["moments", "--n", "5", "--digits", "60"],
+    ["exact", "--n", "4", "--digits", "60"],
+    ["all", "--digits", "60"],
     ["all", "--n", "8"],
     ["all", "--horizon", "10"],
     ["all", "--replicas", "10"],
@@ -105,12 +107,26 @@ def test_exact_command_smallest_n(tmp_path, capsys):
 
 def test_exact_high_precision_log_rate_row(tmp_path, capsys):
     code, report = run_cli(
-        capsys, "exact", "--n", "30", "--digits", "200", "--out", str(tmp_path)
+        capsys, "exact", "--n", "30", "--out", str(tmp_path)
     )
     assert code == 0
     header, row = (tmp_path / "exact_summary.csv").read_text().splitlines()
     rate = dict(zip(header.split(","), row.split(",")))["log_rate"]
     assert abs(float(rate) - (-0.5553474730683111)) < 1e-9
+
+
+def test_exact_resolves_every_bracket_from_n45_to_n60(tmp_path, capsys):
+    code, report = run_cli(capsys, "exact", "--n", "45..60", "--out", str(tmp_path))
+    assert code == 0
+    assert report["verdicts"] == {f"tv_bracket_N{n}": "pass" for n in range(45, 61)}
+
+
+def test_exact_n100_log_rate(tmp_path, capsys):
+    code, report = run_cli(capsys, "exact", "--n", "100", "--out", str(tmp_path))
+    assert code == 0
+    header, row = (tmp_path / "exact_summary.csv").read_text().splitlines()
+    rate = float(dict(zip(header.split(","), row.split(",")))["log_rate"])
+    assert -1 < rate < 0
 
 
 def test_exact_json_format(tmp_path, capsys):
@@ -251,6 +267,21 @@ def test_couple_bad_config(tmp_path, capsys):
     assert "selector" in err
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"replicas": True}, "config.replicas: expected int"),
+    ({"checkpoints": [1.5]}, "checkpoints must be integers"),
+    ({"checkpoints": ["a"]}, "checkpoints must be integers"),
+], ids=["bool-replicas", "float-checkpoint", "string-checkpoint"])
+def test_couple_bad_field_type(field, message, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"N": 8, "n": 10, **field}))
+    code = main(["couple", "--config", str(config), "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert not (tmp_path / "x").exists()
+
+
 def test_couple_unknown_field(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"N": 8, "n": 10, "replica": 5}))
@@ -267,6 +298,14 @@ def test_alt_command(tmp_path, capsys):
     assert report["verdicts"]["mallows_pmf_equals_pi"] == "pass"
     assert report["verdicts"]["peak_tail_bound"] == "pass"
     assert (tmp_path / "mallows_discrepancy.csv").exists()
+
+
+@pytest.mark.parametrize("replicas", ["0", "-3"])
+def test_alt_replicas_below_one(replicas, tmp_path, capsys):
+    assert main(["alt", "--replicas", replicas, "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert f"replicas: must be >= 1, got {replicas}" in captured.err
+    assert captured.out == ""
 
 
 def test_moments_command(tmp_path, capsys):

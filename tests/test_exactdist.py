@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permfix import exactdist
 from permfix.exactdist import (
     ExactDist,
     Interval,
     PrecisionInsufficient,
     derangements,
+    enclosure_digits,
     exp_interval,
     fixed_point_pmf,
     inv_e_interval,
@@ -262,9 +264,24 @@ class TestLogRate:
         value = log_rate(4)
         assert value < 0 and math.isfinite(value)
 
-    def test_insufficient_precision_detected(self):
+    def test_insufficient_precision_detected(self, monkeypatch):
+        tv = tv_distance(fixed_point_pmf(30), poisson_pmf(30, digits=10), "total")
+        assert tv.lo <= 0
+        monkeypatch.setattr(exactdist, "enclosure_digits", lambda N: 10)
         with pytest.raises(PrecisionInsufficient):
-            log_rate(30, digits=10)
+            log_rate(30)
+
+    @pytest.mark.parametrize("n", [49, 60, 100, 200])
+    def test_default_precision_resolves_total_tv(self, n):
+        total = tv_distance(fixed_point_pmf(n), poisson_pmf(n), "total")
+        lower, upper = tv_bracket(n)
+        assert total.lo > 0
+        assert total.certainly_within(lower, upper)
+
+    @pytest.mark.parametrize("n, digits", [(1, 50), (22, 50), (23, 52), (30, 65), (100, 220)])
+    def test_enclosure_digits_rule(self, n, digits):
+        assert enclosure_digits(n) == digits
+        assert poisson_pmf(n).digits == digits
 
     def test_decreasing_on_small_window(self):
         values = [log_rate(n) for n in range(10, 16)]

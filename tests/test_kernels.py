@@ -8,6 +8,7 @@ from permfix.exactdist import fixed_point_pmf, pi_conditioned, zeta_law
 from permfix.kernels import (
     PFunction,
     StochasticKernel,
+    _birth_death,
     birth_death_stationary,
     build_hat,
     build_penta,
@@ -370,3 +371,21 @@ class TestLookupErrors:
     def test_unknown_restricted_label(self):
         with pytest.raises(ValueError):
             restricted_kernel(8, "P")
+
+
+class TestKernelValidation:
+    @pytest.mark.parametrize("states, rows, message", [
+        ((0, 1), ({0: Fraction(1)},), "length mismatch"),
+        ((0, 0), ({0: Fraction(1)}, {0: Fraction(1)}), "duplicate states"),
+        ((0, 1), ({0: Fraction(1)}, {2: Fraction(1)}), "unknown state"),
+        ((0, 1), ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, {1: Fraction(1)}), "negative entry"),
+        ((0, 1), ({0: Fraction(1, 2)}, {1: Fraction(1)}), "sums to 1/2"),
+    ], ids=["length", "duplicate", "unknown-target", "negative", "row-sum"])
+    def test_rejects(self, states, rows, message):
+        with pytest.raises(ValueError, match=message):
+            StochasticKernel(states, rows)
+
+    def test_birth_death_negative_diagonal_raises(self):
+        # an up-rate of 40/(N(N-1)) = 4/3 at N=6 leaves the diagonal at -1/3
+        with pytest.raises(ValueError, match="negative entry"):
+            _birth_death(6, lambda x: Fraction(40), "inflated")
