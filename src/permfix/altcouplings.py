@@ -111,31 +111,35 @@ class MallowsDiscrepancy:
 def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDiscrepancy:
     """Monte Carlo estimate of P[S_N != S_inf], truncating the series at K.
 
+    The two sums share their first N - 1 products, so
+
+        S_N - S_K = X_N - (X_N X_{N+1} + ... + X_{K-1} X_K)
+
+    and X_2..X_{N-1} cancel.  Replica r draws X_n from word n - 1 of
+    Stream(seed, r); the words of the cancelled bits are skipped in O(1),
+    and only X_N..X_K are drawn (X_1 == 1 is drawn from no word).
     The truncation can misclassify a replica only if some product
     X_k X_{k+1} with k >= K is one; that has probability at most
     sum_{k >= K} 1/(k(k+1)) = 1/K, reported as tail_bound.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if K < N + 1:
         raise ValueError("K must be at least N + 1")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     streams = VectorStreams(seed, 0, replicas)
-    prev = np.ones(replicas, dtype=bool)  # X_1 == 1
-    s_n = np.zeros(replicas, dtype=np.int64)
-    s_trunc = np.zeros(replicas, dtype=np.int64)
-    x_n = None
-    for n in range(2, K + 1):
+    if N == 1:
+        prev = np.ones(replicas, dtype=bool)
+    else:
+        streams.skip(N - 2)
+        prev = streams.uniforms() < 1.0 / N
+    diff = prev.astype(np.int64)  # S_N - S_K, accumulated from X_N on
+    for n in range(N + 1, K + 1):
         bit = streams.uniforms() < 1.0 / n
-        prod = prev & bit
-        s_trunc += prod
-        if n <= N:
-            s_n += prod
-        if n == N:
-            x_n = bit.copy()
+        diff -= prev & bit
         prev = bit
-    assert x_n is not None
-    s_n += x_n
-    p_hat = float(np.count_nonzero(s_n != s_trunc)) / replicas
+    p_hat = float(np.count_nonzero(diff)) / replicas
     sigma = math.sqrt(p_hat * (1.0 - p_hat) / replicas)
     return MallowsDiscrepancy(
         N=N, K=K, replicas=replicas, estimate=p_hat, sigma=sigma,
@@ -217,52 +221,58 @@ class AscentPeakBatch:
 def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> AscentPeakBatch:
     """Vectorized batch sampling of (S, T) over many replicas.
 
-    Uniforms are consumed column by column from per-replica streams until
-    every replica has resolved both S and T; ties abort the replica and are
-    counted (53-bit uniforms make them astronomically unlikely).
+    Column n compares U_n with U_{n+1} for the live replicas only: those
+    with no peak and no tie yet.  A peak at n needs U_{n-1} < U_n, an ascent
+    at n - 1, so S < T and a replica leaves in the column that sets T.  It
+    also leaves when the two uniforms it compares are equal; ties are
+    counted and the replica dropped (53-bit uniforms make them
+    astronomically unlikely).  Replica r thus reads the words of
+    Stream(seed, r) that ascent_peak_sample(seed, r) reads, and no others.
+    The laws of M and M_N are read off the joint counts of (S, T).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    ns = tuple(dict.fromkeys(ns))
+    if any(N < 1 for N in ns):
+        raise ValueError("every N in ns must be >= 1")
     streams = VectorStreams(seed, 0, samples)
-    s_val = np.zeros(samples, dtype=np.int64)
-    t_val = np.zeros(samples, dtype=np.int64)
-    tie = np.zeros(samples, dtype=bool)
-
-    u_prev = None
+    joint = np.zeros((64, 64), dtype=np.int64)  # joint[s, t]: replicas with S = s, T = t
+    ties = 0
+    s_live = np.zeros(samples, dtype=np.int8)  # S of each live replica, 0 while unset
+    rose = np.zeros(samples, dtype=bool)  # U_{n-1} < U_n
     u_curr = streams.uniforms()
-    n = 1
-    while n < 64:  # P[T > 63] <= 2^63/64!: never reached in practice
+    for n in range(1, 64):  # P[T > 63] <= 2^63/64!: never reached in practice
         u_next = streams.uniforms()
-        tie |= u_curr == u_next
-        asc = (s_val == 0) & (u_curr < u_next)
-        s_val[asc] = n
-        if n >= 2:
-            peak = (t_val == 0) & (u_curr > u_prev) & (u_curr > u_next)
-            t_val[peak] = n
-        u_prev = u_curr
-        u_curr = u_next
-        n += 1
-        if np.all(((s_val > 0) & (t_val > 0)) | tie):
+        asc = u_curr < u_next
+        s_live[(s_live == 0) & asc] = n
+        peak = rose & (u_curr > u_next)
+        tied = u_curr == u_next
+        joint[:n, n] = np.bincount(s_live[peak], minlength=n)
+        ties += int(np.count_nonzero(tied))
+        rest = ~(peak | tied)
+        if not rest.any():
             break
+        if not rest.all():
+            s_live, asc, u_next = s_live[rest], asc[rest], u_next[rest]
+            streams.keep(rest)
+        rose, u_curr = asc, u_next
     else:
         raise RuntimeError("S or T unresolved after 64 uniforms")
 
-    ok = ~tie
-    ties = int(np.count_nonzero(tie))
-    s_ok = s_val[ok]
-    t_ok = t_val[ok]
-    m = s_ok - ((t_ok - s_ok) % 2)
-    m_counts = Counter(m.tolist())
-    m_n_counts: dict[int, Counter] = {}
-    disagree: dict[int, int] = {}
-    for N in ns:
-        s_n = np.minimum(s_ok, N)
-        t_n = np.minimum(t_ok, N)
-        m_n = s_n - ((t_n - s_n) % 2)
-        m_n_counts[N] = Counter(m_n.tolist())
-        disagree[N] = int(np.count_nonzero(m_n != m))
+    m_counts: Counter = Counter()
+    m_n_counts: dict[int, Counter] = {N: Counter() for N in ns}
+    disagree = dict.fromkeys(ns, 0)
+    for s, t in zip(*np.nonzero(joint)):
+        sample = AscentPeakSample(s=int(s), t=int(t), uniforms_used=int(t) + 1)
+        count = int(joint[s, t])
+        m_counts[sample.m] += count
+        for N in ns:
+            m_n = sample.truncated(N)[2]
+            m_n_counts[N][m_n] += count
+            if m_n != sample.m:
+                disagree[N] += count
     return AscentPeakBatch(
-        samples=int(np.count_nonzero(ok)),
+        samples=int(joint.sum()),
         ties=ties,
         m_counts=dict(m_counts),
         m_n_counts={N: dict(c) for N, c in m_n_counts.items()},

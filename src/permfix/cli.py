@@ -21,6 +21,7 @@ from typing import Any, Mapping, Sequence
 
 from . import altcouplings, coupling, exactdist, kernels, lumping, moments
 from .perms import EnumerationGuardError
+from .rng import check_seed
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped-guard"
 
@@ -105,6 +106,14 @@ def require_n(N: int, minimum: int, field: str = "n") -> int:
     if N < minimum:
         raise ConfigError(f"{field}: must be >= {minimum}, got {N}")
     return N
+
+
+def require_seed(seed: int | None) -> int:
+    """The seed (0 when unset), or a ConfigError when it lies outside [0, 2^64)."""
+    try:
+        return check_seed(seed or 0)
+    except ValueError as exc:
+        raise ConfigError(f"seed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +386,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
 
 def cmd_alt(args: argparse.Namespace) -> int:
-    seed = args.seed or 0
+    seed = require_seed(args.seed)
     samples = 100_000 if args.replicas is None else require_n(args.replicas, 1, "replicas")
     report = Report("alt", {"seed": seed, "samples": samples})
     out = Path(args.out)
@@ -484,6 +493,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_all(args: argparse.Namespace) -> int:
+    require_seed(args.seed)  # before any subcommand writes its outputs
     base = Path(args.out)
     failures = 0
     for name, fn, overrides in (

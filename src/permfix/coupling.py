@@ -29,7 +29,7 @@ import numpy as np
 
 from .exactdist import ExactDist, exp_interval, pi_conditioned, tv_distance, zeta_law
 from .kernels import StochasticKernel, birth_death_stationary, build_restricted, restricted_kernel
-from .rng import Stream, VectorStreams
+from .rng import Stream, VectorStreams, check_seed
 
 SELECTORS = ("pcheck-r", "r-r", "pcheck-rtilde")
 PRECISIONS = ("double", "exact")
@@ -58,6 +58,7 @@ class RunConfig:
             raise ValueError("horizon must be >= 0")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
+        check_seed(self.seed)
         if self.selector not in SELECTORS:
             raise ValueError(f"selector must be one of {SELECTORS}")
         if self.precision not in PRECISIONS:

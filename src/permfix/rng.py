@@ -37,6 +37,17 @@ def scramble(value: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> int:
+    """seed itself, or ValueError when it lies outside [0, 2^64).
+
+    Streams reduce the seed mod 2^64, so a seed outside that range would
+    silently draw the same words as the one inside it.
+    """
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def stream_state(seed: int, replica: int) -> int:
     """Initial state of the stream for one replica: hash of (seed, replica)."""
     return scramble((scramble(seed & MASK64) + (replica + 1) * GOLDEN) & MASK64)
@@ -65,6 +76,9 @@ class VectorStreams:
 
     Word k of row r equals word k of Stream(seed, first_replica + r); the
     uint64 arithmetic wraps modulo 2^64 exactly as the scalar path does.
+    `keep` and `skip` change which rows advance and where, never what a
+    row's stream is: a kept row continues its own stream, and after skip(k)
+    the next word is the one k words further on.
     """
 
     def __init__(self, seed: int, first_replica: int, count: int):
@@ -89,3 +103,13 @@ class VectorStreams:
     def uniforms(self) -> np.ndarray:
         """One 53-bit dyadic uniform per replica."""
         return (self.next_words() >> _U11).astype(np.float64) * TWO_NEG53
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows a boolean mask selects; the others stop advancing."""
+        self.states = self.states[rows]
+
+    def skip(self, k: int) -> None:
+        """Advance every row past its next k >= 0 words without drawing them:
+        the state moves by k * GOLDEN mod 2^64."""
+        with np.errstate(over="ignore"):
+            self.states = self.states + np.uint64(k * GOLDEN & MASK64)

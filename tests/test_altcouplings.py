@@ -1,8 +1,10 @@
 """Mallows bit-chain and ascent/peak couplings."""
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from permfix.altcouplings import (
@@ -19,7 +21,7 @@ from permfix.altcouplings import (
 )
 from permfix.exactdist import fixed_point_pmf, poisson_truncated, tv_distance
 from permfix.perms import EnumerationGuardError
-from permfix.rng import Stream
+from permfix.rng import Stream, VectorStreams
 
 
 class TestMallowsExact:
@@ -38,9 +40,10 @@ class TestMallowsExact:
 
 
 class TestMallowsDiscrepancy:
-    @pytest.mark.parametrize("n", [10, 20])
+    @pytest.mark.parametrize("n", [1, 2, 10, 20])
     def test_vector_estimate_counts_the_scalar_samples(self, n):
         # replica r of the vectorized estimate draws the words of Stream(seed, r)
+        # (X_1 from none, X_n from word n - 1) even where it skips them
         replicas, K, seed = 2000, 2 * n, 7
         d = mallows_discrepancy(n, replicas=replicas, K=K, seed=seed)
         differ = 0
@@ -74,6 +77,11 @@ class TestMallowsDiscrepancy:
         with pytest.raises(ValueError):
             mallows_discrepancy(10, replicas=10, K=10, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            mallows_discrepancy(n, replicas=10, K=5, seed=0)
+
 
 class TestAscentPeakDefinitions:
     def test_descending_then_ascending(self):
@@ -105,11 +113,51 @@ class TestAscentPeakDefinitions:
 
 class TestAscentPeakBatch:
     def test_batch_matches_scalar_samples(self):
-        batch = ascent_peak_batch(500, seed=21, ns=(6,))
-        from collections import Counter
+        # replica r of the batch must read Stream(21, r) however the live
+        # replicas were compacted before it resolved
+        ns = range(2, 9)
+        batch = ascent_peak_batch(500, seed=21, ns=ns)
+        samples = [ascent_peak_sample(21, r) for r in range(500)]
+        assert batch.samples == 500 and batch.ties == 0
+        assert batch.m_counts == dict(Counter(x.m for x in samples))
+        for N in ns:
+            m_n = [x.truncated(N)[2] for x in samples]
+            assert batch.m_n_counts[N] == dict(Counter(m_n))
+            assert batch.disagree[N] == sum(a != x.m for a, x in zip(m_n, samples))
 
-        ref = Counter(ascent_peak_sample(21, r).m for r in range(500))
-        assert batch.m_counts == dict(ref)
+    def test_ties_counted_only_among_the_uniforms_a_replica_reads(self, monkeypatch):
+        # on a 1/8 grid ties are common; a replica that has resolved must not
+        # be dropped for a tie in a column drawn only for the others
+        scalar_uniform = Stream.uniform
+        vector_uniforms = VectorStreams.uniforms
+        monkeypatch.setattr(Stream, "uniform", lambda self: math.floor(scalar_uniform(self) * 8) / 8)
+        monkeypatch.setattr(VectorStreams, "uniforms", lambda self: np.floor(vector_uniforms(self) * 8) / 8)
+        seed = 17
+        batch = ascent_peak_batch(2000, seed)
+        ties = 0
+        m_counts = Counter()
+        for r in range(2000):
+            try:
+                m_counts[ascent_peak_sample(seed, r).m] += 1
+            except TieEncountered:
+                ties += 1
+        assert ties > 0
+        assert batch.ties == ties
+        assert batch.samples == 2000 - ties
+        assert batch.m_counts == dict(m_counts)
+
+    def test_repeated_n_counted_once(self):
+        assert ascent_peak_batch(1000, seed=3, ns=(4, 4, 5)) == ascent_peak_batch(1000, seed=3, ns=(4, 5))
+
+    @pytest.mark.parametrize("ns", [(0,), (4, -1), (1, 0)])
+    def test_n_below_one_rejected(self, ns):
+        with pytest.raises(ValueError, match="every N in ns must be >= 1"):
+            ascent_peak_batch(10, seed=0, ns=ns)
+
+    def test_n1_law_is_a_point_mass_at_one(self):
+        # pi_1 puts all its mass on one fixed point, and M_1 = 1 - 1{0 odd}
+        batch = ascent_peak_batch(1000, seed=2, ns=(1,))
+        assert batch.m_n_counts[1] == {1: 1000}
 
     def test_m_law_close_to_poisson(self):
         batch = ascent_peak_batch(120_000, seed=8, ns=())

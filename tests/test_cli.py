@@ -308,6 +308,31 @@ def test_alt_replicas_below_one(replicas, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+@pytest.mark.parametrize("argv", [
+    ["couple", "--n", "8", "--horizon", "10", "--replicas", "5"],
+    ["alt", "--replicas", "100"],
+    ["all"],
+])
+def test_seed_outside_64_bits_is_a_configuration_error(argv, seed, tmp_path, capsys):
+    # the streams reduce seeds mod 2^64, so these would alias 2^64 - 1 and 0
+    assert main(argv + ["--seed", str(seed), "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and "seed must lie in" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["couple", "--n", "8", "--horizon", "10", "--replicas", "5"],
+    ["alt", "--replicas", "2000"],
+])
+def test_largest_seed_accepted(argv, tmp_path, capsys):
+    code, report = run_cli(capsys, *argv, "--seed", str((1 << 64) - 1), "--out", str(tmp_path))
+    assert code != 2
+    assert report["seed"] == (1 << 64) - 1
+
+
 def test_moments_command(tmp_path, capsys):
     code, report = run_cli(capsys, "moments", "--n", "6", "--out", str(tmp_path))
     assert code == 0

@@ -1,9 +1,10 @@
 """Determinism and cross-path identity of the SplitMix64 streams."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permfix.rng import MASK64, Stream, VectorStreams, scramble
+from permfix.rng import MASK64, Stream, VectorStreams, check_seed, scramble
 
 
 def test_scramble_stays_in_64_bits():
@@ -61,3 +62,32 @@ def test_scalar_vector_identity_random(seed, first, count):
     scalars = [Stream(seed, first + r) for r in range(count)]
     for _ in range(5):
         assert vector.uniforms().tolist() == [s.uniform() for s in scalars]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seeds, st.integers(0, 10 ** 9), st.integers(1, 8), st.integers(0, 50),
+       st.lists(st.booleans(), min_size=8, max_size=8))
+def test_keep_and_skip_continue_the_scalar_streams(seed, first, count, k, mask):
+    vector = VectorStreams(seed, first, count)
+    scalars = [Stream(seed, first + r) for r in range(count)]
+    assert vector.uniforms().tolist() == [s.uniform() for s in scalars]
+    rows = np.array(mask[:count])
+    vector.keep(rows)
+    kept = [s for s, m in zip(scalars, mask) if m]
+    vector.skip(k)
+    for s in kept:
+        for _ in range(k):
+            s.next_word()
+    for _ in range(3):
+        assert vector.next_words().tolist() == [s.next_word() for s in kept]
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
+def test_check_seed_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must lie in"):
+        check_seed(seed)
+
+
+def test_check_seed_accepts_the_64_bit_range():
+    assert check_seed(0) == 0
+    assert check_seed(MASK64) == MASK64
