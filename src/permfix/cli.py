@@ -262,7 +262,10 @@ def cmd_project(args: argparse.Namespace) -> int:
 def _load_couple_config(args: argparse.Namespace) -> coupling.RunConfig:
     data: dict[str, Any] = {}
     if args.config:
-        raw = json.loads(Path(args.config).read_text())
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config: {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
         data.update(raw)
@@ -493,9 +496,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_all(args: argparse.Namespace) -> int:
-    require_seed(args.seed)  # before any subcommand writes its outputs
     base = Path(args.out)
-    failures = 0
+    runs = {}
     for name, fn, overrides in (
         ("exact", cmd_exact, {"n": "4..12"}),
         ("kernel", cmd_kernel, {"n": 8}),
@@ -508,6 +510,12 @@ def cmd_all(args: argparse.Namespace) -> int:
         sub.out = str(base / name)
         for key, val in overrides.items():
             setattr(sub, key, val)
+        runs[name] = (fn, sub)
+    # --seed and --config are checked before any subcommand writes its outputs
+    require_seed(args.seed)
+    _load_couple_config(runs["couple"][1])
+    failures = 0
+    for fn, sub in runs.values():
         failures += fn(sub)
     return 1 if failures else 0
 

@@ -17,7 +17,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .exactdist import ExactDist, derangements, fixed_point_pmf, poisson_truncated
 from .perms import check_guard, eta1, eta2, iter_permutations
@@ -225,73 +225,67 @@ def p_recursion(N: int) -> PFunction:
 # kernel builders
 # ---------------------------------------------------------------------------
 
-def _fill_diagonal(states: Sequence[Hashable], partial: dict) -> list[dict]:
+def _penta_moves(N: int, x: int, k: Fraction | int) -> dict[int, Fraction]:
+    """The moves from x of the penta-diagonal family driven by k.
+
+    Down by one at x(N-x), down by two at x(x-1), up by one at N-x-k and up
+    by two at k, all over N(N-1).  P, P~, P^ and P_check have k = 2p(x); R
+    and P_bar set k = 1, and R~ sets k = 1/2.  Each builder keeps the moves
+    its state space and band allow.
+    """
+    den = N * (N - 1)
+    return {
+        x - 1: Fraction(x * (N - x), den),
+        x - 2: Fraction(x * (x - 1), den),
+        x + 1: Fraction(N - x - k, den),
+        x + 2: Fraction(k, den),
+    }
+
+
+def _kernel(states: Sequence[Hashable], moves: Iterable[Mapping], label: str) -> StochasticKernel:
+    """Rows from per-state moves: zero weights dropped, the diagonal set to
+    1 - (sum of the moves).  `StochasticKernel` rejects a move to an unknown
+    state and a negative entry, the diagonal included."""
     rows = []
-    for s in states:
-        row = dict(partial.get(s, {}))
-        off = sum(row.values(), Fraction(0))
-        row[s] = row.get(s, Fraction(0)) + (1 - off)
+    for s, row in zip(states, moves):
+        row = {t: w for t, w in row.items() if w != 0}
+        row[s] = 1 - sum(row.values(), Fraction(0))
         rows.append(row)
-    return rows
+    return StochasticKernel(tuple(states), tuple(rows), label=label)
+
+
+def _neighbour_kernel(
+    states: Sequence[Hashable], moves: Iterable[Mapping], label: str
+) -> StochasticKernel:
+    """`_kernel` keeping only the moves between neighbours in the order of states."""
+    kept = []
+    for i, row in enumerate(moves):
+        near = states[max(i - 1, 0):i + 2]
+        kept.append({t: w for t, w in row.items() if t in near})
+    return _kernel(states, kept, label)
 
 
 def build_penta(N: int, p: PFunction) -> StochasticKernel:
-    """The penta-diagonal kernel P on V.
+    """The penta-diagonal kernel P on V: every move of the family, k = 2p.
 
     The boundary coefficients vanish exactly where a move would leave V
     (p(N-3) = 0 kills (N-3, N-1), p(N-2) = 1 kills (N-2, N-1), p(N) = 0
-    kills both upward moves from N); any nonzero weight pointing outside V
-    is a construction error.
+    kills both upward moves from N).
     """
     if p.N != N:
         raise ValueError("p was built for a different N")
     V = state_space(N)
-    den = N * (N - 1)
-    partial: dict[int, dict[int, Fraction]] = {}
-    for x in V:
-        up1 = Fraction(N - x, den) - 2 * p[x] / den
-        if up1 < 0:
-            raise ValueError(f"negative up-rate at x={x}: N-x-2p(x) < 0")
-        moves = {
-            x - 1: Fraction(x * (N - x), den),
-            x - 2: Fraction(x * (x - 1), den),
-            x + 1: up1,
-            x + 2: 2 * p[x] / den,
-        }
-        row = {}
-        for y, w in moves.items():
-            if w == 0:
-                continue
-            if y not in V:
-                raise ValueError(f"nonzero transition ({x}, {y}) exits V")
-            row[y] = w
-        partial[x] = row
-    return StochasticKernel(V, tuple(_fill_diagonal(V, partial)), label="P")
+    return _kernel(V, (_penta_moves(N, x, 2 * p[x]) for x in V), "P")
 
 
 def build_tridiag_tilde(N: int, p: PFunction) -> StochasticKernel:
-    """P~ : the birth-and-death kernel keeping only the size-one moves of P,
-    except between N-2 and N where the size-two move is kept (N-1 is not a
-    state); removed weight goes to the diagonal."""
+    """P~ : the birth-and-death kernel keeping only the moves of P between
+    neighbours of V, so the size-two move between N-2 and N stays (N-1 is
+    not a state); removed weight goes to the diagonal."""
     if p.N != N:
         raise ValueError("p was built for a different N")
     V = state_space(N)
-    den = N * (N - 1)
-    partial: dict[int, dict[int, Fraction]] = {}
-    for x in V:
-        row: dict[int, Fraction] = {}
-        if x != N and x >= 1:
-            row[x - 1] = Fraction(x * (N - x), den)
-        if x == N:
-            row[N - 2] = Fraction(1)
-        elif x == N - 2:
-            row[N] = Fraction(2, den)
-        else:
-            up = Fraction(N - x, den) - 2 * p[x] / den
-            if up != 0:
-                row[x + 1] = up
-        partial[x] = {y: w for y, w in row.items() if w != 0}
-    return StochasticKernel(V, tuple(_fill_diagonal(V, partial)), label="P_tilde")
+    return _neighbour_kernel(V, (_penta_moves(N, x, 2 * p[x]) for x in V), "P_tilde")
 
 
 def hat_ordering(N: int) -> tuple[int, ...]:
@@ -316,18 +310,12 @@ def hat_ordering(N: int) -> tuple[int, ...]:
 def build_hat(N: int) -> StochasticKernel:
     """P^ on index states [0, N-1]: P^(i, j) = P(z_i, z_j) for |i - j| = 1."""
     z = hat_ordering(N)
-    penta = build_penta(N, p_closedform(N))
-    states = tuple(range(N))
-    partial: dict[int, dict[int, Fraction]] = {}
-    for i in states:
-        row: dict[int, Fraction] = {}
-        for j in (i - 1, i + 1):
-            if 0 <= j < N:
-                w = penta.entry(z[i], z[j])
-                if w != 0:
-                    row[j] = w
-        partial[i] = row
-    return StochasticKernel(states, tuple(_fill_diagonal(states, partial)), label="P_hat")
+    p = p_closedform(N)
+    at = {x: i for i, x in enumerate(z)}
+    moves = (
+        {at[y]: w for y, w in _penta_moves(N, x, 2 * p[x]).items() if y in at} for x in z
+    )
+    return _neighbour_kernel(tuple(range(N)), moves, "P_hat")
 
 
 def hat_stationary(N: int) -> ExactDist:
@@ -337,48 +325,31 @@ def hat_stationary(N: int) -> ExactDist:
     return ExactDist.from_mapping({i: pi.pmf(z[i]) for i in range(N)}, label=f"pi_hat_{N}")
 
 
-def _birth_death(N: int, up_num, label: str) -> StochasticKernel:
-    """Birth-and-death kernel on [0, N-4] with down-rate x(N-x)/ (N(N-1))."""
-    if N < 5:
-        raise ValueError("the restricted kernels need N >= 5")
-    states = tuple(range(N - 3))
-    den = N * (N - 1)
-    partial: dict[int, dict[int, Fraction]] = {}
-    for x in states:
-        row: dict[int, Fraction] = {}
-        if x >= 1:
-            row[x - 1] = Fraction(x * (N - x), den)
-        if x + 1 <= N - 4:
-            up = Fraction(up_num(x)) / den
-            if up < 0:
-                raise ValueError(f"negative up-rate at x={x}")
-            if up != 0:
-                row[x + 1] = up
-        partial[x] = row
-    return StochasticKernel(states, tuple(_fill_diagonal(states, partial)), label=label)
-
-
 RESTRICTED_LABELS = ("P_check", "R", "R_tilde")
 
 
 def restricted_kernel(N: int, label: str) -> StochasticKernel:
     """One of the restricted kernels P_check, R, R_tilde on [0, N-4].
 
-    Up-rates are N-x-2p(x), N-x-1 and N-x-1/2 respectively over the common
-    down-rate x(N-x); R is the p = 1/2 member whose reversible law is the
-    conditioned Poisson zeta, and R_tilde dominates the p-chain from above.
-    Only P_check needs p, so only it pays for `p_closedform`.
+    The moves of the family between neighbours of [0, N-4], with k = 2p(x),
+    1 and 1/2 respectively: up-rates N-x-2p(x), N-x-1 and N-x-1/2 over the
+    common down-rate x(N-x).  R is the p = 1/2 member whose reversible law
+    is the conditioned Poisson zeta, and R_tilde dominates the p-chain from
+    above.  Only P_check needs p, so only it pays for `p_closedform`.
     """
     if label == "P_check":
         p = p_closedform(N)
-        up_num = lambda x: Fraction(N - x) - 2 * p[x]
+        k = lambda x: 2 * p[x]
     elif label == "R":
-        up_num = lambda x: Fraction(N - x - 1)
+        k = lambda x: 1
     elif label == "R_tilde":
-        up_num = lambda x: Fraction(N - x) - Fraction(1, 2)
+        k = lambda x: Fraction(1, 2)
     else:
         raise ValueError(f"label must be one of {RESTRICTED_LABELS}")
-    return _birth_death(N, up_num, label)
+    if N < 5:
+        raise ValueError("the restricted kernels need N >= 5")
+    states = tuple(range(N - 3))
+    return _neighbour_kernel(states, (_penta_moves(N, x, k(x)) for x in states), label)
 
 
 def build_restricted(N: int) -> tuple[StochasticKernel, StochasticKernel, StochasticKernel]:
@@ -389,29 +360,15 @@ def build_restricted(N: int) -> tuple[StochasticKernel, StochasticKernel, Stocha
 def poisson_reversible_penta(N: int) -> StochasticKernel:
     """The penta-diagonal kernel on the full interval [0, N] with p == 1/2.
 
-    Up-rates N-x-1 and 1 (size one and two), down-rates x(N-x) and x(x-1);
-    size-two moves that would exit [0, N] are structurally dropped.  The
+    The moves of the family with k = 1 that stay inside [0, N]: up-rates
+    N-x-1 and 1 (size one and two), down-rates x(N-x) and x(x-1).  The
     truncation of Poisson(1) to [0, N] is exactly reversible for it.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     states = tuple(range(N + 1))
-    den = N * (N - 1)
-    partial: dict[int, dict[int, Fraction]] = {}
-    for x in states:
-        row: dict[int, Fraction] = {}
-        if x >= 1:
-            row[x - 1] = Fraction(x * (N - x), den)
-        if x >= 2:
-            row[x - 2] = Fraction(x * (x - 1), den)
-        if x + 1 <= N:
-            w = Fraction(N - x - 1, den)
-            if w != 0:
-                row[x + 1] = w
-        if x + 2 <= N:
-            row[x + 2] = Fraction(1, den)
-        partial[x] = {y: w for y, w in row.items() if w != 0}
-    return StochasticKernel(states, tuple(_fill_diagonal(states, partial)), label="P_bar")
+    moves = ({y: w for y, w in _penta_moves(N, x, 1).items() if 0 <= y <= N} for x in states)
+    return _kernel(states, moves, "P_bar")
 
 
 def poisson_box_law(N: int) -> ExactDist:

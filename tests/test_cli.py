@@ -290,6 +290,31 @@ def test_couple_unknown_field(tmp_path, capsys):
     assert "config.replica" in capsys.readouterr().err
 
 
+def test_all_rejects_a_bad_config_before_writing(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"N": 8, "n": 10, "seed": -1}))
+    assert main(["all", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and "seed must lie in" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "unreadable", "not-json"])
+@pytest.mark.parametrize("command", ["couple", "all"])
+def test_config_file_that_cannot_be_loaded(command, case, tmp_path, capsys):
+    config = tmp_path / "c.json"
+    if case == "unreadable":
+        config.mkdir()  # reading a directory fails whatever the permissions
+    elif case == "not-json":
+        config.write_text('{"N": 8, "n": ')
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: config: {config}:" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+
+
 def test_alt_command(tmp_path, capsys):
     code, report = run_cli(
         capsys, "alt", "--replicas", "15000", "--seed", "3", "--out", str(tmp_path)

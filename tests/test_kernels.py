@@ -1,14 +1,18 @@
 """Kernel construction, the three routes to p, reversibility checking."""
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permfix.exactdist import fixed_point_pmf, pi_conditioned, zeta_law
 from permfix.kernels import (
     PFunction,
     StochasticKernel,
-    _birth_death,
+    _kernel,
     birth_death_stationary,
     build_hat,
     build_penta,
@@ -388,4 +392,41 @@ class TestKernelValidation:
     def test_birth_death_negative_diagonal_raises(self):
         # an up-rate of 40/(N(N-1)) = 4/3 at N=6 leaves the diagonal at -1/3
         with pytest.raises(ValueError, match="negative entry"):
-            _birth_death(6, lambda x: Fraction(40), "inflated")
+            _kernel((0, 1, 2), [{1: Fraction(40, 30)}, {}, {}], "inflated")
+
+
+class TestEveryBuilder:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.integers(5, 200))
+    def test_stochastic_banded_and_reversible(self, n):
+        for kernel, law in every_builder(n):
+            assert all(sum(row.values()) == 1 for row in kernel.rows)
+            if kernel.label in ("P", "P_bar"):
+                assert kernel.bandwidth() <= 2
+            else:
+                assert kernel.bandwidth() == 1
+            assert check_reversibility(kernel, law).ok
+
+    def test_rows_match_frozen_digests(self):
+        # sha256 of the JSON rows at N = 5, 8, 13, 30, one digest per kernel;
+        # any change to a rate changes its digest
+        golden = {
+            "P": "40a63b94e59ecbc6bce4b35b9944aebb7388a4517a635125d2b783b8278047c1",
+            "P_tilde": "69d7272333af47e286831fff9cbd8773416e665e841833901791b170cb903fdf",
+            "P_hat": "02584d6b3022780809595b4b03e8bd6012a256e3d282ebdca2323a7e7db47930",
+            "P_check": "9e615cc39845c743112ccb7cd175f270f08994c53fdc7394f1ba502f44e64795",
+            "R": "1f75790eee6739d98671e4532f29dc05237705cd40d6a2abb1782e466e088e05",
+            "R_tilde": "87254922255fc14b135d2007b29792fc1915de76c14cf49c147213e5828d8cd2",
+            "P_bar": "82f17f793c23c7aff8563f9d7fb634353c3ee7979e574a944fe3ee40a1afc0b3",
+        }
+        rows = {label: [] for label in golden}
+        for n in (5, 8, 13, 30):
+            for kernel, _ in every_builder(n):
+                rows[kernel.label].append(kernel.to_json_dict())
+        digests = {
+            label: hashlib.sha256(
+                json.dumps(dicts, sort_keys=True, separators=(",", ":")).encode()
+            ).hexdigest()
+            for label, dicts in rows.items()
+        }
+        assert digests == golden
