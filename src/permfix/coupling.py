@@ -11,25 +11,39 @@ together with the event counters Z (meetings that split), Z-tilde
 (order violations downward) and Z-hat (order violations upward), the
 coupling time tau and the hitting times of zero.
 
-Two engines take every move from `step`.  precision="double" runs the
-vectorized engine over blocks of replicas with thresholds rounded once from
-the exact kernels; it alone records per-replica traces (emit_traces).
-precision="exact" runs a scalar loop on exact rational uniforms and
-thresholds: the rounding oracle for the vectorized engine, counts only.
+Every uniform is a grid point j * 2^-53, and every cut c of a threshold
+table or initial CDF is stored as g * 2^-53 with g = ceil(c * 2^53)
+(`grid_cut`), so u < c exactly when j < g: the engines decide alike by
+construction.
+
+precision="double" runs blocks of replicas.  Counts-only runs
+(emit_traces false) go to a compiled C loop, `step`'s rule on the integers
+j and g.  The first such run of a process loads it from the per-user cache
+$XDG_CACHE_HOME/permfix (or ~/.cache/permfix), where a file named by the
+hash of its source and build command is built with `cc` if missing;
+deleting that directory is safe, the next run builds it again.  Where it cannot be built or loaded (no compiler,
+a compile error, an unwritable cache) the vectorized numpy engine runs
+instead, with identical counts.  Traced runs always take the numpy engine,
+which alone records per-replica traces.  precision="exact" runs a scalar
+loop on exact rational uniforms and thresholds: the oracle both block
+engines are tested against, counts only.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .exactdist import ExactDist, exp_interval, pi_conditioned, tv_distance, zeta_law
 from .kernels import StochasticKernel, birth_death_stationary, build_restricted, restricted_kernel
-from .rng import Stream, VectorStreams, check_seed
+from .rng import TWO_NEG53, Stream, VectorStreams, check_seed, scramble
 
 SELECTORS = ("pcheck-r", "r-r", "pcheck-rtilde")
 PRECISIONS = ("double", "exact")
@@ -159,26 +173,34 @@ def step(x, u, down, stay):
 
 
 # ---------------------------------------------------------------------------
-# the vectorized production engine
+# the block engines: compiled counts loop and vectorized numpy
 # ---------------------------------------------------------------------------
 
-BLOCK_SIZE = 1 << 14  # replicas per vectorized block; counts do not depend on it
+BLOCK_SIZE = 1 << 14  # replicas per block; counts do not depend on it
+
+
+def grid_cut(c: Fraction) -> int:
+    """ceil(c * 2^53) for a cut c in [0, 1].
+
+    For an integer j, j * 2^-53 < c exactly when j < grid_cut(c), and
+    grid_cut(c) * 2^-53 is a double, so a uniform compared with the stored
+    cut decides as the exact rational comparison does.
+    """
+    c = Fraction(c)
+    return -((-c.numerator << 53) // c.denominator)
+
+
+def _float_cuts(cuts) -> np.ndarray:
+    return np.array([grid_cut(c) for c in cuts], dtype=np.float64) * TWO_NEG53
 
 
 def _float_tables(kernel: StochasticKernel) -> tuple[np.ndarray, np.ndarray]:
-    down, stay = birth_death_thresholds(kernel)
-    return (
-        np.array([float(v) for v in down]),
-        np.array([float(v) for v in stay]),
-    )
+    return tuple(_float_cuts(t) for t in birth_death_thresholds(kernel))
 
 
 def _float_cdf(dist: ExactDist) -> tuple[np.ndarray, np.ndarray]:
-    """(float-rounded cumulative table, support) of dist."""
-    return (
-        np.array([float(c) for c in dist.cumulative()]),
-        np.array(dist.support, dtype=np.int64),
-    )
+    """(grid cumulative table, support) of dist."""
+    return _float_cuts(dist.cumulative()), np.array(dist.support, dtype=np.int64)
 
 
 def _float_quantile(cdf: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
@@ -188,15 +210,165 @@ def _float_quantile(cdf: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.nda
 
 
 def _double_tables(cfg: RunConfig) -> tuple:
-    """Float (down, stay) thresholds of both chains and the CDF tables of
+    """Grid (down, stay) thresholds of both chains and the CDF tables of
     both initial laws, built once per run and shared by its blocks."""
     k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
     return (*_float_tables(k_x), *_float_tables(k_y), _float_cdf(law_x), _float_cdf(law_y))
 
 
+_C_SOURCE = r"""
+#include <stdint.h>
+
+#define GOLDEN 0x9E3779B97F4A7C15u
+
+static uint64_t scramble(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return z ^ (z >> 31);
+}
+
+static int64_t quantile(const uint64_t *cdf, const int64_t *support, int64_t size, uint64_t j)
+{
+    int64_t i = 0;
+    while (i < size - 1 && j >= cdf[i])
+        i++;
+    return support[i];
+}
+
+/* Replicas [first, first + count): the numpy engine's streams, initial
+   states, moves and flags, on 53-bit words j against grid numerators g.
+   start_mode indexes (shared, independent, copy_x); counts holds 7 int64
+   per checkpoint; checkpoints ascend and end at horizon.  lo_x and lo_y are the lowest states visited, so a chain has
+   hit 0 when its lo is 0. */
+void permfix_run_block(uint64_t seed_hash, int64_t first, int64_t count, int64_t horizon,
+                       int64_t start_mode, const int64_t *checkpoints,
+                       const uint64_t *down_x, const uint64_t *stay_x,
+                       const uint64_t *down_y, const uint64_t *stay_y,
+                       const uint64_t *cdf_x, const int64_t *support_x, int64_t size_x,
+                       const uint64_t *cdf_y, const int64_t *support_y, int64_t size_y,
+                       int64_t *counts)
+{
+    for (int64_t r = first; r < first + count; r++) {
+        uint64_t s = scramble(seed_hash + (uint64_t)(r + 1) * GOLDEN);
+        uint64_t j = scramble(s += GOLDEN) >> 11;
+        int64_t x = quantile(cdf_x, support_x, size_x, j);
+        int64_t y = x;
+        if (start_mode == 0)
+            y = quantile(cdf_y, support_y, size_y, j);
+        else if (start_mode == 1)
+            y = quantile(cdf_y, support_y, size_y, scramble(s += GOLDEN) >> 11);
+        int64_t met = x == y, lo_x = x, lo_y = y, z = 0, zt = 0, zh = 0, k = 0;
+        int64_t *row = counts;
+        for (const int64_t *next = checkpoints;; next++, row += 7) {
+            for (; k < *next; k++) {
+                j = scramble(s += GOLDEN) >> 11;
+                int64_t xn = x + 1 - (j < stay_x[x]) - (j < down_x[x]);
+                int64_t yn = y + 1 - (j < stay_y[y]) - (j < down_y[y]);
+                int64_t d = x - y, dn = xn - yn;
+                z |= (d == 0) & (dn != 0);
+                zt |= (d <= 0) & (dn > 0);
+                zh |= (d >= 0) & (dn < 0);
+                met |= dn == 0;
+                lo_x = xn < lo_x ? xn : lo_x;
+                lo_y = yn < lo_y ? yn : lo_y;
+                x = xn;
+                y = yn;
+            }
+            row[0] += x != y;
+            row[1] += !met;
+            row[2] += z;
+            row[3] += zt;
+            row[4] += zh;
+            row[5] += lo_x != 0;
+            row[6] += lo_y != 0;
+            if (k == horizon)
+                break;
+        }
+    }
+}
+"""
+_C_BUILD = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-")  # source on stdin
+
+
+def _library_path() -> Path:
+    """The compiled loop in the per-user cache, built there if missing.
+
+    The name carries the hash of the source and the build command, so an
+    edit to either builds a new file; the build writes a process-unique
+    name and renames it into place, so concurrent first runs do not clash.
+    """
+    import subprocess
+
+    key = hashlib.sha256("\0".join((_C_SOURCE, *_C_BUILD)).encode()).hexdigest()[:16]
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "permfix"
+    path = cache / f"coupling-{key}.so"
+    if not path.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        tmp = cache / f"{path.name}.{os.getpid()}.tmp"
+        try:
+            subprocess.run(
+                [*_C_BUILD, "-o", str(tmp)], input=_C_SOURCE.encode(), capture_output=True, check=True
+            )
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return path
+
+
+@lru_cache(maxsize=None)
+def _compiled_engine():
+    """The compiled counts loop as a block engine, or None when it cannot be
+    built or loaded; decided once per process."""
+    import ctypes
+    import subprocess
+
+    try:
+        lib = ctypes.CDLL(str(_library_path()))
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+    words = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
+    ints = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    i64 = ctypes.c_int64
+    run = lib.permfix_run_block
+    run.argtypes = [
+        ctypes.c_uint64, i64, i64, i64, i64, ints,
+        words, words, words, words, words, ints, i64, words, ints, i64,
+        np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"),
+    ]
+    run.restype = None
+
+    def run_block(cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray) -> list:
+        *thresholds, (cum_x, support_x), (cum_y, support_y) = tables
+        # every stored cut is g * 2^-53 exactly, so scaling recovers g
+        down_x, stay_x, down_y, stay_y, cum_x, cum_y = (
+            (t * 2.0 ** 53).astype(np.uint64) for t in (*thresholds, cum_x, cum_y)
+        )
+        # the C loop indexes the threshold tables by state, unchecked
+        states = np.concatenate((support_x, support_y))
+        if (
+            {len(t) for t in (down_x, stay_x, down_y, stay_y)} != {cfg.N - 3}
+            or (len(cum_x), len(cum_y)) != (len(support_x), len(support_y))
+            or not 0 <= states.min() <= states.max() <= cfg.N - 4
+        ):
+            raise ValueError("tables must cover the states [0, N-4] and laws lie inside them")
+        if counts.shape != (len(cfg.checkpoints), len(STAT_NAMES)):
+            raise ValueError("counts must hold one row per checkpoint")
+        run(
+            scramble(cfg.seed), first, count, cfg.horizon, START_MODES.index(cfg.start_mode),
+            np.array(cfg.checkpoints, dtype=np.int64), down_x, stay_x, down_y, stay_y,
+            cum_x, support_x, len(support_x), cum_y, support_y, len(support_y), counts,
+        )
+        return []
+
+    return run_block
+
+
 def _run_block_double(
-    cfg: RunConfig, tables: tuple, first: int, count: int
-) -> tuple[dict[int, dict[str, int]], list[CouplingTrace]]:
+    cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray
+) -> list[CouplingTrace]:
+    """The numpy engine on replicas [first, first + count): adds their counts
+    into `counts` (one row per checkpoint) and returns their traces."""
     down_x, stay_x, down_y, stay_y, cdf_x, cdf_y = tables
 
     streams = VectorStreams(cfg.seed, first, count)
@@ -217,21 +389,20 @@ def _run_block_double(
     zh_f = np.zeros(count, dtype=bool)
     xs, ys, us = [X], [Y], []  # the path, kept when traces are asked for
 
-    wanted = set(cfg.checkpoints)
-    out: dict[int, dict[str, int]] = {}
+    rows = {n: i for i, n in enumerate(cfg.checkpoints)}
 
     def snapshot(n: int) -> None:
-        out[n] = {
-            "neq": int(np.count_nonzero(X != Y)),
-            "tau_gt": int(np.count_nonzero(~met)),
-            "z_pos": int(np.count_nonzero(z_f)),
-            "ztilde_pos": int(np.count_nonzero(zt_f)),
-            "zhat_pos": int(np.count_nonzero(zh_f)),
-            "tau0x_gt": int(np.count_nonzero(~hit_x)),
-            "tau0y_gt": int(np.count_nonzero(~hit_y)),
-        }
+        counts[rows[n]] += [
+            np.count_nonzero(X != Y),
+            np.count_nonzero(~met),
+            np.count_nonzero(z_f),
+            np.count_nonzero(zt_f),
+            np.count_nonzero(zh_f),
+            np.count_nonzero(~hit_x),
+            np.count_nonzero(~hit_y),
+        ]
 
-    if 0 in wanted:
+    if 0 in rows:
         snapshot(0)
     for k in range(cfg.horizon):
         u = streams.uniforms()
@@ -251,11 +422,11 @@ def _run_block_double(
             xs.append(X)
             ys.append(Y)
             us.append(u)
-        if k + 1 in wanted:
+        if k + 1 in rows:
             snapshot(k + 1)
     if not cfg.emit_traces:
-        return out, []
-    return out, _traces_from_path(np.array(xs), np.array(ys), np.array(us).reshape(cfg.horizon, count))
+        return []
+    return _traces_from_path(np.array(xs), np.array(ys), np.array(us).reshape(cfg.horizon, count))
 
 
 def _traces_from_path(xs: np.ndarray, ys: np.ndarray, us: np.ndarray) -> list[CouplingTrace]:
@@ -283,13 +454,14 @@ def _traces_from_path(xs: np.ndarray, ys: np.ndarray, us: np.ndarray) -> list[Co
     ]
 
 
-def _run_scalar(cfg: RunConfig) -> dict[int, dict[str, int]]:
+def _run_scalar(cfg: RunConfig) -> np.ndarray:
     """Rounding oracle: one replica at a time, exact Fraction uniforms from
     the same streams against the exact thresholds and initial laws."""
     k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
     down_x, stay_x = birth_death_thresholds(k_x)
     down_y, stay_y = birth_death_thresholds(k_y)
-    counts = {n: {s: 0 for s in STAT_NAMES} for n in cfg.checkpoints}
+    counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
+    rows = {n: i for i, n in enumerate(cfg.checkpoints)}
 
     for r in range(cfg.replicas):
         draw = Stream(cfg.seed, r).uniform_fraction
@@ -304,15 +476,8 @@ def _run_scalar(cfg: RunConfig) -> dict[int, dict[str, int]]:
         met, hit_x, hit_y = x == y, x == 0, y == 0
         z = zt = zh = False
         for k in range(cfg.horizon + 1):
-            if k in counts:
-                row = counts[k]
-                row["neq"] += x != y
-                row["tau_gt"] += not met
-                row["z_pos"] += z
-                row["ztilde_pos"] += zt
-                row["zhat_pos"] += zh
-                row["tau0x_gt"] += not hit_x
-                row["tau0y_gt"] += not hit_y
+            if k in rows:
+                counts[rows[k]] += [x != y, not met, z, zt, zh, not hit_x, not hit_y]
             if k == cfg.horizon:
                 break
             u = draw()
@@ -331,25 +496,22 @@ def run_coupling(cfg: RunConfig) -> CouplingStats:
     """Simulate all replicas and aggregate the event counts.
 
     Replica r always consumes stream (seed, r), so the counts and traces do
-    not depend on BLOCK_SIZE; blocks are reduced in replica order and all
-    counts are exact integers.
+    not depend on BLOCK_SIZE or on which block engine runs; blocks are
+    reduced in replica order and all counts are exact integers.
     """
     traces: list[CouplingTrace] = []
     if cfg.precision == "exact":
         counts = _run_scalar(cfg)
     else:
-        counts = {n: {s: 0 for s in STAT_NAMES} for n in cfg.checkpoints}
+        counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
         tables = _double_tables(cfg)
+        run_block = (None if cfg.emit_traces else _compiled_engine()) or _run_block_double
         for first in range(0, cfg.replicas, BLOCK_SIZE):
-            block, block_traces = _run_block_double(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first))
-            traces += block_traces
-            for n, row in block.items():
-                for s, v in row.items():
-                    counts[n][s] += v
+            traces += run_block(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first), counts)
 
     by_time = {
-        n: Aggregates(n=n, replicas=cfg.replicas, counts=row)
-        for n, row in counts.items()
+        n: Aggregates(n=n, replicas=cfg.replicas, counts=dict(zip(STAT_NAMES, row)))
+        for n, row in zip(cfg.checkpoints, counts.tolist())
     }
     return CouplingStats(config=cfg, by_time=by_time, traces=tuple(traces))
 

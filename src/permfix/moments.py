@@ -229,8 +229,3 @@ def coefficient_systems(N: int) -> CoefficientSystems:
         f_values=f_values,
         needed_functional=functional,
     )
-
-
-def alternating_partial_sum(n: int) -> Fraction:
-    """sum_{l<=n} (-1)^l / l!; lies in [1/3, 1/2] for n >= 2."""
-    return sum((Fraction((-1) ** l, math.factorial(l)) for l in range(n + 1)), Fraction(0))

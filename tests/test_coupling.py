@@ -1,5 +1,7 @@
 """The monotone coupling simulator, its certificates and assembled bound."""
+import dataclasses
 import math
+import shutil
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +19,7 @@ from permfix.coupling import (
     birth_death_thresholds,
     drift_certificate,
     exact_tv_pi_check_zeta,
+    grid_cut,
     monotonicity_certificate,
     run_coupling,
     selector_kernels,
@@ -175,6 +178,154 @@ class TestRunCoupling:
             N=8, horizon=100, replicas=100, seed=2, selector="r-r", start_mode="copy_x"
         )
         assert run_coupling(cfg).final.counts["neq"] == 0
+
+
+@pytest.fixture
+def compiled():
+    """The compiled counts engine; skips only where no C compiler is installed."""
+    if shutil.which(coupling._C_BUILD[0]) is None:
+        pytest.skip("no C compiler")
+    engine = coupling._compiled_engine()
+    assert engine is not None, "a compiler is installed but the counts loop did not build"
+    return engine
+
+
+@pytest.fixture
+def fresh_engine(monkeypatch):
+    """Forget the engine decided for this process, and decide it again after the test."""
+    coupling._compiled_engine.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    coupling._compiled_engine.cache_clear()
+
+
+def engines(cfg, monkeypatch):
+    """Counts of cfg from the compiled loop, the numpy engine (the loader
+    reporting failure) and the exact-rational oracle."""
+    fast = run_coupling(cfg).by_time
+    exact = run_coupling(dataclasses.replace(cfg, precision="exact")).by_time
+    with monkeypatch.context() as m:
+        m.setattr(coupling, "_compiled_engine", lambda: None)
+        vector = run_coupling(cfg).by_time
+    return fast, vector, exact
+
+
+class TestGridCuts:
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_every_cut_rounds_up_onto_the_grid(self, selector):
+        grid = 2 ** 53
+        for N in range(5, 61):
+            k_x, k_y, law_x, law_y = selector_kernels(N, selector)
+            tables = (
+                *zip(birth_death_thresholds(k_x), coupling._float_tables(k_x)),
+                *zip(birth_death_thresholds(k_y), coupling._float_tables(k_y)),
+                (law_x.cumulative(), coupling._float_cdf(law_x)[0]),
+                (law_y.cumulative(), coupling._float_cdf(law_y)[0]),
+            )
+            for cuts, stored in tables:
+                for c, f in zip(cuts, stored, strict=True):
+                    g = grid_cut(c)
+                    assert Fraction(g, grid) >= c
+                    assert Fraction(g, grid) - c < Fraction(1, grid)
+                    assert g <= grid
+                    assert Fraction(float(f)) == Fraction(g, grid)
+
+    def test_grid_decides_as_the_exact_cut(self):
+        for c in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 2 ** 53), Fraction(2, 3)):
+            g = grid_cut(c)
+            for j in (g - 1, g, g + 1):
+                if 0 <= j < 2 ** 53:
+                    assert (Fraction(j, 2 ** 53) < c) == (j < g)
+
+
+class TestEngineEquivalence:
+    """The compiled loop, the numpy engine and the exact oracle, count for count."""
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("N", [5, 30])
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_engines_agree(self, compiled, monkeypatch, selector, start_mode, N, seed):
+        cfg = RunConfig(
+            N=N, horizon=120, replicas=60, seed=seed, selector=selector,
+            start_mode=start_mode, checkpoints=(0, 1),
+        )
+        assert cfg.checkpoints == (0, 1, 120)
+        fast, vector, exact = engines(cfg, monkeypatch)
+        assert fast == vector == exact
+
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    def test_horizon_zero(self, compiled, monkeypatch, start_mode):
+        cfg = RunConfig(N=9, horizon=0, replicas=200, seed=3, selector="pcheck-r", start_mode=start_mode)
+        fast, vector, exact = engines(cfg, monkeypatch)
+        assert fast == vector == exact
+        assert list(fast) == [0]
+        assert fast[0].counts["neq"] == fast[0].counts["tau_gt"]
+
+    def test_small_ragged_blocks(self, compiled, monkeypatch):
+        cfg = RunConfig(
+            N=9, horizon=80, replicas=50, seed=SEED_NEAR_2_64, selector="pcheck-rtilde",
+            start_mode="independent", checkpoints=(0, 1, 40),
+        )
+        whole = run_coupling(cfg).by_time
+        monkeypatch.setattr(coupling, "BLOCK_SIZE", 7)  # seven blocks of 7, then one of 1
+        fast, vector, exact = engines(cfg, monkeypatch)
+        assert fast == vector == exact == whole
+
+    def test_uniform_on_a_cut_falls_above_it(self, compiled, monkeypatch):
+        # Tables whose cuts sit exactly on the words of replica 0, so each of
+        # the three decisions below is taken with u equal to its cut.
+        seed = next(s for s in range(100) if self._words(s)[1] < self._words(s)[2])
+        j0, j1, j2 = (j * 2.0 ** -53 for j in self._words(seed))
+        support = np.arange(3)
+        tables = (
+            np.array([0.0, j1, 0.0]), np.array([1.0, j2, 1.0]),  # X: down on j1, up on j2
+            np.zeros(3), np.ones(3),  # Y: never moves
+            (np.array([j0, 1.0, 1.0]), support),  # X(0) = 1: u0 sits on the first cut
+            (np.array([0.0, 0.0, 1.0]), support),  # Y(0) = 2
+        )
+        monkeypatch.setattr(coupling, "_double_tables", lambda cfg: tables)
+        cfg = RunConfig(N=6, horizon=2, replicas=1, seed=seed, checkpoints=(0, 1))
+        # X: 1, then 1 (u = down cut, not below it), then 2 (u = stay cut); Y stays at 2
+        expected = {0: (1, 1, 0, 0, 0, 1, 1), 1: (1, 1, 0, 0, 0, 1, 1), 2: (0, 0, 0, 0, 0, 1, 1)}
+        fast = run_coupling(cfg).by_time
+        monkeypatch.setattr(coupling, "_compiled_engine", lambda: None)
+        vector = run_coupling(cfg).by_time
+        for counts in (fast, vector):
+            assert {n: tuple(a.counts.values()) for n, a in counts.items()} == expected
+
+    @staticmethod
+    def _words(seed):
+        stream = Stream(seed, 0)
+        return [stream.next_word() >> 11 for _ in range(3)]
+
+    @pytest.mark.parametrize("breakage", ["missing compiler", "compile error", "unwritable cache"])
+    def test_failed_build_falls_back(self, compiled, fresh_engine, tmp_path, breakage):
+        cfg = RunConfig(N=8, horizon=150, replicas=300, seed=9, checkpoints=(0, 75))
+        expected = run_coupling(cfg).by_time
+        fresh_engine.setenv("XDG_CACHE_HOME", str(tmp_path))
+        if breakage == "missing compiler":
+            fresh_engine.setattr(coupling, "_C_BUILD", (str(tmp_path / "no-cc"), *coupling._C_BUILD[1:]))
+        elif breakage == "compile error":
+            fresh_engine.setattr(coupling, "_C_SOURCE", coupling._C_SOURCE + "\n#error broken\n")
+        else:
+            (tmp_path / "permfix").write_text("")  # a file where the cache directory belongs
+        coupling._compiled_engine.cache_clear()
+        assert coupling._compiled_engine() is None
+        assert run_coupling(cfg).by_time == expected
+        if breakage != "unwritable cache":
+            assert list((tmp_path / "permfix").iterdir()) == []  # no partial build left
+
+    def test_cache_rebuilds_after_deletion(self, compiled, fresh_engine, tmp_path):
+        cfg = RunConfig(N=8, horizon=100, replicas=100, seed=4, selector="pcheck-rtilde")
+        expected = run_coupling(cfg).by_time
+        fresh_engine.setenv("XDG_CACHE_HOME", str(tmp_path))
+        for _ in range(2):
+            coupling._compiled_engine.cache_clear()
+            assert coupling._compiled_engine() is not None
+            assert [f.suffix for f in (tmp_path / "permfix").iterdir()] == [".so"]
+            assert run_coupling(cfg).by_time == expected
+            shutil.rmtree(tmp_path / "permfix")
 
 
 class TestTraceReplay:

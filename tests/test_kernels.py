@@ -134,8 +134,10 @@ class TestPentaKernel:
     def test_negative_up_rate_rejected(self):
         p = p_closedform(6)
         inflated = dict(p.values)
-        inflated[4] = Fraction(3)  # forces N - x - 2p(x) < 0
-        with pytest.raises(ValueError):
+        # a valid PFunction (even offset, 2p(2) - 1 > 0) whose up rate
+        # N - x - 2p(x) at x = 2 is 6 - 2 - 6 < 0
+        inflated[2] = Fraction(3)
+        with pytest.raises(ValueError, match=r"negative entry at \(2, 3\): -1/15"):
             build_penta(6, PFunction(N=6, values=inflated, source="closedform"))
 
 

@@ -5,9 +5,9 @@ from itertools import permutations as iter_perms
 
 import pytest
 
+from permfix.exactdist import derangements
 from permfix.kernels import p_closedform, state_space
 from permfix.moments import (
-    alternating_partial_sum,
     bell_numbers,
     coefficient_systems,
     eta2_fk,
@@ -155,13 +155,16 @@ class TestLemmaB1Chain:
     @pytest.mark.parametrize("n", range(4, 21))
     def test_exact_gap_identity(self, n):
         # |2p(x) - 1| = (N-x-1) / ((N-x)! * sum_{l<=N-x} (-1)^l / l!)
+        #             = (N-x-1) / D_{N-x}
         p = p_closedform(n)
+        d = derangements(n)
         for x in range(0, n - 1):
             m = n - x
-            denom = math.factorial(m) * alternating_partial_sum(m)
-            assert abs(2 * p[x] - 1) == Fraction(m - 1) / denom
+            assert abs(2 * p[x] - 1) == Fraction(m - 1, d[m])
 
     def test_partial_sums_bracketed(self):
+        # sum_{l<=m} (-1)^l / l! = D_m / m! lies in [1/3, 1/2] for m >= 2
+        d = derangements(39)
         for m in range(2, 40):
-            s = alternating_partial_sum(m)
+            s = Fraction(d[m], math.factorial(m))
             assert Fraction(1, 3) <= s <= Fraction(1, 2)
