@@ -275,8 +275,7 @@ def _load_couple_config(args: argparse.Namespace) -> coupling.RunConfig:
             data[key] = flag
     fields = {
         "N": int, "n": int, "replicas": int, "seed": int,
-        "selector": str, "precision": str, "emit_traces": bool, "start_mode": str,
-        "checkpoints": list,
+        "selector": str, "emit_traces": bool, "start_mode": str, "checkpoints": list,
     }
     unknown = set(data) - set(fields)
     if unknown:
@@ -296,7 +295,6 @@ def _load_couple_config(args: argparse.Namespace) -> coupling.RunConfig:
             replicas=data.get("replicas", 1000),
             seed=data.get("seed", 0),
             selector=data.get("selector", "pcheck-r"),
-            precision=data.get("precision", "double"),
             start_mode=data.get("start_mode", "shared"),
             emit_traces=data.get("emit_traces", False),
             checkpoints=tuple(data.get("checkpoints", ())),
@@ -309,8 +307,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
     cfg = _load_couple_config(args)
     report = Report("couple", {
         "N": cfg.N, "n": cfg.horizon, "replicas": cfg.replicas, "seed": cfg.seed,
-        "selector": cfg.selector, "precision": cfg.precision,
-        "start_mode": cfg.start_mode, "emit_traces": cfg.emit_traces,
+        "selector": cfg.selector, "start_mode": cfg.start_mode, "emit_traces": cfg.emit_traces,
         "checkpoints": list(cfg.checkpoints),
     })
     out = Path(args.out)

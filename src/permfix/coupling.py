@@ -16,17 +16,17 @@ table or initial CDF is stored as g * 2^-53 with g = ceil(c * 2^53)
 (`grid_cut`), so u < c exactly when j < g: the engines decide alike by
 construction.
 
-precision="double" runs blocks of replicas.  Counts-only runs
-(emit_traces false) go to a compiled C loop, `step`'s rule on the integers
-j and g.  The first such run of a process loads it from the per-user cache
-$XDG_CACHE_HOME/permfix (or ~/.cache/permfix), where a file named by the
-hash of its source and build command is built with `cc` if missing;
-deleting that directory is safe, the next run builds it again.  Where it cannot be built or loaded (no compiler,
+Replicas run in blocks.  Counts-only runs (emit_traces false) go to a
+compiled C loop, `step`'s rule on the integers j and g.  The first such run
+of a process loads it from the per-user cache $XDG_CACHE_HOME/permfix (or
+~/.cache/permfix), where a file named by the hash of its source and build
+command is built with `cc` if missing; deleting that directory is safe, the
+next run builds it again.  Where it cannot be built or loaded (no compiler,
 a compile error, an unwritable cache) the vectorized numpy engine runs
 instead, with identical counts.  Traced runs always take the numpy engine,
-which alone records per-replica traces.  precision="exact" runs a scalar
-loop on exact rational uniforms and thresholds: the oracle both block
-engines are tested against, counts only.
+which alone records per-replica traces.  Both engines are tested against an
+exact replay in the tests, which redraws each replica's uniforms as
+Fractions and moves it with `step` on the exact thresholds.
 """
 from __future__ import annotations
 
@@ -43,10 +43,9 @@ import numpy as np
 
 from .exactdist import ExactDist, exp_interval, pi_conditioned, tv_distance, zeta_law
 from .kernels import StochasticKernel, birth_death_stationary, build_restricted, restricted_kernel
-from .rng import TWO_NEG53, Stream, VectorStreams, check_seed, scramble
+from .rng import TWO_NEG53, VectorStreams, check_seed, scramble
 
 SELECTORS = ("pcheck-r", "r-r", "pcheck-rtilde")
-PRECISIONS = ("double", "exact")
 START_MODES = ("shared", "independent", "copy_x")
 STAT_NAMES = ("neq", "tau_gt", "z_pos", "ztilde_pos", "zhat_pos", "tau0x_gt", "tau0y_gt")
 
@@ -60,7 +59,6 @@ class RunConfig:
     replicas: int
     seed: int
     selector: str = "pcheck-r"
-    precision: str = "double"
     start_mode: str = "shared"
     emit_traces: bool = False
     checkpoints: tuple[int, ...] = ()
@@ -75,12 +73,8 @@ class RunConfig:
         check_seed(self.seed)
         if self.selector not in SELECTORS:
             raise ValueError(f"selector must be one of {SELECTORS}")
-        if self.precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {PRECISIONS}")
         if self.start_mode not in START_MODES:
             raise ValueError(f"start_mode must be one of {START_MODES}")
-        if self.emit_traces and self.precision == "exact":
-            raise ValueError("emit_traces needs precision 'double'")
         if any(not isinstance(p, int) or isinstance(p, bool) for p in self.checkpoints):
             raise ValueError("checkpoints must be integers")
         points = sorted(set(self.checkpoints) | {self.horizon})
@@ -239,8 +233,8 @@ static int64_t quantile(const uint64_t *cdf, const int64_t *support, int64_t siz
 /* Replicas [first, first + count): the numpy engine's streams, initial
    states, moves and flags, on 53-bit words j against grid numerators g.
    start_mode indexes (shared, independent, copy_x); counts holds 7 int64
-   per checkpoint; checkpoints ascend and end at horizon.  lo_x and lo_y are the lowest states visited, so a chain has
-   hit 0 when its lo is 0. */
+   per checkpoint; checkpoints ascend and end at horizon.  lo_x and lo_y
+   are the lowest states visited, so a chain has hit 0 when its lo is 0. */
 void permfix_run_block(uint64_t seed_hash, int64_t first, int64_t count, int64_t horizon,
                        int64_t start_mode, const int64_t *checkpoints,
                        const uint64_t *down_x, const uint64_t *stay_x,
@@ -454,44 +448,6 @@ def _traces_from_path(xs: np.ndarray, ys: np.ndarray, us: np.ndarray) -> list[Co
     ]
 
 
-def _run_scalar(cfg: RunConfig) -> np.ndarray:
-    """Rounding oracle: one replica at a time, exact Fraction uniforms from
-    the same streams against the exact thresholds and initial laws."""
-    k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
-    down_x, stay_x = birth_death_thresholds(k_x)
-    down_y, stay_y = birth_death_thresholds(k_y)
-    counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
-    rows = {n: i for i, n in enumerate(cfg.checkpoints)}
-
-    for r in range(cfg.replicas):
-        draw = Stream(cfg.seed, r).uniform_fraction
-        u0 = draw()
-        x = law_x.quantile(u0)
-        if cfg.start_mode == "shared":
-            y = law_y.quantile(u0)
-        elif cfg.start_mode == "independent":
-            y = law_y.quantile(draw())
-        else:
-            y = x
-        met, hit_x, hit_y = x == y, x == 0, y == 0
-        z = zt = zh = False
-        for k in range(cfg.horizon + 1):
-            if k in rows:
-                counts[rows[k]] += [x != y, not met, z, zt, zh, not hit_x, not hit_y]
-            if k == cfg.horizon:
-                break
-            u = draw()
-            xn, yn = step(x, u, down_x, stay_x), step(y, u, down_y, stay_y)
-            z = z or (x == y and xn != yn)
-            zt = zt or (x <= y and xn > yn)
-            zh = zh or (x >= y and xn < yn)
-            x, y = xn, yn
-            met = met or x == y
-            hit_x = hit_x or x == 0
-            hit_y = hit_y or y == 0
-    return counts
-
-
 def run_coupling(cfg: RunConfig) -> CouplingStats:
     """Simulate all replicas and aggregate the event counts.
 
@@ -500,14 +456,11 @@ def run_coupling(cfg: RunConfig) -> CouplingStats:
     reduced in replica order and all counts are exact integers.
     """
     traces: list[CouplingTrace] = []
-    if cfg.precision == "exact":
-        counts = _run_scalar(cfg)
-    else:
-        counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
-        tables = _double_tables(cfg)
-        run_block = (None if cfg.emit_traces else _compiled_engine()) or _run_block_double
-        for first in range(0, cfg.replicas, BLOCK_SIZE):
-            traces += run_block(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first), counts)
+    counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
+    tables = _double_tables(cfg)
+    run_block = (None if cfg.emit_traces else _compiled_engine()) or _run_block_double
+    for first in range(0, cfg.replicas, BLOCK_SIZE):
+        traces += run_block(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first), counts)
 
     by_time = {
         n: Aggregates(n=n, replicas=cfg.replicas, counts=dict(zip(STAT_NAMES, row)))
@@ -543,9 +496,9 @@ class DriftCertificate:
          = 1 + (e^{-theta/N} - 1) K(y, y-1) + (e^{theta/N} - 1) K(y, y+1)
 
     Both rates are >= 0, so the upper ends of rational enclosures of
-    e^{-theta/N} and e^{theta/N} give an exact rational F_bar >= F; `table`
-    holds F_bar on [1, N-4] and c_est = N^3 (1 - max F_bar) is an exact
-    rational lower bound on the contraction rate.  Positivity certifies the
+    e^{-theta/N} and e^{theta/N} give an exact rational F_bar >= F, and
+    c_est = N^3 (1 - max F_bar over y in [1, N-4]) is an exact rational
+    lower bound on the contraction rate.  Positivity certifies the
     hitting-time tail P[tau_0 > n] <= e^{1 - c_est n / N^3} for any initial
     law (theta <= 1 keeps the constant e valid).
     """
@@ -554,9 +507,6 @@ class DriftCertificate:
     kernel_label: str
     theta: Fraction
     c_est: Fraction
-    table: tuple[tuple[int, Fraction], ...]
-    max_at_endpoints: bool
-    vertex: float
 
     def tail_bound(self, n: int) -> float:
         return math.exp(min(1 - self.c_est * n / self.N ** 3, 700))
@@ -569,28 +519,9 @@ def _drift_for(kernel: StochasticKernel, N: int, theta: Fraction) -> DriftCertif
     down, stay = birth_death_thresholds(kernel)
     em = exp_interval(-theta / N, _DRIFT_DIGITS).hi - 1
     ep = exp_interval(theta / N, _DRIFT_DIGITS).hi - 1
-    table = [
-        (y, 1 + em * down[i] + ep * (1 - stay[i]))
-        for i, y in enumerate(kernel.states)
-        if y != 0
-    ]
-    worst = max(v for _, v in table)
-    vertex = float("nan")
-    if len(table) >= 3:
-        # vertex of the quadratic through the first three values
-        f1, f2, f3 = (v for _, v in table[:3])
-        second = f3 - 2 * f2 + f1
-        if second != 0:
-            vertex = float(table[0][0] + Fraction(1, 2) - (f2 - f1) / second)
-    return DriftCertificate(
-        N=N,
-        kernel_label=kernel.label,
-        theta=theta,
-        c_est=N ** 3 * (1 - worst),
-        table=tuple(table),
-        max_at_endpoints=worst == max(table[0][1], table[-1][1]),
-        vertex=vertex,
-    )
+    # states are 0..N-4, each its own index; y = 0 is the target, not a drift state
+    worst = max(1 + em * down[y] + ep * (1 - stay[y]) for y in range(1, len(down)))
+    return DriftCertificate(N=N, kernel_label=kernel.label, theta=theta, c_est=N ** 3 * (1 - worst))
 
 
 def drift_certificate(N: int, which: str = "R", theta: Fraction | None = None) -> DriftCertificate:

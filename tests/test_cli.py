@@ -33,12 +33,15 @@ def test_parse_range_rejects_bad_input(text):
     ["project", "--n", "1"],
     ["moments", "--n", "3"],
     ["couple", "--n", "4", "--horizon", "10"],
+    ["couple", "--n", "8", "--horizon", "10", "--replicas", "0"],
+    ["couple", "--n", "8", "--horizon", "-1"],
 ])
 def test_bad_n_is_a_configuration_error(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -244,20 +247,6 @@ def test_couple_traces_agree_with_aggregates(tmp_path, capsys):
     assert counts["z_pos"] > 0
 
 
-def test_couple_rejects_exact_traces(tmp_path, capsys):
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({
-        "N": 8, "n": 10, "precision": "exact", "emit_traces": True,
-    }))
-    args = build_parser().parse_args(
-        ["couple", "--config", str(config), "--out", str(tmp_path / "x")]
-    )
-    with pytest.raises(ConfigError, match="emit_traces"):
-        args.fn(args)
-    assert main(["couple", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
-    assert "emit_traces" in capsys.readouterr().err
-
-
 def test_couple_bad_config(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"N": 8, "n": 10, "selector": "nope"}))
@@ -284,10 +273,11 @@ def test_couple_bad_field_type(field, message, tmp_path, capsys):
 
 def test_couple_unknown_field(tmp_path, capsys):
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"N": 8, "n": 10, "replica": 5}))
-    code = main(["couple", "--config", str(config), "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "config.replica" in capsys.readouterr().err
+    for name, value in (("replica", 5), ("precision", "double")):
+        config.write_text(json.dumps({"N": 8, "n": 10, name: value}))
+        code = main(["couple", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"config.{name}: unknown field" in capsys.readouterr().err
 
 
 def test_all_rejects_a_bad_config_before_writing(tmp_path, capsys):

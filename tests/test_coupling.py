@@ -1,5 +1,4 @@
 """The monotone coupling simulator, its certificates and assembled bound."""
-import dataclasses
 import math
 import shutil
 from fractions import Fraction
@@ -12,6 +11,7 @@ from permfix import coupling
 from permfix.coupling import (
     SELECTORS,
     START_MODES,
+    STAT_NAMES,
     Aggregates,
     CouplingTrace,
     RunConfig,
@@ -26,6 +26,7 @@ from permfix.coupling import (
     step,
     suggested_horizon,
 )
+from permfix.exactdist import exp_interval
 from permfix.kernels import StochasticKernel, build_restricted, p_closedform, restricted_kernel
 from permfix.rng import Stream
 
@@ -35,6 +36,78 @@ SEED_NEAR_2_64 = (1 << 64) - 5
 def pair_step(x, y, u, k_x, k_y):
     """One shared-uniform move of both chains on their exact thresholds."""
     return step(x, u, *birth_death_thresholds(k_x)), step(y, u, *birth_death_thresholds(k_y))
+
+
+def exact_replay(cfg):
+    """The exact oracle of both block engines: one trace per replica, from
+    its uniforms redrawn as Fractions (`Stream.uniform_fraction`), its start
+    drawn by `ExactDist.quantile` and its moves made by `step` on the exact
+    thresholds, all in a plain loop.  Its u are Fractions; a float u of an
+    engine's trace compares equal exactly when it is the same number."""
+    k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
+    thr_x, thr_y = birth_death_thresholds(k_x), birth_death_thresholds(k_y)
+    traces = []
+    for r in range(cfg.replicas):
+        draw = Stream(cfg.seed, r).uniform_fraction
+        u0 = draw()
+        x = law_x.quantile(u0)
+        if cfg.start_mode == "shared":
+            y = law_y.quantile(u0)
+        elif cfg.start_mode == "independent":
+            y = law_y.quantile(draw())
+        else:
+            y = x
+        tau = 0 if x == y else None
+        tau0_x = 0 if x == 0 else None
+        tau0_y = 0 if y == 0 else None
+        steps, z, zt, zh = [], [], [], []
+        for k in range(cfg.horizon):
+            u = draw()
+            steps.append((x, y, u))
+            xn, yn = step(x, u, *thr_x), step(y, u, *thr_y)
+            if x == y and xn != yn:
+                z.append(k)
+            if x <= y and xn > yn:
+                zt.append(k)
+            if x >= y and xn < yn:
+                zh.append(k)
+            x, y = xn, yn
+            if tau is None and x == y:
+                tau = k + 1
+            if tau0_x is None and x == 0:
+                tau0_x = k + 1
+            if tau0_y is None and y == 0:
+                tau0_y = k + 1
+        traces.append(CouplingTrace(
+            steps=tuple(steps), final=(x, y), tau=tau, tau0_x=tau0_x, tau0_y=tau0_y,
+            z_incr=tuple(z), ztilde_incr=tuple(zt), zhat_incr=tuple(zh),
+        ))
+    return tuple(traces)
+
+
+def exact_counts(cfg):
+    """`run_coupling(cfg).by_time` as the exact oracle has it, read off its
+    traces: at checkpoint n an event counts when it happened by time n."""
+
+    def after(t, n):
+        return t is None or t > n
+
+    def by(times, n):
+        return bool(times) and times[0] < n  # step k takes time k to k + 1
+
+    def flags(tr, n):
+        x, y = tr.steps[n][:2] if n < cfg.horizon else tr.final
+        return (
+            x != y, after(tr.tau, n), by(tr.z_incr, n), by(tr.ztilde_incr, n),
+            by(tr.zhat_incr, n), after(tr.tau0_x, n), after(tr.tau0_y, n),
+        )
+
+    traces = exact_replay(cfg)
+    by_time = {}
+    for n in cfg.checkpoints:
+        totals = [sum(column) for column in zip(*(flags(tr, n) for tr in traces))]
+        by_time[n] = Aggregates(n=n, replicas=cfg.replicas, counts=dict(zip(STAT_NAMES, totals)))
+    return by_time
 
 
 class TestRunConfig:
@@ -51,8 +124,10 @@ class TestRunConfig:
             RunConfig(N=8, horizon=1, replicas=1, seed=0, selector="nope")
         with pytest.raises(ValueError):
             RunConfig(N=8, horizon=5, replicas=1, seed=0, checkpoints=(9,))
-        with pytest.raises(ValueError, match="emit_traces"):
-            RunConfig(N=8, horizon=5, replicas=1, seed=0, precision="exact", emit_traces=True)
+        with pytest.raises(ValueError, match="replicas"):
+            RunConfig(N=8, horizon=5, replicas=0, seed=0)
+        with pytest.raises(ValueError, match="start_mode"):
+            RunConfig(N=8, horizon=5, replicas=1, seed=0, start_mode="nope")
 
 
 class TestMonotoneStep:
@@ -124,22 +199,17 @@ class TestRunCoupling:
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_exact_mode_matches_double(self):
-        kwargs = dict(N=8, horizon=400, replicas=200, seed=42, checkpoints=(0, 100, 400))
-        double = run_coupling(RunConfig(precision="double", **kwargs))
-        exact = run_coupling(RunConfig(precision="exact", **kwargs))
-        for n in (0, 100, 400):
-            assert double.by_time[n].counts == exact.by_time[n].counts
+        cfg = RunConfig(N=8, horizon=400, replicas=200, seed=42, checkpoints=(0, 100, 400))
+        assert run_coupling(cfg).by_time == exact_counts(cfg)
 
     @pytest.mark.parametrize("start_mode", START_MODES)
     @pytest.mark.parametrize("selector", SELECTORS)
     def test_exact_mode_matches_double_seed_near_2_64(self, selector, start_mode):
-        kwargs = dict(
+        cfg = RunConfig(
             N=8, horizon=200, replicas=80, seed=SEED_NEAR_2_64, selector=selector,
             start_mode=start_mode, checkpoints=(0, 20, 150),
         )
-        double = run_coupling(RunConfig(precision="double", **kwargs))
-        exact = run_coupling(RunConfig(precision="exact", **kwargs))
-        assert double.by_time == exact.by_time
+        assert run_coupling(cfg).by_time == exact_counts(cfg)
 
     def test_trace_mode_matches_vector(self):
         kwargs = dict(N=8, horizon=250, replicas=150, seed=11, checkpoints=(0, 250))
@@ -201,9 +271,9 @@ def fresh_engine(monkeypatch):
 
 def engines(cfg, monkeypatch):
     """Counts of cfg from the compiled loop, the numpy engine (the loader
-    reporting failure) and the exact-rational oracle."""
+    reporting failure) and the exact replay."""
     fast = run_coupling(cfg).by_time
-    exact = run_coupling(dataclasses.replace(cfg, precision="exact")).by_time
+    exact = exact_counts(cfg)
     with monkeypatch.context() as m:
         m.setattr(coupling, "_compiled_engine", lambda: None)
         vector = run_coupling(cfg).by_time
@@ -329,57 +399,38 @@ class TestEngineEquivalence:
 
 
 class TestTraceReplay:
-    """Oracle for the traces of the vectorized engine: redraw each replica's
-    exact uniforms, replay its path with `step` on the exact thresholds and
-    recompute every field of its trace in a plain loop."""
+    """The traces of the numpy engine equal the exact replay's, field for
+    field, u included."""
+
+    @staticmethod
+    def replay(N, selector, start_mode):
+        cfg = RunConfig(
+            N=N, horizon=300, replicas=60, seed=SEED_NEAR_2_64, selector=selector,
+            start_mode=start_mode, emit_traces=True,
+        )
+        traces = run_coupling(cfg).traces
+        assert len(traces) == cfg.replicas
+        assert all(len(tr.steps) == cfg.horizon for tr in traces)
+        assert traces == exact_replay(cfg)
 
     @pytest.mark.parametrize("start_mode", START_MODES)
     @pytest.mark.parametrize("selector", SELECTORS)
     def test_traces_replay_exactly(self, selector, start_mode):
-        cfg = RunConfig(
-            N=9, horizon=300, replicas=60, seed=SEED_NEAR_2_64, selector=selector,
-            start_mode=start_mode, emit_traces=True,
-        )
-        k_x, k_y, law_x, law_y = selector_kernels(cfg.N, selector)
-        thr_x, thr_y = birth_death_thresholds(k_x), birth_death_thresholds(k_y)
-        traces = run_coupling(cfg).traces
-        assert len(traces) == cfg.replicas
-        for r, trace in enumerate(traces):
-            stream = Stream(cfg.seed, r)
-            u0 = stream.uniform_fraction()
-            x = law_x.quantile(u0)
-            if start_mode == "shared":
-                y = law_y.quantile(u0)
-            elif start_mode == "independent":
-                y = law_y.quantile(stream.uniform_fraction())
-            else:
-                y = x
-            tau = 0 if x == y else None
-            tau0_x = 0 if x == 0 else None
-            tau0_y = 0 if y == 0 else None
-            z, zt, zh = [], [], []
-            assert len(trace.steps) == cfg.horizon
-            for k, (tx, ty, tu) in enumerate(trace.steps):
-                u = stream.uniform_fraction()
-                assert (tx, ty, Fraction(tu)) == (x, y, u)
-                xn, yn = step(x, u, *thr_x), step(y, u, *thr_y)
-                if x == y and xn != yn:
-                    z.append(k)
-                if x <= y and xn > yn:
-                    zt.append(k)
-                if x >= y and xn < yn:
-                    zh.append(k)
-                x, y = xn, yn
-                if tau is None and x == y:
-                    tau = k + 1
-                if tau0_x is None and x == 0:
-                    tau0_x = k + 1
-                if tau0_y is None and y == 0:
-                    tau0_y = k + 1
-            assert trace == CouplingTrace(
-                steps=trace.steps, final=(x, y), tau=tau, tau0_x=tau0_x, tau0_y=tau0_y,
-                z_incr=tuple(z), ztilde_incr=tuple(zt), zhat_incr=tuple(zh),
-            )
+        self.replay(9, selector, start_mode)
+
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_traces_replay_exactly_at_smallest_n(self, selector, start_mode):
+        self.replay(5, selector, start_mode)  # states {0, 1}
+
+    def test_horizon_zero(self):
+        cfg = RunConfig(N=9, horizon=0, replicas=200, seed=3, start_mode="independent", emit_traces=True)
+        stats = run_coupling(cfg)
+        assert stats.traces == exact_replay(cfg)
+        assert stats.by_time == exact_counts(cfg)
+        assert all(tr.steps == () for tr in stats.traces)
+        assert {tr.tau for tr in stats.traces} == {0, None}
+        assert all((tr.tau == 0) == (tr.final[0] == tr.final[1]) for tr in stats.traces)
 
 
 class TestMonotonicityCertificate:
@@ -407,19 +458,29 @@ class TestMonotonicityCertificate:
         assert report.margins[0][1] < 0
 
 
+def drift_bound_values(N, which, theta):
+    """F_bar(y) on y in [1, N-4]: F(y) with the upper ends of 45-digit
+    enclosures of e^{-theta/N} and e^{theta/N}, on the exact thresholds."""
+    down, stay = birth_death_thresholds(restricted_kernel(N, which))
+    em = exp_interval(-theta / N, 45).hi - 1
+    ep = exp_interval(theta / N, 45).hi - 1
+    return [1 + em * down[y] + ep * (1 - stay[y]) for y in range(1, N - 3)]
+
+
 class TestDriftCertificate:
+    """c_est = N^3 (1 - max F_bar) against F_bar rebuilt here; where on
+    [1, N-4] the max lies is not asserted."""
+
     def test_r_certificate_n10(self):
         cert = drift_certificate(10, "R")
         assert cert.theta == 1.0
         assert cert.c_est > 0
-        assert cert.max_at_endpoints
-        # vertex (N + e^{1/N}) / 2 of the quadratic lies inside [1, N-4]
-        assert 1 <= cert.vertex <= 6
-        assert abs(cert.vertex - (10 + math.exp(0.1)) / 2) < 1e-9
 
     def test_r_values_below_one(self):
         cert = drift_certificate(50, "R")
-        assert all(v < 1 for _, v in cert.table)
+        values = drift_bound_values(50, "R", cert.theta)
+        assert all(v < 1 for v in values)
+        assert cert.c_est == 50 ** 3 * (1 - max(values))
 
     def test_exp_over_n_fails_for_r_tilde(self):
         # the literal exp(y/N) test function has no margin for R_tilde
@@ -439,8 +500,9 @@ class TestDriftCertificate:
     def test_values_are_exact(self):
         cert = drift_certificate(9, "R_tilde")
         assert isinstance(cert.theta, Fraction) and isinstance(cert.c_est, Fraction)
-        assert all(isinstance(v, Fraction) for _, v in cert.table)
-        assert cert.c_est == 9 ** 3 * (1 - max(v for _, v in cert.table))
+        values = drift_bound_values(9, "R_tilde", cert.theta)
+        assert all(isinstance(v, Fraction) for v in values)
+        assert cert.c_est == 9 ** 3 * (1 - max(values))
 
 
 def drift_rate_mp(N, which, theta):
