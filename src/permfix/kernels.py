@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .exactdist import ExactDist, derangements, fixed_point_pmf, poisson_truncated
-from .perms import check_guard, eta1, eta2, iter_permutations
+from .perms import check_guard, fixed_point_sums
 
 
 def state_space(N: int) -> tuple[int, ...]:
@@ -174,13 +174,8 @@ def p_bruteforce(N: int) -> PFunction:
     if N < 1:
         raise ValueError("N must be >= 1")
     check_guard(N, 8, "p_bruteforce")
-    count: dict[int, int] = defaultdict(int)
-    total2: dict[int, int] = defaultdict(int)
-    for perm in iter_permutations(N):
-        x = eta1(perm)
-        count[x] += 1
-        total2[x] += eta2(perm)
-    values = {x: Fraction(total2[x], count[x]) for x in count}
+    count, two_cycles = fixed_point_sums(N)
+    values = {x: Fraction(two_cycles[x], c) for x, c in enumerate(count) if c}
     return PFunction(N=N, values=values, source="bruteforce")
 
 

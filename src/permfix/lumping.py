@@ -16,10 +16,12 @@ fixed-point count that reproduces the penta-diagonal kernel.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping
+
+import numpy as np
 
 from . import kernels
 from .kernels import StochasticKernel
@@ -28,8 +30,10 @@ from .perms import (
     all_cycle_types,
     apply_transposition,
     check_guard,
-    cycle_counts,
+    cycle_counts_table,
     iter_permutations,
+    lex_rank,
+    permutation_table,
 )
 
 
@@ -242,16 +246,33 @@ def _cycle_type_row(ct: CycleType) -> dict[CycleType, Fraction]:
     return {t: w for t, w in row.items() if w != 0}
 
 
+def _type_index(table: np.ndarray, types: list[CycleType]) -> np.ndarray:
+    """Position in `types` of each row's cycle type.  A multiplicity vector
+    read as a number base N+1 sorts as the vector does, and `types` is
+    sorted by multiplicity vector."""
+    N = table.shape[1]
+
+    def keys(counts: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(counts), dtype=np.int64)
+        for column in counts.T:
+            out = out * (N + 1) + column
+        return out
+
+    return np.searchsorted(keys(np.array([t.counts for t in types])), keys(cycle_counts_table(table)))
+
+
 def cycle_type_chain(N: int) -> PartitionedChain:
     """The coagulation-fragmentation chain on cycle types of S_N.
 
     Built two independent ways and cross-checked entry by entry.  Route (a)
     lumps the transposition walk by brute force without building it: for
-    every sigma in S_N it forms the C(N,2) products tau sigma (swapping the
-    positions of the values a and b), counts their cycle types in integers,
-    and requires every member of a conjugacy class to give the same counts
-    (the Dynkin condition); each class's counts become the probabilities
-    2 count / (N(N-1)) once.  Route (b) is the direct merge/split case
+    every sigma in S_N (a row of `permutation_table`) and every
+    transposition (a b) it forms tau sigma, sigma with the values a and b
+    swapped, types it by the cycle counts at its `lex_rank`, and counts the
+    C(N,2) targets of each sigma by type in integers.  Every member of a
+    conjugacy class must give the same counts (the Dynkin condition); each
+    class's counts become the probabilities 2 count / (N(N-1)) once, keyed
+    in `CycleType` order.  Route (b) is the direct merge/split case
     analysis.  Any discrepancy is a hard failure.  The result carries the
     class-size invariant law and the eta_1 partition.
     """
@@ -261,31 +282,30 @@ def cycle_type_chain(N: int) -> PartitionedChain:
     types = all_cycle_types(N)
 
     # route (a): count the targets of each sigma by cycle type, in integers
-    counts_of: dict[tuple[int, ...], Counter] = {}
-    for sigma in iter_permutations(N):
-        where = [0] * N
-        for i, v in enumerate(sigma):
-            where[v] = i
-        targets: Counter = Counter()
-        for a in range(N):
-            for b in range(a + 1, N):
-                moved = list(sigma)
-                moved[where[a]] = b
-                moved[where[b]] = a
-                targets[cycle_counts(moved)] += 1
-        ct = cycle_counts(sigma)
-        if ct in counts_of:
-            if counts_of[ct] != targets:
-                raise RuntimeError(
-                    f"Dynkin condition fails within class {ct}: rows differ"
-                )
-        else:
-            counts_of[ct] = targets
+    table = permutation_table(N)
+    type_of = _type_index(table, types)
+    at = np.arange(len(table))
+    targets = np.zeros((len(types), len(table)), dtype=np.uint8)  # [target type, sigma]
+    for a in range(N):
+        for b in range(a + 1, N):
+            moved = table.copy()
+            moved[table == a] = b
+            moved[table == b] = a
+            targets[type_of[lex_rank(moved)], at] += 1
+    first = np.unique(type_of, return_index=True)[1]  # first member of each class
+    differs = np.zeros(len(table), dtype=bool)
+    for per_sigma in targets:
+        differs |= per_sigma != per_sigma[first][type_of]
+    if differs.any():
+        ct = types[type_of[differs.argmax()]]
+        raise RuntimeError(
+            f"Dynkin condition fails within class {ct.counts}: rows differ"
+        )
     den = N * (N - 1)
-    lumped = {
-        CycleType(ct): {CycleType(t): Fraction(2 * k, den) for t, k in targets.items()}
-        for ct, targets in counts_of.items()
-    }
+    lumped = {}
+    for ct, sigma in zip(types, first.tolist()):
+        column = targets[:, sigma]
+        lumped[ct] = {types[j]: Fraction(2 * int(column[j]), den) for j in np.flatnonzero(column)}
 
     # route (b): direct case analysis
     for ct in types:
@@ -307,8 +327,10 @@ def cycle_type_chain(N: int) -> PartitionedChain:
 def permutation_chain(N: int) -> PartitionedChain:
     """The transposition walk with the uniform law, partitioned by cycle type."""
     walk = transposition_walk(N)
+    types = all_cycle_types(N)
+    type_of = _type_index(permutation_table(N), types)
     return PartitionedChain(
         kernel=walk,
         invariant=uniform_on_permutations(N),
-        blocks={sigma: CycleType.of_permutation(sigma) for sigma in walk.states},
+        blocks={sigma: types[t] for sigma, t in zip(walk.states, type_of.tolist())},
     )

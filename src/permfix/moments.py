@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .exactdist import Interval, enclosure_digits, fixed_point_pmf, inv_e_interval
 from .kernels import p_closedform, state_space
-from .perms import check_guard, eta1, eta2, iter_permutations
+from .perms import check_guard, fixed_point_sums
 
 
 def bell_numbers(k_max: int) -> list[int]:
@@ -76,9 +76,8 @@ def eta2_fk(N: int, k: int, method: str = "closed") -> Fraction:
         return Fraction(1, 2) if k <= N - 2 else Fraction(0)
     if method == "bruteforce":
         check_guard(N, 8, "eta2_fk bruteforce")
-        total = 0
-        for perm in iter_permutations(N):
-            total += eta2(perm) * falling_factorial(eta1(perm), k)
+        _, two_cycles = fixed_point_sums(N)
+        total = sum(t * falling_factorial(x, k) for x, t in enumerate(two_cycles))
         return Fraction(total, math.factorial(N))
     raise ValueError("method must be 'closed' or 'bruteforce'")
 
@@ -137,10 +136,7 @@ def gram_bruteforce(N: int) -> GramMatrix:
     """E[F_k F_l] by enumeration of S_N (the oracle for the closed form)."""
     check_guard(N, 7, "gram_bruteforce")
     idx = state_space(N)
-    hist: dict[int, int] = {}
-    for perm in iter_permutations(N):
-        x = eta1(perm)
-        hist[x] = hist.get(x, 0) + 1
+    hist, _ = fixed_point_sums(N)
     total = math.factorial(N)
     entries = []
     for k in idx:
@@ -148,7 +144,7 @@ def gram_bruteforce(N: int) -> GramMatrix:
         for l in idx:
             val = sum(
                 Fraction(c, total) * falling_factorial(x, k) * falling_factorial(x, l)
-                for x, c in hist.items()
+                for x, c in enumerate(hist)
             )
             row.append(val)
         entries.append(tuple(row))

@@ -1,9 +1,13 @@
 """Permutation and cycle-type utilities for the enumeration oracles.
 
-Permutations are tuples of images on range(N).  Cycle decomposition is done
-by the usual marking sweep.  Each enumeration oracle refuses N above its own
-fixed guard; the environment variable PERMFIX_GUARD_N, when set, overrides
-every guard so larger machines can push N.
+A permutation is a sequence of images on range(N).  The oracles hold all of
+S_N at once as one int8 table, `permutation_table(N)`, whose row r is the
+permutation of lexicographic rank r (`lex_rank` inverts it), and read cycle
+types off it column by column with `cycle_counts_table`.  At N = 8 the table
+takes 40320 x 8 bytes.  Each enumeration oracle refuses N above its own
+fixed guard before it builds a table; the environment variable
+PERMFIX_GUARD_N, when set, overrides every guard so larger machines can
+push N.
 """
 from __future__ import annotations
 
@@ -13,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as _permutations
 from typing import Iterator
+
+import numpy as np
 
 GUARD_ENV = "PERMFIX_GUARD_N"
 
@@ -41,38 +47,83 @@ def iter_permutations(N: int) -> Iterator[tuple[int, ...]]:
     return _permutations(range(N))
 
 
-def cycle_lengths(perm: tuple[int, ...]) -> list[int]:
-    n = len(perm)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        out.append(length)
-    return out
+def permutation_table(N: int) -> np.ndarray:
+    """All permutations of range(N) as an (N!, N) int8 array, rows in
+    lexicographic order (the order of `iter_permutations`).
+
+    Built level by level: the permutations of range(k) starting with f are f
+    followed by those of range(k-1), with every value >= f moved up by one.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    table = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, N + 1):
+        m = len(table)
+        out = np.empty((k * m, k), dtype=np.int8)
+        for first in range(k):
+            block = out[first * m:(first + 1) * m]
+            block[:, 0] = first
+            block[:, 1:] = table + (table >= first)
+        table = out
+    return table
 
 
-def cycle_counts(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """(eta_1, ..., eta_N): the number of cycles of each length."""
-    n = len(perm)
-    counts = [0] * n
-    for length in cycle_lengths(perm):
-        counts[length - 1] += 1
-    return tuple(counts)
+def lex_rank(rows: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each row (its index in `permutation_table`),
+    from its Lehmer code: sum_i #{j > i : row[j] < row[i]} (N-1-i)!."""
+    M, N = rows.shape
+    rank = np.zeros(M, dtype=np.int64)
+    digit = np.empty(M, dtype=np.int64)
+    for i in range(N - 1):
+        digit[:] = 0
+        for j in range(i + 1, N):
+            digit += rows[:, j] < rows[:, i]
+        digit *= math.factorial(N - 1 - i)
+        rank += digit
+    return rank
 
 
-def eta1(perm: tuple[int, ...]) -> int:
-    return sum(1 for i, v in enumerate(perm) if i == v)
+def cycle_counts_table(rows: np.ndarray) -> np.ndarray:
+    """(eta_1, ..., eta_N), the number of cycles of each length, for each row,
+    as an (M, N) uint8 array.
+
+    Every point is followed until it returns; the length of its cycle is the
+    number of steps taken, and a cycle of length l is met by its l points.
+    One int64 array of flat positions serves every point, so no temporary
+    is M x N int64.
+    """
+    M, N = rows.shape
+    flat = np.ascontiguousarray(rows).ravel()
+    points = np.zeros((M, N), dtype=np.uint8)
+    value = np.zeros(M, dtype=np.int8)
+    at = np.arange(M)
+    at *= N  # flat position of rows[r, value[r]]
+    for i in range(N):
+        at += i - value
+        value[:] = i
+        length = np.zeros(M, dtype=np.uint8)
+        away = np.ones(M, dtype=bool)
+        while away.any():
+            image = flat.take(at)
+            at += image - value
+            value = image
+            length += away
+            away &= value != i
+        for l in range(1, N + 1):
+            points[:, l - 1] += length == l
+    points //= np.arange(1, N + 1, dtype=np.uint8)
+    return points
 
 
-def eta2(perm: tuple[int, ...]) -> int:
-    return sum(1 for i, v in enumerate(perm) if i < v and perm[v] == i)
+def fixed_point_sums(N: int) -> tuple[list[int], list[int]]:
+    """(count, two_cycles) over S_N, as exact integers: count[x] permutations
+    have x fixed points, and they have two_cycles[x] 2-cycles in all."""
+    counts = cycle_counts_table(permutation_table(N))
+    eta1 = counts[:, 0] if N >= 1 else np.zeros(1, dtype=np.uint8)
+    eta2 = counts[:, 1] if N >= 2 else np.zeros_like(eta1)
+    count = np.bincount(eta1, minlength=N + 1).tolist()
+    two_cycles = [int(eta2[eta1 == x].sum(dtype=np.int64)) for x in range(N + 1)]
+    return count, two_cycles
 
 
 @dataclass(frozen=True, order=True)
@@ -95,10 +146,6 @@ class CycleType:
     @property
     def fixed_points(self) -> int:
         return self.counts[0]
-
-    @staticmethod
-    def of_permutation(perm: tuple[int, ...]) -> "CycleType":
-        return CycleType(cycle_counts(perm))
 
     def class_size(self) -> int:
         """Size of the conjugacy class: N! / prod_l (l^{eta_l} eta_l!)."""

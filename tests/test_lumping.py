@@ -271,15 +271,17 @@ class TestCycleTypeChain:
         # misreport the transposition (0 1) as a 3-cycle: only four of the
         # eight 3-cycles of S_4 are one transposition away from it, so their
         # rows differ from the rest of their class
-        real = lumping.cycle_counts
-        wrong = (1, 0, 1, 0)
+        real = lumping.cycle_counts_table
 
-        def misreporting(perm):
-            return wrong if tuple(perm) == (1, 0, 2, 3) else real(perm)
+        def misreporting(rows):
+            counts = real(rows)
+            counts[(rows == (1, 0, 2, 3)).all(axis=1)] = (1, 0, 1, 0)
+            return counts
 
-        monkeypatch.setattr(lumping, "cycle_counts", misreporting)
-        with pytest.raises(RuntimeError, match="Dynkin"):
+        monkeypatch.setattr(lumping, "cycle_counts_table", misreporting)
+        with pytest.raises(RuntimeError, match="Dynkin") as failure:
             cycle_type_chain(4)
+        assert "within class (1, 0, 1, 0)" in str(failure.value)
 
     def test_case_analysis_disagreement_raises(self, monkeypatch):
         # move a little mass of one case-analysis row onto its diagonal

@@ -1,0 +1,116 @@
+"""The int8 permutation table, its ranks and cycle counts, and the guards."""
+import math
+from collections import Counter
+from itertools import permutations
+
+import numpy as np
+import pytest
+
+from permfix import kernels, lumping, moments, perms
+from permfix.perms import (
+    EnumerationGuardError,
+    all_cycle_types,
+    cycle_counts_table,
+    lex_rank,
+    permutation_table,
+)
+
+
+def cycle_counts(perm):
+    """(eta_1, ..., eta_N) of one permutation by the marking sweep: the
+    scalar oracle for `cycle_counts_table`."""
+    n = len(perm)
+    seen = [False] * n
+    counts = [0] * n
+    for i in range(n):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        counts[length - 1] += 1
+    return tuple(counts)
+
+
+class TestMarkingSweep:
+    def test_examples(self):
+        assert cycle_counts(()) == ()
+        assert cycle_counts((0, 1, 2)) == (3, 0, 0)
+        assert cycle_counts((1, 0, 3, 4, 2)) == (0, 1, 1, 0, 0)
+        assert cycle_counts((1, 2, 3, 0)) == (0, 0, 0, 1)
+
+
+class TestPermutationTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_are_the_lexicographic_permutations(self, n):
+        table = permutation_table(n)
+        assert table.dtype == np.int8
+        assert table.shape == (math.factorial(n), n)
+        assert table.tolist() == [list(p) for p in permutations(range(n))]
+
+    def test_n0_has_one_empty_row(self):
+        assert permutation_table(0).shape == (1, 0)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            permutation_table(-1)
+
+
+class TestLexRank:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_rank_of_the_table_is_its_row_index(self, n):
+        assert lex_rank(permutation_table(n)).tolist() == list(range(math.factorial(n)))
+
+    def test_any_row_order(self):
+        table = permutation_table(5)
+        order = np.random.default_rng(0).permutation(len(table))
+        assert (lex_rank(table[order]) == order).all()
+
+
+class TestCycleCountsTable:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_equals_the_marking_sweep(self, n):
+        table = permutation_table(n)
+        got = cycle_counts_table(table)
+        assert got.shape == (len(table), n)
+        assert [tuple(row) for row in got.tolist()] == [
+            cycle_counts(tuple(row)) for row in table.tolist()
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_class_sizes(self, n):
+        found = Counter(map(tuple, cycle_counts_table(permutation_table(n)).tolist()))
+        assert found == {t.counts: t.class_size() for t in all_cycle_types(n)}
+
+
+class TestFixedPointSums:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_equals_the_marking_sweep(self, n):
+        count, two_cycles = [0] * (n + 1), [0] * (n + 1)
+        for perm in permutations(range(n)):
+            eta = cycle_counts(perm) + (0, 0)
+            count[eta[0]] += 1
+            two_cycles[eta[0]] += eta[1]
+        assert perms.fixed_point_sums(n) == (count, two_cycles)
+
+
+class TestGuardBeforeAllocation:
+    @pytest.mark.parametrize("oracle", [
+        lambda: kernels.p_bruteforce(30),
+        lambda: lumping.cycle_type_chain(30),
+        lambda: lumping.permutation_chain(30),
+        lambda: moments.gram_bruteforce(30),
+        lambda: moments.eta2_fk(30, 0, "bruteforce"),
+    ], ids=["p_bruteforce", "cycle_type_chain", "permutation_chain", "gram_bruteforce", "eta2_fk"])
+    def test_guard_raises_before_the_table_is_built(self, oracle, monkeypatch):
+        def no_table(N):
+            raise AssertionError(f"permutation_table({N}) built before the guard")
+
+        monkeypatch.delenv(perms.GUARD_ENV, raising=False)
+        for module in (perms, lumping):
+            monkeypatch.setattr(module, "permutation_table", no_table)
+        with pytest.raises(EnumerationGuardError):
+            oracle()
