@@ -48,15 +48,6 @@ class MallowsSample:
     K: int
     tail_bound: Fraction
 
-    def __post_init__(self) -> None:
-        b = self.bits
-        s_n = sum(b[i] * b[i + 1] for i in range(self.N - 1)) + b[self.N - 1]
-        s_trunc = sum(b[i] * b[i + 1] for i in range(self.K - 1))
-        if (s_n, s_trunc) != (self.s_n, self.s_trunc):
-            raise ValueError("sums do not match the recorded bits")
-        if self.tail_bound < Fraction(1, self.K + 1):
-            raise ValueError("tail bound below sum_{k>K} 1/(k(k+1))")
-
 
 def mallows_sample(N: int, K: int, stream: Stream) -> MallowsSample:
     """Draw X_1..X_K and both sums; truncation error bound is 1/K."""

@@ -9,7 +9,8 @@ driven by the conditional two-cycle mean p(x) = E[eta_2 | eta_1 = x], with
 and the diagonal completing each row.  Three independent routes to p are
 provided (brute-force enumeration, the derangement closed form, and the
 reversibility recursion), together with the derived birth-and-death kernels
-and exact reversibility checking.
+and an exact detailed-balance check, which for a law with positive weights
+also settles Kolmogorov's cycle criterion.
 """
 from __future__ import annotations
 
@@ -398,80 +399,57 @@ def birth_death_stationary(kernel: StochasticKernel, label: str = "") -> ExactDi
 
 @dataclass(frozen=True)
 class ReversibilityReport:
-    """Outcome of exact detailed-balance and Kolmogorov-cycle verification.
+    """Outcome of exact detailed-balance verification.
 
-    `pairs_checked` counts the pairs covered by the detailed-balance check:
-    all S(S-1)/2 unordered pairs of distinct states of an S-state kernel.
-    Only the pairs with a nonzero entry in either direction are compared;
-    on every other pair both sides are 0.  `triangles_checked` counts the
-    S-2 triangles of consecutive states in the Kolmogorov check.
+    `pairs_checked` counts the pairs covered by the check: all S(S-1)/2
+    unordered pairs of distinct states of an S-state kernel.  Only the pairs
+    with a nonzero entry in either direction are compared; on every other
+    pair both sides are 0.
     """
 
     kernel_label: str
     dist_label: str
-    detailed_balance_ok: bool
-    kolmogorov_ok: bool
+    ok: bool
     pairs_checked: int
-    triangles_checked: int
-    first_violation: tuple | None = None  # (x, y, residual) or (x, y, z, residual)
-
-    @property
-    def ok(self) -> bool:
-        return self.detailed_balance_ok and self.kolmogorov_ok
+    first_violation: tuple | None = None  # (x, y, d(x) K(x,y) - d(y) K(y,x))
 
 
 def check_reversibility(kernel: StochasticKernel, dist: ExactDist | Mapping) -> ReversibilityReport:
-    """Verify d(x) K(x,y) = d(y) K(y,x) on all pairs and the Kolmogorov cycle
-    condition on all triangles of consecutive states; states carrying zero
+    """Verify d(x) K(x,y) = d(y) K(y,x) on all pairs; states carrying zero
     weight are rejected outright.
 
-    Detailed balance is compared only on the pairs (i < j, in state-list
-    positions) with K(x,y) or K(y,x) nonzero, visited in (i, j) order, so
-    the first violation is the one an all-pairs scan would meet first.
+    With every weight positive, detailed balance is the whole check: it gives
+    K(x,y) K(y,z) K(z,x) = K(x,z) K(z,y) K(y,x) on every cycle (Kolmogorov's
+    criterion).  The pairs (i < j, in state-list positions) with K(x,y) or
+    K(y,x) nonzero are visited in (i, j) order, and the scan stops at the
+    first violation, the one an all-pairs scan would meet first.
     """
     weights = dist.as_dict() if isinstance(dist, ExactDist) else dict(dist)
     for s in kernel.states:
         if weights.get(s, Fraction(0)) <= 0:
             raise ValueError(f"state {s!r} has zero weight under {getattr(dist, 'label', 'dist')}")
 
-    states = kernel.states
-    later: list[set[int]] = [set() for _ in states]
-    for i, row in enumerate(kernel.rows):
+    states, rows = kernel.states, kernel.rows
+    pairs = set()
+    for i, row in enumerate(rows):
         for t in row:
             j = kernel.index(t)
             if i != j:
-                later[min(i, j)].add(max(i, j))
+                pairs.add((min(i, j), max(i, j)))
 
-    db_ok = True
     first = None
-    for i, x in enumerate(states):
-        for j in sorted(later[i]):
-            y = states[j]
-            lhs = weights[x] * kernel.entry(x, y)
-            rhs = weights[y] * kernel.entry(y, x)
-            if lhs != rhs and db_ok:
-                db_ok = False
-                first = (x, y, lhs - rhs)
-
-    kol_ok = True
-    triangles = 0
-    for i in range(len(states) - 2):
-        x, y, z = states[i], states[i + 1], states[i + 2]
-        fwd = kernel.entry(x, y) * kernel.entry(y, z) * kernel.entry(z, x)
-        bwd = kernel.entry(x, z) * kernel.entry(z, y) * kernel.entry(y, x)
-        triangles += 1
-        if fwd != bwd:
-            kol_ok = False
-            if first is None:
-                first = (x, y, z, fwd - bwd)
+    for i, j in sorted(pairs):
+        x, y = states[i], states[j]
+        residual = weights[x] * rows[i].get(y, 0) - weights[y] * rows[j].get(x, 0)
+        if residual:
+            first = (x, y, residual)
+            break
 
     return ReversibilityReport(
         kernel_label=kernel.label,
         dist_label=getattr(dist, "label", ""),
-        detailed_balance_ok=db_ok,
-        kolmogorov_ok=kol_ok,
+        ok=first is None,
         pairs_checked=len(states) * (len(states) - 1) // 2,
-        triangles_checked=triangles,
         first_violation=first,
     )
 

@@ -8,10 +8,14 @@ blocks A_v, the projected kernel on block ids is
 with invariant law mu_1(v) = mu(A_v).  With the constant-row link
 Lambda(w, v) = mu_1(v), the intertwining Q Lambda = Lambda P reduces to
 mu_1 P = mu_1, which `project` checks exactly; reversibility of mu transfers
-to mu_1.  Instantiated on the symmetric group: the transposition walk,
-its lumping to cycle types (the coagulation-fragmentation chain, built two
-independent ways and cross-checked), and the further lumping through the
-fixed-point count that reproduces the penta-diagonal kernel.
+to mu_1.  Each kernel row is summed into blocks, Q(w, A_v'), in one place
+(`_block_rows`), which both `project` and `dynkin_check` read.
+Instantiated on the symmetric group: the transposition walk, its lumping
+to cycle types (the coagulation-fragmentation chain, built two independent
+ways and cross-checked), and the further lumping through the fixed-point
+count that reproduces the penta-diagonal kernel.  The walk and the
+brute-force lumping take their moves tau sigma from one rule on the
+permutation table, `perms.transposition_ranks`.
 """
 from __future__ import annotations
 
@@ -28,12 +32,11 @@ from .kernels import StochasticKernel
 from .perms import (
     CycleType,
     all_cycle_types,
-    apply_transposition,
     check_guard,
     cycle_counts_table,
     iter_permutations,
-    lex_rank,
     permutation_table,
+    transposition_ranks,
 )
 
 
@@ -85,6 +88,17 @@ class ProjectionResult:
     mu1: dict[Hashable, Fraction]
 
 
+def _block_rows(chain: PartitionedChain) -> dict[Hashable, dict[Hashable, Fraction]]:
+    """Q(w, A_v') for every state w: each kernel row summed into blocks."""
+    out = {}
+    for w, row in zip(chain.kernel.states, chain.kernel.rows):
+        acc: dict[Hashable, Fraction] = defaultdict(Fraction)
+        for w2, q in row.items():
+            acc[chain.blocks[w2]] += q
+        out[w] = acc
+    return out
+
+
 def project(chain: PartitionedChain) -> ProjectionResult:
     """Project the chain along its partition and check mu_1 invariant for the
     projected kernel (an `AssertionError` if not).  A zero-mass block is an
@@ -97,19 +111,19 @@ def project(chain: PartitionedChain) -> ProjectionResult:
             raise ValueError(f"block {v!r} has zero invariant mass")
 
     members = chain.block_members()
-    Q = chain.kernel
+    block_rows = _block_rows(chain)
     mu = chain.invariant
 
     rows: dict[Hashable, dict[Hashable, Fraction]] = {v: defaultdict(Fraction) for v in ids}
     for v in ids:
         for w in members[v]:
             share = mu[w] / mass[v]
-            for w2, q in Q.row(w).items():
-                rows[v][chain.blocks[w2]] += share * q
+            for v2, q in block_rows[w].items():
+                rows[v][v2] += share * q
     projected = StochasticKernel(
         ids,
         tuple({t: w for t, w in rows[v].items() if w != 0} for v in ids),
-        label=f"proj({Q.label})",
+        label=f"proj({chain.kernel.label})",
     )
     if not projected.is_invariant(mass):
         raise AssertionError("mu_1 is not invariant for the projected kernel")
@@ -134,8 +148,8 @@ def reversibility_transfer(chain: PartitionedChain) -> TransferReport:
     result = project(chain)
     projected = kernels.check_reversibility(result.kernel, result.mu1)
     return TransferReport(
-        upstream_reversible=upstream.detailed_balance_ok,
-        projected_reversible=projected.detailed_balance_ok,
+        upstream_reversible=upstream.ok,
+        projected_reversible=projected.ok,
         projection=result,
     )
 
@@ -147,17 +161,12 @@ def dynkin_check(chain: PartitionedChain) -> dict[tuple[Hashable, Hashable], boo
     classical lumped chain.
     """
     members = chain.block_members()
+    block_rows = _block_rows(chain)
     ids = chain.block_ids()
     out: dict[tuple[Hashable, Hashable], bool] = {}
     for v in ids:
-        row_masses = []
-        for w in members[v]:
-            acc: dict[Hashable, Fraction] = defaultdict(Fraction)
-            for w2, q in chain.kernel.row(w).items():
-                acc[chain.blocks[w2]] += q
-            row_masses.append(acc)
         for v2 in ids:
-            vals = {m.get(v2, Fraction(0)) for m in row_masses}
+            vals = {block_rows[w].get(v2, Fraction(0)) for w in members[v]}
             out[(v, v2)] = len(vals) == 1
     return out
 
@@ -172,18 +181,15 @@ def transposition_walk(N: int) -> StochasticKernel:
         raise ValueError("N must be >= 2")
     check_guard(N, 8, "transposition_walk")
     states = tuple(iter_permutations(N))
+    moves = np.column_stack(list(transposition_ranks(permutation_table(N))))  # [sigma, (a b)]
     weight = Fraction(2, N * (N - 1))
-    rows = []
-    for sigma in states:
-        row: dict[tuple[int, ...], Fraction] = {}
-        for a in range(N):
-            for b in range(a + 1, N):
-                row[apply_transposition(sigma, a, b)] = weight
-        rows.append(row)
-    return StochasticKernel(states, tuple(rows), label=f"T_{N}")
+    rows = tuple({states[r]: weight for r in targets} for targets in moves.tolist())
+    return StochasticKernel(states, rows, label=f"T_{N}")
 
 
 def uniform_on_permutations(N: int) -> dict[tuple[int, ...], Fraction]:
+    """The uniform law on S_N, keyed by permutation tuple (guarded: N! states)."""
+    check_guard(N, 8, "uniform_on_permutations")
     w = Fraction(1, math.factorial(N))
     return {sigma: w for sigma in iter_permutations(N)}
 
@@ -267,12 +273,12 @@ def cycle_type_chain(N: int) -> PartitionedChain:
     Built two independent ways and cross-checked entry by entry.  Route (a)
     lumps the transposition walk by brute force without building it: for
     every sigma in S_N (a row of `permutation_table`) and every
-    transposition (a b) it forms tau sigma, sigma with the values a and b
-    swapped, types it by the cycle counts at its `lex_rank`, and counts the
-    C(N,2) targets of each sigma by type in integers.  Every member of a
-    conjugacy class must give the same counts (the Dynkin condition); each
-    class's counts become the probabilities 2 count / (N(N-1)) once, keyed
-    in `CycleType` order.  Route (b) is the direct merge/split case
+    transposition tau = (a b) it takes the rank of tau sigma from
+    `transposition_ranks`, types it by the cycle counts of that row, and
+    counts the C(N,2) targets of each sigma by type in integers.  Every
+    member of a conjugacy class must give the same counts (the Dynkin
+    condition); each class's counts become the probabilities
+    2 count / (N(N-1)) once, keyed in `CycleType` order.  Route (b) is the direct merge/split case
     analysis.  Any discrepancy is a hard failure.  The result carries the
     class-size invariant law and the eta_1 partition.
     """
@@ -286,12 +292,8 @@ def cycle_type_chain(N: int) -> PartitionedChain:
     type_of = _type_index(table, types)
     at = np.arange(len(table))
     targets = np.zeros((len(types), len(table)), dtype=np.uint8)  # [target type, sigma]
-    for a in range(N):
-        for b in range(a + 1, N):
-            moved = table.copy()
-            moved[table == a] = b
-            moved[table == b] = a
-            targets[type_of[lex_rank(moved)], at] += 1
+    for ranks in transposition_ranks(table):
+        targets[type_of[ranks], at] += 1
     first = np.unique(type_of, return_index=True)[1]  # first member of each class
     differs = np.zeros(len(table), dtype=bool)
     for per_sigma in targets:

@@ -2,12 +2,13 @@
 
 A permutation is a sequence of images on range(N).  The oracles hold all of
 S_N at once as one int8 table, `permutation_table(N)`, whose row r is the
-permutation of lexicographic rank r (`lex_rank` inverts it), and read cycle
-types off it column by column with `cycle_counts_table`.  At N = 8 the table
-takes 40320 x 8 bytes.  Each enumeration oracle refuses N above its own
-fixed guard before it builds a table; the environment variable
-PERMFIX_GUARD_N, when set, overrides every guard so larger machines can
-push N.
+permutation of lexicographic rank r (`lex_rank` inverts it), read cycle
+types off it column by column with `cycle_counts_table`, and find the
+transposition moves tau sigma as ranks with `transposition_ranks`.  At
+N = 8 the table takes 40320 x 8 bytes.  Each enumeration oracle refuses N
+above its own fixed guard before it builds a table; the environment
+variable PERMFIX_GUARD_N, when set, overrides every guard so larger
+machines can push N.
 """
 from __future__ import annotations
 
@@ -81,6 +82,19 @@ def lex_rank(rows: np.ndarray) -> np.ndarray:
         digit *= math.factorial(N - 1 - i)
         rank += digit
     return rank
+
+
+def transposition_ranks(table: np.ndarray) -> Iterator[np.ndarray]:
+    """For each transposition tau = (a b), a < b, in lexicographic order of
+    (a, b): the `lex_rank` of tau sigma for every row sigma of the table.
+    tau sigma is sigma with the values a and b swapped."""
+    N = table.shape[1]
+    for a in range(N):
+        for b in range(a + 1, N):
+            moved = table.copy()
+            moved[table == a] = b
+            moved[table == b] = a
+            yield lex_rank(moved)
 
 
 def cycle_counts_table(rows: np.ndarray) -> np.ndarray:
@@ -178,12 +192,3 @@ def all_cycle_types(N: int) -> list[CycleType]:
     types.sort()
     return types
 
-
-def apply_transposition(perm: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """The product tau * perm for the transposition tau = (a b)."""
-    out = list(perm)
-    ia = perm.index(a)
-    ib = perm.index(b)
-    out[ia] = b
-    out[ib] = a
-    return tuple(out)

@@ -33,10 +33,15 @@ class TestMallowsExact:
         assert mallows_exact_pmf(n).as_dict() == fixed_point_pmf(n).as_dict()
 
     def test_sample_consistent_with_bits(self):
-        sample = mallows_sample(6, 16, Stream(3, 0))
-        assert sample.bits[0] == 1
-        assert 0 <= sample.s_n <= 6
-        assert sample.tail_bound == Fraction(1, 16)
+        n, K = 6, 16
+        for seed in (0, 3, 11, 2 ** 64 - 1):
+            sample = mallows_sample(n, K, Stream(seed, 0))
+            b = sample.bits
+            assert len(b) == K and b[0] == 1
+            assert sample.s_n == sum(b[i] * b[i + 1] for i in range(n - 1)) + b[n - 1]
+            assert sample.s_trunc == sum(b[i] * b[i + 1] for i in range(K - 1))
+            assert 0 <= sample.s_n <= n
+            assert sample.tail_bound == Fraction(1, K)
 
 
 class TestMallowsDiscrepancy:

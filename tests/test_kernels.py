@@ -245,7 +245,6 @@ class TestReversibilityChecker:
         P = build_penta(n, p_closedform(n))
         report = check_reversibility(P, fixed_point_pmf(n))
         assert report.pairs_checked == n * (n - 1) // 2
-        assert report.triangles_checked == n - 2
 
 
 def dense_reversibility(kernel, weights):

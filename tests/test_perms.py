@@ -1,6 +1,7 @@
-"""The int8 permutation table, its ranks and cycle counts, and the guards."""
+"""The int8 permutation table, its ranks, transposition moves and cycle counts, and the guards."""
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -13,6 +14,7 @@ from permfix.perms import (
     cycle_counts_table,
     lex_rank,
     permutation_table,
+    transposition_ranks,
 )
 
 
@@ -33,6 +35,15 @@ def cycle_counts(perm):
             length += 1
         counts[length - 1] += 1
     return tuple(counts)
+
+
+def apply_transposition(perm, a, b):
+    """tau * perm for tau = (a b), one tuple at a time: the scalar oracle for
+    `transposition_ranks`."""
+    out = list(perm)
+    out[perm.index(a)] = b
+    out[perm.index(b)] = a
+    return tuple(out)
 
 
 class TestMarkingSweep:
@@ -70,6 +81,31 @@ class TestLexRank:
         assert (lex_rank(table[order]) == order).all()
 
 
+class TestTranspositionRanks:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_the_scalar_swap(self, n):
+        perms_n = list(permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms_n)}
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        got = list(transposition_ranks(permutation_table(n)))
+        assert len(got) == len(pairs)
+        for (a, b), ranks in zip(pairs, got):
+            assert ranks.tolist() == [index[apply_transposition(p, a, b)] for p in perms_n]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_walk_rows_equal_the_scalar_swap(self, n):
+        walk = lumping.transposition_walk(n)
+        weight = Fraction(2, n * (n - 1))
+        assert walk.states == tuple(permutations(range(n)))
+        for sigma in walk.states:
+            expected = {
+                apply_transposition(sigma, a, b): weight
+                for a in range(n) for b in range(a + 1, n)
+            }
+            assert walk.row(sigma) == expected
+            assert list(walk.row(sigma)) == list(expected)
+
+
 class TestCycleCountsTable:
     @pytest.mark.parametrize("n", range(0, 8))
     def test_equals_the_marking_sweep(self, n):
@@ -104,13 +140,20 @@ class TestGuardBeforeAllocation:
         lambda: lumping.permutation_chain(30),
         lambda: moments.gram_bruteforce(30),
         lambda: moments.eta2_fk(30, 0, "bruteforce"),
-    ], ids=["p_bruteforce", "cycle_type_chain", "permutation_chain", "gram_bruteforce", "eta2_fk"])
+        lambda: lumping.uniform_on_permutations(30),
+        lambda: lumping.transposition_walk(30),
+    ], ids=["p_bruteforce", "cycle_type_chain", "permutation_chain", "gram_bruteforce", "eta2_fk",
+            "uniform_on_permutations", "transposition_walk"])
     def test_guard_raises_before_the_table_is_built(self, oracle, monkeypatch):
         def no_table(N):
             raise AssertionError(f"permutation_table({N}) built before the guard")
 
+        def no_tuples(N):
+            raise AssertionError(f"iter_permutations({N}) called before the guard")
+
         monkeypatch.delenv(perms.GUARD_ENV, raising=False)
         for module in (perms, lumping):
             monkeypatch.setattr(module, "permutation_table", no_table)
+            monkeypatch.setattr(module, "iter_permutations", no_tuples)
         with pytest.raises(EnumerationGuardError):
             oracle()
