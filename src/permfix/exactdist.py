@@ -7,6 +7,10 @@ alternating series sum (-1)^k / k!, see `exp_interval`), so every comparison
 against an analytic bound can be certified rather than merely observed in
 floating point.  The enclosure for a quantity at N has `enclosure_digits(N)`
 digits, enough to resolve the distance between pi_N and Poisson(1).
+
+Every sum of many rationals in the exact core (here and in `kernels`,
+`lumping` and `moments`) goes through `_exact_sum`, which adds the terms
+over one common denominator and normalises once.
 """
 from __future__ import annotations
 
@@ -14,13 +18,27 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import mpmath
 
 
 class PrecisionInsufficient(ArithmeticError):
     """Raised when a requested quantity is not resolved at the working precision."""
+
+
+def _exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The exact sum of the rationals n/d given as (n, d) pairs with d > 0.
+
+    The numerators are scaled to the lcm of the distinct denominators and
+    added as integers, and the result is normalised once; adding `Fraction`s
+    one at a time takes a gcd at every step.  A term need not be in lowest
+    terms, so a product of two rationals can go in as (n1 n2, d1 d2).  The
+    empty sum is 0.
+    """
+    terms = list(terms)
+    den = math.lcm(*{d for _, d in terms})
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +225,15 @@ class ExactDist:
             raise ValueError("support must be strictly increasing")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")
-        if sum(self.weights, Fraction(0)) != 1:
+        if _exact_sum(w.as_integer_ratio() for w in self.weights) != 1:
             raise ValueError("weights must sum exactly to 1")
 
     @staticmethod
     def from_mapping(weights: Mapping[int, Fraction], label: str = "") -> "ExactDist":
-        items = sorted((x, Fraction(w)) for x, w in weights.items() if w != 0)
+        items = sorted(
+            (x, w if isinstance(w, Fraction) else Fraction(w))
+            for x, w in weights.items() if w != 0
+        )
         return ExactDist(
             tuple(x for x, _ in items), tuple(w for _, w in items), label=label
         )
@@ -229,7 +250,7 @@ class ExactDist:
     def restrict(self, lo: int, hi: int, label: str = "") -> "ExactDist":
         """Condition on the window [lo, hi] (exact renormalization)."""
         kept = {x: w for x, w in self.as_dict().items() if lo <= x <= hi}
-        mass = sum(kept.values(), Fraction(0))
+        mass = _exact_sum(w.as_integer_ratio() for w in kept.values())
         if mass == 0:
             raise ValueError("conditioning on a null event")
         return ExactDist.from_mapping(
@@ -321,7 +342,7 @@ class PoissonRef:
 
     def tail_mass(self, beyond: int) -> Interval:
         """Enclosure of P[X > beyond] = 1 - e^{-1} sum_{k<=beyond} 1/k!."""
-        head = sum((self.coefficient(k) for k in range(beyond + 1)), Fraction(0))
+        head = _exact_sum((1, math.factorial(k)) for k in range(beyond + 1))
         return Fraction(1) - inv_e_interval(self.digits).scale(head)
 
 
@@ -338,7 +359,7 @@ def poisson_truncated(k_max: int, label: str = "") -> ExactDist:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    total = sum((Fraction(1, math.factorial(x)) for x in range(k_max + 1)), Fraction(0))
+    total = _exact_sum((1, math.factorial(x)) for x in range(k_max + 1))
     return ExactDist.from_mapping(
         {x: Fraction(1, math.factorial(x)) / total for x in range(k_max + 1)},
         label=label or f"zeta_[0,{k_max}]",

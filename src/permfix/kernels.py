@@ -10,17 +10,19 @@ and the diagonal completing each row.  Three independent routes to p are
 provided (brute-force enumeration, the derangement closed form, and the
 reversibility recursion), together with the derived birth-and-death kernels
 and an exact detailed-balance check, which for a law with positive weights
-also settles Kolmogorov's cycle criterion.
+also settles Kolmogorov's cycle criterion.  Row sums and the invariance
+check w K = w add their terms over one common denominator
+(`exactdist._exact_sum`), and detailed balance compares d(x) K(x,y) with
+d(y) K(y,x) by integer cross-multiplication.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .exactdist import ExactDist, derangements, fixed_point_pmf, poisson_truncated
+from .exactdist import ExactDist, _exact_sum, derangements, fixed_point_pmf, poisson_truncated
 from .perms import check_guard, fixed_point_sums
 
 
@@ -37,9 +39,10 @@ def state_space(N: int) -> tuple[int, ...]:
 class StochasticKernel:
     """Row-stochastic kernel over an explicit ordered state list.
 
-    Entries are exact rationals; rows are stored as mappings keyed by the
-    target *state label*, never by index arithmetic, so a state absent from
-    the list (such as N-1 in V) cannot be addressed at all.
+    Entries are stored as exact rationals (`Fraction`), and each stored row
+    must sum to exactly 1; rows are stored as mappings keyed by the target
+    *state label*, never by index arithmetic, so a state absent from the
+    list (such as N-1 in V) cannot be addressed at all.
     """
 
     states: tuple[Hashable, ...]
@@ -55,16 +58,19 @@ class StochasticKernel:
             raise ValueError("duplicate states")
         frozen = []
         for s, row in zip(self.states, self.rows):
-            total = Fraction(0)
+            stored = {}
             for t, w in row.items():
                 if t not in index:
                     raise ValueError(f"row {s!r} targets unknown state {t!r}")
-                if w < 0:
+                q = w if isinstance(w, Fraction) else Fraction(w)
+                if q.numerator < 0:  # the denominator is positive
                     raise ValueError(f"negative entry at ({s!r}, {t!r}): {w}")
-                total += w
+                if q:
+                    stored[t] = q
+            total = _exact_sum(map(Fraction.as_integer_ratio, stored.values()))
             if total != 1:
                 raise ValueError(f"row {s!r} sums to {total}, not 1")
-            frozen.append({t: Fraction(w) for t, w in row.items() if w != 0})
+            frozen.append(stored)
         object.__setattr__(self, "rows", tuple(frozen))
         object.__setattr__(self, "_positions", index)
 
@@ -96,13 +102,24 @@ class StochasticKernel:
         return width
 
     def is_invariant(self, weights: Mapping[Hashable, Fraction]) -> bool:
-        """Does weights * K = weights hold exactly?"""
-        acc: dict[Hashable, Fraction] = defaultdict(Fraction)
+        """Does weights * K = weights hold exactly?
+
+        The products w(s) K(s, t) go in unnormalised, as (w.num v.num,
+        w.den v.den); a column keeps one integer numerator per distinct
+        denominator, and is then summed over one common denominator.
+        """
+        w = {s: Fraction(weights.get(s, 0)) for s in self.states}
+        columns: dict[Hashable, dict[int, int]] = {s: {} for s in self.states}
         for s, row in zip(self.states, self.rows):
-            w = weights.get(s, Fraction(0))
-            for t, v in row.items():
-                acc[t] += w * v
-        return all(acc[s] == weights.get(s, Fraction(0)) for s in self.states)
+            wn, wd = w[s].as_integer_ratio()
+            if wn:
+                for t, v in row.items():
+                    vn, vd = v.as_integer_ratio()
+                    column = columns[t]
+                    column[wd * vd] = column.get(wd * vd, 0) + wn * vn
+        return all(
+            _exact_sum((n, d) for d, n in columns[s].items()) == w[s] for s in self.states
+        )
 
     def to_json_dict(self) -> dict:
         def enc(state: Hashable):
@@ -245,7 +262,7 @@ def _kernel(states: Sequence[Hashable], moves: Iterable[Mapping], label: str) ->
     rows = []
     for s, row in zip(states, moves):
         row = {t: w for t, w in row.items() if w != 0}
-        row[s] = 1 - sum(row.values(), Fraction(0))
+        row[s] = 1 - _exact_sum(w.as_integer_ratio() for w in row.values())
         rows.append(row)
     return StochasticKernel(tuple(states), tuple(rows), label=label)
 
@@ -386,7 +403,7 @@ def birth_death_stationary(kernel: StochasticKernel, label: str = "") -> ExactDi
         if up == 0 or down == 0:
             raise ValueError(f"kernel not irreducible across edge ({x!r}, {y!r})")
         weights[y] = weights[x] * up / down
-    total = sum(weights.values(), Fraction(0))
+    total = _exact_sum(map(Fraction.as_integer_ratio, weights.values()))
     return ExactDist.from_mapping(
         {s: w / total for s, w in weights.items()},
         label=label or f"stationary({kernel.label})",
@@ -416,33 +433,44 @@ class ReversibilityReport:
 
 def check_reversibility(kernel: StochasticKernel, dist: ExactDist | Mapping) -> ReversibilityReport:
     """Verify d(x) K(x,y) = d(y) K(y,x) on all pairs; states carrying zero
-    weight are rejected outright.
+    weight are rejected outright.  The weights are taken as exact rationals,
+    so `ok` and the residual are exact even for float weights.
 
     With every weight positive, detailed balance is the whole check: it gives
     K(x,y) K(y,z) K(z,x) = K(x,z) K(z,y) K(y,x) on every cycle (Kolmogorov's
     criterion).  The pairs (i < j, in state-list positions) with K(x,y) or
     K(y,x) nonzero are visited in (i, j) order, and the scan stops at the
-    first violation, the one an all-pairs scan would meet first.
+    first violation, the one an all-pairs scan would meet first.  The two
+    sides are compared by integer cross-multiplication; the `Fraction`
+    residual is formed only for that violation.
     """
-    weights = dist.as_dict() if isinstance(dist, ExactDist) else dict(dist)
+    source = dist.as_dict() if isinstance(dist, ExactDist) else dist
+    weights = []
     for s in kernel.states:
-        if weights.get(s, Fraction(0)) <= 0:
+        w = Fraction(source.get(s, 0))
+        if w <= 0:
             raise ValueError(f"state {s!r} has zero weight under {getattr(dist, 'label', 'dist')}")
+        weights.append(w)
 
-    states, rows = kernel.states, kernel.rows
+    states, rows, pos = kernel.states, kernel.rows, kernel._positions
     pairs = set()
     for i, row in enumerate(rows):
         for t in row:
-            j = kernel.index(t)
-            if i != j:
-                pairs.add((min(i, j), max(i, j)))
+            j = pos[t]
+            if i < j:
+                pairs.add((i, j))
+            elif j < i:
+                pairs.add((j, i))
 
     first = None
+    zero = Fraction(0)
     for i, j in sorted(pairs):
         x, y = states[i], states[j]
-        residual = weights[x] * rows[i].get(y, 0) - weights[y] * rows[j].get(x, 0)
-        if residual:
-            first = (x, y, residual)
+        wx, wy = weights[i], weights[j]
+        kxy, kyx = rows[i].get(y, zero), rows[j].get(x, zero)
+        if (wx.numerator * kxy.numerator * wy.denominator * kyx.denominator
+                != wy.numerator * kyx.numerator * wx.denominator * kxy.denominator):
+            first = (x, y, wx * kxy - wy * kyx)
             break
 
     return ReversibilityReport(

@@ -9,7 +9,9 @@ with invariant law mu_1(v) = mu(A_v).  With the constant-row link
 Lambda(w, v) = mu_1(v), the intertwining Q Lambda = Lambda P reduces to
 mu_1 P = mu_1, which `project` checks exactly; reversibility of mu transfers
 to mu_1.  Each kernel row is summed into blocks, Q(w, A_v'), in one place
-(`_block_rows`), which both `project` and `dynkin_check` read.
+(`_block_rows`), which both `project` and `dynkin_check` read.  Those sums,
+the block masses and the share-weighted rows of `project` each add their
+terms over one common denominator (`exactdist._exact_sum`).
 Instantiated on the symmetric group: the transposition walk, its lumping
 to cycle types (the coagulation-fragmentation chain, built two independent
 ways and cross-checked), and the further lumping through the fixed-point
@@ -28,6 +30,7 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from . import kernels
+from .exactdist import _exact_sum
 from .kernels import StochasticKernel
 from .perms import (
     CycleType,
@@ -50,12 +53,12 @@ class PartitionedChain:
 
     def __post_init__(self) -> None:
         states = self.kernel.states
-        inv = {s: Fraction(self.invariant.get(s, Fraction(0))) for s in states}
+        inv = {s: Fraction(self.invariant.get(s, 0)) for s in states}
         if set(self.invariant) != set(states):
             raise ValueError("invariant law must be defined exactly on the states")
         if any(w < 0 for w in inv.values()):
             raise ValueError("invariant weights must be non-negative")
-        if sum(inv.values(), Fraction(0)) != 1:
+        if _exact_sum(map(Fraction.as_integer_ratio, inv.values())) != 1:
             raise ValueError("invariant weights must sum to 1")
         if not self.kernel.is_invariant(inv):
             raise ValueError("mu Q != mu: not an invariant law")
@@ -74,10 +77,10 @@ class PartitionedChain:
         return dict(members)
 
     def block_mass(self) -> dict[Hashable, Fraction]:
-        mass: dict[Hashable, Fraction] = defaultdict(Fraction)
+        terms: dict[Hashable, list[tuple[int, int]]] = defaultdict(list)
         for s, v in self.blocks.items():
-            mass[v] += self.invariant[s]
-        return dict(mass)
+            terms[v].append(self.invariant[s].as_integer_ratio())
+        return {v: _exact_sum(t) for v, t in terms.items()}
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,10 @@ def _block_rows(chain: PartitionedChain) -> dict[Hashable, dict[Hashable, Fracti
     """Q(w, A_v') for every state w: each kernel row summed into blocks."""
     out = {}
     for w, row in zip(chain.kernel.states, chain.kernel.rows):
-        acc: dict[Hashable, Fraction] = defaultdict(Fraction)
+        terms: dict[Hashable, list[tuple[int, int]]] = defaultdict(list)
         for w2, q in row.items():
-            acc[chain.blocks[w2]] += q
-        out[w] = acc
+            terms[chain.blocks[w2]].append(q.as_integer_ratio())
+        out[w] = {v: _exact_sum(t) for v, t in terms.items()}
     return out
 
 
@@ -114,17 +117,18 @@ def project(chain: PartitionedChain) -> ProjectionResult:
     block_rows = _block_rows(chain)
     mu = chain.invariant
 
-    rows: dict[Hashable, dict[Hashable, Fraction]] = {v: defaultdict(Fraction) for v in ids}
+    rows = []
     for v in ids:
+        # share mu(w) / mu(A_v) times Q(w, A_v'), as one unnormalised pair
+        mn, md = mass[v].as_integer_ratio()
+        terms: dict[Hashable, list[tuple[int, int]]] = defaultdict(list)
         for w in members[v]:
-            share = mu[w] / mass[v]
+            un, ud = mu[w].as_integer_ratio()
             for v2, q in block_rows[w].items():
-                rows[v][v2] += share * q
-    projected = StochasticKernel(
-        ids,
-        tuple({t: w for t, w in rows[v].items() if w != 0} for v in ids),
-        label=f"proj({chain.kernel.label})",
-    )
+                qn, qd = q.as_integer_ratio()
+                terms[v2].append((un * md * qn, ud * mn * qd))
+        rows.append({v2: _exact_sum(t) for v2, t in terms.items()})
+    projected = StochasticKernel(ids, tuple(rows), label=f"proj({chain.kernel.label})")
     if not projected.is_invariant(mass):
         raise AssertionError("mu_1 is not invariant for the projected kernel")
     return ProjectionResult(kernel=projected, mu1=dict(mass))
@@ -209,11 +213,11 @@ def _cycle_type_row(ct: CycleType) -> dict[CycleType, Fraction]:
     N = ct.N
     counts = ct.counts
     den = N * (N - 1)  # probabilities are 2 * (pair count) / (N(N-1))
-    row: dict[CycleType, Fraction] = defaultdict(Fraction)
+    twice_pairs: dict[CycleType, int] = defaultdict(int)  # numerators over den
 
     def bump(new_counts: list[int], pairs: int) -> None:
         if pairs:
-            row[CycleType(tuple(new_counts))] += Fraction(2 * pairs, den)
+            twice_pairs[CycleType(tuple(new_counts))] += 2 * pairs
 
     # merge two cycles of lengths l != m
     for l in range(1, N + 1):
@@ -247,9 +251,9 @@ def _cycle_type_row(ct: CycleType) -> dict[CycleType, Fraction]:
             nc[l - a - 1] += 1
             bump(nc, pairs)
 
-    total = sum(row.values(), Fraction(0))
-    row[ct] += 1 - total
-    return {t: w for t, w in row.items() if w != 0}
+    stay = den - sum(twice_pairs.values())
+    twice_pairs[ct] += stay
+    return {t: Fraction(c, den) for t, c in twice_pairs.items() if c}
 
 
 def _type_index(table: np.ndarray, types: list[CycleType]) -> np.ndarray:

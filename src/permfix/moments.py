@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactdist import Interval, enclosure_digits, fixed_point_pmf, inv_e_interval
+from .exactdist import Interval, _exact_sum, enclosure_digits, fixed_point_pmf, inv_e_interval
 from .kernels import p_closedform, state_space
 from .perms import check_guard, fixed_point_sums
 
@@ -45,8 +45,8 @@ def falling_moment(N: int, k: int) -> Fraction:
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
     pi = fixed_point_pmf(N)
-    return sum(
-        (w * falling_factorial(x, k) for x, w in pi.as_dict().items()), Fraction(0)
+    return _exact_sum(
+        (w.numerator * falling_factorial(x, k), w.denominator) for x, w in pi.as_dict().items()
     )
 
 
@@ -59,7 +59,7 @@ def raw_moment_equality(N: int, k: int) -> tuple[Fraction, int, bool]:
     if k < 0:
         raise ValueError("k must be >= 0")
     pi = fixed_point_pmf(N)
-    moment = sum((w * x ** k for x, w in pi.as_dict().items()), Fraction(0))
+    moment = _exact_sum((w.numerator * x ** k, w.denominator) for x, w in pi.as_dict().items())
     bell = bell_numbers(k)[k]
     return moment, bell, moment == bell
 
@@ -123,11 +123,11 @@ def gram(N: int) -> GramMatrix:
         row = []
         for l in idx:
             a, b = min(k, l), max(k, l)
-            val = sum(
-                Fraction(math.factorial(a), math.factorial(r)) * math.comb(b, a - r)
+            val = _exact_sum(
+                (math.factorial(a) * math.comb(b, a - r), math.factorial(r))
                 for r in range(0, min(a, N - b) + 1)
             )
-            row.append(Fraction(val))
+            row.append(val)
         entries.append(tuple(row))
     return GramMatrix(N=N, indices=idx, entries=tuple(entries))
 
@@ -142,8 +142,8 @@ def gram_bruteforce(N: int) -> GramMatrix:
     for k in idx:
         row = []
         for l in idx:
-            val = sum(
-                Fraction(c, total) * falling_factorial(x, k) * falling_factorial(x, l)
+            val = _exact_sum(
+                (c * falling_factorial(x, k) * falling_factorial(x, l), total)
                 for x, c in enumerate(hist)
             )
             row.append(val)
@@ -203,17 +203,21 @@ def coefficient_systems(N: int) -> CoefficientSystems:
     p = p_closedform(N)
     f_values: dict[int, Fraction] = {}
     for x in idx:
-        fx = sum((ak * falling_factorial(x, k) for ak, k in zip(a, idx)), Fraction(0))
+        fx = _exact_sum(
+            (ak.numerator * falling_factorial(x, k), ak.denominator) for ak, k in zip(a, idx)
+        )
         if fx != 2 * p[x]:
             raise AssertionError(f"reconstructed f({x}) = {fx} != 2 p({x}) = {2 * p[x]}")
-        one = sum((bk * falling_factorial(x, k) for bk, k in zip(b, idx)), Fraction(0))
+        one = _exact_sum(
+            (bk.numerator * falling_factorial(x, k), bk.denominator) for bk, k in zip(b, idx)
+        )
         if one != 1:
             raise AssertionError(f"b-coefficients fail to reconstruct 1 at x={x}")
         f_values[x] = fx
 
-    rational_sum = sum(
-        (abs(f_values[x] - 1) * Fraction(1, math.factorial(x)) for x in range(N - 1)),
-        Fraction(0),
+    rational_sum = _exact_sum(  # sum_{x <= N-2} |f(x) - 1| / x!
+        (abs(f.numerator - f.denominator), f.denominator * math.factorial(x))
+        for x, f in f_values.items() if x <= N - 2
     )
     functional = inv_e_interval(enclosure_digits(N)).scale(rational_sum)
     return CoefficientSystems(

@@ -389,3 +389,33 @@ class TestIntervalSoundness:
         assert contains(a.scale(factor), x * factor)
         assert contains(abs(a), abs(x))
         assert contains(a.positive_part(), max(x, Fraction(0)))
+
+
+def rational_pairs():
+    """(n, d) with d > 0, not in lowest terms: small and factorial-sized
+    denominators, zero and negative numerators."""
+    dens = st.one_of(st.integers(1, 1000), st.integers(1, 80).map(math.factorial))
+    return st.tuples(st.integers(-10 ** 30, 10 ** 30), dens, st.integers(1, 50)).map(
+        lambda t: (t[0] * t[2], t[1] * t[2])
+    )
+
+
+class TestExactSum:
+    @PROPERTY
+    @given(st.lists(rational_pairs(), max_size=40))
+    def test_equals_term_by_term_fraction_sum(self, pairs):
+        total = exactdist._exact_sum(pairs)
+        assert isinstance(total, Fraction)
+        assert total == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+
+    def test_empty_zero_and_cancelling_terms(self):
+        assert exactdist._exact_sum([]) == 0
+        assert exactdist._exact_sum([(0, 7), (0, math.factorial(30))]) == 0
+        assert exactdist._exact_sum([(3, 6), (-2, 4)]) == 0
+        assert exactdist._exact_sum([(2, 30)] * 15) == 1
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_pmf_weights_sum_to_one(self, n):
+        for law in (fixed_point_pmf(n), poisson_truncated(n)):
+            pairs = [w.as_integer_ratio() for w in law.weights]
+            assert exactdist._exact_sum(pairs) == sum(law.weights, Fraction(0)) == 1

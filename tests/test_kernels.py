@@ -231,7 +231,20 @@ class TestReversibilityChecker:
         assert report.first_violation is not None
         x, y, residual = report.first_violation[:3]
         assert (x, y) == (1, 2)
-        assert residual != 0
+        zeta = zeta_law(n)
+        assert residual == zeta.pmf(1) * perturbed.entry(1, 2) - zeta.pmf(2) * perturbed.entry(2, 1)
+        assert residual == zeta.pmf(1) * bump
+
+    def test_float_weights_give_an_exact_verdict(self):
+        half = Fraction(1, 2)
+        coin = StochasticKernel((0, 1), ({0: half, 1: half}, {0: half, 1: half}))
+        report = check_reversibility(coin, {0: 0.1 + 0.2, 1: 0.7})
+        assert not report.ok
+        x, y, residual = report.first_violation
+        assert (x, y) == (0, 1)
+        assert type(residual) is Fraction
+        assert residual == (Fraction(0.1 + 0.2) - Fraction(0.7)) / 2
+        assert check_reversibility(coin, {0: 0.5, 1: 0.5}).ok
 
     def test_zero_weight_state_rejected(self):
         _, r, _ = build_restricted(8)
@@ -385,10 +398,18 @@ class TestKernelValidation:
         ((0, 1), ({0: Fraction(1)}, {2: Fraction(1)}), "unknown state"),
         ((0, 1), ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, {1: Fraction(1)}), "negative entry"),
         ((0, 1), ({0: Fraction(1, 2)}, {1: Fraction(1)}), "sums to 1/2"),
-    ], ids=["length", "duplicate", "unknown-target", "negative", "row-sum"])
+        # 0.1 + 0.9 == 1.0 in floats, but the stored rationals sum to 1 + 2^-55
+        ((0, 1), ({0: 0.1, 1: 0.9}, {0: Fraction(1, 2), 1: Fraction(1, 2)}),
+         f"sums to {2 ** 55 + 1}/{2 ** 55}"),
+    ], ids=["length", "duplicate", "unknown-target", "negative", "row-sum", "float-row"])
     def test_rejects(self, states, rows, message):
         with pytest.raises(ValueError, match=message):
             StochasticKernel(states, rows)
+
+    def test_entries_stored_as_fractions(self):
+        kernel = StochasticKernel((0, 1), ({0: 0.25, 1: 0.75}, {0: 0, 1: 1}))
+        assert kernel.rows == ({0: Fraction(1, 4), 1: Fraction(3, 4)}, {1: Fraction(1)})
+        assert all(type(w) is Fraction for row in kernel.rows for w in row.values())
 
     def test_birth_death_negative_diagonal_raises(self):
         # an up-rate of 40/(N(N-1)) = 4/3 at N=6 leaves the diagonal at -1/3

@@ -1,7 +1,10 @@
 """Projection, intertwining, Dynkin checks, and the symmetric-group chains."""
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permfix import lumping
 from permfix.exactdist import fixed_point_pmf
@@ -326,3 +329,103 @@ class TestPartitionedChainValidation:
         blocks.popitem()
         with pytest.raises(ValueError):
             PartitionedChain(kernel=chain.kernel, invariant=chain.invariant, blocks=blocks)
+
+
+def naive_is_invariant(kernel, weights):
+    """w K = w, adding one `Fraction` at a time (the reference for `is_invariant`)."""
+    acc = {s: Fraction(0) for s in kernel.states}
+    for s, row in zip(kernel.states, kernel.rows):
+        for t, q in row.items():
+            acc[t] += weights[s] * q
+    return all(acc[s] == weights[s] for s in kernel.states)
+
+
+def naive_block_rows(chain):
+    """Q(w, A_v') for every state w, adding one `Fraction` at a time."""
+    out = {}
+    for w, row in zip(chain.kernel.states, chain.kernel.rows):
+        acc = defaultdict(Fraction)
+        for w2, q in row.items():
+            acc[chain.blocks[w2]] += q
+        out[w] = dict(acc)
+    return out
+
+
+def naive_projection(chain):
+    """(rows by block, block masses) of `project`, one `Fraction` at a time."""
+    mass = defaultdict(Fraction)
+    for w, v in chain.blocks.items():
+        mass[v] += chain.invariant[w]
+    rows = {v: defaultdict(Fraction) for v in mass}
+    for w, row in zip(chain.kernel.states, chain.kernel.rows):
+        v = chain.blocks[w]
+        for w2, q in row.items():
+            rows[v][chain.blocks[w2]] += chain.invariant[w] / mass[v] * q
+    return {v: {t: x for t, x in r.items() if x} for v, r in rows.items()}, dict(mass)
+
+
+def nudged(law):
+    """law with half of its first state's mass moved to its second state."""
+    states = list(law)
+    eps = law[states[0]] / 2
+    return {**law, states[0]: law[states[0]] - eps, states[1]: law[states[1]] + eps}
+
+
+def assert_matches_naive(chain):
+    assert lumping._block_rows(chain) == naive_block_rows(chain)
+    rows, mass = naive_projection(chain)
+    result = project(chain)
+    assert result.mu1 == chain.block_mass() == mass
+    assert {v: dict(result.kernel.row(v)) for v in result.kernel.states} == rows
+    assert chain.kernel.is_invariant(chain.invariant)
+    assert naive_is_invariant(chain.kernel, chain.invariant)
+    perturbed = nudged(chain.invariant)
+    assert chain.kernel.is_invariant(perturbed) == naive_is_invariant(chain.kernel, perturbed)
+    return perturbed
+
+
+@st.composite
+def conductance_chains(draw):
+    """A random walk on 2-5 states with symmetric integer conductances c(x, y)
+    and a positive self-loop: K(x, y) = c(x, y) / c(x) is reversible for
+    mu(x) = c(x) / sum c, exactly.  Blocks are drawn at random."""
+    size = draw(st.integers(2, 5))
+    c = {}
+    for i in range(size):
+        for j in range(i, size):
+            c[i, j] = c[j, i] = draw(st.integers(1 if i == j else 0, 6))
+    totals = [sum(c[i, j] for j in range(size)) for i in range(size)]
+    kernel = StochasticKernel(
+        tuple(range(size)),
+        tuple({j: Fraction(c[i, j], totals[i]) for j in range(size) if c[i, j]} for i in range(size)),
+        label="conductance",
+    )
+    blocks = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    return PartitionedChain(
+        kernel=kernel,
+        invariant={i: Fraction(t, sum(totals)) for i, t in enumerate(totals)},
+        blocks=dict(enumerate(blocks)),
+    )
+
+
+class TestCommonDenominatorSums:
+    """`is_invariant`, `_block_rows`, `block_mass` and `project` against
+    term-by-term `Fraction` sums."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_permutation_chain(self, n):
+        chain = permutation_chain(n)
+        assert not chain.kernel.is_invariant(assert_matches_naive(chain))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_cycle_type_chain(self, n):
+        chain = cycle_type_chain(n)
+        assert not chain.kernel.is_invariant(assert_matches_naive(chain))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(conductance_chains(), st.lists(st.integers(1, 9), min_size=5, max_size=5))
+    def test_small_reversible_chains(self, chain, raw):
+        assert_matches_naive(chain)
+        states = chain.kernel.states
+        law = {s: Fraction(r, sum(raw[:len(states)])) for s, r in zip(states, raw)}
+        assert chain.kernel.is_invariant(law) == naive_is_invariant(chain.kernel, law)
