@@ -42,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from .exactdist import ExactDist, exp_interval, pi_conditioned, tv_distance, zeta_law
-from .kernels import StochasticKernel, birth_death_stationary, build_restricted, restricted_kernel
+from .kernels import StochasticKernel, birth_death_stationary, build_restricted
 from .rng import TWO_NEG53, VectorStreams, check_seed, scramble
 
 SELECTORS = ("pcheck-r", "r-r", "pcheck-rtilde")
@@ -501,6 +501,14 @@ class DriftCertificate:
     lower bound on the contraction rate.  Positivity certifies the
     hitting-time tail P[tau_0 > n] <= e^{1 - c_est n / N^3} for any initial
     law (theta <= 1 keeps the constant e valid).
+
+    For R and R_tilde the maximum is at y = 1, so one exact evaluation
+    gives c_est and no kernel is built.  On [1, N-4] the down-rate
+    y(N-y)/(N(N-1)) is smallest at y = 1, since
+    y(N-y) - (N-1) = (y-1)(N-1-y) >= 0, and the up-rate (N-y-k)/(N(N-1)),
+    with k = 1 and 1/2, is largest there: it falls with y, and the top
+    state N-4 has none.  For theta >= 0 the enclosed e^{-theta/N} - 1 is
+    <= 0 and the enclosed e^{theta/N} - 1 is >= 0, so F_bar(y) <= F_bar(1).
     """
 
     N: int
@@ -513,15 +521,15 @@ class DriftCertificate:
 
 
 _DRIFT_DIGITS = 45  # enclosure width of e^{-+theta/N}; far below any margin c/N^3
+_DRIFT_K = {"R": Fraction(1), "R_tilde": Fraction(1, 2)}  # the family's k for each chain
 
 
-def _drift_for(kernel: StochasticKernel, N: int, theta: Fraction) -> DriftCertificate:
-    down, stay = birth_death_thresholds(kernel)
+def _drift_for(N: int, which: str, theta: Fraction) -> DriftCertificate:
     em = exp_interval(-theta / N, _DRIFT_DIGITS).hi - 1
     ep = exp_interval(theta / N, _DRIFT_DIGITS).hi - 1
-    # states are 0..N-4, each its own index; y = 0 is the target, not a drift state
-    worst = max(1 + em * down[y] + ep * (1 - stay[y]) for y in range(1, len(down)))
-    return DriftCertificate(N=N, kernel_label=kernel.label, theta=theta, c_est=N ** 3 * (1 - worst))
+    up = N - 1 - _DRIFT_K[which] if N > 5 else 0  # y = 1 is the top state at N = 5
+    worst = 1 + (em * (N - 1) + ep * up) / (N * (N - 1))  # F_bar(1), the maximum
+    return DriftCertificate(N=N, kernel_label=which, theta=theta, c_est=N ** 3 * (1 - worst))
 
 
 def drift_certificate(N: int, which: str = "R", theta: Fraction | None = None) -> DriftCertificate:
@@ -531,20 +539,22 @@ def drift_certificate(N: int, which: str = "R", theta: Fraction | None = None) -
     The exp(y/N) test function does not contract for R_tilde (its up/down
     gap of one half is beaten by the second-order terms near y = 1), so for
     R_tilde the rate theta is auto-selected from a small grid; any theta in
-    (0, 1/2) restores a positive margin.
+    (0, 1/2) restores a positive margin.  A given theta must be
+    non-negative: the maximum at y = 1 rests on it.
     """
     if N < 5:
         raise ValueError("N must be >= 5")
-    if which not in ("R", "R_tilde"):
+    if which not in _DRIFT_K:
         raise ValueError("which must be 'R' or 'R_tilde'")
-    kernel = restricted_kernel(N, which)
     if theta is not None:
+        if theta < 0:
+            raise ValueError("theta must be non-negative")
         thetas = (Fraction(theta),)
     elif which == "R":
         thetas = (Fraction(1),)
     else:
         thetas = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
-    return max((_drift_for(kernel, N, t) for t in thetas), key=lambda cert: cert.c_est)
+    return max((_drift_for(N, which, t) for t in thetas), key=lambda cert: cert.c_est)
 
 
 @lru_cache(maxsize=None)

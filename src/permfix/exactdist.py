@@ -8,6 +8,14 @@ against an analytic bound can be certified rather than merely observed in
 floating point.  The enclosure for a quantity at N has `enclosure_digits(N)`
 digits, enough to resolve the distance between pi_N and Poisson(1).
 
+That distance is one exact linear form A + B e^{-1}.  Each term
+d(x) - e^{-1}/x! has a sign that one comparison of d(x) x! with the
+enclosure decides; once the signs are known, A and B are exact rational
+sums and the enclosure is scaled once.  Enclosing each term on its own
+would let e^{-1} take a different value in every term, and widen the
+result.  The derangement table is checked against the alternating sum in
+integers.
+
 Every sum of many rationals in the exact core (here and in `kernels`,
 `lumping` and `moments`) goes through `_exact_sum`, which adds the terms
 over one common denominator and normalises once.
@@ -61,38 +69,15 @@ class Interval:
         v = Fraction(value)
         return Interval(v, v)
 
-    def __add__(self, other: "Interval | Fraction | int") -> "Interval":
-        if isinstance(other, Interval):
-            return Interval(self.lo + other.lo, self.hi + other.hi)
-        return Interval(self.lo + other, self.hi + other)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "Interval | Fraction | int") -> "Interval":
-        return self + (-other if isinstance(other, Interval) else Interval.point(-other))
-
-    def __rsub__(self, other: "Fraction | int") -> "Interval":
-        return Interval.point(other) + (-self)
+    def __add__(self, shift: Fraction | int) -> "Interval":
+        """Shift by an exact scalar."""
+        return Interval(self.lo + shift, self.hi + shift)
 
     def scale(self, factor: Fraction | int) -> "Interval":
         """Multiply by an exact scalar (sign-aware)."""
         f = Fraction(factor)
         a, b = self.lo * f, self.hi * f
         return Interval(min(a, b), max(a, b))
-
-    def __abs__(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
-    def positive_part(self) -> "Interval":
-        zero = Fraction(0)
-        return Interval(max(self.lo, zero), max(self.hi, zero))
 
     @property
     def width(self) -> Fraction:
@@ -160,8 +145,9 @@ class DerangementTable:
     """Exact derangement counts D_0 .. D_max.
 
     Built by the iteration D_n = (n-1)(D_{n-1} + D_{n-2}) and verified
-    against the alternating sum D_n = n! sum_{k<=n} (-1)^k / k!, which is
-    carried as a running sum so every entry is checked in one pass.
+    against the alternating sum D_n = n! sum_{k<=n} (-1)^k / k!.  Multiplied
+    by n!, that identity reads D_n = n D_{n-1} + (-1)^n with D_0 = 1, so
+    every entry is checked in integers, in one pass.
     """
 
     values: tuple[int, ...]
@@ -170,17 +156,10 @@ class DerangementTable:
         v = self.values
         if not v or v[0] != 1:
             raise ValueError("D_0 must be 1")
-        if len(v) >= 2 and v[1] != 0:
-            raise ValueError("D_1 must be 0")
-        fact = 1
-        alt = Fraction(0)
-        for n, d in enumerate(v):
-            if n > 0:
-                fact *= n
-            alt += Fraction((-1) ** n, fact)
-            if Fraction(d) != fact * alt:
+        for n in range(1, len(v)):
+            if v[n] != n * v[n - 1] + (-1 if n & 1 else 1):
                 raise ValueError(f"D_{n} fails the alternating-sum identity")
-            if n >= 2 and d != (n - 1) * (v[n - 1] + v[n - 2]):
+            if n >= 2 and v[n] != (n - 1) * (v[n - 1] + v[n - 2]):
                 raise ValueError(f"D_{n} fails the two-term recurrence")
 
     def __getitem__(self, n: int) -> int:
@@ -209,7 +188,9 @@ class ExactDist:
     """Finitely supported probability law on Z+ with exact rational weights.
 
     Zero-weight points are dropped from the support, so the support is the
-    strictly increasing list of atoms; queries outside it return 0.
+    strictly increasing list of atoms; queries outside it return 0.  Weights
+    are stored as `Fraction`s; a float weight is converted exactly, so the
+    weights must sum to 1 as the rationals the floats denote.
     """
 
     support: tuple[int, ...]
@@ -217,6 +198,8 @@ class ExactDist:
     label: str = ""
 
     def __post_init__(self) -> None:
+        weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.weights)
+        object.__setattr__(self, "weights", weights)
         if len(self.support) != len(self.weights):
             raise ValueError("support/weights length mismatch")
         if any(x < 0 for x in self.support):
@@ -230,10 +213,7 @@ class ExactDist:
 
     @staticmethod
     def from_mapping(weights: Mapping[int, Fraction], label: str = "") -> "ExactDist":
-        items = sorted(
-            (x, w if isinstance(w, Fraction) else Fraction(w))
-            for x, w in weights.items() if w != 0
-        )
+        items = sorted((x, w) for x, w in weights.items() if w != 0)
         return ExactDist(
             tuple(x for x, _ in items), tuple(w for _, w in items), label=label
         )
@@ -337,14 +317,6 @@ class PoissonRef:
             return Fraction(0)
         return Fraction(1, math.factorial(k))
 
-    def mass(self, k: int) -> Interval:
-        return inv_e_interval(self.digits).scale(self.coefficient(k))
-
-    def tail_mass(self, beyond: int) -> Interval:
-        """Enclosure of P[X > beyond] = 1 - e^{-1} sum_{k<=beyond} 1/k!."""
-        head = _exact_sum((1, math.factorial(k)) for k in range(beyond + 1))
-        return Fraction(1) - inv_e_interval(self.digits).scale(head)
-
 
 def poisson_pmf(k_max: int, digits: int | None = None) -> PoissonRef:
     """Poisson(1) weights 1/k! times an e^{-1} enclosure of
@@ -389,45 +361,65 @@ def tv_distance(d1: DistLike, d2: DistLike, convention: str) -> Fraction | Inter
     convention="total" -> sum_x |d1 - d2|  (twice the half value)
 
     Exact Fraction when both inputs are ExactDist; a certified Interval when
-    the Poisson reference (carrying e^{-1}) is involved.  The convention is
-    mandatory because the two differ by a factor of two and the literature
-    mixes them.
+    the Poisson reference (carrying e^{-1}) is involved, or
+    PrecisionInsufficient when its enclosure of e^{-1} cannot tell the sign
+    of a term.  The convention is mandatory because the two differ by a
+    factor of two and the literature mixes them.
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
     if isinstance(d1, ExactDist) and isinstance(d2, ExactDist):
-        total = Fraction(0)
-        points = sorted(set(d1.support) | set(d2.support))
-        for x in points:
-            diff = d1.pmf(x) - d2.pmf(x)
-            if convention == "half":
-                if diff > 0:
-                    total += diff
-            else:
-                total += abs(diff)
-        return total
-
+        w1, w2 = d1.as_dict(), d2.as_dict()
+        zero = Fraction(0)
+        terms = []
+        for x in w1.keys() | w2.keys():
+            n1, m1 = w1.get(x, zero).as_integer_ratio()
+            n2, m2 = w2.get(x, zero).as_integer_ratio()
+            diff = n1 * m2 - n2 * m1  # d1(x) - d2(x) = diff / (m1 m2)
+            if convention == "total" or diff > 0:
+                terms.append((abs(diff), m1 * m2))
+        return _exact_sum(terms)
     if isinstance(d1, PoissonRef) and isinstance(d2, PoissonRef):
         raise ValueError("at least one argument must be an ExactDist")
     if isinstance(d1, PoissonRef):
-        d1, d2 = d2, d1
-        if convention == "half":
-            # (P - d)_+ = (d - P)_+ + (P - d) summed; easier to flip via total
-            total_iv = tv_distance(d1, d2, "total")
-            half_other = tv_distance(d1, d2, "half")
-            assert isinstance(total_iv, Interval) and isinstance(half_other, Interval)
-            return total_iv - half_other
-    assert isinstance(d1, ExactDist) and isinstance(d2, PoissonRef)
+        return _tv_against_poisson(d2, d1, (-1,) if convention == "half" else (1, -1))
+    return _tv_against_poisson(d1, d2, (1,) if convention == "half" else (1, -1))
 
-    top = d1.support[-1] if d1.support else 0
-    acc = Interval.point(0)
-    for x in range(top + 1):
-        diff = Interval.point(d1.pmf(x)) - d2.mass(x)
-        acc = acc + (diff.positive_part() if convention == "half" else abs(diff))
-    if convention == "total":
-        # everything beyond the support of d1 is pure Poisson mass
-        acc = acc + d2.tail_mass(top)
-    return acc
+
+def _tv_against_poisson(d: ExactDist, ref: PoissonRef, signs: tuple[int, ...]) -> Interval:
+    """sum of |d(x) - e^{-1}/x!| over the x where that difference has a sign
+    in `signs`, as the exact linear form A + B e^{-1}.
+
+    The sign of d(x) - e^{-1}/x! is that of d(x) x! - e^{-1}, which the
+    enclosure of e^{-1} decides (PrecisionInsufficient if it cannot).  Once
+    the signs are known, every kept term is a rational plus a rational
+    multiple of e^{-1}; so is the Poisson tail 1 - e^{-1} sum_{k<=top} 1/k!
+    beyond the top of the support, where the difference is negative.  A and
+    B are each one exact sum, and e^{-1} enters once: (1,) gives
+    sum (d - P)_+, (-1,) sum (P - d)_+ and (1, -1) sum |d - P|.
+    """
+    inv_e = inv_e_interval(ref.digits)
+    (lo_n, lo_d), (hi_n, hi_d) = inv_e.lo.as_integer_ratio(), inv_e.hi.as_integer_ratio()
+    weights, zero = d.as_dict(), Fraction(0)
+    tail = int(-1 in signs)
+    a_terms, b_terms = [(tail, 1)], []
+    fact = 1
+    for x in range(d.support[-1] + 1):
+        if x:
+            fact *= x
+        num, den = weights.get(x, zero).as_integer_ratio()
+        if num * fact * hi_d >= hi_n * den:  # d(x) x! >= hi
+            sign = 1
+        elif num * fact * lo_d <= lo_n * den:  # d(x) x! <= lo
+            sign = -1
+        else:
+            raise PrecisionInsufficient(
+                f"sign of d({x}) - e^-1/{x}! not resolved at {ref.digits} digits"
+            )
+        c = sign if sign in signs else 0
+        a_terms.append((c * num, den))
+        b_terms.append((-c - tail, fact))
+    return inv_e.scale(_exact_sum(b_terms)) + _exact_sum(a_terms)
 
 
 def tv_bracket(N: int) -> tuple[Fraction, Fraction]:
@@ -492,19 +484,3 @@ def separation_discrepancy(d1: DistLike, d2: DistLike) -> Fraction | Interval:
         if best is None or value > best:
             best = value
     return best if best is not None else Fraction(0)
-
-
-def separation_ratio_term(N: int, x: int) -> Interval:
-    """Enclosure of 1 - pi_N(x) / P(x) = 1 - e * D_{N-x} / (N-x)!.
-
-    Pins down the sign of the conditioned-law separation at the boundary
-    indices: at x = N-4 this equals 1 - 9e/24 < 0, while at x = N-3 it
-    equals 1 - e/3 > 0.
-    """
-    pi = fixed_point_pmf(N)
-    inv_e = inv_e_interval(enclosure_digits(N))
-    coeff = Fraction(1, math.factorial(x))
-    # 1 - pi(x)/(e^{-1}/x!) = 1 - pi(x) x! / e^{-1}; bound via interval division
-    ratio_lo = pi.pmf(x) / coeff / inv_e.hi
-    ratio_hi = pi.pmf(x) / coeff / inv_e.lo
-    return Interval(1 - ratio_hi, 1 - ratio_lo)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 import csv
+import hashlib
 import json
 
 import pytest
@@ -130,6 +131,19 @@ def test_exact_n100_log_rate(tmp_path, capsys):
     header, row = (tmp_path / "exact_summary.csv").read_text().splitlines()
     rate = float(dict(zip(header.split(","), row.split(",")))["log_rate"])
     assert -1 < rate < 0
+
+
+def test_exact_files_match_frozen_digests(tmp_path, capsys):
+    # sha256 of both data files of `exact --n 1..60`; any change to a weight,
+    # a TV endpoint, a bracket or a log rate changes a digest
+    golden = {
+        "pi_table.csv": "5de5f520de4f9dd032a0cfdf8bd2cb78553686d3bf1c4c2356efe1c0ea28adc2",
+        "exact_summary.csv": "09b70e16548b9907c0e5a563ecdee93f5564053d7ae18851895195c4970f9f4b",
+    }
+    code, _ = run_cli(capsys, "exact", "--n", "1..60", "--out", str(tmp_path))
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
+    assert digests == golden
 
 
 def test_exact_json_format(tmp_path, capsys):

@@ -504,6 +504,20 @@ class TestDriftCertificate:
         assert all(isinstance(v, Fraction) for v in values)
         assert cert.c_est == 9 ** 3 * (1 - max(values))
 
+    @pytest.mark.parametrize("N", list(range(5, 61)) + [100, 200, 300, 400])
+    def test_closed_form_equals_max_over_every_state(self, N):
+        # F_bar(1) alone against F_bar over all of [1, N-4], on the
+        # kernel's own thresholds
+        for which, thetas in (("R", (1,)), ("R_tilde", (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)))):
+            for theta in thetas:
+                cert = drift_certificate(N, which, theta=Fraction(theta))
+                assert cert.kernel_label == which
+                assert cert.c_est == N ** 3 * (1 - max(drift_bound_values(N, which, Fraction(theta))))
+
+    def test_negative_theta_rejected(self):
+        with pytest.raises(ValueError, match="theta must be non-negative"):
+            drift_certificate(10, "R_tilde", theta=Fraction(-1, 2))
+
 
 def drift_rate_mp(N, which, theta):
     """N^3 (1 - max_{y >= 1} F(y)) for the true F, evaluated at 100 digits."""
@@ -572,9 +586,9 @@ class TestAssembledBound:
         calls = []
         real = coupling._drift_for
 
-        def counted(kernel, N, theta):
+        def counted(N, which, theta):
             calls.append(N)
-            return real(kernel, N, theta)
+            return real(N, which, theta)
 
         monkeypatch.setattr(coupling, "_drift_for", counted)
         coupling._drift_rates.cache_clear()

@@ -23,7 +23,6 @@ from permfix.exactdist import (
     poisson_pmf,
     poisson_truncated,
     separation_discrepancy,
-    separation_ratio_term,
     tv_bracket,
     tv_distance,
     zeta_law,
@@ -71,6 +70,12 @@ class TestDerangements:
         with pytest.raises(ValueError, match="D_40 fails the alternating-sum identity"):
             DerangementTable(tuple(values))
 
+    def test_wrong_d3_fails_alternating_sum(self):
+        from permfix.exactdist import DerangementTable
+
+        with pytest.raises(ValueError, match="D_3 fails the alternating-sum identity"):
+            DerangementTable((1, 0, 1, 3))
+
 
 class TestFixedPointPmf:
     @pytest.mark.parametrize("n", range(1, 9))
@@ -97,6 +102,17 @@ class TestExactDist:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             ExactDist((0, 1), (Fraction(1, 2), Fraction(1, 3)))
+
+    def test_float_weights_stored_as_fractions(self):
+        d = ExactDist((0, 1), (0.5, 0.5))
+        assert all(type(w) is Fraction for w in d.weights)
+        assert d.pmf(0) == Fraction(1, 2)
+
+    def test_float_weights_summing_to_one_only_in_floats_refused(self):
+        # 0.1 + 0.9 is 1 in floats, but the rationals the floats denote sum
+        # to (2^55 + 1) / 2^55
+        with pytest.raises(ValueError, match="weights must sum exactly to 1"):
+            ExactDist((0, 1), (0.1, 0.9))
 
     def test_zero_weights_dropped(self):
         d = ExactDist.from_mapping({0: Fraction(1), 5: Fraction(0)})
@@ -198,12 +214,80 @@ class TestTvDistance:
         pi = fixed_point_pmf(5)
         ref = poisson_pmf(5)
         flipped = tv_distance(ref, pi, "half")
-        expected = tv_distance(pi, ref, "total") - tv_distance(pi, ref, "half")
+        expected = tv_distance(pi, ref, "total").midpoint - tv_distance(pi, ref, "half").midpoint
         assert abs(float(flipped) - float(expected)) < 1e-45
 
     def test_exact_rational_between_exact_dists(self):
         got = tv_distance(pi_conditioned(8), zeta_law(8), "half")
         assert isinstance(got, Fraction)
+
+    @pytest.mark.parametrize("convention", ["half", "total"])
+    def test_exact_dists_against_term_by_term_sum(self, convention):
+        for n in range(5, 61):
+            d1, d2 = pi_conditioned(n), zeta_law(n)
+            assert tv_distance(d1, d2, convention) == term_by_term_tv(d1, d2, convention)
+            assert tv_distance(d2, d1, convention) == term_by_term_tv(d2, d1, convention)
+
+    @pytest.mark.parametrize("n", list(range(1, 51)) + [100, 150, 200])
+    def test_linear_form_inside_per_point_sum(self, n):
+        pi, ref = fixed_point_pmf(n), poisson_pmf(n)
+        for convention in ("half", "total"):
+            for poisson_first in (False, True):
+                args = (ref, pi) if poisson_first else (pi, ref)
+                got = tv_distance(*args, convention)
+                lo, hi = per_point_tv(pi, ref, convention, poisson_first)
+                assert lo <= got.lo <= got.hi <= hi
+                assert (float(got.lo), float(got.hi)) == (float(lo), float(hi))
+
+    def test_undecided_sign_refused(self):
+        # at 10 digits the enclosure of e^{-1} cannot tell D_30 / 30! from it
+        for args in [(fixed_point_pmf(30), poisson_pmf(30, digits=10)),
+                     (poisson_pmf(30, digits=10), fixed_point_pmf(30))]:
+            for convention in ("half", "total"):
+                with pytest.raises(PrecisionInsufficient, match="not resolved at 10 digits"):
+                    tv_distance(*args, convention)
+
+
+def term_by_term_tv(d1, d2, convention):
+    """The distance between two exact laws, one Fraction term at a time."""
+    total = Fraction(0)
+    for x in sorted(set(d1.support) | set(d2.support)):
+        diff = d1.pmf(x) - d2.pmf(x)
+        if convention == "total":
+            total += abs(diff)
+        elif diff > 0:
+            total += diff
+    return total
+
+
+def per_point_tv(d, ref, convention, poisson_first):
+    """The distance between d and Poisson(1) as a sum of per-point intervals.
+
+    Each difference d(x) - e^{-1}/x! (negated when the reference comes
+    first) is enclosed on its own, through its own copy of the e^{-1}
+    enclosure, and its positive part or absolute value is summed; the
+    Poisson tail beyond the support of d enters wherever P - d is counted.
+    Returns (lo, hi).
+    """
+    inv_e = inv_e_interval(ref.digits)
+    top = d.support[-1]
+    lo = hi = Fraction(0)
+    for x in range(top + 1):
+        coeff = Fraction(1, math.factorial(x))
+        a, b = d.pmf(x) - inv_e.hi * coeff, d.pmf(x) - inv_e.lo * coeff
+        if poisson_first:
+            a, b = -b, -a
+        if convention == "half":
+            a, b = max(a, 0), max(b, 0)
+        elif b <= 0:
+            a, b = -b, -a
+        elif a < 0:
+            a, b = Fraction(0), max(-a, b)
+        lo, hi = lo + a, hi + b
+    if convention == "total" or poisson_first:
+        head = sum((Fraction(1, math.factorial(k)) for k in range(top + 1)), Fraction(0))
+        lo, hi = lo + 1 - inv_e.hi * head, hi + 1 - inv_e.lo * head
+    return lo, hi
 
 
 class TestTvBracket:
@@ -265,8 +349,8 @@ class TestLogRate:
         assert value < 0 and math.isfinite(value)
 
     def test_insufficient_precision_detected(self, monkeypatch):
-        tv = tv_distance(fixed_point_pmf(30), poisson_pmf(30, digits=10), "total")
-        assert tv.lo <= 0
+        with pytest.raises(PrecisionInsufficient):
+            tv_distance(fixed_point_pmf(30), poisson_pmf(30, digits=10), "total")
         monkeypatch.setattr(exactdist, "enclosure_digits", lambda N: 10)
         with pytest.raises(PrecisionInsufficient):
             log_rate(30)
@@ -286,6 +370,17 @@ class TestLogRate:
     def test_decreasing_on_small_window(self):
         values = [log_rate(n) for n in range(10, 16)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def separation_ratio_term(N, x):
+    """Enclosure of 1 - pi_N(x) / P(x) = 1 - e * D_{N-x} / (N-x)!."""
+    pi = fixed_point_pmf(N)
+    inv_e = inv_e_interval(enclosure_digits(N))
+    coeff = Fraction(1, math.factorial(x))
+    # 1 - pi(x)/(e^{-1}/x!) = 1 - pi(x) x! / e^{-1}; bound via interval division
+    ratio_lo = pi.pmf(x) / coeff / inv_e.hi
+    ratio_hi = pi.pmf(x) / coeff / inv_e.lo
+    return Interval(1 - ratio_hi, 1 - ratio_lo)
 
 
 class TestSeparation:
@@ -320,11 +415,6 @@ class TestSeparation:
 
 
 class TestInterval:
-    def test_abs_and_positive_part(self):
-        iv = Interval(Fraction(-1, 2), Fraction(1, 3))
-        assert abs(iv) == Interval(Fraction(0), Fraction(1, 2))
-        assert iv.positive_part() == Interval(Fraction(0), Fraction(1, 3))
-
     def test_scale_negative(self):
         iv = Interval(Fraction(1), Fraction(2)).scale(-3)
         assert iv == Interval(Fraction(-6), Fraction(-3))
@@ -376,19 +466,11 @@ def contains(iv, value):
 
 class TestIntervalSoundness:
     @PROPERTY
-    @given(st.data(), intervals(), intervals())
-    def test_add_and_sub(self, data, a, b):
-        x, y = data.draw(members(a)), data.draw(members(b))
-        assert contains(a + b, x + y)
-        assert contains(a - b, x - y)
-
-    @PROPERTY
     @given(st.data(), intervals(), st.fractions(min_value=-5, max_value=5, max_denominator=100))
-    def test_scale_abs_positive_part(self, data, a, factor):
+    def test_scale_and_shift(self, data, a, factor):
         x = data.draw(members(a))
         assert contains(a.scale(factor), x * factor)
-        assert contains(abs(a), abs(x))
-        assert contains(a.positive_part(), max(x, Fraction(0)))
+        assert contains(a + factor, x + factor)
 
 
 def rational_pairs():
