@@ -42,7 +42,13 @@ from typing import Mapping
 import numpy as np
 
 from .exactdist import ExactDist, exp_interval, pi_conditioned, tv_distance, zeta_law
-from .kernels import StochasticKernel, birth_death_stationary, build_restricted
+from .kernels import (
+    CONSTANT_K,
+    StochasticKernel,
+    _penta_moves,
+    birth_death_stationary,
+    build_restricted,
+)
 from .rng import TWO_NEG53, VectorStreams, check_seed, scramble
 
 SELECTORS = ("pcheck-r", "r-r", "pcheck-rtilde")
@@ -521,14 +527,14 @@ class DriftCertificate:
 
 
 _DRIFT_DIGITS = 45  # enclosure width of e^{-+theta/N}; far below any margin c/N^3
-_DRIFT_K = {"R": Fraction(1), "R_tilde": Fraction(1, 2)}  # the family's k for each chain
 
 
 def _drift_for(N: int, which: str, theta: Fraction) -> DriftCertificate:
     em = exp_interval(-theta / N, _DRIFT_DIGITS).hi - 1
     ep = exp_interval(theta / N, _DRIFT_DIGITS).hi - 1
-    up = N - 1 - _DRIFT_K[which] if N > 5 else 0  # y = 1 is the top state at N = 5
-    worst = 1 + (em * (N - 1) + ep * up) / (N * (N - 1))  # F_bar(1), the maximum
+    moves = _penta_moves(N, 1, CONSTANT_K[which])  # the rates K(1, 0) and K(1, 2)
+    up = moves[2] if N > 5 else 0  # y = 1 is the top state at N = 5
+    worst = 1 + em * moves[0] + ep * up  # F_bar(1), the maximum
     return DriftCertificate(N=N, kernel_label=which, theta=theta, c_est=N ** 3 * (1 - worst))
 
 
@@ -544,7 +550,7 @@ def drift_certificate(N: int, which: str = "R", theta: Fraction | None = None) -
     """
     if N < 5:
         raise ValueError("N must be >= 5")
-    if which not in _DRIFT_K:
+    if which not in CONSTANT_K:
         raise ValueError("which must be 'R' or 'R_tilde'")
     if theta is not None:
         if theta < 0:

@@ -8,13 +8,15 @@ against an analytic bound can be certified rather than merely observed in
 floating point.  The enclosure for a quantity at N has `enclosure_digits(N)`
 digits, enough to resolve the distance between pi_N and Poisson(1).
 
-That distance is one exact linear form A + B e^{-1}.  Each term
-d(x) - e^{-1}/x! has a sign that one comparison of d(x) x! with the
-enclosure decides; once the signs are known, A and B are exact rational
-sums and the enclosure is scaled once.  Enclosing each term on its own
-would let e^{-1} take a different value in every term, and widen the
-result.  The derangement table is checked against the alternating sum in
-integers.
+Between two laws of mass one, sum |d1 - d2| = 2 sum (d1 - d2)_+ and the
+positive-part sum is the same in either order, so every distance is one
+positive-part sum.  Against Poisson(1) it is one exact linear form
+A + B e^{-1}.  Each term d(x) - e^{-1}/x! has a sign that one comparison
+of d(x) x! with the enclosure decides; the positive terms give A and B as
+exact rational sums, and the enclosure is scaled once.  Enclosing each term
+on its own would let e^{-1} take a different value in every term, and widen
+the result.  The derangement table is checked against the alternating sum
+in integers.
 
 Every sum of many rationals in the exact core (here and in `kernels`,
 `lumping` and `moments`) goes through `_exact_sum`, which adds the terms
@@ -63,11 +65,6 @@ class Interval:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def point(value: Fraction | int) -> "Interval":
-        v = Fraction(value)
-        return Interval(v, v)
 
     def __add__(self, shift: Fraction | int) -> "Interval":
         """Shift by an exact scalar."""
@@ -147,7 +144,8 @@ class DerangementTable:
     Built by the iteration D_n = (n-1)(D_{n-1} + D_{n-2}) and verified
     against the alternating sum D_n = n! sum_{k<=n} (-1)^k / k!.  Multiplied
     by n!, that identity reads D_n = n D_{n-1} + (-1)^n with D_0 = 1, so
-    every entry is checked in integers, in one pass.
+    every entry is checked in integers, in one pass; it implies the
+    two-term iteration, so that needs no check of its own.
     """
 
     values: tuple[int, ...]
@@ -159,8 +157,6 @@ class DerangementTable:
         for n in range(1, len(v)):
             if v[n] != n * v[n - 1] + (-1 if n & 1 else 1):
                 raise ValueError(f"D_{n} fails the alternating-sum identity")
-            if n >= 2 and v[n] != (n - 1) * (v[n - 1] + v[n - 2]):
-                raise ValueError(f"D_{n} fails the two-term recurrence")
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
@@ -252,22 +248,6 @@ class ExactDist:
                 return x
         return self.support[-1]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "entries": [
-                {"x": x, "num": w.numerator, "den": w.denominator}
-                for x, w in zip(self.support, self.weights)
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ExactDist":
-        return ExactDist.from_mapping(
-            {e["x"]: Fraction(e["num"], e["den"]) for e in data["entries"]},
-            label=data.get("label", ""),
-        )
-
 
 def fixed_point_pmf(N: int) -> ExactDist:
     """Law of the number of fixed points of a uniform permutation of N items.
@@ -298,30 +278,26 @@ def pi_conditioned(N: int) -> ExactDist:
 
 @dataclass(frozen=True)
 class PoissonRef:
-    """Poisson(1) reference with weights held as (1/k!) times a shared e^{-1}.
+    """Poisson(1), weights e^{-1}/k!, with e^{-1} enclosed at `digits` digits.
 
-    The coefficients are exact rationals; the transcendental factor enters
-    every numeric answer only through inv_e_interval(digits), so distances
-    against the reference come back as certified rational intervals.
+    The transcendental factor enters every numeric answer only through
+    inv_e_interval(digits), so distances against the reference come back
+    as certified rational intervals.
     """
 
-    k_max: int
     digits: int
 
     def __post_init__(self) -> None:
-        if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
-
-    def coefficient(self, k: int) -> Fraction:
-        if k < 0:
-            return Fraction(0)
-        return Fraction(1, math.factorial(k))
+        if self.digits < 1:
+            raise ValueError("digits must be >= 1")
 
 
 def poisson_pmf(k_max: int, digits: int | None = None) -> PoissonRef:
-    """Poisson(1) weights 1/k! times an e^{-1} enclosure of
-    `enclosure_digits(k_max)` digits, or of `digits` when given."""
-    return PoissonRef(k_max=k_max, digits=enclosure_digits(k_max) if digits is None else digits)
+    """Poisson(1) with an e^{-1} enclosure of `enclosure_digits(k_max)`
+    digits, or of `digits` when given."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    return PoissonRef(enclosure_digits(k_max) if digits is None else digits)
 
 
 def poisson_truncated(k_max: int, label: str = "") -> ExactDist:
@@ -360,6 +336,8 @@ def tv_distance(d1: DistLike, d2: DistLike, convention: str) -> Fraction | Inter
     convention="half"  -> sum_x (d1 - d2)_+
     convention="total" -> sum_x |d1 - d2|  (twice the half value)
 
+    Both laws have mass one, so the half value is the same in either order
+    and the total is twice it: one positive-part sum serves all four cases.
     Exact Fraction when both inputs are ExactDist; a certified Interval when
     the Poisson reference (carrying e^{-1}) is involved, or
     PrecisionInsufficient when its enclosure of e^{-1} cannot tell the sign
@@ -368,57 +346,49 @@ def tv_distance(d1: DistLike, d2: DistLike, convention: str) -> Fraction | Inter
     """
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
-    if isinstance(d1, ExactDist) and isinstance(d2, ExactDist):
-        w1, w2 = d1.as_dict(), d2.as_dict()
-        zero = Fraction(0)
-        terms = []
-        for x in w1.keys() | w2.keys():
-            n1, m1 = w1.get(x, zero).as_integer_ratio()
-            n2, m2 = w2.get(x, zero).as_integer_ratio()
-            diff = n1 * m2 - n2 * m1  # d1(x) - d2(x) = diff / (m1 m2)
-            if convention == "total" or diff > 0:
-                terms.append((abs(diff), m1 * m2))
-        return _exact_sum(terms)
-    if isinstance(d1, PoissonRef) and isinstance(d2, PoissonRef):
-        raise ValueError("at least one argument must be an ExactDist")
     if isinstance(d1, PoissonRef):
-        return _tv_against_poisson(d2, d1, (-1,) if convention == "half" else (1, -1))
-    return _tv_against_poisson(d1, d2, (1,) if convention == "half" else (1, -1))
+        d1, d2 = d2, d1
+    if not (isinstance(d1, ExactDist) and isinstance(d2, (ExactDist, PoissonRef))):
+        raise ValueError("tv_distance needs an ExactDist and an ExactDist or a PoissonRef")
+    if isinstance(d2, PoissonRef):
+        half = _tv_against_poisson(d1, d2)
+        return half if convention == "half" else half.scale(2)
+    w2, zero = d2.as_dict(), Fraction(0)
+    terms = []
+    for x, w1 in zip(d1.support, d1.weights):
+        n1, m1 = w1.as_integer_ratio()
+        n2, m2 = w2.get(x, zero).as_integer_ratio()
+        diff = n1 * m2 - n2 * m1  # d1(x) - d2(x) = diff / (m1 m2)
+        if diff > 0:
+            terms.append((diff, m1 * m2))
+    half = _exact_sum(terms)
+    return half if convention == "half" else 2 * half
 
 
-def _tv_against_poisson(d: ExactDist, ref: PoissonRef, signs: tuple[int, ...]) -> Interval:
-    """sum of |d(x) - e^{-1}/x!| over the x where that difference has a sign
-    in `signs`, as the exact linear form A + B e^{-1}.
+def _tv_against_poisson(d: ExactDist, ref: PoissonRef) -> Interval:
+    """sum_x (d(x) - e^{-1}/x!)_+ as the exact linear form A + B e^{-1}.
 
     The sign of d(x) - e^{-1}/x! is that of d(x) x! - e^{-1}, which the
-    enclosure of e^{-1} decides (PrecisionInsufficient if it cannot).  Once
-    the signs are known, every kept term is a rational plus a rational
-    multiple of e^{-1}; so is the Poisson tail 1 - e^{-1} sum_{k<=top} 1/k!
-    beyond the top of the support, where the difference is negative.  A and
-    B are each one exact sum, and e^{-1} enters once: (1,) gives
-    sum (d - P)_+, (-1,) sum (P - d)_+ and (1, -1) sum |d - P|.
+    enclosure of e^{-1} decides (PrecisionInsufficient if it cannot).  The
+    positive terms, all inside the support of d, give A = sum d(x) and
+    B = -sum 1/x!; each is one exact sum, and e^{-1} enters once.
     """
     inv_e = inv_e_interval(ref.digits)
     (lo_n, lo_d), (hi_n, hi_d) = inv_e.lo.as_integer_ratio(), inv_e.hi.as_integer_ratio()
     weights, zero = d.as_dict(), Fraction(0)
-    tail = int(-1 in signs)
-    a_terms, b_terms = [(tail, 1)], []
+    a_terms, b_terms = [], []
     fact = 1
     for x in range(d.support[-1] + 1):
         if x:
             fact *= x
         num, den = weights.get(x, zero).as_integer_ratio()
         if num * fact * hi_d >= hi_n * den:  # d(x) x! >= hi
-            sign = 1
-        elif num * fact * lo_d <= lo_n * den:  # d(x) x! <= lo
-            sign = -1
-        else:
+            a_terms.append((num, den))
+            b_terms.append((-1, fact))
+        elif num * fact * lo_d > lo_n * den:  # lo < d(x) x! < hi
             raise PrecisionInsufficient(
                 f"sign of d({x}) - e^-1/{x}! not resolved at {ref.digits} digits"
             )
-        c = sign if sign in signs else 0
-        a_terms.append((c * num, den))
-        b_terms.append((-c - tail, fact))
     return inv_e.scale(_exact_sum(b_terms)) + _exact_sum(a_terms)
 
 
@@ -445,7 +415,6 @@ def log_rate(N: int) -> float:
         raise ValueError("log_rate needs N >= 4")
     ref = poisson_pmf(N)
     tv = tv_distance(fixed_point_pmf(N), ref, "total")
-    assert isinstance(tv, Interval)
     if tv.lo <= 0:
         raise PrecisionInsufficient(
             f"TV for N={N} not resolved away from zero at {ref.digits} digits"
@@ -457,30 +426,18 @@ def log_rate(N: int) -> float:
         return float((lo + hi) / 2 / denom)
 
 
-def separation_discrepancy(d1: DistLike, d2: DistLike) -> Fraction | Interval:
+def separation_discrepancy(d1: DistLike, d2: DistLike) -> Fraction:
     """sup_x (1 - d1(x)/d2(x)).
 
-    Points with d2 = 0 = d1 are ignored; d2 = 0 < d1 contributes the value 1.
+    A point with d2 = 0 < d1 contributes the value 1.
     """
+    if not isinstance(d1, ExactDist):
+        raise ValueError("d1 must be an ExactDist")
     if isinstance(d2, PoissonRef):
-        if not isinstance(d1, ExactDist):
-            raise ValueError("d1 must be an ExactDist")
         # d1 is finitely supported while the reference is positive everywhere,
         # so any point outside the support realizes the maximal value 1.
         return Fraction(1)
-    assert isinstance(d2, ExactDist)
-    if not isinstance(d1, ExactDist):
-        raise ValueError("d1 must be an ExactDist")
-    best: Fraction | None = None
-    for x in sorted(set(d1.support) | set(d2.support)):
-        w2 = d2.pmf(x)
-        w1 = d1.pmf(x)
-        if w2 == 0:
-            if w1 == 0:
-                continue
-            value = Fraction(1)
-        else:
-            value = 1 - w1 / w2
-        if best is None or value > best:
-            best = value
-    return best if best is not None else Fraction(0)
+    w1, w2 = d1.as_dict(), d2.as_dict()
+    if w1.keys() - w2.keys():
+        return Fraction(1)
+    return max(1 - w1.get(x, 0) / w for x, w in w2.items())

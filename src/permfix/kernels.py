@@ -339,30 +339,30 @@ def hat_stationary(N: int) -> ExactDist:
 
 
 RESTRICTED_LABELS = ("P_check", "R", "R_tilde")
+CONSTANT_K = {"R": Fraction(1), "R_tilde": Fraction(1, 2)}  # the family's k for R and R_tilde
 
 
 def restricted_kernel(N: int, label: str) -> StochasticKernel:
     """One of the restricted kernels P_check, R, R_tilde on [0, N-4].
 
-    The moves of the family between neighbours of [0, N-4], with k = 2p(x),
-    1 and 1/2 respectively: up-rates N-x-2p(x), N-x-1 and N-x-1/2 over the
-    common down-rate x(N-x).  R is the p = 1/2 member whose reversible law
-    is the conditioned Poisson zeta, and R_tilde dominates the p-chain from
-    above.  Only P_check needs p, so only it pays for `p_closedform`.
+    The moves of the family between neighbours of [0, N-4], with k = 2p(x)
+    for P_check and the constant `CONSTANT_K[label]` (1 and 1/2) for R and
+    R_tilde: up-rates N-x-2p(x), N-x-1 and N-x-1/2 over the common
+    down-rate x(N-x).  R is the p = 1/2 member whose reversible law is the
+    conditioned Poisson zeta, and R_tilde dominates the p-chain from above.
+    Only P_check needs p, so only it pays for `p_closedform`.
     """
-    if label == "P_check":
-        p = p_closedform(N)
-        k = lambda x: 2 * p[x]
-    elif label == "R":
-        k = lambda x: 1
-    elif label == "R_tilde":
-        k = lambda x: Fraction(1, 2)
-    else:
+    if label not in RESTRICTED_LABELS:
         raise ValueError(f"label must be one of {RESTRICTED_LABELS}")
     if N < 5:
         raise ValueError("the restricted kernels need N >= 5")
     states = tuple(range(N - 3))
-    return _neighbour_kernel(states, (_penta_moves(N, x, k(x)) for x in states), label)
+    if label == "P_check":
+        p = p_closedform(N)
+        moves = (_penta_moves(N, x, 2 * p[x]) for x in states)
+    else:
+        moves = (_penta_moves(N, x, CONSTANT_K[label]) for x in states)
+    return _neighbour_kernel(states, moves, label)
 
 
 def build_restricted(N: int) -> tuple[StochasticKernel, StochasticKernel, StochasticKernel]:

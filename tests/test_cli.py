@@ -216,6 +216,65 @@ def test_all_outputs_deterministic(tmp_path, capsys):
     assert first == tree(tmp_path / "b")
 
 
+def test_all_files_match_frozen_digests(tmp_path, capsys):
+    # sha256 of every data file of `all --seed 1`, so that the kernel,
+    # project, couple, alt and moments outputs are pinned byte for byte as
+    # well as the exact ones
+    golden = {
+        "alt/ascent_peak.csv":
+            "fb958951415267ed7cc71bddd69d8d64b9a194407ed01bfecb3b9a6d7ccbe98c",
+        "alt/mallows_discrepancy.csv":
+            "f74d7e9183037f546e25d8439f15d5cd9ef5bb10e438df9d9372d31c6d19fd6a",
+        "alt/peak_tail.csv":
+            "9c315f81342042161d42f40e26c80ee36efd3b2f02e670f1ba24443f26507126",
+        "couple/aggregates.csv":
+            "e7431b67f9ea238b3da3bcddf8726e826e1bd36497dbf05171e436e3d322af0f",
+        "couple/monotonicity.csv":
+            "8c07ae8a063024ac5427727cc141ac200d4e9fd61664fca6113293d422162173",
+        "couple/tv_bound.csv":
+            "c6a785d6e4a80a5469187212f945206debdce16341c2bc6016f1ae34f790d269",
+        "exact/exact_summary.csv":
+            "dcd04e05eece36740a86516a934a42061df6de93cc7ad71bafd5123ab88d66c3",
+        "exact/pi_table.csv":
+            "0741f49800e9a217a794092461133c92bdf4d0b02b6356b1cabaa20cf401a2c3",
+        "kernel/kernel_P.json":
+            "fb765ce486602b8e8481c13b97cff31824c3127b4c8010bc8d84afc8d7905c29",
+        "kernel/kernel_P_bar.json":
+            "5a15de12702b8676b823479de15c09cb07b344c9d22d7b9faa6f8fbcb7bf249e",
+        "kernel/kernel_P_check.json":
+            "276b380ce41602c0e4124fb78d48101c9c441e71af1bd88d6f7b2dd0f0d4be26",
+        "kernel/kernel_P_hat.json":
+            "dccdafc72e418b45be57634ed04995a6f4c7022fa6b80d129188f194b35e0229",
+        "kernel/kernel_P_tilde.json":
+            "309b5a96c6b1ea6c874201d3422dbcead14f60518077926ad2c0c398dc02278d",
+        "kernel/kernel_R.json":
+            "24a3137bf25a2bc2b8fe2b7064ef0ad8657a0f66ac15bbeebfd6ab2f614e5eff",
+        "kernel/kernel_R_tilde.json":
+            "552a668af2f202b592539045c5d97b8c8096af84dda52a18305712671f7b7150",
+        "kernel/p_table.csv":
+            "31f33bb6efd7e164afd45ccbcf75a662ae2875a546d46b76851345dfffd90a06",
+        "moments/coefficients.csv":
+            "338c6c81b57f9f5da1af51cf92e7bf10a37afd2486fbd52c4b176d5c2b94822d",
+        "moments/gram.csv":
+            "a2be9c12786e4083ee565228d9432393ecebf5189b72c370849c428fe86ef1cd",
+        "moments/moments.csv":
+            "d3683931b97124162bc7a16d13f101ac471a5bc58bfc2223b0fa06ddd1461746",
+        "project/dynkin.csv":
+            "41a4b15a7e924271f236305afbb940dc3b5a8fe0f28fad58671443a4b26d40f2",
+        "project/partition.json":
+            "c7d3a4f55b85b382c40ea74d78be1b883182abe904a8ad3c9f5eebb29bc2f88d",
+        "project/projected_kernel.json":
+            "b439d658e3e358b1e46b93fbb9739b40196749ef9ae477c9f6b4be5d1147caf9",
+    }
+    assert main(["all", "--seed", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.rglob("*") if p.is_file()
+    }
+    assert digests == golden
+
+
 def test_couple_traces(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({

@@ -12,6 +12,7 @@ from permfix import exactdist
 from permfix.exactdist import (
     ExactDist,
     Interval,
+    PoissonRef,
     PrecisionInsufficient,
     derangements,
     enclosure_digits,
@@ -129,16 +130,18 @@ class TestExactDist:
         assert d.quantile(Fraction(1, 4)) == 2
         assert d.quantile(Fraction(99, 100)) == 2
 
-    def test_json_round_trip(self):
-        d = fixed_point_pmf(5)
-        assert ExactDist.from_json_dict(d.to_json_dict()).as_dict() == d.as_dict()
-
 
 class TestPoissonRef:
-    def test_coefficients(self):
-        ref = poisson_pmf(5)
-        assert ref.coefficient(0) == 1
-        assert ref.coefficient(3) == Fraction(1, 6)
+    @pytest.mark.parametrize("digits", [0, -3])
+    def test_digits_below_one_rejected(self, digits):
+        with pytest.raises(ValueError, match="digits must be >= 1"):
+            poisson_pmf(4, digits=digits)
+        with pytest.raises(ValueError, match="digits must be >= 1"):
+            PoissonRef(digits)
+
+    def test_negative_k_max_rejected(self):
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            poisson_pmf(-1)
 
     def test_enclosure_brackets_inv_e(self):
         iv = inv_e_interval(50)
@@ -159,6 +162,9 @@ class TestPoissonRef:
         ratios = [zeta.pmf(x) * math.factorial(x) for x in range(5)]
         assert len(set(ratios)) == 1
         assert zeta_law(8).as_dict() == poisson_truncated(4).as_dict()
+
+
+LINEAR_FORM_NS = list(range(1, 51)) + [100, 150, 200]
 
 
 class TestTvDistance:
@@ -189,12 +195,11 @@ class TestTvDistance:
         assert abs(float(got) - expected) < 1e-25
         assert abs(float(got) - 0.09951919486069309) < 1e-12
 
-    def test_total_is_twice_half(self):
-        pi = fixed_point_pmf(7)
-        ref = poisson_pmf(7)
+    @pytest.mark.parametrize("n", LINEAR_FORM_NS)
+    def test_total_is_twice_half(self, n):
+        pi, ref = fixed_point_pmf(n), poisson_pmf(n)
         half = tv_distance(pi, ref, "half")
-        total = tv_distance(pi, ref, "total")
-        assert abs(float(total) - 2 * float(half)) < 1e-40
+        assert tv_distance(pi, ref, "total") == Interval(2 * half.lo, 2 * half.hi)
 
     def test_n4_total_in_bracket(self):
         total = tv_distance(fixed_point_pmf(4), poisson_pmf(4), "total")
@@ -209,13 +214,23 @@ class TestTvDistance:
         b = tv_distance(ref, pi, "total")
         assert a.lo == b.lo and a.hi == b.hi
 
-    def test_half_flipped_arguments(self):
-        # sum (P - pi)_+ = sum |pi - P| - sum (pi - P)_+
-        pi = fixed_point_pmf(5)
-        ref = poisson_pmf(5)
-        flipped = tv_distance(ref, pi, "half")
-        expected = tv_distance(pi, ref, "total").midpoint - tv_distance(pi, ref, "half").midpoint
-        assert abs(float(flipped) - float(expected)) < 1e-45
+    @pytest.mark.parametrize("n", LINEAR_FORM_NS)
+    def test_half_flipped_arguments(self, n):
+        # both laws have mass one, so sum (P - pi)_+ = sum (pi - P)_+
+        pi, ref = fixed_point_pmf(n), poisson_pmf(n)
+        assert tv_distance(ref, pi, "half") == tv_distance(pi, ref, "half")
+
+    @pytest.mark.parametrize("args", [
+        (fixed_point_pmf(4), {0: 1}),
+        ({0: 1}, fixed_point_pmf(4)),
+        (poisson_pmf(4), {0: 1}),
+        ({0: 1}, poisson_pmf(4)),
+        (poisson_pmf(4), poisson_pmf(5)),
+    ])
+    def test_argument_types_checked(self, args):
+        for convention in ("half", "total"):
+            with pytest.raises(ValueError, match="needs an ExactDist"):
+                tv_distance(*args, convention)
 
     def test_exact_rational_between_exact_dists(self):
         got = tv_distance(pi_conditioned(8), zeta_law(8), "half")
@@ -228,7 +243,7 @@ class TestTvDistance:
             assert tv_distance(d1, d2, convention) == term_by_term_tv(d1, d2, convention)
             assert tv_distance(d2, d1, convention) == term_by_term_tv(d2, d1, convention)
 
-    @pytest.mark.parametrize("n", list(range(1, 51)) + [100, 150, 200])
+    @pytest.mark.parametrize("n", LINEAR_FORM_NS)
     def test_linear_form_inside_per_point_sum(self, n):
         pi, ref = fixed_point_pmf(n), poisson_pmf(n)
         for convention in ("half", "total"):
@@ -397,6 +412,21 @@ class TestSeparation:
         d2 = ExactDist.from_mapping({0: Fraction(1, 2), 1: Fraction(1, 2)})
         assert separation_discrepancy(d1, d2) == 1
 
+    @pytest.mark.parametrize("n", [5, 8, 13, 30])
+    def test_exact_laws_against_pointwise_sup(self, n):
+        pairs = [
+            (pi_conditioned(n), zeta_law(n)),
+            (zeta_law(n), pi_conditioned(n)),
+            (fixed_point_pmf(n), poisson_truncated(n - 2)),
+            (poisson_truncated(n - 2), fixed_point_pmf(n)),
+        ]
+        for d1, d2 in pairs:
+            expected = max(
+                1 - d1.pmf(x) / d2.pmf(x) if d2.pmf(x) else Fraction(1)
+                for x in set(d1.support) | set(d2.support)
+            )
+            assert separation_discrepancy(d1, d2) == expected
+
     def test_index_n_minus_4_term_is_negative(self):
         # 1 - e D_4 / 4! = 1 - 9e/24, contradicting the claimed positive sign
         term = separation_ratio_term(20, 16)
@@ -442,7 +472,7 @@ class TestExpInterval:
         assert iv.width * 10 ** digits <= Fraction(739, 100)  # e^2 < 7.39
 
     def test_exact_at_zero(self):
-        assert exp_interval(0, 30) == Interval.point(1)
+        assert exp_interval(0, 30) == Interval(1, 1)
 
     @pytest.mark.parametrize("x, digits", [(Fraction(101, 100), 10), (-2, 10), (1, 0)])
     def test_rejects_out_of_range(self, x, digits):
