@@ -148,7 +148,6 @@ class AscentPeakSample:
 
     s: int
     t: int
-    uniforms_used: int
 
     @property
     def m(self) -> int:
@@ -181,7 +180,7 @@ def ascent_peak_from_uniforms(us: Sequence[float]) -> AscentPeakSample:
         if t is None and n >= 2 and u_n > u_prev and u_n > u_next:
             t = n
         n += 1
-    return AscentPeakSample(s=s, t=t, uniforms_used=max(s + 1, t + 1))
+    return AscentPeakSample(s=s, t=t)
 
 
 def ascent_peak_sample(seed: int, replica: int = 0) -> AscentPeakSample:
@@ -254,7 +253,7 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     m_n_counts: dict[int, Counter] = {N: Counter() for N in ns}
     disagree = dict.fromkeys(ns, 0)
     for s, t in zip(*np.nonzero(joint)):
-        sample = AscentPeakSample(s=int(s), t=int(t), uniforms_used=int(t) + 1)
+        sample = AscentPeakSample(s=int(s), t=int(t))
         count = int(joint[s, t])
         m_counts[sample.m] += count
         for N in ns:

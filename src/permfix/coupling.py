@@ -11,10 +11,13 @@ together with the event counters Z (meetings that split), Z-tilde
 (order violations downward) and Z-hat (order violations upward), the
 coupling time tau and the hitting times of zero.
 
-Every uniform is a grid point j * 2^-53, and every cut c of a threshold
-table or initial CDF is stored as g * 2^-53 with g = ceil(c * 2^53)
-(`grid_cut`), so u < c exactly when j < g: the engines decide alike by
-construction.
+Both engines read one table format (`_double_tables`): six tables with one
+cut per state 0..N-4, the (down, stay) thresholds of X and of Y and the
+CDFs of X(0) and Y(0).  Every start law charges only [0, N-4], so the last
+CDF cut is 1 and the number of cuts at or below u is the start state; no
+support table is kept.  Every uniform is a grid point j * 2^-53, and every
+cut c is stored as g * 2^-53 with g = ceil(c * 2^53) (`grid_cut`), so
+u < c exactly when j < g: the engines decide alike by construction.
 
 Replicas run in blocks.  Counts-only runs (emit_traces false) go to a
 compiled C loop, `step`'s rule on the integers j and g.  The first such run
@@ -36,6 +39,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
 
@@ -190,30 +194,18 @@ def grid_cut(c: Fraction) -> int:
     return -((-c.numerator << 53) // c.denominator)
 
 
-def _float_cuts(cuts) -> np.ndarray:
-    return np.array([grid_cut(c) for c in cuts], dtype=np.float64) * TWO_NEG53
-
-
-def _float_tables(kernel: StochasticKernel) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(_float_cuts(t) for t in birth_death_thresholds(kernel))
-
-
-def _float_cdf(dist: ExactDist) -> tuple[np.ndarray, np.ndarray]:
-    """(grid cumulative table, support) of dist."""
-    return _float_cuts(dist.cumulative()), np.array(dist.support, dtype=np.int64)
-
-
-def _float_quantile(cdf: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of an array of uniforms against a `_float_cdf` table."""
-    cum, support = cdf
-    return support[np.searchsorted(cum, u, side="right").clip(0, len(support) - 1)]
-
-
-def _double_tables(cfg: RunConfig) -> tuple:
-    """Grid (down, stay) thresholds of both chains and the CDF tables of
-    both initial laws, built once per run and shared by its blocks."""
+def _double_tables(cfg: RunConfig) -> tuple[np.ndarray, ...]:
+    """Six tables of grid cuts, one cut per state 0..N-4: the (down, stay)
+    thresholds of X and of Y, then the CDFs of X(0) and Y(0).  Built once
+    per run and shared by its blocks.  The last CDF cut is 1, so the number
+    of cuts at or below a uniform is already a state."""
     k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
-    return (*_float_tables(k_x), *_float_tables(k_y), _float_cdf(law_x), _float_cdf(law_y))
+    cuts = (
+        *birth_death_thresholds(k_x),
+        *birth_death_thresholds(k_y),
+        *(list(accumulate(law.pmf(x) for x in range(cfg.N - 3))) for law in (law_x, law_y)),
+    )
+    return tuple(np.array([grid_cut(c) for c in t], dtype=np.float64) * TWO_NEG53 for t in cuts)
 
 
 _C_SOURCE = r"""
@@ -228,36 +220,36 @@ static uint64_t scramble(uint64_t z)
     return z ^ (z >> 31);
 }
 
-static int64_t quantile(const uint64_t *cdf, const int64_t *support, int64_t size, uint64_t j)
+static int64_t quantile(const uint64_t *cdf, int64_t size, uint64_t j)
 {
     int64_t i = 0;
     while (i < size - 1 && j >= cdf[i])
         i++;
-    return support[i];
+    return i;
 }
 
 /* Replicas [first, first + count): the numpy engine's streams, initial
    states, moves and flags, on 53-bit words j against grid numerators g.
-   start_mode indexes (shared, independent, copy_x); counts holds 7 int64
-   per checkpoint; checkpoints ascend and end at horizon.  lo_x and lo_y
-   are the lowest states visited, so a chain has hit 0 when its lo is 0. */
+   start_mode indexes (shared, independent, copy_x); each of the six tables
+   holds size cuts, one per state; counts holds 7 int64 per checkpoint;
+   checkpoints ascend and end at horizon.  lo_x and lo_y are the lowest
+   states visited, so a chain has hit 0 when its lo is 0. */
 void permfix_run_block(uint64_t seed_hash, int64_t first, int64_t count, int64_t horizon,
                        int64_t start_mode, const int64_t *checkpoints,
                        const uint64_t *down_x, const uint64_t *stay_x,
                        const uint64_t *down_y, const uint64_t *stay_y,
-                       const uint64_t *cdf_x, const int64_t *support_x, int64_t size_x,
-                       const uint64_t *cdf_y, const int64_t *support_y, int64_t size_y,
+                       const uint64_t *cdf_x, const uint64_t *cdf_y, int64_t size,
                        int64_t *counts)
 {
     for (int64_t r = first; r < first + count; r++) {
         uint64_t s = scramble(seed_hash + (uint64_t)(r + 1) * GOLDEN);
         uint64_t j = scramble(s += GOLDEN) >> 11;
-        int64_t x = quantile(cdf_x, support_x, size_x, j);
+        int64_t x = quantile(cdf_x, size, j);
         int64_t y = x;
         if (start_mode == 0)
-            y = quantile(cdf_y, support_y, size_y, j);
+            y = quantile(cdf_y, size, j);
         else if (start_mode == 1)
-            y = quantile(cdf_y, support_y, size_y, scramble(s += GOLDEN) >> 11);
+            y = quantile(cdf_y, size, scramble(s += GOLDEN) >> 11);
         int64_t met = x == y, lo_x = x, lo_y = y, z = 0, zt = 0, zh = 0, k = 0;
         int64_t *row = counts;
         for (const int64_t *next = checkpoints;; next++, row += 7) {
@@ -333,35 +325,33 @@ def _compiled_engine():
     run = lib.permfix_run_block
     run.argtypes = [
         ctypes.c_uint64, i64, i64, i64, i64, ints,
-        words, words, words, words, words, ints, i64, words, ints, i64,
+        words, words, words, words, words, words, i64,
         np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"),
     ]
     run.restype = None
 
     def run_block(cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray) -> list:
-        *thresholds, (cum_x, support_x), (cum_y, support_y) = tables
         # every stored cut is g * 2^-53 exactly, so scaling recovers g
-        down_x, stay_x, down_y, stay_y, cum_x, cum_y = (
-            (t * 2.0 ** 53).astype(np.uint64) for t in (*thresholds, cum_x, cum_y)
-        )
-        # the C loop indexes the threshold tables by state, unchecked
-        states = np.concatenate((support_x, support_y))
-        if (
-            {len(t) for t in (down_x, stay_x, down_y, stay_y)} != {cfg.N - 3}
-            or (len(cum_x), len(cum_y)) != (len(support_x), len(support_y))
-            or not 0 <= states.min() <= states.max() <= cfg.N - 4
-        ):
-            raise ValueError("tables must cover the states [0, N-4] and laws lie inside them")
+        grid = [(t * 2.0 ** 53).astype(np.uint64) for t in tables]
+        # the C loop indexes every table by state, unchecked
+        if {len(t) for t in grid} != {cfg.N - 3}:
+            raise ValueError("every table must hold one cut per state of [0, N-4]")
         if counts.shape != (len(cfg.checkpoints), len(STAT_NAMES)):
             raise ValueError("counts must hold one row per checkpoint")
         run(
             scramble(cfg.seed), first, count, cfg.horizon, START_MODES.index(cfg.start_mode),
-            np.array(cfg.checkpoints, dtype=np.int64), down_x, stay_x, down_y, stay_y,
-            cum_x, support_x, len(support_x), cum_y, support_y, len(support_y), counts,
+            np.array(cfg.checkpoints, dtype=np.int64), *grid, cfg.N - 3, counts,
         )
         return []
 
     return run_block
+
+
+def _events(x, y, xn, yn):
+    """The (Z, Z-tilde, Z-hat) flags of the steps (x, y) -> (xn, yn),
+    elementwise: a meeting that splits, X going from at or below Y to above
+    it, and X going from at or above Y to below it."""
+    return (x == y) & (xn != yn), (x <= y) & (xn > yn), (x >= y) & (xn < yn)
 
 
 def _run_block_double(
@@ -373,11 +363,11 @@ def _run_block_double(
 
     streams = VectorStreams(cfg.seed, first, count)
     u0 = streams.uniforms()
-    X = _float_quantile(cdf_x, u0)
+    X = np.searchsorted(cdf_x, u0, side="right")
     if cfg.start_mode == "shared":
-        Y = _float_quantile(cdf_y, u0)
+        Y = np.searchsorted(cdf_y, u0, side="right")
     elif cfg.start_mode == "independent":
-        Y = _float_quantile(cdf_y, streams.uniforms())
+        Y = np.searchsorted(cdf_y, streams.uniforms(), side="right")
     else:
         Y = X.copy()
 
@@ -406,14 +396,11 @@ def _run_block_double(
         snapshot(0)
     for k in range(cfg.horizon):
         u = streams.uniforms()
-        eq_b = X == Y
-        le_b = X <= Y
-        ge_b = X >= Y
-        Xn = step(X, u, down_x, stay_x)
-        Yn = step(Y, u, down_y, stay_y)
-        z_f |= eq_b & (Xn != Yn)
-        zt_f |= le_b & (Xn > Yn)
-        zh_f |= ge_b & (Xn < Yn)
+        Xn, Yn = step(X, u, down_x, stay_x), step(Y, u, down_y, stay_y)
+        z, zt, zh = _events(X, Y, Xn, Yn)
+        z_f |= z
+        zt_f |= zt
+        zh_f |= zh
         X, Y = Xn, Yn
         met |= X == Y
         hit_x |= X == 0
@@ -439,11 +426,8 @@ def _traces_from_path(xs: np.ndarray, ys: np.ndarray, us: np.ndarray) -> list[Co
     def times(flags: np.ndarray) -> list[tuple[int, ...]]:
         return [tuple(np.flatnonzero(col).tolist()) for col in flags.T]
 
-    eq = xs == ys
-    tau, tau0_x, tau0_y = first(eq), first(xs == 0), first(ys == 0)
-    z = times(eq[:-1] & ~eq[1:])
-    zt = times((xs[:-1] <= ys[:-1]) & (xs[1:] > ys[1:]))
-    zh = times((xs[:-1] >= ys[:-1]) & (xs[1:] < ys[1:]))
+    tau, tau0_x, tau0_y = first(xs == ys), first(xs == 0), first(ys == 0)
+    z, zt, zh = (times(flags) for flags in _events(xs[:-1], ys[:-1], xs[1:], ys[1:]))
     paths = zip(xs.T.tolist(), ys.T.tolist(), us.T.tolist())
     return [
         CouplingTrace(
@@ -483,7 +467,6 @@ def run_coupling(cfg: RunConfig) -> CouplingStats:
 class MonotonicityReport:
     """K(x, [x-1, x]) >= K(x+1, x) margins of a birth-and-death kernel."""
 
-    kernel_label: str
     ok: bool
     margins: tuple[tuple[int, Fraction], ...]
 
@@ -491,7 +474,7 @@ class MonotonicityReport:
 def monotonicity_certificate(kernel: StochasticKernel) -> MonotonicityReport:
     down, stay = birth_death_thresholds(kernel)
     margins = tuple((x, stay[i] - down[i + 1]) for i, x in enumerate(kernel.states[:-1]))
-    return MonotonicityReport(kernel.label, ok=all(m >= 0 for _, m in margins), margins=margins)
+    return MonotonicityReport(ok=all(m >= 0 for _, m in margins), margins=margins)
 
 
 @dataclass(frozen=True)
@@ -578,40 +561,23 @@ class TVBoundReport:
     c_hat: float
     analytic_bound: float
     empirical_bound: float | None
-    terms: Mapping[str, float]
 
 
 def assemble_tv_bound(N: int, n: int, estimates: Aggregates | None = None) -> TVBoundReport:
     """5 * 2^N n / N! + 2 e^{1 - c_hat n / N^3} with c_hat the smaller of the
     R and R_tilde drift rates, plus the same bound rebuilt from empirical
     terms (Z, Z-tilde, Z-hat and both hitting tails) when provided."""
-    c_r, c_rt = _drift_rates(N)
-    c_hat = min(c_r, c_rt)
+    c_hat = min(_drift_rates(N))
     linear = float(Fraction(5 * 2 ** N * n, math.factorial(N)))
     exp_term = 2 * math.exp(min(1.0 - c_hat * n / N ** 3, 700.0))
-    analytic = linear + exp_term
     empirical = None
-    terms = {
-        "linear": linear,
-        "exponential": exp_term,
-        "c_R": c_r,
-        "c_R_tilde": c_rt,
-    }
     if estimates is not None:
         empirical = sum(
             estimates.estimate(s)
             for s in ("z_pos", "ztilde_pos", "zhat_pos", "tau0x_gt", "tau0y_gt")
         )
-        terms.update(
-            {f"empirical_{s}": estimates.estimate(s) for s in STAT_NAMES}
-        )
     return TVBoundReport(
-        N=N,
-        n=n,
-        c_hat=c_hat,
-        analytic_bound=analytic,
-        empirical_bound=empirical,
-        terms=terms,
+        N=N, n=n, c_hat=c_hat, analytic_bound=linear + exp_term, empirical_bound=empirical,
     )
 
 

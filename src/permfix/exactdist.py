@@ -414,12 +414,15 @@ def log_rate(N: int) -> float:
     if N < 4:
         raise ValueError("log_rate needs N >= 4")
     ref = poisson_pmf(N)
-    tv = tv_distance(fixed_point_pmf(N), ref, "total")
+    return _log_rate_of(N, tv_distance(fixed_point_pmf(N), ref, "total"), ref.digits)
+
+
+def _log_rate_of(N: int, tv: Interval, digits: int) -> float:
+    """`log_rate` from the total TV at N, enclosed against a reference whose
+    e^{-1} has `digits` digits: the mean of ln(lo) and ln(hi), over N ln N."""
     if tv.lo <= 0:
-        raise PrecisionInsufficient(
-            f"TV for N={N} not resolved away from zero at {ref.digits} digits"
-        )
-    with mpmath.workdps(ref.digits + 15):
+        raise PrecisionInsufficient(f"TV for N={N} not resolved away from zero at {digits} digits")
+    with mpmath.workdps(digits + 15):
         lo = mpmath.log(mpmath.mpf(tv.lo.numerator) / tv.lo.denominator)
         hi = mpmath.log(mpmath.mpf(tv.hi.numerator) / tv.hi.denominator)
         denom = N * mpmath.log(N)

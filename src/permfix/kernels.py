@@ -145,9 +145,6 @@ class StochasticKernel:
 # the conditional two-cycle mean p
 # ---------------------------------------------------------------------------
 
-P_SOURCES = ("bruteforce", "closedform", "recursion")
-
-
 @dataclass(frozen=True)
 class PFunction:
     """Exact values of p(x) = E[eta_2 | eta_1 = x] on V.
@@ -159,11 +156,8 @@ class PFunction:
 
     N: int
     values: Mapping[int, Fraction]
-    source: str
 
     def __post_init__(self) -> None:
-        if self.source not in P_SOURCES:
-            raise ValueError(f"source must be one of {P_SOURCES}")
         V = state_space(self.N)
         if set(self.values) != set(V):
             raise ValueError("p must be defined exactly on V")
@@ -194,7 +188,7 @@ def p_bruteforce(N: int) -> PFunction:
     check_guard(N, 8, "p_bruteforce")
     count, two_cycles = fixed_point_sums(N)
     values = {x: Fraction(two_cycles[x], c) for x, c in enumerate(count) if c}
-    return PFunction(N=N, values=values, source="bruteforce")
+    return PFunction(N=N, values=values)
 
 
 def p_closedform(N: int) -> PFunction:
@@ -208,7 +202,7 @@ def p_closedform(N: int) -> PFunction:
         values[x] = Fraction(1, 2) * Fraction(
             table[m - 2] * math.factorial(m), math.factorial(m - 2) * table[m]
         )
-    return PFunction(N=N, values=values, source="closedform")
+    return PFunction(N=N, values=values)
 
 
 def recursion_map(N: int, x: int, r: Fraction) -> Fraction:
@@ -231,7 +225,7 @@ def p_recursion(N: int) -> PFunction:
     values = {x: v / 2 for x, v in k.items()}
     values[N - 2] = Fraction(1)
     values[N] = Fraction(0)
-    return PFunction(N=N, values=values, source="recursion")
+    return PFunction(N=N, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +418,6 @@ class ReversibilityReport:
     pair both sides are 0.
     """
 
-    kernel_label: str
-    dist_label: str
     ok: bool
     pairs_checked: int
     first_violation: tuple | None = None  # (x, y, d(x) K(x,y) - d(y) K(y,x))
@@ -474,8 +466,6 @@ def check_reversibility(kernel: StochasticKernel, dist: ExactDist | Mapping) -> 
             break
 
     return ReversibilityReport(
-        kernel_label=kernel.label,
-        dist_label=getattr(dist, "label", ""),
         ok=first is None,
         pairs_checked=len(states) * (len(states) - 1) // 2,
         first_violation=first,

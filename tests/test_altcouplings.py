@@ -102,7 +102,7 @@ class TestAscentPeakDefinitions:
         assert sample.m == 0  # T - S odd
 
     def test_truncation(self):
-        sample = AscentPeakSample(s=5, t=9, uniforms_used=10)
+        sample = AscentPeakSample(s=5, t=9)
         assert sample.truncated(3) == (3, 3, 3)
         assert sample.truncated(7) == (5, 7, 5)
         s_n, t_n, m_n = sample.truncated(6)

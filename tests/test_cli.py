@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from permfix import exactdist
 from permfix.cli import FAIL, ConfigError, build_parser, main, parse_range
 
 
@@ -144,6 +145,26 @@ def test_exact_files_match_frozen_digests(tmp_path, capsys):
     assert code == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
     assert digests == golden
+
+
+def test_exact_computes_one_tv_per_n(tmp_path, capsys, monkeypatch):
+    # the log rate is read off the TV the row already holds
+    calls = []
+    real = exactdist.tv_distance
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactdist, "tv_distance", counted)
+    code, _ = run_cli(capsys, "exact", "--n", "3..12", "--out", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 10
+    monkeypatch.undo()
+    with (tmp_path / "exact_summary.csv").open() as fh:
+        rates = {int(row["N"]): row["log_rate"] for row in csv.DictReader(fh)}
+    assert rates[3] == ""
+    assert all(float(rates[N]) == exactdist.log_rate(N) for N in range(4, 13))
 
 
 def test_exact_json_format(tmp_path, capsys):
@@ -287,6 +308,28 @@ def test_couple_traces(tmp_path, capsys):
     lines = (tmp_path / "run" / "traces.jsonl").read_text().splitlines()
     assert len(lines) == 5
     assert len(json.loads(lines[0])["steps"]) == 50
+
+
+@pytest.mark.parametrize("start_mode, golden", [
+    ("shared", ("2189b1b4e66e3ce7df3942dae910fcbea7b4b6bb6623040f0fd37820908f089e",
+                "68424bac94ff16968947f1f1029ebb837d92e767843a5c88cb8e4aa3e771194e")),
+    ("independent", ("8f8fc0609e0064979578e6e7aea06041bbafd1c9f0c57893a888e4ab6587dda8",
+                     "aa17cf5b2469c6865b59b0aab0d5127dd79a56b78cd41df82c49468e83abe993")),
+    ("copy_x", ("636d2119460950c61b1ad9581f9b2ae48ccb14ed54cf81a8755190be0c5133e7",
+                "ff86af1b641560facb0ca19ebc7941a980d65db266b86c43ded48512e4a39fdf")),
+])
+def test_couple_traces_match_frozen_digests(start_mode, golden, tmp_path, capsys):
+    # sha256 of (traces.jsonl, aggregates.csv) of one traced run per start
+    # mode; under pcheck-rtilde each file has replicas with Z and Z-hat events
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "N": 9, "n": 50, "replicas": 16, "seed": 7, "selector": "pcheck-rtilde",
+        "start_mode": start_mode, "emit_traces": True, "checkpoints": [0, 25],
+    }))
+    code, _ = run_cli(capsys, "couple", "--config", str(config), "--out", str(tmp_path / "run"))
+    assert code == 0
+    names = ("traces.jsonl", "aggregates.csv")
+    assert tuple(hashlib.sha256((tmp_path / "run" / n).read_bytes()).hexdigest() for n in names) == golden
 
 
 def test_couple_traces_agree_with_aggregates(tmp_path, capsys):

@@ -283,16 +283,18 @@ def engines(cfg, monkeypatch):
 class TestGridCuts:
     @pytest.mark.parametrize("selector", SELECTORS)
     def test_every_cut_rounds_up_onto_the_grid(self, selector):
+        # one cut per state 0..N-4 in each of the six tables; every start
+        # law charges all of [0, N-4], so its CDF is its `cumulative()`
         grid = 2 ** 53
         for N in range(5, 61):
             k_x, k_y, law_x, law_y = selector_kernels(N, selector)
-            tables = (
-                *zip(birth_death_thresholds(k_x), coupling._float_tables(k_x)),
-                *zip(birth_death_thresholds(k_y), coupling._float_tables(k_y)),
-                (law_x.cumulative(), coupling._float_cdf(law_x)[0]),
-                (law_y.cumulative(), coupling._float_cdf(law_y)[0]),
+            exact = (
+                *birth_death_thresholds(k_x), *birth_death_thresholds(k_y),
+                law_x.cumulative(), law_y.cumulative(),
             )
-            for cuts, stored in tables:
+            tables = coupling._double_tables(RunConfig(N=N, horizon=0, replicas=1, seed=0, selector=selector))
+            assert [len(t) for t in tables] == [N - 3] * 6
+            for cuts, stored in zip(exact, tables, strict=True):
                 for c, f in zip(cuts, stored, strict=True):
                     g = grid_cut(c)
                     assert Fraction(g, grid) >= c
@@ -347,12 +349,11 @@ class TestEngineEquivalence:
         # the three decisions below is taken with u equal to its cut.
         seed = next(s for s in range(100) if self._words(s)[1] < self._words(s)[2])
         j0, j1, j2 = (j * 2.0 ** -53 for j in self._words(seed))
-        support = np.arange(3)
         tables = (
             np.array([0.0, j1, 0.0]), np.array([1.0, j2, 1.0]),  # X: down on j1, up on j2
             np.zeros(3), np.ones(3),  # Y: never moves
-            (np.array([j0, 1.0, 1.0]), support),  # X(0) = 1: u0 sits on the first cut
-            (np.array([0.0, 0.0, 1.0]), support),  # Y(0) = 2
+            np.array([j0, 1.0, 1.0]),  # X(0) = 1: u0 sits on the first cut
+            np.array([0.0, 0.0, 1.0]),  # Y(0) = 2
         )
         monkeypatch.setattr(coupling, "_double_tables", lambda cfg: tables)
         cfg = RunConfig(N=6, horizon=2, replicas=1, seed=seed, checkpoints=(0, 1))
@@ -363,6 +364,17 @@ class TestEngineEquivalence:
         vector = run_coupling(cfg).by_time
         for counts in (fast, vector):
             assert {n: tuple(a.counts.values()) for n, a in counts.items()} == expected
+
+    def test_compiled_loop_rejects_a_short_table(self, compiled, monkeypatch):
+        # the C loop indexes the tables by state unchecked; one cut missing
+        # from any table is refused before it runs
+        cfg = RunConfig(N=6, horizon=5, replicas=3, seed=1)
+        tables = coupling._double_tables(cfg)
+        for i in range(6):
+            short = tables[:i] + (tables[i][:-1],) + tables[i + 1:]
+            monkeypatch.setattr(coupling, "_double_tables", lambda cfg, short=short: short)
+            with pytest.raises(ValueError, match="one cut per state"):
+                run_coupling(cfg)
 
     @staticmethod
     def _words(seed):
@@ -600,9 +612,8 @@ class TestAssembledBound:
 
     def test_rates_are_the_certificates(self):
         report = assemble_tv_bound(12, 50)
-        assert report.terms["c_R"] == float(drift_certificate(12, "R").c_est)
-        assert report.terms["c_R_tilde"] == float(drift_certificate(12, "R_tilde").c_est)
-        assert report.c_hat == min(report.terms["c_R"], report.terms["c_R_tilde"])
+        rates = (drift_certificate(12, "R").c_est, drift_certificate(12, "R_tilde").c_est)
+        assert report.c_hat == float(min(rates))
 
     def test_empirical_assembly_monotone_in_inputs(self):
         low = Aggregates(n=10, replicas=100, counts={

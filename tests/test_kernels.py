@@ -99,7 +99,7 @@ class TestPFunctions:
         bad = dict(good.values)
         bad[5] = Fraction(1, 7)
         with pytest.raises(ValueError):
-            PFunction(N=5, values=bad, source="closedform")
+            PFunction(N=5, values=bad)
 
 
 class TestPentaKernel:
@@ -138,7 +138,7 @@ class TestPentaKernel:
         # N - x - 2p(x) at x = 2 is 6 - 2 - 6 < 0
         inflated[2] = Fraction(3)
         with pytest.raises(ValueError, match=r"negative entry at \(2, 3\): -1/15"):
-            build_penta(6, PFunction(N=6, values=inflated, source="closedform"))
+            build_penta(6, PFunction(N=6, values=inflated))
 
 
 class TestTildeAndHat:

@@ -141,6 +141,18 @@ class TestCoefficientSystems:
             assert systems.f_values[x] == 2 * p[x]
         assert systems.f_values[n - 2] == 2
 
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_b_is_e0(self, n):
+        # column 0 of G is all ones (symmetry and a first row of ones), so
+        # G e_0 = (1, ..., 1), the right-hand side of the b system
+        G = gram(n)
+        assert all(row[0] == 1 for row in G.entries)
+        e0 = [Fraction(1)] + [Fraction(0)] * (len(G.indices) - 1)
+        systems = coefficient_systems(n)
+        assert list(systems.b) == e0
+        assert all(isinstance(v, Fraction) for v in systems.b)
+        assert solve_exact(G.entries, [Fraction(1)] * len(G.indices)) == e0
+
     def test_c_is_difference(self):
         systems = coefficient_systems(6)
         assert all(c == a - b for a, b, c in zip(systems.a, systems.b, systems.c))
