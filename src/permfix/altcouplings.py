@@ -86,7 +86,7 @@ def mallows_exact_pmf(N: int) -> ExactDist:
     for (last, acc), w in dist.items():
         s = acc + last
         law[s] = law.get(s, Fraction(0)) + w
-    return ExactDist.from_mapping(law, label=f"mallows_S_{N}")
+    return ExactDist(law)
 
 
 @dataclass(frozen=True)

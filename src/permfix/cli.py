@@ -62,15 +62,25 @@ def write_json(path: Path, payload: Any) -> Path:
 
 
 class Report:
-    def __init__(self, command: str, settings: Mapping[str, Any]):
+    """One run's outputs and verdicts; its output directory is created at once."""
+
+    def __init__(self, command: str, settings: Mapping[str, Any], out: str):
         self.command = command
         self.settings = dict(settings)
+        self.out = Path(out)
+        self.out.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
         self.verdicts: dict[str, str] = {}
         self.t0 = time.monotonic()
 
     def emit(self, path: Path) -> None:
         self.outputs.append(str(path))
+
+    def write_table(self, name: str, rows: Sequence[Mapping[str, Any]], fmt: str) -> None:
+        self.emit(write_table(self.out / name, rows, fmt))
+
+    def write_json(self, name: str, payload: Any) -> None:
+        self.emit(write_json(self.out / name, payload))
 
     def verdict(self, name: str, ok: bool | str) -> None:
         self.verdicts[name] = ok if isinstance(ok, str) else (PASS if ok else FAIL)
@@ -123,14 +133,12 @@ def require_seed(seed: int | None) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     ns = parse_range(args.n)
     require_n(ns[0], 1)
-    report = Report("exact", {"n": ns, "seed": None})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    report = Report("exact", {"n": ns, "seed": None}, args.out)
 
     pi_rows, summary = [], []
     for N in ns:
         pi = exactdist.fixed_point_pmf(N)
-        for x, w in pi.as_dict().items():
+        for x, w in pi.items():
             pi_rows.append({"N": N, "x": x, "num": w.numerator, "den": w.denominator})
         ref = exactdist.poisson_pmf(N)
         tv_half = exactdist.tv_distance(pi, ref, "half")
@@ -151,16 +159,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
         }
         row["log_rate"] = exactdist._log_rate_of(N, tv_total, ref.digits) if N >= 4 else ""
         summary.append(row)
-    report.emit(write_table(out / "pi_table", pi_rows, args.format))
-    report.emit(write_table(out / "exact_summary", summary, args.format))
+    report.write_table("pi_table", pi_rows, args.format)
+    report.write_table("exact_summary", summary, args.format)
     return report.finish()
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     N = require_n(args.n, 4)
-    report = Report("kernel", {"n": N, "seed": None})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    report = Report("kernel", {"n": N, "seed": None}, args.out)
 
     p_closed = kernels.p_closedform(N)
     p_rec = kernels.p_recursion(N)
@@ -182,7 +188,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             "prop41_bound": kernels.prop41_bound(N, x) if x <= N - 2 else "",
             "lemma_b1_bound": kernels.lemma_b1_bound(N, x) if x <= N - 2 else "",
         })
-    report.emit(write_table(out / "p_table", rows, args.format))
+    report.write_table("p_table", rows, args.format)
 
     pi = exactdist.fixed_point_pmf(N)
     built = {
@@ -199,15 +205,13 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     for name, (kern, law) in built.items():
         rep = kernels.check_reversibility(kern, law)
         report.verdict(f"reversible_{name}", rep.ok)
-        report.emit(write_json(out / f"kernel_{name}.json", kern.to_json_dict()))
+        report.write_json(f"kernel_{name}.json", kern.to_json_dict())
     return report.finish()
 
 
 def cmd_project(args: argparse.Namespace) -> int:
     N = require_n(args.n, 2)
-    report = Report("project", {"n": N, "seed": None})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    report = Report("project", {"n": N, "seed": None}, args.out)
     try:
         chain = lumping.cycle_type_chain(N)
     except EnumerationGuardError:
@@ -250,12 +254,9 @@ def cmd_project(args: argparse.Namespace) -> int:
         {"from_block": str(v), "to_block": str(w), "dynkin": ok}
         for (v, w), ok in sorted(dyn.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
     ]
-    report.emit(write_table(out / "dynkin", dyn_rows, args.format))
-    report.emit(write_json(out / "projected_kernel.json", result.kernel.to_json_dict()))
-    report.emit(write_json(
-        out / "partition.json",
-        {str(t.counts): int(v) for t, v in chain.blocks.items()},
-    ))
+    report.write_table("dynkin", dyn_rows, args.format)
+    report.write_json("projected_kernel.json", result.kernel.to_json_dict())
+    report.write_json("partition.json", {str(t.counts): int(v) for t, v in chain.blocks.items()})
     return report.finish()
 
 
@@ -309,9 +310,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
         "N": cfg.N, "n": cfg.horizon, "replicas": cfg.replicas, "seed": cfg.seed,
         "selector": cfg.selector, "start_mode": cfg.start_mode, "emit_traces": cfg.emit_traces,
         "checkpoints": list(cfg.checkpoints),
-    })
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    }, args.out)
 
     stats = coupling.run_coupling(cfg)
     rows = []
@@ -322,10 +321,10 @@ def cmd_couple(args: argparse.Namespace) -> int:
                 "n": n, "stat": stat, "count": agg.counts[stat],
                 "estimate": agg.estimate(stat), "sigma": agg.sigma(stat),
             })
-    report.emit(write_table(out / "aggregates", rows, args.format))
+    report.write_table("aggregates", rows, args.format)
 
     if cfg.emit_traces:
-        path = out / "traces.jsonl"
+        path = report.out / "traces.jsonl"
         with path.open("w") as fh:
             for tr in stats.traces:
                 fh.write(json.dumps({
@@ -358,11 +357,13 @@ def cmd_couple(args: argparse.Namespace) -> int:
         cert = coupling.monotonicity_certificate(kern)
         report.verdict(f"monotone_{kern.label}", cert.ok)
         mono_rows += [{"kernel": kern.label, "x": x, "margin": m} for x, m in cert.margins]
-    report.emit(write_table(out / "monotonicity", mono_rows, args.format))
+    report.write_table("monotonicity", mono_rows, args.format)
 
     bound = coupling.assemble_tv_bound(cfg.N, cfg.horizon, estimates=final)
     report.verdict("drift_positive", bound.c_hat > 0)
-    exact_tv = float(coupling.exact_tv_pi_check_zeta(cfg.N))
+    exact_tv = float(exactdist.tv_distance(
+        exactdist.pi_conditioned(cfg.N), exactdist.zeta_law(cfg.N), "half"
+    ))
     bound_rows = [{
         "horizon_rule": "run",
         "N": bound.N, "n": bound.n, "c_hat": bound.c_hat,
@@ -381,21 +382,17 @@ def cmd_couple(args: argparse.Namespace) -> int:
             "empirical_bound": None,
             "exact_tv_pi_check_zeta": exact_tv,
         })
-    report.emit(write_table(out / "tv_bound", bound_rows, args.format))
+    report.write_table("tv_bound", bound_rows, args.format)
     return report.finish()
 
 
 def cmd_alt(args: argparse.Namespace) -> int:
     seed = require_seed(args.seed)
     samples = 100_000 if args.replicas is None else require_n(args.replicas, 1, "replicas")
-    report = Report("alt", {"seed": seed, "samples": samples})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    report = Report("alt", {"seed": seed, "samples": samples}, args.out)
 
     equal = all(
-        altcouplings.mallows_exact_pmf(N).as_dict()
-        == exactdist.fixed_point_pmf(N).as_dict()
-        for N in range(1, 13)
+        altcouplings.mallows_exact_pmf(N) == exactdist.fixed_point_pmf(N) for N in range(1, 13)
     )
     report.verdict("mallows_pmf_equals_pi", equal)
 
@@ -408,12 +405,12 @@ def cmd_alt(args: argparse.Namespace) -> int:
         })
     scaled = [row["N_times_estimate"] for row in disc_rows]
     report.verdict("mallows_rate_stable", max(scaled) <= 3 * min(scaled))
-    report.emit(write_table(out / "mallows_discrepancy", disc_rows, args.format))
+    report.write_table("mallows_discrepancy", disc_rows, args.format)
 
     ns = (4, 6, 8)
     batch = altcouplings.ascent_peak_batch(samples, seed, ns=ns)
     tol = 3 * math.sqrt(20 / batch.samples)
-    poisson_like = exactdist.poisson_truncated(40, label="poisson_tail_negligible")
+    poisson_like = exactdist.poisson_truncated(40)  # the tail beyond 40 is negligible
     m_tv = altcouplings.empirical_half_tv(batch.m_counts, batch.samples, poisson_like)
     report.verdict("m_law_close_to_poisson", m_tv <= tol)
     rows = [{"law": "M", "half_tv": m_tv, "tolerance": tol, "samples": batch.samples,
@@ -429,7 +426,7 @@ def cmd_alt(args: argparse.Namespace) -> int:
         report.verdict(f"disagree_bound_N{N}", rate <= float(exact_tail) + 3 * sig)
         rows.append({"law": f"M_{N}", "half_tv": tv_n, "tolerance": tol,
                      "samples": batch.samples, "ties": batch.ties})
-    report.emit(write_table(out / "ascent_peak", rows, args.format))
+    report.write_table("ascent_peak", rows, args.format)
 
     tail_rows = []
     for N in range(2, 9):
@@ -438,15 +435,13 @@ def cmd_alt(args: argparse.Namespace) -> int:
         tail_rows.append({"N": N, "p_T_gt_N": exact_tail, "bound": bound,
                           "ratio": float(exact_tail / bound)})
     report.verdict("peak_tail_bound", all(r["ratio"] <= 1 for r in tail_rows))
-    report.emit(write_table(out / "peak_tail", tail_rows, args.format))
+    report.write_table("peak_tail", tail_rows, args.format)
     return report.finish()
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
     N = require_n(args.n, 4)
-    report = Report("moments", {"n": N, "seed": None})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    report = Report("moments", {"n": N, "seed": None}, args.out)
 
     report.verdict("falling_moments_one",
                    all(moments.falling_moment(N, k) == 1 for k in range(N + 1)))
@@ -457,7 +452,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
         rows.append({"k": k, "moment": m, "bell": bell, "equal": eq})
         ok_raw = ok_raw and (eq == (k <= N))
     report.verdict("raw_moments_match_bell", ok_raw)
-    report.emit(write_table(out / "moments", rows, args.format))
+    report.write_table("moments", rows, args.format)
 
     try:
         g_oracle = moments.gram_bruteforce(N)
@@ -471,7 +466,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
         {"k": k, "l": l, "value": g_closed.entry(k, l)}
         for k in g_closed.indices for l in g_closed.indices
     ]
-    report.emit(write_table(out / "gram", gram_rows, args.format))
+    report.write_table("gram", gram_rows, args.format)
 
     try:
         systems = moments.coefficient_systems(N)
@@ -486,7 +481,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
             "b": float(systems.needed_functional.hi),
             "c": "",
         })
-        report.emit(write_table(out / "coefficients", coeff_rows, args.format))
+        report.write_table("coefficients", coeff_rows, args.format)
     except AssertionError:
         report.verdict("coefficients_reconstruct_2p", False)
     return report.finish()

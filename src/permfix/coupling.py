@@ -39,13 +39,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .exactdist import ExactDist, exp_interval, pi_conditioned, tv_distance, zeta_law
+from .exactdist import ExactDist, exp_interval, pi_conditioned, zeta_law
 from .kernels import (
     CONSTANT_K,
     StochasticKernel,
@@ -196,14 +195,17 @@ def grid_cut(c: Fraction) -> int:
 
 def _double_tables(cfg: RunConfig) -> tuple[np.ndarray, ...]:
     """Six tables of grid cuts, one cut per state 0..N-4: the (down, stay)
-    thresholds of X and of Y, then the CDFs of X(0) and Y(0).  Built once
-    per run and shared by its blocks.  The last CDF cut is 1, so the number
-    of cuts at or below a uniform is already a state."""
+    thresholds of X and of Y, then the CDFs of X(0) and Y(0), the
+    `cumulative()` of each start law (every start law charges all of
+    [0, N-4]).  Built once per run and shared by its blocks.  The last CDF
+    cut is 1, so the number of cuts at or below a uniform is already a
+    state."""
     k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
     cuts = (
         *birth_death_thresholds(k_x),
         *birth_death_thresholds(k_y),
-        *(list(accumulate(law.pmf(x) for x in range(cfg.N - 3))) for law in (law_x, law_y)),
+        law_x.cumulative(),
+        law_y.cumulative(),
     )
     return tuple(np.array([grid_cut(c) for c in t], dtype=np.float64) * TWO_NEG53 for t in cuts)
 
@@ -501,7 +503,6 @@ class DriftCertificate:
     """
 
     N: int
-    kernel_label: str
     theta: Fraction
     c_est: Fraction
 
@@ -518,7 +519,7 @@ def _drift_for(N: int, which: str, theta: Fraction) -> DriftCertificate:
     moves = _penta_moves(N, 1, CONSTANT_K[which])  # the rates K(1, 0) and K(1, 2)
     up = moves[2] if N > 5 else 0  # y = 1 is the top state at N = 5
     worst = 1 + em * moves[0] + ep * up  # F_bar(1), the maximum
-    return DriftCertificate(N=N, kernel_label=which, theta=theta, c_est=N ** 3 * (1 - worst))
+    return DriftCertificate(N=N, theta=theta, c_est=N ** 3 * (1 - worst))
 
 
 def drift_certificate(N: int, which: str = "R", theta: Fraction | None = None) -> DriftCertificate:
@@ -579,11 +580,6 @@ def assemble_tv_bound(N: int, n: int, estimates: Aggregates | None = None) -> TV
     return TVBoundReport(
         N=N, n=n, c_hat=c_hat, analytic_bound=linear + exp_term, empirical_bound=empirical,
     )
-
-
-def exact_tv_pi_check_zeta(N: int) -> Fraction:
-    """Half-convention distance between pi_check and zeta (both exact)."""
-    return tv_distance(pi_conditioned(N), zeta_law(N), "half")
 
 
 def suggested_horizon(N: int, exponent: int = 4) -> int:

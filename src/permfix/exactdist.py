@@ -25,10 +25,12 @@ over one common denominator and normalises once.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from itertools import accumulate
+from typing import Union
 
 import mpmath
 
@@ -179,74 +181,68 @@ def derangements(n_max: int) -> DerangementTable:
 # exact finitely supported distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactDist:
+class ExactDist(Mapping[int, Fraction]):
     """Finitely supported probability law on Z+ with exact rational weights.
 
-    Zero-weight points are dropped from the support, so the support is the
-    strictly increasing list of atoms; queries outside it return 0.  Weights
-    are stored as `Fraction`s; a float weight is converted exactly, so the
-    weights must sum to 1 as the rationals the floats denote.
+    A law is its weights: a read-only mapping from each atom to its positive
+    `Fraction` weight, in increasing order of the atoms, so two laws are
+    equal when their weights are (a dict of the same weights included).
+    Zero weights are dropped, and `pmf` is 0 off the support.  A float
+    weight is converted exactly, so the weights must sum to 1 as the
+    rationals the floats denote.
     """
 
-    support: tuple[int, ...]
-    weights: tuple[Fraction, ...]
-    label: str = ""
+    __slots__ = ("_weights",)
 
-    def __post_init__(self) -> None:
-        weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(self.support) != len(self.weights):
-            raise ValueError("support/weights length mismatch")
-        if any(x < 0 for x in self.support):
+    def __init__(self, weights: Mapping[int, Fraction | float]) -> None:
+        items = [
+            (x, w if isinstance(w, Fraction) else Fraction(w))
+            for x, w in sorted(weights.items()) if w != 0
+        ]
+        if any(x < 0 for x, _ in items):
             raise ValueError("support must consist of non-negative integers")
-        if any(self.support[i] >= self.support[i + 1] for i in range(len(self.support) - 1)):
-            raise ValueError("support must be strictly increasing")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for _, w in items):
             raise ValueError("weights must be non-negative")
-        if _exact_sum(w.as_integer_ratio() for w in self.weights) != 1:
+        if _exact_sum(w.as_integer_ratio() for _, w in items) != 1:
             raise ValueError("weights must sum exactly to 1")
+        self._weights = dict(items)
 
-    @staticmethod
-    def from_mapping(weights: Mapping[int, Fraction], label: str = "") -> "ExactDist":
-        items = sorted((x, w) for x, w in weights.items() if w != 0)
-        return ExactDist(
-            tuple(x for x, _ in items), tuple(w for _, w in items), label=label
-        )
+    def __getitem__(self, x: int) -> Fraction:
+        return self._weights[x]
+
+    def __iter__(self):
+        return iter(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def __repr__(self) -> str:
+        return f"ExactDist({self._weights!r})"
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(self._weights)
 
     def pmf(self, x: int) -> Fraction:
-        try:
-            return self.weights[self.support.index(x)]
-        except ValueError:
-            return Fraction(0)
+        return self._weights.get(x, Fraction(0))
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(zip(self.support, self.weights))
-
-    def restrict(self, lo: int, hi: int, label: str = "") -> "ExactDist":
+    def restrict(self, lo: int, hi: int) -> "ExactDist":
         """Condition on the window [lo, hi] (exact renormalization)."""
-        kept = {x: w for x, w in self.as_dict().items() if lo <= x <= hi}
+        kept = {x: w for x, w in self._weights.items() if lo <= x <= hi}
         mass = _exact_sum(w.as_integer_ratio() for w in kept.values())
         if mass == 0:
             raise ValueError("conditioning on a null event")
-        return ExactDist.from_mapping(
-            {x: w / mass for x, w in kept.items()}, label=label or f"{self.label}|[{lo},{hi}]"
-        )
+        return ExactDist({x: w / mass for x, w in kept.items()})
 
     def cumulative(self) -> tuple[Fraction, ...]:
-        out = []
-        acc = Fraction(0)
-        for w in self.weights:
-            acc += w
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self._weights.values()))
 
     def quantile(self, u: Fraction) -> int:
         """Smallest x in the support with CDF(x) > u (inverse-CDF sampling)."""
-        for x, c in zip(self.support, self.cumulative()):
+        for x, c in zip(self._weights, self.cumulative()):
             if u < c:
                 return x
-        return self.support[-1]
+        return max(self._weights)
 
 
 def fixed_point_pmf(N: int) -> ExactDist:
@@ -262,14 +258,14 @@ def fixed_point_pmf(N: int) -> ExactDist:
         x: Fraction(table[N - x], math.factorial(N - x) * math.factorial(x))
         for x in range(N + 1)
     }
-    return ExactDist.from_mapping(weights, label=f"pi_{N}")
+    return ExactDist(weights)
 
 
 def pi_conditioned(N: int) -> ExactDist:
     """The fixed-point law conditioned on [0, N-4]."""
     if N < 5:
         raise ValueError("conditioning needs N >= 5")
-    return fixed_point_pmf(N).restrict(0, N - 4, label=f"pi_check_{N}")
+    return fixed_point_pmf(N).restrict(0, N - 4)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,7 @@ def poisson_pmf(k_max: int, digits: int | None = None) -> PoissonRef:
     return PoissonRef(enclosure_digits(k_max) if digits is None else digits)
 
 
-def poisson_truncated(k_max: int, label: str = "") -> ExactDist:
+def poisson_truncated(k_max: int) -> ExactDist:
     """Poisson(1) conditioned on [0, k_max]: exactly rational, weights prop. to 1/x!.
 
     This is the law called zeta when k_max = N - 4.
@@ -308,17 +304,14 @@ def poisson_truncated(k_max: int, label: str = "") -> ExactDist:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     total = _exact_sum((1, math.factorial(x)) for x in range(k_max + 1))
-    return ExactDist.from_mapping(
-        {x: Fraction(1, math.factorial(x)) / total for x in range(k_max + 1)},
-        label=label or f"zeta_[0,{k_max}]",
-    )
+    return ExactDist({x: Fraction(1, math.factorial(x)) / total for x in range(k_max + 1)})
 
 
 def zeta_law(N: int) -> ExactDist:
     """Poisson(1) conditioned on [0, N-4]."""
     if N < 4:
         raise ValueError("zeta needs N >= 4")
-    return poisson_truncated(N - 4, label=f"zeta_{N}")
+    return poisson_truncated(N - 4)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +346,10 @@ def tv_distance(d1: DistLike, d2: DistLike, convention: str) -> Fraction | Inter
     if isinstance(d2, PoissonRef):
         half = _tv_against_poisson(d1, d2)
         return half if convention == "half" else half.scale(2)
-    w2, zero = d2.as_dict(), Fraction(0)
     terms = []
-    for x, w1 in zip(d1.support, d1.weights):
+    for x, w1 in d1.items():
         n1, m1 = w1.as_integer_ratio()
-        n2, m2 = w2.get(x, zero).as_integer_ratio()
+        n2, m2 = d2.pmf(x).as_integer_ratio()
         diff = n1 * m2 - n2 * m1  # d1(x) - d2(x) = diff / (m1 m2)
         if diff > 0:
             terms.append((diff, m1 * m2))
@@ -375,13 +367,12 @@ def _tv_against_poisson(d: ExactDist, ref: PoissonRef) -> Interval:
     """
     inv_e = inv_e_interval(ref.digits)
     (lo_n, lo_d), (hi_n, hi_d) = inv_e.lo.as_integer_ratio(), inv_e.hi.as_integer_ratio()
-    weights, zero = d.as_dict(), Fraction(0)
     a_terms, b_terms = [], []
     fact = 1
-    for x in range(d.support[-1] + 1):
+    for x in range(max(d) + 1):
         if x:
             fact *= x
-        num, den = weights.get(x, zero).as_integer_ratio()
+        num, den = d.pmf(x).as_integer_ratio()
         if num * fact * hi_d >= hi_n * den:  # d(x) x! >= hi
             a_terms.append((num, den))
             b_terms.append((-1, fact))
@@ -440,7 +431,6 @@ def separation_discrepancy(d1: DistLike, d2: DistLike) -> Fraction:
         # d1 is finitely supported while the reference is positive everywhere,
         # so any point outside the support realizes the maximal value 1.
         return Fraction(1)
-    w1, w2 = d1.as_dict(), d2.as_dict()
-    if w1.keys() - w2.keys():
+    if d1.keys() - d2.keys():
         return Fraction(1)
-    return max(1 - w1.get(x, 0) / w for x, w in w2.items())
+    return max(1 - d1.pmf(x) / w for x, w in d2.items())

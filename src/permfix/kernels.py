@@ -74,10 +74,6 @@ class StochasticKernel:
         object.__setattr__(self, "rows", tuple(frozen))
         object.__setattr__(self, "_positions", index)
 
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
     def index(self, state: Hashable) -> int:
         try:
             return self._positions[state]
@@ -329,7 +325,7 @@ def hat_stationary(N: int) -> ExactDist:
     """pi^ with pi^(i) = pi(z_i): the reversible law of P^."""
     z = hat_ordering(N)
     pi = fixed_point_pmf(N)
-    return ExactDist.from_mapping({i: pi.pmf(z[i]) for i in range(N)}, label=f"pi_hat_{N}")
+    return ExactDist({i: pi.pmf(z[i]) for i in range(N)})
 
 
 RESTRICTED_LABELS = ("P_check", "R", "R_tilde")
@@ -380,10 +376,10 @@ def poisson_reversible_penta(N: int) -> StochasticKernel:
 
 def poisson_box_law(N: int) -> ExactDist:
     """Poisson(1) conditioned on [0, N] (the reversible law of P_bar)."""
-    return poisson_truncated(N, label=f"poisson_[0,{N}]")
+    return poisson_truncated(N)
 
 
-def birth_death_stationary(kernel: StochasticKernel, label: str = "") -> ExactDist:
+def birth_death_stationary(kernel: StochasticKernel) -> ExactDist:
     """Stationary law of an irreducible birth-and-death kernel via the
     detailed-balance product formula w(x+1)/w(x) = K(x, x+1)/K(x+1, x)."""
     states = kernel.states
@@ -398,10 +394,7 @@ def birth_death_stationary(kernel: StochasticKernel, label: str = "") -> ExactDi
             raise ValueError(f"kernel not irreducible across edge ({x!r}, {y!r})")
         weights[y] = weights[x] * up / down
     total = _exact_sum(map(Fraction.as_integer_ratio, weights.values()))
-    return ExactDist.from_mapping(
-        {s: w / total for s, w in weights.items()},
-        label=label or f"stationary({kernel.label})",
-    )
+    return ExactDist({s: w / total for s, w in weights.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +416,7 @@ class ReversibilityReport:
     first_violation: tuple | None = None  # (x, y, d(x) K(x,y) - d(y) K(y,x))
 
 
-def check_reversibility(kernel: StochasticKernel, dist: ExactDist | Mapping) -> ReversibilityReport:
+def check_reversibility(kernel: StochasticKernel, dist: Mapping) -> ReversibilityReport:
     """Verify d(x) K(x,y) = d(y) K(y,x) on all pairs; states carrying zero
     weight are rejected outright.  The weights are taken as exact rationals,
     so `ok` and the residual are exact even for float weights.
@@ -436,12 +429,11 @@ def check_reversibility(kernel: StochasticKernel, dist: ExactDist | Mapping) -> 
     sides are compared by integer cross-multiplication; the `Fraction`
     residual is formed only for that violation.
     """
-    source = dist.as_dict() if isinstance(dist, ExactDist) else dist
     weights = []
     for s in kernel.states:
-        w = Fraction(source.get(s, 0))
+        w = Fraction(dist.get(s, 0))
         if w <= 0:
-            raise ValueError(f"state {s!r} has zero weight under {getattr(dist, 'label', 'dist')}")
+            raise ValueError(f"state {s!r} has zero weight")
         weights.append(w)
 
     states, rows, pos = kernel.states, kernel.rows, kernel._positions

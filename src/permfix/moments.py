@@ -47,7 +47,7 @@ def falling_moment(N: int, k: int) -> Fraction:
         raise ValueError("need 0 <= k <= N")
     pi = fixed_point_pmf(N)
     return _exact_sum(
-        (w.numerator * falling_factorial(x, k), w.denominator) for x, w in pi.as_dict().items()
+        (w.numerator * falling_factorial(x, k), w.denominator) for x, w in pi.items()
     )
 
 
@@ -60,7 +60,7 @@ def raw_moment_equality(N: int, k: int) -> tuple[Fraction, int, bool]:
     if k < 0:
         raise ValueError("k must be >= 0")
     pi = fixed_point_pmf(N)
-    moment = _exact_sum((w.numerator * x ** k, w.denominator) for x, w in pi.as_dict().items())
+    moment = _exact_sum((w.numerator * x ** k, w.denominator) for x, w in pi.items())
     bell = bell_numbers(k)[k]
     return moment, bell, moment == bell
 

@@ -18,7 +18,6 @@ from permfix.coupling import (
     assemble_tv_bound,
     birth_death_thresholds,
     drift_certificate,
-    exact_tv_pi_check_zeta,
     grid_cut,
     monotonicity_certificate,
     run_coupling,
@@ -26,7 +25,7 @@ from permfix.coupling import (
     step,
     suggested_horizon,
 )
-from permfix.exactdist import exp_interval
+from permfix.exactdist import exp_interval, pi_conditioned, tv_distance, zeta_law
 from permfix.kernels import StochasticKernel, build_restricted, p_closedform, restricted_kernel
 from permfix.rng import Stream
 
@@ -235,7 +234,7 @@ class TestRunCoupling:
         n = 8
         cfg = RunConfig(N=n, horizon=300, replicas=4000, seed=17)
         stats = run_coupling(cfg)
-        tv = float(exact_tv_pi_check_zeta(n))
+        tv = float(tv_distance(pi_conditioned(n), zeta_law(n), "half"))
         assert tv <= stats.final.estimate("neq") + 3 * stats.final.sigma("neq") + 1e-12
 
     def test_independent_start_mode(self):
@@ -523,7 +522,6 @@ class TestDriftCertificate:
         for which, thetas in (("R", (1,)), ("R_tilde", (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)))):
             for theta in thetas:
                 cert = drift_certificate(N, which, theta=Fraction(theta))
-                assert cert.kernel_label == which
                 assert cert.c_est == N ** 3 * (1 - max(drift_bound_values(N, which, Fraction(theta))))
 
     def test_negative_theta_rejected(self):
@@ -582,7 +580,8 @@ class TestAssembledBound:
     def test_dominates_exact_tv(self):
         n_steps = int(10 ** 4 * math.log(10))
         report = assemble_tv_bound(10, n_steps)
-        assert report.analytic_bound >= float(exact_tv_pi_check_zeta(10))
+        exact_tv = tv_distance(pi_conditioned(10), zeta_law(10), "half")
+        assert report.analytic_bound >= float(exact_tv)
 
     def test_both_horizon_readings_available(self):
         # the quartic rule (forced by the c/N^3 drift rate) and the linear
@@ -633,8 +632,8 @@ class TestSelectorKernels:
     def test_stationary_laws_match_selectors(self):
         k_x, k_y, law_x, law_y = selector_kernels(9, "pcheck-r")
         assert k_x.label == "P_check" and k_y.label == "R"
-        assert law_x.label.startswith("pi_check")
-        assert law_y.label.startswith("zeta")
+        assert law_x == pi_conditioned(9)
+        assert law_y == zeta_law(9)
 
     def test_rtilde_selector_uses_its_stationary_law(self):
         _, k_y, _, law_y = selector_kernels(9, "pcheck-rtilde")

@@ -81,7 +81,7 @@ class TestDerangements:
 class TestFixedPointPmf:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_enumeration(self, n):
-        assert fixed_point_pmf(n).as_dict() == empirical_fixed_point_law(n)
+        assert fixed_point_pmf(n) == empirical_fixed_point_law(n)
 
     def test_n4_zero_fixed_points(self):
         assert fixed_point_pmf(4).pmf(0) == Fraction(3, 8)
@@ -96,36 +96,60 @@ class TestFixedPointPmf:
     def test_support_and_total(self):
         pi = fixed_point_pmf(6)
         assert pi.support == (0, 1, 2, 3, 4, 6)
-        assert sum(pi.weights) == 1
+        assert sum(pi.values()) == 1
 
 
 class TestExactDist:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            ExactDist((0, 1), (Fraction(1, 2), Fraction(1, 3)))
+            ExactDist({0: Fraction(1, 2), 1: Fraction(1, 3)})
 
     def test_float_weights_stored_as_fractions(self):
-        d = ExactDist((0, 1), (0.5, 0.5))
-        assert all(type(w) is Fraction for w in d.weights)
+        d = ExactDist({0: 0.5, 1: 0.5})
+        assert all(type(w) is Fraction for w in d.values())
         assert d.pmf(0) == Fraction(1, 2)
 
     def test_float_weights_summing_to_one_only_in_floats_refused(self):
         # 0.1 + 0.9 is 1 in floats, but the rationals the floats denote sum
         # to (2^55 + 1) / 2^55
         with pytest.raises(ValueError, match="weights must sum exactly to 1"):
-            ExactDist((0, 1), (0.1, 0.9))
+            ExactDist({0: 0.1, 1: 0.9})
 
     def test_zero_weights_dropped(self):
-        d = ExactDist.from_mapping({0: Fraction(1), 5: Fraction(0)})
+        d = ExactDist({0: Fraction(1), 5: Fraction(0)})
         assert d.support == (0,)
+
+    def test_unsorted_mapping_stored_in_increasing_order(self):
+        d = ExactDist({2: Fraction(1, 2), 0: Fraction(1, 2)})
+        assert d.support == (0, 2)
+        assert list(d) == [0, 2]
+
+    def test_read_only(self):
+        d = ExactDist({0: Fraction(1)})
+        with pytest.raises(TypeError):
+            d[0] = Fraction(1, 2)
+        with pytest.raises(TypeError):
+            d[1] = Fraction(0)
+
+    def test_equal_by_weights(self):
+        weights = {0: Fraction(1, 4), 2: Fraction(3, 4)}
+        assert ExactDist(weights) == weights
+        assert ExactDist(weights) == ExactDist({2: 0.75, 0: 0.25})
+        assert ExactDist(weights) != ExactDist({0: Fraction(3, 4), 2: Fraction(1, 4)})
+
+    def test_negative_atom_and_weight_rejected(self):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            ExactDist({-1: Fraction(1)})
+        with pytest.raises(ValueError, match="weights must be non-negative"):
+            ExactDist({0: Fraction(3, 2), 1: Fraction(-1, 2)})
 
     def test_restrict_renormalizes(self):
         d = fixed_point_pmf(8).restrict(0, 4)
-        assert sum(d.weights) == 1
+        assert sum(d.values()) == 1
         assert d.support == (0, 1, 2, 3, 4)
 
     def test_quantile_inverse_cdf(self):
-        d = ExactDist.from_mapping({0: Fraction(1, 4), 2: Fraction(3, 4)})
+        d = ExactDist({0: Fraction(1, 4), 2: Fraction(3, 4)})
         assert d.quantile(Fraction(0)) == 0
         assert d.quantile(Fraction(1, 4)) == 2
         assert d.quantile(Fraction(99, 100)) == 2
@@ -161,7 +185,7 @@ class TestPoissonRef:
         zeta = poisson_truncated(4)
         ratios = [zeta.pmf(x) * math.factorial(x) for x in range(5)]
         assert len(set(ratios)) == 1
-        assert zeta_law(8).as_dict() == poisson_truncated(4).as_dict()
+        assert zeta_law(8) == poisson_truncated(4)
 
 
 LINEAR_FORM_NS = list(range(1, 51)) + [100, 150, 200]
@@ -408,8 +432,8 @@ class TestSeparation:
         assert separation_discrepancy(fixed_point_pmf(n), poisson_pmf(n)) == 1
 
     def test_missing_point_gives_one(self):
-        d1 = ExactDist.from_mapping({0: Fraction(1)})
-        d2 = ExactDist.from_mapping({0: Fraction(1, 2), 1: Fraction(1, 2)})
+        d1 = ExactDist({0: Fraction(1)})
+        d2 = ExactDist({0: Fraction(1, 2), 1: Fraction(1, 2)})
         assert separation_discrepancy(d1, d2) == 1
 
     @pytest.mark.parametrize("n", [5, 8, 13, 30])
@@ -529,5 +553,5 @@ class TestExactSum:
     @pytest.mark.parametrize("n", [50, 200])
     def test_pmf_weights_sum_to_one(self, n):
         for law in (fixed_point_pmf(n), poisson_truncated(n)):
-            pairs = [w.as_integer_ratio() for w in law.weights]
-            assert exactdist._exact_sum(pairs) == sum(law.weights, Fraction(0)) == 1
+            pairs = [w.as_integer_ratio() for w in law.values()]
+            assert exactdist._exact_sum(pairs) == sum(law.values(), Fraction(0)) == 1

@@ -176,7 +176,7 @@ class TestTildeAndHat:
     def test_row_sums_via_constructor(self, n):
         # StochasticKernel validates row sums; reaching here means they hold
         for kernel in (build_penta(n, p_closedform(n)), build_hat(n)):
-            assert kernel.size == len(kernel.states)
+            assert len(kernel.states) == n
 
 
 class TestRestrictedKernels:
@@ -193,12 +193,12 @@ class TestRestrictedKernels:
             rhs = Fraction(1, math.factorial(x + 1)) * r.entry(x + 1, x)
             assert lhs == rhs
 
-    @pytest.mark.parametrize("n", range(5, 13))
+    @pytest.mark.parametrize("n", range(5, 31))
     def test_pcheck_reversible_and_stationary(self, n):
         p_check, _, _ = build_restricted(n)
         law = pi_conditioned(n)
         assert check_reversibility(p_check, law).ok
-        assert birth_death_stationary(p_check).as_dict() == law.as_dict()
+        assert birth_death_stationary(p_check) == law
 
     def test_rtilde_up_rates(self):
         n = 9
@@ -315,10 +315,9 @@ def bumped(kernel, moves, bump=Fraction(1, 1000)):
 
 
 def assert_matches_dense(kernel, law):
-    weights = law.as_dict() if hasattr(law, "as_dict") else law
     report = check_reversibility(kernel, law)
     assert (report.ok, report.first_violation, report.pairs_checked) == dense_reversibility(
-        kernel, weights
+        kernel, law
     )
     return report
 
@@ -332,7 +331,7 @@ class TestSparseReversibilityAgainstDense:
     @pytest.mark.parametrize("n", [6, 8, 12])
     def test_every_builder_against_a_wrong_law(self, n):
         for kernel, _ in every_builder(n):
-            uniform = {s: Fraction(1, kernel.size) for s in kernel.states}
+            uniform = {s: Fraction(1, len(kernel.states)) for s in kernel.states}
             assert not assert_matches_dense(kernel, uniform).ok
 
     def test_transposition_walk(self):

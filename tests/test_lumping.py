@@ -97,7 +97,7 @@ class TestProjection:
     def test_mu1_is_pi(self):
         n = 6
         result = project(cycle_type_chain(n))
-        assert result.mu1 == fixed_point_pmf(n).as_dict()
+        assert result.mu1 == fixed_point_pmf(n)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_walk_projects_to_cycle_type_chain(self, n):
@@ -138,7 +138,7 @@ class TestReversibilityTransfer:
         kernel = poisson_reversible_penta(n)
         chain = PartitionedChain(
             kernel=kernel,
-            invariant=poisson_box_law(n).as_dict(),
+            invariant=poisson_box_law(n),
             blocks={x: x % 2 for x in kernel.states},
         )
         report = reversibility_transfer(chain)
