@@ -39,7 +39,12 @@ def _fmt(value: Any) -> Any:
 
 
 def write_table(path: Path, rows: Sequence[Mapping[str, Any]], fmt: str) -> Path:
-    """Write rows as CSV or JSON; field order is taken from the first row."""
+    """Write rows as CSV, JSON or JSON lines ("jsonl": one object per line,
+    values as given); CSV takes its field order from the first row."""
+    if fmt == "jsonl":
+        path = path.with_suffix(".jsonl")
+        path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        return path
     if fmt == "json":
         path = path.with_suffix(".json")
         payload = [{k: _fmt(v) for k, v in row.items()} for row in rows]
@@ -324,16 +329,15 @@ def cmd_couple(args: argparse.Namespace) -> int:
     report.write_table("aggregates", rows, args.format)
 
     if cfg.emit_traces:
-        path = report.out / "traces.jsonl"
-        with path.open("w") as fh:
-            for tr in stats.traces:
-                fh.write(json.dumps({
-                    "steps": [list(s) for s in tr.steps], "final": list(tr.final),
-                    "tau": tr.tau, "tau0_x": tr.tau0_x, "tau0_y": tr.tau0_y,
-                    "z_incr": list(tr.z_incr), "ztilde_incr": list(tr.ztilde_incr),
-                    "zhat_incr": list(tr.zhat_incr),
-                }, sort_keys=True) + "\n")
-        report.emit(path)
+        report.write_table("traces", [
+            {
+                "steps": [list(s) for s in tr.steps], "final": list(tr.final),
+                "tau": tr.tau, "tau0_x": tr.tau0_x, "tau0_y": tr.tau0_y,
+                "z_incr": list(tr.z_incr), "ztilde_incr": list(tr.ztilde_incr),
+                "zhat_incr": list(tr.zhat_incr),
+            }
+            for tr in stats.traces
+        ], "jsonl")
 
     final = stats.final
     if cfg.selector == "r-r" and cfg.start_mode in ("shared", "copy_x"):

@@ -20,8 +20,10 @@ cut c is stored as g * 2^-53 with g = ceil(c * 2^53) (`grid_cut`), so
 u < c exactly when j < g: the engines decide alike by construction.
 
 Replicas run in blocks.  Counts-only runs (emit_traces false) go to a
-compiled C loop, `step`'s rule on the integers j and g.  The first such run
-of a process loads it from the per-user cache $XDG_CACHE_HOME/permfix (or
+compiled C loop, `step`'s rule on the integers j and g, which looks the
+flags of each step up in a table built from `_events` (`_event_table`), so
+the event rule is written once.  The first such run of a process loads
+the loop from the per-user cache $XDG_CACHE_HOME/permfix (or
 ~/.cache/permfix), where a file named by the hash of its source and build
 command is built with `cc` if missing; deleting that directory is safe, the
 next run builds it again.  Where it cannot be built or loaded (no compiler,
@@ -210,10 +212,39 @@ def _double_tables(cfg: RunConfig) -> tuple[np.ndarray, ...]:
     return tuple(np.array([grid_cut(c) for c in t], dtype=np.float64) * TWO_NEG53 for t in cuts)
 
 
+def _events(x, y, xn, yn):
+    """The (Z, Z-tilde, Z-hat) flags of the steps (x, y) -> (xn, yn),
+    elementwise: a meeting that splits, X going from at or below Y to above
+    it, and X going from at or above Y to below it."""
+    return (x == y) & (xn != yn), (x <= y) & (xn > yn), (x >= y) & (xn < yn)
+
+
+@lru_cache(maxsize=8)  # built once per run's N, not per block; 349 KB at N = 200
+def _event_table(N: int) -> np.ndarray:
+    """The compiled loop's flags: one byte per (x, y, mx, my), at index
+    (x (N-3) + y) 9 + 3 mx + my, for the step to x' = x + 1 - mx,
+    y' = y + 1 - my (`step`, with mx and my the cuts above u).  Bits 0-2 are
+    `_events`; bits 3-5 are x' = y' (met), x' = 0 and y' = 0.  Entries of
+    moves off [0, N-4], which never happen, are filled all the same.  The
+    table is shared by every run at N, so it is read-only."""
+    x, y, mx, my = np.ix_(*(np.arange(n) for n in (N - 3, N - 3, 3, 3)))
+    xn, yn = x + 1 - mx, y + 1 - my
+    flags = (*_events(x, y, xn, yn), xn == yn, xn == 0, yn == 0)
+    table = sum(f.astype(np.uint8) << bit for bit, f in enumerate(flags)).ravel()
+    table.flags.writeable = False
+    return table
+
+
 _C_SOURCE = r"""
 #include <stdint.h>
 
 #define GOLDEN 0x9E3779B97F4A7C15u
+#define Z 1u /* the event bits of `_event_table` */
+#define ZTILDE 2u
+#define ZHAT 4u
+#define MET 8u
+#define HIT_X 16u
+#define HIT_Y 32u
 
 static uint64_t scramble(uint64_t z)
 {
@@ -232,50 +263,46 @@ static int64_t quantile(const uint64_t *cdf, int64_t size, uint64_t j)
 
 /* Replicas [first, first + count): the numpy engine's streams, initial
    states, moves and flags, on 53-bit words j against grid numerators g.
-   start_mode indexes (shared, independent, copy_x); each of the six tables
-   holds size cuts, one per state; counts holds 7 int64 per checkpoint;
-   checkpoints ascend and end at horizon.  lo_x and lo_y are the lowest
-   states visited, so a chain has hit 0 when its lo is 0. */
+   start_mode indexes (shared, independent, copy_x); each of the six cut
+   tables holds size cuts, one per state, and events holds the flags of
+   every step, 9 per pair of states (`_event_table`); counts holds 7 int64
+   per checkpoint; checkpoints ascend and end at horizon.  A move is
+   `step`'s: mx in {0, 1, 2} counts the cuts above j and x' = x + 1 - mx.
+   ev is the OR of the event bits of the start and of every step so far. */
 void permfix_run_block(uint64_t seed_hash, int64_t first, int64_t count, int64_t horizon,
                        int64_t start_mode, const int64_t *checkpoints,
                        const uint64_t *down_x, const uint64_t *stay_x,
                        const uint64_t *down_y, const uint64_t *stay_y,
-                       const uint64_t *cdf_x, const uint64_t *cdf_y, int64_t size,
-                       int64_t *counts)
+                       const uint64_t *cdf_x, const uint64_t *cdf_y, const uint8_t *events,
+                       int64_t size, int64_t *counts)
 {
     for (int64_t r = first; r < first + count; r++) {
         uint64_t s = scramble(seed_hash + (uint64_t)(r + 1) * GOLDEN);
         uint64_t j = scramble(s += GOLDEN) >> 11;
-        int64_t x = quantile(cdf_x, size, j);
-        int64_t y = x;
+        uint64_t x = quantile(cdf_x, size, j);
+        uint64_t y = x;
         if (start_mode == 0)
             y = quantile(cdf_y, size, j);
         else if (start_mode == 1)
             y = quantile(cdf_y, size, scramble(s += GOLDEN) >> 11);
-        int64_t met = x == y, lo_x = x, lo_y = y, z = 0, zt = 0, zh = 0, k = 0;
-        int64_t *row = counts;
+        unsigned ev = (x == y ? MET : 0) | (x == 0 ? HIT_X : 0) | (y == 0 ? HIT_Y : 0);
+        int64_t k = 0, *row = counts;
         for (const int64_t *next = checkpoints;; next++, row += 7) {
-            for (; k < *next; k++) {
+            for (int64_t end = *next; k < end; k++) {
                 j = scramble(s += GOLDEN) >> 11;
-                int64_t xn = x + 1 - (j < stay_x[x]) - (j < down_x[x]);
-                int64_t yn = y + 1 - (j < stay_y[y]) - (j < down_y[y]);
-                int64_t d = x - y, dn = xn - yn;
-                z |= (d == 0) & (dn != 0);
-                zt |= (d <= 0) & (dn > 0);
-                zh |= (d >= 0) & (dn < 0);
-                met |= dn == 0;
-                lo_x = xn < lo_x ? xn : lo_x;
-                lo_y = yn < lo_y ? yn : lo_y;
-                x = xn;
-                y = yn;
+                uint64_t mx = (uint64_t)(j < stay_x[x]) + (j < down_x[x]);
+                uint64_t my = (uint64_t)(j < stay_y[y]) + (j < down_y[y]);
+                ev |= events[(x * size + y) * 9 + 3 * mx + my];
+                x += 1 - mx;
+                y += 1 - my;
             }
             row[0] += x != y;
-            row[1] += !met;
-            row[2] += z;
-            row[3] += zt;
-            row[4] += zh;
-            row[5] += lo_x != 0;
-            row[6] += lo_y != 0;
+            row[1] += !(ev & MET);
+            row[2] += !!(ev & Z);
+            row[3] += !!(ev & ZTILDE);
+            row[4] += !!(ev & ZHAT);
+            row[5] += !(ev & HIT_X);
+            row[6] += !(ev & HIT_Y);
             if (k == horizon)
                 break;
         }
@@ -327,7 +354,8 @@ def _compiled_engine():
     run = lib.permfix_run_block
     run.argtypes = [
         ctypes.c_uint64, i64, i64, i64, i64, ints,
-        words, words, words, words, words, words, i64,
+        words, words, words, words, words, words,
+        np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), i64,
         np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"),
     ]
     run.restype = None
@@ -335,25 +363,22 @@ def _compiled_engine():
     def run_block(cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray) -> list:
         # every stored cut is g * 2^-53 exactly, so scaling recovers g
         grid = [(t * 2.0 ** 53).astype(np.uint64) for t in tables]
+        events = _event_table(cfg.N)
+        size = cfg.N - 3
         # the C loop indexes every table by state, unchecked
-        if {len(t) for t in grid} != {cfg.N - 3}:
+        if {len(t) for t in grid} != {size}:
             raise ValueError("every table must hold one cut per state of [0, N-4]")
+        if len(events) != size * size * 9:
+            raise ValueError("the event table must hold 9 entries per pair of states of [0, N-4]")
         if counts.shape != (len(cfg.checkpoints), len(STAT_NAMES)):
             raise ValueError("counts must hold one row per checkpoint")
         run(
             scramble(cfg.seed), first, count, cfg.horizon, START_MODES.index(cfg.start_mode),
-            np.array(cfg.checkpoints, dtype=np.int64), *grid, cfg.N - 3, counts,
+            np.array(cfg.checkpoints, dtype=np.int64), *grid, events, size, counts,
         )
         return []
 
     return run_block
-
-
-def _events(x, y, xn, yn):
-    """The (Z, Z-tilde, Z-hat) flags of the steps (x, y) -> (xn, yn),
-    elementwise: a meeting that splits, X going from at or below Y to above
-    it, and X going from at or above Y to below it."""
-    return (x == y) & (xn != yn), (x <= y) & (xn > yn), (x >= y) & (xn < yn)
 
 
 def _run_block_double(

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from permfix import exactdist
-from permfix.cli import FAIL, ConfigError, build_parser, main, parse_range
+from permfix import cli, exactdist
+from permfix.cli import FAIL, ConfigError, build_parser, main, parse_range, write_table
 
 
 def run_cli(capsys, *argv):
@@ -296,7 +296,16 @@ def test_all_files_match_frozen_digests(tmp_path, capsys):
     assert digests == golden
 
 
-def test_couple_traces(tmp_path, capsys):
+def test_couple_traces(tmp_path, capsys, monkeypatch):
+    # every file of the run, traces.jsonl included, is written by the
+    # module-level `write_table`, the function the benchmark counts files at
+    written = []
+
+    def counted(*args):
+        written.append(str(write_table(*args)))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "write_table", counted)
     config = tmp_path / "c.json"
     config.write_text(json.dumps({
         "N": 8, "n": 50, "replicas": 5, "seed": 1, "emit_traces": True,
@@ -305,6 +314,8 @@ def test_couple_traces(tmp_path, capsys):
         capsys, "couple", "--config", str(config), "--out", str(tmp_path / "run")
     )
     assert code == 0
+    assert report["outputs"] == written
+    assert str(tmp_path / "run" / "traces.jsonl") in written
     lines = (tmp_path / "run" / "traces.jsonl").read_text().splitlines()
     assert len(lines) == 5
     assert len(json.loads(lines[0])["steps"]) == 50

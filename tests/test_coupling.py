@@ -309,6 +309,30 @@ class TestGridCuts:
                     assert (Fraction(j, 2 ** 53) < c) == (j < g)
 
 
+class TestEventTable:
+    @pytest.mark.parametrize("N", range(5, 41))
+    def test_every_entry_is_the_event_rule(self, N):
+        # bits 0-2 are `_events` of the step, bits 3-5 met and the two hits;
+        # every (x, y, mx, my) has its own entry, moves off [0, N-4] included
+        size = N - 3
+        table = coupling._event_table(N)
+        seen = set()
+        for x in range(size):
+            for y in range(size):
+                for mx in range(3):
+                    for my in range(3):
+                        xn, yn = x + 1 - mx, y + 1 - my
+                        flags = (*coupling._events(x, y, xn, yn), xn == yn, xn == 0, yn == 0)
+                        i = (x * size + y) * 9 + 3 * mx + my
+                        assert table[i] == sum(int(f) << bit for bit, f in enumerate(flags))
+                        seen.add(i)
+        assert seen == set(range(len(table)))
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            coupling._event_table(8)[0] = 0
+
+
 class TestEngineEquivalence:
     """The compiled loop, the numpy engine and the exact oracle, count for count."""
 
@@ -332,6 +356,20 @@ class TestEngineEquivalence:
         assert fast == vector == exact
         assert list(fast) == [0]
         assert fast[0].counts["neq"] == fast[0].counts["tau_gt"]
+
+    @pytest.mark.parametrize("replicas", [1, 3, 61])
+    @pytest.mark.parametrize("N", [5, 100])
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_engines_agree_at_the_edges(self, compiled, monkeypatch, selector, start_mode, N, replicas):
+        # odd replica counts down to one, two states (N = 5) and an 85 KB
+        # event table (N = 100)
+        cfg = RunConfig(
+            N=N, horizon=60, replicas=replicas, seed=SEED_NEAR_2_64, selector=selector,
+            start_mode=start_mode, checkpoints=(0, 1),
+        )
+        fast, vector, exact = engines(cfg, monkeypatch)
+        assert fast == vector == exact
 
     def test_small_ragged_blocks(self, compiled, monkeypatch):
         cfg = RunConfig(
@@ -366,14 +404,26 @@ class TestEngineEquivalence:
 
     def test_compiled_loop_rejects_a_short_table(self, compiled, monkeypatch):
         # the C loop indexes the tables by state unchecked; one cut missing
-        # from any table is refused before it runs
+        # from any cut table, one byte missing from the event table, or an
+        # event table built for another N is refused before it runs, so the
+        # counts stay zero
         cfg = RunConfig(N=6, horizon=5, replicas=3, seed=1)
         tables = coupling._double_tables(cfg)
+
+        def refused(tables, match):
+            counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
+            with pytest.raises(ValueError, match=match):
+                compiled(cfg, tables, 0, cfg.replicas, counts)
+            assert not counts.any()
+
         for i in range(6):
-            short = tables[:i] + (tables[i][:-1],) + tables[i + 1:]
-            monkeypatch.setattr(coupling, "_double_tables", lambda cfg, short=short: short)
-            with pytest.raises(ValueError, match="one cut per state"):
-                run_coupling(cfg)
+            refused(tables[:i] + (tables[i][:-1],) + tables[i + 1:], "one cut per state")
+        event_table = coupling._event_table
+        for wrong in (event_table(6)[:-1], event_table(5), event_table(7)):
+            monkeypatch.setattr(coupling, "_event_table", lambda N, wrong=wrong: wrong)
+            refused(tables, "event table")
+        monkeypatch.setattr(coupling, "_event_table", event_table)
+        compiled(cfg, tables, 0, cfg.replicas, np.zeros((1, len(STAT_NAMES)), dtype=np.int64))
 
     @staticmethod
     def _words(seed):
