@@ -11,18 +11,19 @@ together with the event counters Z (meetings that split), Z-tilde
 (order violations downward) and Z-hat (order violations upward), the
 coupling time tau and the hitting times of zero.
 
-Both engines read one table format (`_double_tables`): six tables with one
-cut per state 0..N-4, the (down, stay) thresholds of X and of Y and the
-CDFs of X(0) and Y(0).  Every start law charges only [0, N-4], so the last
-CDF cut is 1 and the number of cuts at or below u is the start state; no
-support table is kept.  Every uniform is a grid point j * 2^-53, and every
-cut c is stored as g * 2^-53 with g = ceil(c * 2^53) (`grid_cut`), so
-u < c exactly when j < g: the engines decide alike by construction.
+Both engines read one table format (`_grid_tables`): six uint64 tables
+with one cut per state 0..N-4, the (down, stay) thresholds of X and of Y
+and the CDFs of X(0) and Y(0).  Every uniform is drawn as its 53-bit word
+j, and every cut c is stored as g = ceil(c * 2^53) (`grid_cut`), so
+j * 2^-53 < c exactly when j < g: the engines decide alike by construction.
 
-Replicas run in blocks.  Counts-only runs (emit_traces false) go to a
-compiled C loop, `step`'s rule on the integers j and g, which looks the
-flags of each step up in a table built from `_events` (`_event_table`), so
-the event rule is written once.  The first such run of a process loads
+Replicas run in blocks, each started by one rule (`_block_start`): X(0) is
+the number of CDF cuts at or below a start word, and likewise Y(0).  Every
+start law charges only [0, N-4], so the last CDF cut is 2^53 and that
+number is already a state.  Counts-only runs (emit_traces false) then go
+to a compiled C loop, `step`'s rule on the integers j and g, which looks
+the flags of each step up in a table built from `_events` (`_event_table`),
+so the event rule is written once.  The first such run of a process loads
 the loop from the per-user cache $XDG_CACHE_HOME/permfix (or
 ~/.cache/permfix), where a file named by the hash of its source and build
 command is built with `cc` if missing; deleting that directory is safe, the
@@ -54,7 +55,7 @@ from .kernels import (
     birth_death_stationary,
     build_restricted,
 )
-from .rng import TWO_NEG53, VectorStreams, check_seed, scramble
+from .rng import TWO_NEG53, VectorStreams, check_seed
 
 SELECTORS = ("pcheck-r", "r-r", "pcheck-rtilde")
 START_MODES = ("shared", "independent", "copy_x")
@@ -171,8 +172,8 @@ def step(x, u, down, stay):
 
     Restricted states are 0..N-4, so a state is its own index into its
     chain's `birth_death_thresholds`.  The same expression moves an int
-    under a Fraction or float u and a numpy array of states under an array
-    of uniforms.
+    under a Fraction u, and a numpy array of states under an array of
+    53-bit words j against the grid numerators of `_grid_tables`.
     """
     return x + 1 - (u < stay[x]) - (u < down[x])
 
@@ -187,21 +188,20 @@ BLOCK_SIZE = 1 << 14  # replicas per block; counts do not depend on it
 def grid_cut(c: Fraction) -> int:
     """ceil(c * 2^53) for a cut c in [0, 1].
 
-    For an integer j, j * 2^-53 < c exactly when j < grid_cut(c), and
-    grid_cut(c) * 2^-53 is a double, so a uniform compared with the stored
-    cut decides as the exact rational comparison does.
+    For an integer j, j * 2^-53 < c exactly when j < grid_cut(c), so the
+    53-bit word of a uniform compared with the stored numerator decides as
+    the exact rational comparison does.
     """
     c = Fraction(c)
     return -((-c.numerator << 53) // c.denominator)
 
 
-def _double_tables(cfg: RunConfig) -> tuple[np.ndarray, ...]:
-    """Six tables of grid cuts, one cut per state 0..N-4: the (down, stay)
-    thresholds of X and of Y, then the CDFs of X(0) and Y(0), the
-    `cumulative()` of each start law (every start law charges all of
-    [0, N-4]).  Built once per run and shared by its blocks.  The last CDF
-    cut is 1, so the number of cuts at or below a uniform is already a
-    state."""
+def _grid_tables(cfg: RunConfig) -> tuple[np.ndarray, ...]:
+    """Six uint64 tables of grid numerators, one cut per state 0..N-4: the
+    (down, stay) thresholds of X and of Y, then the CDFs of X(0) and Y(0),
+    the `cumulative()` of each start law (every start law charges all of
+    [0, N-4], so its last cut is 2^53).  Built once per run and shared by
+    its blocks."""
     k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
     cuts = (
         *birth_death_thresholds(k_x),
@@ -209,7 +209,24 @@ def _double_tables(cfg: RunConfig) -> tuple[np.ndarray, ...]:
         law_x.cumulative(),
         law_y.cumulative(),
     )
-    return tuple(np.array([grid_cut(c) for c in t], dtype=np.float64) * TWO_NEG53 for t in cuts)
+    return tuple(np.array([grid_cut(c) for c in t], dtype=np.uint64) for t in cuts)
+
+
+def _block_start(
+    cfg: RunConfig, tables: tuple, first: int, count: int
+) -> tuple[VectorStreams, np.ndarray, np.ndarray]:
+    """(streams, X, Y) of replicas [first, first + count): their streams,
+    past the start words, and their start states, each the number of CDF
+    cuts at or below a 53-bit start word (a state, as the last cut is 2^53)."""
+    cdf_x, cdf_y = tables[4:]
+    streams = VectorStreams(cfg.seed, first, count)
+    j = streams.next_words() >> 11
+    X = np.searchsorted(cdf_x, j, side="right")
+    if cfg.start_mode == "copy_x":
+        return streams, X, X.copy()
+    if cfg.start_mode == "independent":
+        j = streams.next_words() >> 11
+    return streams, X, np.searchsorted(cdf_y, j, side="right")
 
 
 def _events(x, y, xn, yn):
@@ -223,7 +240,8 @@ def _events(x, y, xn, yn):
 def _event_table(N: int) -> np.ndarray:
     """The compiled loop's flags: one byte per (x, y, mx, my), at index
     (x (N-3) + y) 9 + 3 mx + my, for the step to x' = x + 1 - mx,
-    y' = y + 1 - my (`step`, with mx and my the cuts above u).  Bits 0-2 are
+    y' = y + 1 - my (`step`, with mx and my the numbers of the state's
+    (down, stay) grid numerators above the step's word j).  Bits 0-2 are
     `_events`; bits 3-5 are x' = y' (met), x' = 0 and y' = 0.  Entries of
     moves off [0, N-4], which never happen, are filled all the same.  The
     table is shared by every run at N, so it is read-only."""
@@ -253,43 +271,28 @@ static uint64_t scramble(uint64_t z)
     return z ^ (z >> 31);
 }
 
-static int64_t quantile(const uint64_t *cdf, int64_t size, uint64_t j)
-{
-    int64_t i = 0;
-    while (i < size - 1 && j >= cdf[i])
-        i++;
-    return i;
-}
-
-/* Replicas [first, first + count): the numpy engine's streams, initial
-   states, moves and flags, on 53-bit words j against grid numerators g.
-   start_mode indexes (shared, independent, copy_x); each of the six cut
-   tables holds size cuts, one per state, and events holds the flags of
-   every step, 9 per pair of states (`_event_table`); counts holds 7 int64
-   per checkpoint; checkpoints ascend and end at horizon.  A move is
-   `step`'s: mx in {0, 1, 2} counts the cuts above j and x' = x + 1 - mx.
-   ev is the OR of the event bits of the start and of every step so far. */
-void permfix_run_block(uint64_t seed_hash, int64_t first, int64_t count, int64_t horizon,
-                       int64_t start_mode, const int64_t *checkpoints,
+/* Count replicas from their `_block_start`: SplitMix64 states past the
+   start words and start states x0, y0; the numpy engine's moves and flags,
+   on 53-bit words j against grid numerators g.  Each of the four cut tables
+   holds size cuts, one per state, and events holds the flags of every
+   step, 9 per pair of states (`_event_table`); counts holds 7 int64 per
+   checkpoint; checkpoints ascend and end at horizon.  A move is `step`'s:
+   mx in {0, 1, 2} counts the cuts above j and x' = x + 1 - mx.  ev is the
+   OR of the event bits of the start and of every step so far. */
+void permfix_run_block(const uint64_t *states, const int64_t *x0, const int64_t *y0,
+                       int64_t count, int64_t horizon, const int64_t *checkpoints,
                        const uint64_t *down_x, const uint64_t *stay_x,
-                       const uint64_t *down_y, const uint64_t *stay_y,
-                       const uint64_t *cdf_x, const uint64_t *cdf_y, const uint8_t *events,
+                       const uint64_t *down_y, const uint64_t *stay_y, const uint8_t *events,
                        int64_t size, int64_t *counts)
 {
-    for (int64_t r = first; r < first + count; r++) {
-        uint64_t s = scramble(seed_hash + (uint64_t)(r + 1) * GOLDEN);
-        uint64_t j = scramble(s += GOLDEN) >> 11;
-        uint64_t x = quantile(cdf_x, size, j);
-        uint64_t y = x;
-        if (start_mode == 0)
-            y = quantile(cdf_y, size, j);
-        else if (start_mode == 1)
-            y = quantile(cdf_y, size, scramble(s += GOLDEN) >> 11);
+    for (int64_t r = 0; r < count; r++) {
+        uint64_t s = states[r];
+        uint64_t x = x0[r], y = y0[r];
         unsigned ev = (x == y ? MET : 0) | (x == 0 ? HIT_X : 0) | (y == 0 ? HIT_Y : 0);
         int64_t k = 0, *row = counts;
         for (const int64_t *next = checkpoints;; next++, row += 7) {
             for (int64_t end = *next; k < end; k++) {
-                j = scramble(s += GOLDEN) >> 11;
+                uint64_t j = scramble(s += GOLDEN) >> 11;
                 uint64_t mx = (uint64_t)(j < stay_x[x]) + (j < down_x[x]);
                 uint64_t my = (uint64_t)(j < stay_y[y]) + (j < down_y[y]);
                 ev |= events[(x * size + y) * 9 + 3 * mx + my];
@@ -353,58 +356,51 @@ def _compiled_engine():
     i64 = ctypes.c_int64
     run = lib.permfix_run_block
     run.argtypes = [
-        ctypes.c_uint64, i64, i64, i64, i64, ints,
-        words, words, words, words, words, words,
+        words, ints, ints, i64, i64, ints, words, words, words, words,
         np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), i64,
         np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"),
     ]
     run.restype = None
 
     def run_block(cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray) -> list:
-        # every stored cut is g * 2^-53 exactly, so scaling recovers g
-        grid = [(t * 2.0 ** 53).astype(np.uint64) for t in tables]
+        down_x, stay_x, down_y, stay_y, cdf_x, cdf_y = tables
         events = _event_table(cfg.N)
         size = cfg.N - 3
-        # the C loop indexes every table by state, unchecked
-        if {len(t) for t in grid} != {size}:
+        # the C loop indexes every table by state, unchecked: one cut per
+        # state, and no move or start off [0, N-4]
+        if {len(t) for t in tables} != {size}:
             raise ValueError("every table must hold one cut per state of [0, N-4]")
+        if down_x[0] or down_y[0] or any(t[-1] != 1 << 53 for t in (stay_x, stay_y, cdf_x, cdf_y)):
+            raise ValueError("the tables must keep every state in [0, N-4]")
         if len(events) != size * size * 9:
             raise ValueError("the event table must hold 9 entries per pair of states of [0, N-4]")
         if counts.shape != (len(cfg.checkpoints), len(STAT_NAMES)):
             raise ValueError("counts must hold one row per checkpoint")
+        streams, X, Y = _block_start(cfg, tables, first, count)
         run(
-            scramble(cfg.seed), first, count, cfg.horizon, START_MODES.index(cfg.start_mode),
-            np.array(cfg.checkpoints, dtype=np.int64), *grid, events, size, counts,
+            streams.states, X.astype(np.int64), Y.astype(np.int64), count, cfg.horizon,
+            np.array(cfg.checkpoints, dtype=np.int64), down_x, stay_x, down_y, stay_y,
+            events, size, counts,
         )
         return []
 
     return run_block
 
 
-def _run_block_double(
+def _run_block_numpy(
     cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray
 ) -> list[CouplingTrace]:
     """The numpy engine on replicas [first, first + count): adds their counts
     into `counts` (one row per checkpoint) and returns their traces."""
-    down_x, stay_x, down_y, stay_y, cdf_x, cdf_y = tables
-
-    streams = VectorStreams(cfg.seed, first, count)
-    u0 = streams.uniforms()
-    X = np.searchsorted(cdf_x, u0, side="right")
-    if cfg.start_mode == "shared":
-        Y = np.searchsorted(cdf_y, u0, side="right")
-    elif cfg.start_mode == "independent":
-        Y = np.searchsorted(cdf_y, streams.uniforms(), side="right")
-    else:
-        Y = X.copy()
-
+    down_x, stay_x, down_y, stay_y = tables[:4]
+    streams, X, Y = _block_start(cfg, tables, first, count)
     met = X == Y
     hit_x = X == 0
     hit_y = Y == 0
     z_f = np.zeros(count, dtype=bool)
     zt_f = np.zeros(count, dtype=bool)
     zh_f = np.zeros(count, dtype=bool)
-    xs, ys, us = [X], [Y], []  # the path, kept when traces are asked for
+    xs, ys, js = [X], [Y], []  # the path, kept when traces are asked for
 
     rows = {n: i for i, n in enumerate(cfg.checkpoints)}
 
@@ -422,8 +418,8 @@ def _run_block_double(
     if 0 in rows:
         snapshot(0)
     for k in range(cfg.horizon):
-        u = streams.uniforms()
-        Xn, Yn = step(X, u, down_x, stay_x), step(Y, u, down_y, stay_y)
+        j = streams.next_words() >> 11
+        Xn, Yn = step(X, j, down_x, stay_x), step(Y, j, down_y, stay_y)
         z, zt, zh = _events(X, Y, Xn, Yn)
         z_f |= z
         zt_f |= zt
@@ -435,12 +431,13 @@ def _run_block_double(
         if cfg.emit_traces:
             xs.append(X)
             ys.append(Y)
-            us.append(u)
+            js.append(j)
         if k + 1 in rows:
             snapshot(k + 1)
     if not cfg.emit_traces:
         return []
-    return _traces_from_path(np.array(xs), np.array(ys), np.array(us).reshape(cfg.horizon, count))
+    us = np.array(js, dtype=np.uint64).reshape(cfg.horizon, count) * TWO_NEG53
+    return _traces_from_path(np.array(xs), np.array(ys), us)
 
 
 def _traces_from_path(xs: np.ndarray, ys: np.ndarray, us: np.ndarray) -> list[CouplingTrace]:
@@ -474,8 +471,8 @@ def run_coupling(cfg: RunConfig) -> CouplingStats:
     """
     traces: list[CouplingTrace] = []
     counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
-    tables = _double_tables(cfg)
-    run_block = (None if cfg.emit_traces else _compiled_engine()) or _run_block_double
+    tables = _grid_tables(cfg)
+    run_block = (None if cfg.emit_traces else _compiled_engine()) or _run_block_numpy
     for first in range(0, cfg.replicas, BLOCK_SIZE):
         traces += run_block(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first), counts)
 

@@ -166,9 +166,7 @@ class CycleType:
         denom = 1
         for l, c in enumerate(self.counts, start=1):
             denom *= l ** c * math.factorial(c)
-        size, rem = divmod(math.factorial(self.N), denom)
-        assert rem == 0
-        return size
+        return math.factorial(self.N) // denom
 
     def class_weight(self) -> Fraction:
         """Probability of the class under the uniform law on S_N."""

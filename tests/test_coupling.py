@@ -282,8 +282,9 @@ def engines(cfg, monkeypatch):
 class TestGridCuts:
     @pytest.mark.parametrize("selector", SELECTORS)
     def test_every_cut_rounds_up_onto_the_grid(self, selector):
-        # one cut per state 0..N-4 in each of the six tables; every start
-        # law charges all of [0, N-4], so its CDF is its `cumulative()`
+        # one uint64 grid numerator per state 0..N-4 in each of the six
+        # tables; every start law charges all of [0, N-4], so its CDF is its
+        # `cumulative()` and ends at 2^53
         grid = 2 ** 53
         for N in range(5, 61):
             k_x, k_y, law_x, law_y = selector_kernels(N, selector)
@@ -291,15 +292,16 @@ class TestGridCuts:
                 *birth_death_thresholds(k_x), *birth_death_thresholds(k_y),
                 law_x.cumulative(), law_y.cumulative(),
             )
-            tables = coupling._double_tables(RunConfig(N=N, horizon=0, replicas=1, seed=0, selector=selector))
+            tables = coupling._grid_tables(RunConfig(N=N, horizon=0, replicas=1, seed=0, selector=selector))
             assert [len(t) for t in tables] == [N - 3] * 6
+            assert all(t.dtype == np.uint64 for t in tables)
+            assert [int(t[-1]) for t in tables[4:]] == [grid, grid]
             for cuts, stored in zip(exact, tables, strict=True):
-                for c, f in zip(cuts, stored, strict=True):
-                    g = grid_cut(c)
-                    assert Fraction(g, grid) >= c
-                    assert Fraction(g, grid) - c < Fraction(1, grid)
+                for c, g in zip(cuts, stored, strict=True):
+                    assert int(g) == grid_cut(c)
+                    assert Fraction(int(g), grid) >= c
+                    assert Fraction(int(g), grid) - c < Fraction(1, grid)
                     assert g <= grid
-                    assert Fraction(float(f)) == Fraction(g, grid)
 
     def test_grid_decides_as_the_exact_cut(self):
         for c in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 2 ** 53), Fraction(2, 3)):
@@ -385,14 +387,15 @@ class TestEngineEquivalence:
         # Tables whose cuts sit exactly on the words of replica 0, so each of
         # the three decisions below is taken with u equal to its cut.
         seed = next(s for s in range(100) if self._words(s)[1] < self._words(s)[2])
-        j0, j1, j2 = (j * 2.0 ** -53 for j in self._words(seed))
-        tables = (
-            np.array([0.0, j1, 0.0]), np.array([1.0, j2, 1.0]),  # X: down on j1, up on j2
-            np.zeros(3), np.ones(3),  # Y: never moves
-            np.array([j0, 1.0, 1.0]),  # X(0) = 1: u0 sits on the first cut
-            np.array([0.0, 0.0, 1.0]),  # Y(0) = 2
-        )
-        monkeypatch.setattr(coupling, "_double_tables", lambda cfg: tables)
+        j0, j1, j2 = self._words(seed)
+        top = 2 ** 53
+        tables = tuple(np.array(t, dtype=np.uint64) for t in (
+            [0, j1, 0], [top, j2, top],  # X: down on j1, up on j2
+            [0, 0, 0], [top, top, top],  # Y: never moves
+            [j0, top, top],  # X(0) = 1: u0 sits on the first cut
+            [0, 0, top],  # Y(0) = 2
+        ))
+        monkeypatch.setattr(coupling, "_grid_tables", lambda cfg: tables)
         cfg = RunConfig(N=6, horizon=2, replicas=1, seed=seed, checkpoints=(0, 1))
         # X: 1, then 1 (u = down cut, not below it), then 2 (u = stay cut); Y stays at 2
         expected = {0: (1, 1, 0, 0, 0, 1, 1), 1: (1, 1, 0, 0, 0, 1, 1), 2: (0, 0, 0, 0, 0, 1, 1)}
@@ -404,11 +407,12 @@ class TestEngineEquivalence:
 
     def test_compiled_loop_rejects_a_short_table(self, compiled, monkeypatch):
         # the C loop indexes the tables by state unchecked; one cut missing
-        # from any cut table, one byte missing from the event table, or an
-        # event table built for another N is refused before it runs, so the
-        # counts stay zero
+        # from any cut table, a table that moves or starts a chain off
+        # [0, N-4], one byte missing from the event table, or an event table
+        # built for another N is refused before it runs, so the counts stay
+        # zero
         cfg = RunConfig(N=6, horizon=5, replicas=3, seed=1)
-        tables = coupling._double_tables(cfg)
+        tables = coupling._grid_tables(cfg)
 
         def refused(tables, match):
             counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
@@ -416,8 +420,17 @@ class TestEngineEquivalence:
                 compiled(cfg, tables, 0, cfg.replicas, counts)
             assert not counts.any()
 
+        def patched(i, at, cut):
+            table = tables[i].copy()
+            table[at] = cut
+            return tables[:i] + (table,) + tables[i + 1:]
+
         for i in range(6):
             refused(tables[:i] + (tables[i][:-1],) + tables[i + 1:], "one cut per state")
+        for i in (0, 2):  # a down move from 0
+            refused(patched(i, 0, 1), "every state")
+        for i in (1, 3, 4, 5):  # an up move from N-4, or a start above it
+            refused(patched(i, -1, 2 ** 53 - 1), "every state")
         event_table = coupling._event_table
         for wrong in (event_table(6)[:-1], event_table(5), event_table(7)):
             monkeypatch.setattr(coupling, "_event_table", lambda N, wrong=wrong: wrong)

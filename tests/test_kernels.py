@@ -154,7 +154,7 @@ class TestTildeAndHat:
         assert Pt.entry(n - 2, n) == Fraction(2, n * (n - 1))
         assert Pt.entry(n, n - 2) == 1
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("n", range(4, 41))
     def test_hat_ordering_structure(self, n):
         z = hat_ordering(n)
         assert sorted(z) == list(state_space(n))
