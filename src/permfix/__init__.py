@@ -63,9 +63,7 @@ from .coupling import (
 )
 from .altcouplings import (
     AscentPeakSample,
-    MallowsSample,
     ascent_peak_batch,
-    ascent_peak_sample,
     mallows_discrepancy,
     mallows_exact_pmf,
     peak_tail_exact,

@@ -28,41 +28,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import native
 from .exactdist import ExactDist
 from .perms import check_guard
-from .rng import Stream, VectorStreams
+from .rng import VectorStreams, grid_cut
 
 
 # ---------------------------------------------------------------------------
 # the Mallows bit-chain coupling
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MallowsSample:
-    """One draw of the truncated bit chain with its two partial sums."""
-
-    bits: tuple[int, ...]  # X_1 .. X_K
-    s_n: int
-    s_trunc: int
-    N: int
-    K: int
-    tail_bound: Fraction
-
-
-def mallows_sample(N: int, K: int, stream: Stream) -> MallowsSample:
-    """Draw X_1..X_K and both sums; truncation error bound is 1/K."""
-    if K < N + 1:
-        raise ValueError("K must be at least N + 1")
-    bits = [1]
-    for n in range(2, K + 1):
-        bits.append(1 if stream.uniform() < 1.0 / n else 0)
-    b = tuple(bits)
-    s_n = sum(b[i] * b[i + 1] for i in range(N - 1)) + b[N - 1]
-    s_trunc = sum(b[i] * b[i + 1] for i in range(K - 1))
-    return MallowsSample(
-        bits=b, s_n=s_n, s_trunc=s_trunc, N=N, K=K, tail_bound=Fraction(1, K)
-    )
-
 
 def mallows_exact_pmf(N: int) -> ExactDist:
     """Exact law of S_N by dynamic programming over (last bit, partial sum).
@@ -99,6 +73,21 @@ class MallowsDiscrepancy:
     tail_bound: Fraction
 
 
+def _mallows_differ_numpy(streams: VectorStreams, N: int, K: int) -> int:
+    """The replicas with S_N != S_K, column by column in numpy, from streams
+    past the words of X_2..X_{N-1}."""
+    if N == 1:
+        prev = np.ones(len(streams.states), dtype=bool)
+    else:
+        prev = streams.uniforms() < 1.0 / N
+    diff = prev.astype(np.int64)  # S_N - S_K, accumulated from X_N on
+    for n in range(N + 1, K + 1):
+        bit = streams.uniforms() < 1.0 / n
+        diff -= prev & bit
+        prev = bit
+    return int(np.count_nonzero(diff))
+
+
 def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDiscrepancy:
     """Monte Carlo estimate of P[S_N != S_inf], truncating the series at K.
 
@@ -106,9 +95,14 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
 
         S_N - S_K = X_N - (X_N X_{N+1} + ... + X_{K-1} X_K)
 
-    and X_2..X_{N-1} cancel.  Replica r draws X_n from word n - 1 of
-    Stream(seed, r); the words of the cancelled bits are skipped in O(1),
-    and only X_N..X_K are drawn (X_1 == 1 is drawn from no word).
+    and X_2..X_{N-1} cancel.  Replica r draws X_n from word n - 1 of its
+    stream (replica r of VectorStreams(seed, 0, replicas)), as the uniform
+    U < 1/n; the words of the cancelled bits are skipped in O(1), and only
+    X_N..X_K are drawn (X_1 == 1 is drawn from no word).  The compiled loop
+    (`native.library()`'s `permfix_mallows`) compares the 53-bit word j
+    with grid_cut(1.0 / n), of the double 1.0 / n, the same decision on
+    integers; the numpy body, its fallback, compares the uniforms column by
+    column.
     The truncation can misclassify a replica only if some product
     X_k X_{k+1} with k >= K is one; that has probability at most
     sum_{k >= K} 1/(k(k+1)) = 1/K, reported as tail_bound.
@@ -120,17 +114,15 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     streams = VectorStreams(seed, 0, replicas)
-    if N == 1:
-        prev = np.ones(replicas, dtype=bool)
-    else:
+    if N > 1:
         streams.skip(N - 2)
-        prev = streams.uniforms() < 1.0 / N
-    diff = prev.astype(np.int64)  # S_N - S_K, accumulated from X_N on
-    for n in range(N + 1, K + 1):
-        bit = streams.uniforms() < 1.0 / n
-        diff -= prev & bit
-        prev = bit
-    p_hat = float(np.count_nonzero(diff)) / replicas
+    lib = native.library()
+    if lib is None:
+        differ = _mallows_differ_numpy(streams, N, K)
+    else:
+        cuts = np.array([grid_cut(1.0 / n) for n in range(1, K + 1)], dtype=np.uint64)
+        differ = lib.permfix_mallows(streams.states, replicas, N, K, cuts)
+    p_hat = differ / replicas
     sigma = math.sqrt(p_hat * (1.0 - p_hat) / replicas)
     return MallowsDiscrepancy(
         N=N, K=K, replicas=replicas, estimate=p_hat, sigma=sigma,
@@ -160,40 +152,6 @@ class AscentPeakSample:
         return s_n, t_n, s_n - ((t_n - s_n) % 2)
 
 
-class TieEncountered(RuntimeError):
-    """Two uniforms compared exactly equal (probability zero event)."""
-
-
-def ascent_peak_from_uniforms(us: Sequence[float]) -> AscentPeakSample:
-    """Evaluate S and T on a given uniform sequence (must be long enough)."""
-    s = t = None
-    n = 1
-    while s is None or t is None:
-        if n + 1 >= len(us) + 1:
-            raise ValueError("uniform sequence exhausted before S and T were set")
-        u_prev = us[n - 2] if n >= 2 else None
-        u_n, u_next = us[n - 1], us[n]
-        if u_n == u_next or (u_prev is not None and u_prev == u_n):
-            raise TieEncountered(f"tie at index {n}")
-        if s is None and u_n < u_next:
-            s = n
-        if t is None and n >= 2 and u_n > u_prev and u_n > u_next:
-            t = n
-        n += 1
-    return AscentPeakSample(s=s, t=t)
-
-
-def ascent_peak_sample(seed: int, replica: int = 0) -> AscentPeakSample:
-    """Lazily consume one uniform stream until both S and T are determined."""
-    stream = Stream(seed, replica)
-    us = [stream.uniform(), stream.uniform()]
-    while True:
-        try:
-            return ascent_peak_from_uniforms(us)
-        except ValueError:
-            us.append(stream.uniform())
-
-
 @dataclass(frozen=True)
 class AscentPeakBatch:
     """Empirical laws of M and of the truncated M_N for each requested N."""
@@ -208,28 +166,11 @@ class AscentPeakBatch:
         return self.disagree[N] / self.samples
 
 
-def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> AscentPeakBatch:
-    """Vectorized batch sampling of (S, T) over many replicas.
-
-    Column n compares U_n with U_{n+1} for the live replicas only: those
-    with no peak and no tie yet.  A peak at n needs U_{n-1} < U_n, an ascent
-    at n - 1, so S < T and a replica leaves in the column that sets T.  It
-    also leaves when the two uniforms it compares are equal; ties are
-    counted and the replica dropped (53-bit uniforms make them
-    astronomically unlikely).  Replica r thus reads the words of
-    Stream(seed, r) that ascent_peak_sample(seed, r) reads, and no others.
-    The laws of M and M_N are read off the joint counts of (S, T).
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    ns = tuple(dict.fromkeys(ns))
-    if any(N < 1 for N in ns):
-        raise ValueError("every N in ns must be >= 1")
-    streams = VectorStreams(seed, 0, samples)
-    joint = np.zeros((64, 64), dtype=np.int64)  # joint[s, t]: replicas with S = s, T = t
+def _ascent_peak_numpy(streams: VectorStreams, joint: np.ndarray) -> int:
+    """Fill joint[s, t] column by column in numpy; return the ties."""
     ties = 0
-    s_live = np.zeros(samples, dtype=np.int8)  # S of each live replica, 0 while unset
-    rose = np.zeros(samples, dtype=bool)  # U_{n-1} < U_n
+    s_live = np.zeros(len(streams.states), dtype=np.int8)  # S of each live replica, 0 while unset
+    rose = np.zeros(len(streams.states), dtype=bool)  # U_{n-1} < U_n
     u_curr = streams.uniforms()
     for n in range(1, 64):  # P[T > 63] <= 2^63/64!: never reached in practice
         u_next = streams.uniforms()
@@ -241,13 +182,44 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
         ties += int(np.count_nonzero(tied))
         rest = ~(peak | tied)
         if not rest.any():
-            break
+            return ties
         if not rest.all():
             s_live, asc, u_next = s_live[rest], asc[rest], u_next[rest]
             streams.keep(rest)
         rose, u_curr = asc, u_next
+    raise RuntimeError("S or T unresolved after 64 uniforms")
+
+
+def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> AscentPeakBatch:
+    """Batch sampling of (S, T) over many replicas.
+
+    Replica r compares U_n with U_{n+1} for n = 1, 2, ... until its first
+    peak or its first tie, reading word n of its stream (replica r of
+    VectorStreams(seed, 0, samples)) as U_n.  A peak at n needs
+    U_{n-1} < U_n, an ascent at n - 1, so S < T and the replica stops at T.
+    It also stops when the two uniforms it compares are equal; ties are
+    counted and the replica dropped (53-bit uniforms make them
+    astronomically unlikely).  The compiled loop (`native.library()`'s
+    `permfix_ascent_peak`) runs each replica to its end and compares the
+    53-bit words themselves, which order as the uniforms do; the numpy body,
+    its fallback, runs column n over the replicas still live.  Either way a
+    replica reads the same words and no others.  The laws of M and M_N are
+    read off the joint counts of (S, T).
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    ns = tuple(dict.fromkeys(ns))
+    if any(N < 1 for N in ns):
+        raise ValueError("every N in ns must be >= 1")
+    streams = VectorStreams(seed, 0, samples)
+    joint = np.zeros((64, 64), dtype=np.int64)  # joint[s, t]: replicas with S = s, T = t
+    lib = native.library()
+    if lib is None:
+        ties = _ascent_peak_numpy(streams, joint)
     else:
-        raise RuntimeError("S or T unresolved after 64 uniforms")
+        ties = lib.permfix_ascent_peak(streams.states, samples, joint)
+        if ties < 0:
+            raise RuntimeError("S or T unresolved after 64 uniforms")
 
     m_counts: Counter = Counter()
     m_n_counts: dict[int, Counter] = {N: Counter() for N in ns}

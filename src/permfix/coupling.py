@@ -14,39 +14,33 @@ coupling time tau and the hitting times of zero.
 Both engines read one table format (`_grid_tables`): six uint64 tables
 with one cut per state 0..N-4, the (down, stay) thresholds of X and of Y
 and the CDFs of X(0) and Y(0).  Every uniform is drawn as its 53-bit word
-j, and every cut c is stored as g = ceil(c * 2^53) (`grid_cut`), so
+j, and every cut c is stored as g = ceil(c * 2^53) (`rng.grid_cut`), so
 j * 2^-53 < c exactly when j < g: the engines decide alike by construction.
 
 Replicas run in blocks, each started by one rule (`_block_start`): X(0) is
 the number of CDF cuts at or below a start word, and likewise Y(0).  Every
 start law charges only [0, N-4], so the last CDF cut is 2^53 and that
 number is already a state.  Counts-only runs (emit_traces false) then go
-to a compiled C loop, `step`'s rule on the integers j and g, which looks
-the flags of each step up in a table built from `_events` (`_event_table`),
-so the event rule is written once.  The first such run of a process loads
-the loop from the per-user cache $XDG_CACHE_HOME/permfix (or
-~/.cache/permfix), where a file named by the hash of its source and build
-command is built with `cc` if missing; deleting that directory is safe, the
-next run builds it again.  Where it cannot be built or loaded (no compiler,
-a compile error, an unwritable cache) the vectorized numpy engine runs
-instead, with identical counts.  Traced runs always take the numpy engine,
-which alone records per-replica traces.  Both engines are tested against an
-exact replay in the tests, which redraws each replica's uniforms as
-Fractions and moves it with `step` on the exact thresholds.
+to a compiled C loop (`native.library()`'s `permfix_run_block`), `step`'s
+rule on the integers j and g, which looks the flags of each step up in a
+table built from `_events` (`_event_table`), so the event rule is written
+once.  Where the library cannot be built or loaded the vectorized numpy
+engine runs instead, with identical counts.  Traced runs always take the
+numpy engine, which alone records per-replica traces.  Both engines are
+tested against an exact replay in the tests, which redraws each replica's
+uniforms as Fractions and moves it with `step` on the exact thresholds.
 """
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from . import native
 from .exactdist import ExactDist, exp_interval, pi_conditioned, zeta_law
 from .kernels import (
     CONSTANT_K,
@@ -55,7 +49,7 @@ from .kernels import (
     birth_death_stationary,
     build_restricted,
 )
-from .rng import TWO_NEG53, VectorStreams, check_seed
+from .rng import TWO_NEG53, VectorStreams, check_seed, grid_cut
 
 SELECTORS = ("pcheck-r", "r-r", "pcheck-rtilde")
 START_MODES = ("shared", "independent", "copy_x")
@@ -185,17 +179,6 @@ def step(x, u, down, stay):
 BLOCK_SIZE = 1 << 14  # replicas per block; counts do not depend on it
 
 
-def grid_cut(c: Fraction) -> int:
-    """ceil(c * 2^53) for a cut c in [0, 1].
-
-    For an integer j, j * 2^-53 < c exactly when j < grid_cut(c), so the
-    53-bit word of a uniform compared with the stored numerator decides as
-    the exact rational comparison does.
-    """
-    c = Fraction(c)
-    return -((-c.numerator << 53) // c.denominator)
-
-
 def _grid_tables(cfg: RunConfig) -> tuple[np.ndarray, ...]:
     """Six uint64 tables of grid numerators, one cut per state 0..N-4: the
     (down, stay) thresholds of X and of Y, then the CDFs of X(0) and Y(0),
@@ -253,138 +236,32 @@ def _event_table(N: int) -> np.ndarray:
     return table
 
 
-_C_SOURCE = r"""
-#include <stdint.h>
-
-#define GOLDEN 0x9E3779B97F4A7C15u
-#define Z 1u /* the event bits of `_event_table` */
-#define ZTILDE 2u
-#define ZHAT 4u
-#define MET 8u
-#define HIT_X 16u
-#define HIT_Y 32u
-
-static uint64_t scramble(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
-    return z ^ (z >> 31);
-}
-
-/* Count replicas from their `_block_start`: SplitMix64 states past the
-   start words and start states x0, y0; the numpy engine's moves and flags,
-   on 53-bit words j against grid numerators g.  Each of the four cut tables
-   holds size cuts, one per state, and events holds the flags of every
-   step, 9 per pair of states (`_event_table`); counts holds 7 int64 per
-   checkpoint; checkpoints ascend and end at horizon.  A move is `step`'s:
-   mx in {0, 1, 2} counts the cuts above j and x' = x + 1 - mx.  ev is the
-   OR of the event bits of the start and of every step so far. */
-void permfix_run_block(const uint64_t *states, const int64_t *x0, const int64_t *y0,
-                       int64_t count, int64_t horizon, const int64_t *checkpoints,
-                       const uint64_t *down_x, const uint64_t *stay_x,
-                       const uint64_t *down_y, const uint64_t *stay_y, const uint8_t *events,
-                       int64_t size, int64_t *counts)
-{
-    for (int64_t r = 0; r < count; r++) {
-        uint64_t s = states[r];
-        uint64_t x = x0[r], y = y0[r];
-        unsigned ev = (x == y ? MET : 0) | (x == 0 ? HIT_X : 0) | (y == 0 ? HIT_Y : 0);
-        int64_t k = 0, *row = counts;
-        for (const int64_t *next = checkpoints;; next++, row += 7) {
-            for (int64_t end = *next; k < end; k++) {
-                uint64_t j = scramble(s += GOLDEN) >> 11;
-                uint64_t mx = (uint64_t)(j < stay_x[x]) + (j < down_x[x]);
-                uint64_t my = (uint64_t)(j < stay_y[y]) + (j < down_y[y]);
-                ev |= events[(x * size + y) * 9 + 3 * mx + my];
-                x += 1 - mx;
-                y += 1 - my;
-            }
-            row[0] += x != y;
-            row[1] += !(ev & MET);
-            row[2] += !!(ev & Z);
-            row[3] += !!(ev & ZTILDE);
-            row[4] += !!(ev & ZHAT);
-            row[5] += !(ev & HIT_X);
-            row[6] += !(ev & HIT_Y);
-            if (k == horizon)
-                break;
-        }
-    }
-}
-"""
-_C_BUILD = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-")  # source on stdin
-
-
-def _library_path() -> Path:
-    """The compiled loop in the per-user cache, built there if missing.
-
-    The name carries the hash of the source and the build command, so an
-    edit to either builds a new file; the build writes a process-unique
-    name and renames it into place, so concurrent first runs do not clash.
-    """
-    import subprocess
-
-    key = hashlib.sha256("\0".join((_C_SOURCE, *_C_BUILD)).encode()).hexdigest()[:16]
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "permfix"
-    path = cache / f"coupling-{key}.so"
-    if not path.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        tmp = cache / f"{path.name}.{os.getpid()}.tmp"
-        try:
-            subprocess.run(
-                [*_C_BUILD, "-o", str(tmp)], input=_C_SOURCE.encode(), capture_output=True, check=True
-            )
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-    return path
-
-
-@lru_cache(maxsize=None)
-def _compiled_engine():
-    """The compiled counts loop as a block engine, or None when it cannot be
-    built or loaded; decided once per process."""
-    import ctypes
-    import subprocess
-
-    try:
-        lib = ctypes.CDLL(str(_library_path()))
-    except (OSError, RuntimeError, subprocess.SubprocessError):
-        return None
-    words = np.ctypeslib.ndpointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
-    ints = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    i64 = ctypes.c_int64
-    run = lib.permfix_run_block
-    run.argtypes = [
-        words, ints, ints, i64, i64, ints, words, words, words, words,
-        np.ctypeslib.ndpointer(np.uint8, ndim=1, flags="C_CONTIGUOUS"), i64,
-        np.ctypeslib.ndpointer(np.int64, ndim=2, flags="C_CONTIGUOUS"),
-    ]
-    run.restype = None
-
-    def run_block(cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray) -> list:
-        down_x, stay_x, down_y, stay_y, cdf_x, cdf_y = tables
-        events = _event_table(cfg.N)
-        size = cfg.N - 3
-        # the C loop indexes every table by state, unchecked: one cut per
-        # state, and no move or start off [0, N-4]
-        if {len(t) for t in tables} != {size}:
-            raise ValueError("every table must hold one cut per state of [0, N-4]")
-        if down_x[0] or down_y[0] or any(t[-1] != 1 << 53 for t in (stay_x, stay_y, cdf_x, cdf_y)):
-            raise ValueError("the tables must keep every state in [0, N-4]")
-        if len(events) != size * size * 9:
-            raise ValueError("the event table must hold 9 entries per pair of states of [0, N-4]")
-        if counts.shape != (len(cfg.checkpoints), len(STAT_NAMES)):
-            raise ValueError("counts must hold one row per checkpoint")
-        streams, X, Y = _block_start(cfg, tables, first, count)
-        run(
-            streams.states, X.astype(np.int64), Y.astype(np.int64), count, cfg.horizon,
-            np.array(cfg.checkpoints, dtype=np.int64), down_x, stay_x, down_y, stay_y,
-            events, size, counts,
-        )
-        return []
-
-    return run_block
+def _run_block_compiled(
+    cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray
+) -> list:
+    """The compiled loop (`native.library()`'s `permfix_run_block`, which
+    must have loaded) on replicas [first, first + count): adds their counts
+    into `counts` (one row per checkpoint); it records no traces."""
+    down_x, stay_x, down_y, stay_y, cdf_x, cdf_y = tables
+    events = _event_table(cfg.N)
+    size = cfg.N - 3
+    # the C loop indexes every table by state, unchecked: one cut per
+    # state, and no move or start off [0, N-4]
+    if {len(t) for t in tables} != {size}:
+        raise ValueError("every table must hold one cut per state of [0, N-4]")
+    if down_x[0] or down_y[0] or any(t[-1] != 1 << 53 for t in (stay_x, stay_y, cdf_x, cdf_y)):
+        raise ValueError("the tables must keep every state in [0, N-4]")
+    if len(events) != size * size * 9:
+        raise ValueError("the event table must hold 9 entries per pair of states of [0, N-4]")
+    if counts.shape != (len(cfg.checkpoints), len(STAT_NAMES)):
+        raise ValueError("counts must hold one row per checkpoint")
+    streams, X, Y = _block_start(cfg, tables, first, count)
+    native.library().permfix_run_block(
+        streams.states, X.astype(np.int64), Y.astype(np.int64), count, cfg.horizon,
+        np.array(cfg.checkpoints, dtype=np.int64), down_x, stay_x, down_y, stay_y,
+        events, size, counts,
+    )
+    return []
 
 
 def _run_block_numpy(
@@ -472,7 +349,8 @@ def run_coupling(cfg: RunConfig) -> CouplingStats:
     traces: list[CouplingTrace] = []
     counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
     tables = _grid_tables(cfg)
-    run_block = (None if cfg.emit_traces else _compiled_engine()) or _run_block_numpy
+    compiled = not cfg.emit_traces and native.library() is not None
+    run_block = _run_block_compiled if compiled else _run_block_numpy
     for first in range(0, cfg.replicas, BLOCK_SIZE):
         traces += run_block(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first), counts)
 

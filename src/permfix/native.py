@@ -1,0 +1,199 @@
+"""The compiled counts loops of the Monte Carlo engines, in one C library.
+
+One source string holds three loops: the coupling's `permfix_run_block`
+(used by `coupling.run_coupling`), and the ascent/peak and Mallows loops of
+`altcouplings.ascent_peak_batch` and `altcouplings.mallows_discrepancy`.
+Each reads the SplitMix64 states of `rng.VectorStreams` and draws the
+53-bit words j of its uniforms (the uniform is the float j 2^-53), so it
+decides on integers exactly as the numpy engines decide on floats.
+
+Nothing is compiled at import.  The first call of `library()` in a process
+loads the library from the per-user cache $XDG_CACHE_HOME/permfix (or
+~/.cache/permfix), where one file named by the hash of the source and the
+build command is built with `cc` if missing; deleting that directory is
+safe, the next run builds it again.  Where it cannot be built or loaded (no
+compiler, a compile error, an unwritable cache) `library()` is None and
+every engine runs its numpy body instead, with identical results.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = r"""
+#include <stdint.h>
+
+#ifndef WORD_BITS
+#define WORD_BITS 53 /* the bits of a word j; the uniform is j 2^-WORD_BITS */
+#endif
+#define GOLDEN 0x9E3779B97F4A7C15u
+#define Z 1u /* the event bits of `coupling._event_table` */
+#define ZTILDE 2u
+#define ZHAT 4u
+#define MET 8u
+#define HIT_X 16u
+#define HIT_Y 32u
+
+/* The next word j of the SplitMix64 stream in state *s. */
+static uint64_t next_word(uint64_t *s)
+{
+    uint64_t z = *s += GOLDEN;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return (z ^ (z >> 31)) >> (64 - WORD_BITS);
+}
+
+/* Count replicas from their `_block_start`: SplitMix64 states past the
+   start words and start states x0, y0; the numpy engine's moves and flags,
+   on 53-bit words j against grid numerators g.  Each of the four cut tables
+   holds size cuts, one per state, and events holds the flags of every
+   step, 9 per pair of states (`_event_table`); counts holds 7 int64 per
+   checkpoint; checkpoints ascend and end at horizon.  A move is `step`'s:
+   mx in {0, 1, 2} counts the cuts above j and x' = x + 1 - mx.  ev is the
+   OR of the event bits of the start and of every step so far. */
+void permfix_run_block(const uint64_t *states, const int64_t *x0, const int64_t *y0,
+                       int64_t count, int64_t horizon, const int64_t *checkpoints,
+                       const uint64_t *down_x, const uint64_t *stay_x,
+                       const uint64_t *down_y, const uint64_t *stay_y, const uint8_t *events,
+                       int64_t size, int64_t *counts)
+{
+    for (int64_t r = 0; r < count; r++) {
+        uint64_t s = states[r];
+        uint64_t x = x0[r], y = y0[r];
+        unsigned ev = (x == y ? MET : 0) | (x == 0 ? HIT_X : 0) | (y == 0 ? HIT_Y : 0);
+        int64_t k = 0, *row = counts;
+        for (const int64_t *next = checkpoints;; next++, row += 7) {
+            for (int64_t end = *next; k < end; k++) {
+                uint64_t j = next_word(&s);
+                uint64_t mx = (uint64_t)(j < stay_x[x]) + (j < down_x[x]);
+                uint64_t my = (uint64_t)(j < stay_y[y]) + (j < down_y[y]);
+                ev |= events[(x * size + y) * 9 + 3 * mx + my];
+                x += 1 - mx;
+                y += 1 - my;
+            }
+            row[0] += x != y;
+            row[1] += !(ev & MET);
+            row[2] += !!(ev & Z);
+            row[3] += !!(ev & ZTILDE);
+            row[4] += !!(ev & ZHAT);
+            row[5] += !(ev & HIT_X);
+            row[6] += !(ev & HIT_Y);
+            if (k == horizon)
+                break;
+        }
+    }
+}
+
+/* The ascent/peak batch: replica r compares words j_n < j_{n+1} of its
+   stream, as the uniforms compare, until its first peak T or its first tie.
+   joint holds 64 x 64 counts, joint[64 S + T] of the replicas with first
+   ascent S and first peak T.  Returns the number of replicas dropped for a
+   tie, or -1 when a replica has neither after 64 words. */
+int64_t permfix_ascent_peak(const uint64_t *states, int64_t count, int64_t *joint)
+{
+    int64_t ties = 0;
+    for (int64_t r = 0; r < count; r++) {
+        uint64_t s = states[r];
+        uint64_t curr = next_word(&s);
+        int64_t ascent = 0; /* S, 0 while unset */
+        for (int64_t n = 1;; n++) {
+            if (n == 64)
+                return -1;
+            uint64_t next = next_word(&s);
+            if (curr == next) {
+                ties++;
+                break;
+            }
+            if (curr > next && ascent) { /* the first descent after S is a peak */
+                joint[64 * ascent + n]++;
+                break;
+            }
+            if (curr < next && !ascent)
+                ascent = n;
+            curr = next;
+        }
+    }
+    return ties;
+}
+
+/* The Mallows replicas with S_N != S_K: replica r draws the bits
+   X_n = 1{j < cuts[n - 1]} for n = N..K from its stream, already past the
+   words of X_2..X_{N-1} (X_1 = 1 draws none, so at N = 1, X_N = 1), and
+   counts it when X_N - (X_N X_{N+1} + ... + X_{K-1} X_K) is nonzero. */
+int64_t permfix_mallows(const uint64_t *states, int64_t count, int64_t N, int64_t K,
+                        const uint64_t *cuts)
+{
+    int64_t differ = 0;
+    for (int64_t r = 0; r < count; r++) {
+        uint64_t s = states[r];
+        int64_t prev = N == 1 || next_word(&s) < cuts[N - 1];
+        int64_t diff = prev;
+        for (int64_t n = N + 1; n <= K; n++) {
+            int64_t bit = next_word(&s) < cuts[n - 1];
+            diff -= prev & bit;
+            prev = bit;
+        }
+        differ += diff != 0;
+    }
+    return differ;
+}
+"""
+BUILD = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-")  # source on stdin
+
+
+def library_path() -> Path:
+    """The compiled library in the per-user cache, built there if missing.
+
+    The name carries the hash of the source and the build command, so an
+    edit to either builds a new file; the build writes a process-unique
+    name and renames it into place, so concurrent first runs do not clash.
+    """
+    import subprocess
+
+    key = hashlib.sha256("\0".join((SOURCE, *BUILD)).encode()).hexdigest()[:16]
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "permfix"
+    path = cache / f"loops-{key}.so"
+    if not path.exists():
+        cache.mkdir(parents=True, exist_ok=True)
+        tmp = cache / f"{path.name}.{os.getpid()}.tmp"
+        try:
+            subprocess.run(
+                [*BUILD, "-o", str(tmp)], input=SOURCE.encode(), capture_output=True, check=True
+            )
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return path
+
+
+@lru_cache(maxsize=None)
+def library():
+    """The compiled loops as a ctypes library with every signature declared,
+    or None when it cannot be built or loaded; decided once per process.
+    The loops index their arrays unchecked: their callers check sizes."""
+    import ctypes
+    import subprocess
+
+    try:
+        lib = ctypes.CDLL(str(library_path()))
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+
+    def array(dtype, ndim=1):
+        return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
+
+    words, ints, i64 = array(np.uint64), array(np.int64), ctypes.c_int64
+    lib.permfix_run_block.argtypes = [
+        words, ints, ints, i64, i64, ints, words, words, words, words, array(np.uint8), i64,
+        array(np.int64, 2),
+    ]
+    lib.permfix_run_block.restype = None
+    lib.permfix_ascent_peak.argtypes = [words, i64, array(np.int64, 2)]
+    lib.permfix_ascent_peak.restype = i64
+    lib.permfix_mallows.argtypes = [words, i64, i64, i64, words]
+    lib.permfix_mallows.restype = i64
+    return lib

@@ -4,9 +4,10 @@ The generator is SplitMix64 (Steele, Lea & Flood's mixing constants): state
 advances by the golden-ratio increment and the output is a three-round
 xor-shift-multiply scramble.  Per-replica streams are derived by hashing
 (seed, replica index) through the same scramble, so replica r of a run is
-reproducible in isolation and identical across the scalar and vectorized
-paths.  Uniforms are 53-bit dyadics (out >> 11) * 2^-53 in [0, 1), exactly
-representable both as doubles and as Fractions with denominator 2^53.
+reproducible in isolation, whichever engine reads it.  Uniforms are 53-bit
+dyadics (out >> 11) * 2^-53 in [0, 1), exactly representable both as
+doubles and as Fractions with denominator 2^53; an engine may compare the
+53-bit word out >> 11 itself, with the integer cut `grid_cut`.
 """
 from __future__ import annotations
 
@@ -40,42 +41,36 @@ def scramble(value: int) -> int:
 def check_seed(seed: int) -> int:
     """seed itself, or ValueError when it lies outside [0, 2^64).
 
-    Streams reduce the seed mod 2^64, so a seed outside that range would
-    silently draw the same words as the one inside it.
+    The scramble reduces the seed mod 2^64, so a seed outside that range
+    would silently draw the same words as the one inside it; every stream
+    is checked here when it is made (`VectorStreams`).
     """
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     return seed
 
 
-def stream_state(seed: int, replica: int) -> int:
-    """Initial state of the stream for one replica: hash of (seed, replica)."""
-    return scramble((scramble(seed & MASK64) + (replica + 1) * GOLDEN) & MASK64)
+def grid_cut(c: Fraction | float) -> int:
+    """ceil(c * 2^53) for a cut c in [0, 1], a Fraction or a double taken
+    exactly.
 
-
-class Stream:
-    """Scalar SplitMix64 stream; the reference implementation."""
-
-    def __init__(self, seed: int, replica: int = 0):
-        self.state = stream_state(seed, replica)
-
-    def next_word(self) -> int:
-        self.state = (self.state + GOLDEN) & MASK64
-        return scramble(self.state)
-
-    def uniform(self) -> float:
-        return (self.next_word() >> 11) * TWO_NEG53
-
-    def uniform_fraction(self) -> Fraction:
-        """The same dyadic uniform as an exact rational (53-bit numerator)."""
-        return Fraction(self.next_word() >> 11, 1 << 53)
+    For an integer j, j * 2^-53 < c exactly when j < grid_cut(c), so the
+    53-bit word of a uniform compared with the stored numerator decides as
+    the exact rational comparison does.
+    """
+    c = Fraction(c)
+    return -((-c.numerator << 53) // c.denominator)
 
 
 class VectorStreams:
     """One SplitMix64 stream per replica, advanced in lockstep with numpy.
 
-    Word k of row r equals word k of Stream(seed, first_replica + r); the
-    uint64 arithmetic wraps modulo 2^64 exactly as the scalar path does.
+    Row r is the stream of replica first_replica + r: its state starts at
+    scramble(scramble(seed) + (first_replica + r + 1) GOLDEN), and its
+    word k >= 1 is the scramble of that state plus k GOLDEN, all mod 2^64
+    (the tests hold the same stream as a scalar reference).  The seed must
+    lie in [0, 2^64) (`check_seed`), so no two seeds share their streams.
+
     `keep` and `skip` change which rows advance and where, never what a
     row's stream is: a kept row continues its own stream, and after skip(k)
     the next word is the one k words further on.
@@ -83,7 +78,7 @@ class VectorStreams:
 
     def __init__(self, seed: int, first_replica: int, count: int):
         replicas = np.arange(first_replica, first_replica + count, dtype=np.uint64)
-        base = np.uint64(scramble(seed & MASK64))
+        base = np.uint64(scramble(check_seed(seed)))
         with np.errstate(over="ignore"):
             states = base + (replicas + np.uint64(1)) * _U_GOLDEN
             self.states = self._scramble(states)

@@ -1,5 +1,6 @@
 """Mallows bit-chain and ascent/peak couplings."""
 import math
+import shutil
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -7,21 +8,72 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from permfix import native
 from permfix.altcouplings import (
+    AscentPeakBatch,
     AscentPeakSample,
-    TieEncountered,
+    MallowsDiscrepancy,
     ascent_peak_batch,
-    ascent_peak_from_uniforms,
-    ascent_peak_sample,
     empirical_half_tv,
     mallows_discrepancy,
     mallows_exact_pmf,
-    mallows_sample,
     peak_tail_exact,
 )
 from permfix.exactdist import fixed_point_pmf, poisson_truncated, tv_distance
 from permfix.perms import EnumerationGuardError
-from permfix.rng import Stream, VectorStreams
+from permfix.rng import VectorStreams
+from scalar_reference import (
+    Stream,
+    TieEncountered,
+    ascent_peak_from_uniforms,
+    ascent_peak_sample,
+    mallows_sample,
+)
+
+TOP_SEED = 2 ** 64 - 1
+
+
+def on_eighths(monkeypatch):
+    """Round every uniform of the scalar and numpy streams down to the 1/8
+    grid, where ties are common."""
+    scalar_uniform = Stream.uniform
+    vector_uniforms = VectorStreams.uniforms
+    monkeypatch.setattr(Stream, "uniform", lambda self: math.floor(scalar_uniform(self) * 8) / 8)
+    monkeypatch.setattr(VectorStreams, "uniforms", lambda self: np.floor(vector_uniforms(self) * 8) / 8)
+
+
+def scalar_batch(seed, samples, ns=()):
+    """The AscentPeakBatch of ascent_peak_sample(seed, r), r < samples, in a
+    plain loop; a tie drops the replica."""
+    drawn = []
+    for r in range(samples):
+        try:
+            drawn.append(ascent_peak_sample(seed, r))
+        except TieEncountered:
+            pass
+    m_n = {N: [x.truncated(N)[2] for x in drawn] for N in ns}
+    return AscentPeakBatch(
+        samples=len(drawn),
+        ties=samples - len(drawn),
+        m_counts=dict(Counter(x.m for x in drawn)),
+        m_n_counts={N: dict(Counter(m_n[N])) for N in ns},
+        disagree={N: sum(a != x.m for a, x in zip(m_n[N], drawn)) for N in ns},
+    )
+
+
+@pytest.fixture
+def compiled():
+    """The compiled loops; skips only where no C compiler is installed."""
+    if shutil.which(native.BUILD[0]) is None:
+        pytest.skip("no C compiler")
+    assert native.library() is not None, "a compiler is installed but the loops did not build"
+
+
+def on_numpy(routine, monkeypatch):
+    """routine() with the library reported missing: the numpy bodies."""
+    with monkeypatch.context() as m:
+        m.setattr(native, "library", lambda: None)
+        return routine()
 
 
 class TestMallowsExact:
@@ -132,11 +184,10 @@ class TestAscentPeakBatch:
 
     def test_ties_counted_only_among_the_uniforms_a_replica_reads(self, monkeypatch):
         # on a 1/8 grid ties are common; a replica that has resolved must not
-        # be dropped for a tie in a column drawn only for the others
-        scalar_uniform = Stream.uniform
-        vector_uniforms = VectorStreams.uniforms
-        monkeypatch.setattr(Stream, "uniform", lambda self: math.floor(scalar_uniform(self) * 8) / 8)
-        monkeypatch.setattr(VectorStreams, "uniforms", lambda self: np.floor(vector_uniforms(self) * 8) / 8)
+        # be dropped for a tie in a column drawn only for the others.  The
+        # grid is patched into `uniforms`, which only the numpy body reads.
+        on_eighths(monkeypatch)
+        monkeypatch.setattr(native, "library", lambda: None)
         seed = 17
         batch = ascent_peak_batch(2000, seed)
         ties = 0
@@ -150,6 +201,24 @@ class TestAscentPeakBatch:
         assert batch.ties == ties
         assert batch.samples == 2000 - ties
         assert batch.m_counts == dict(m_counts)
+
+    def test_compiled_ties_on_three_bit_words(self, compiled, monkeypatch, tmp_path):
+        # the loops built with 3-bit words compare on the same 1/8 grid, so
+        # the compiled tie branch is taken as often as the numpy one
+        seed = 17
+        on_eighths(monkeypatch)
+        expected = scalar_batch(seed, 2000)
+        assert expected.ties > 0
+        assert on_numpy(lambda: ascent_peak_batch(2000, seed), monkeypatch) == expected
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native, "BUILD", (native.BUILD[0], "-DWORD_BITS=3", *native.BUILD[1:]))
+        native.library.cache_clear()
+        try:
+            assert native.library() is not None
+            assert ascent_peak_batch(2000, seed) == expected
+        finally:
+            monkeypatch.undo()
+            native.library.cache_clear()
 
     def test_repeated_n_counted_once(self):
         assert ascent_peak_batch(1000, seed=3, ns=(4, 4, 5)) == ascent_peak_batch(1000, seed=3, ns=(4, 5))
@@ -181,6 +250,61 @@ class TestAscentPeakBatch:
         tail = float(peak_tail_exact(6))
         sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / batch.samples)
         assert rate <= tail + 3 * sigma
+
+
+class TestSeedRange:
+    # a seed outside [0, 2^64) would alias seed mod 2^64
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_ascent_peak_rejects_seeds_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            ascent_peak_batch(100, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_mallows_rejects_seeds_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            mallows_discrepancy(10, replicas=100, K=20, seed=seed)
+
+    def test_top_seed_accepted(self):
+        assert ascent_peak_batch(100, TOP_SEED).samples == 100
+        assert mallows_discrepancy(10, replicas=100, K=20, seed=TOP_SEED).replicas == 100
+
+
+def scalar_mallows_differ(seed, N, K, replicas):
+    """The replicas r < replicas with S_N != S_K, from mallows_sample."""
+    drawn = (mallows_sample(N, K, Stream(seed, r)) for r in range(replicas))
+    return sum(x.s_n != x.s_trunc for x in drawn)
+
+
+class TestEngineEquivalence:
+    """The compiled loop, the numpy body and the scalar oracle give the same
+    results.  Replica r reads stream (seed, r) in every engine, so a run of
+    fewer replicas is a prefix of one of more."""
+
+    @pytest.mark.parametrize("samples", [1, 3, 61, 20_000])
+    @pytest.mark.parametrize("seed", [0, TOP_SEED])
+    def test_ascent_peak(self, compiled, monkeypatch, seed, samples):
+        ns = (1, 63)
+        fast = ascent_peak_batch(samples, seed, ns=ns)
+        assert fast == on_numpy(lambda: ascent_peak_batch(samples, seed, ns=ns), monkeypatch)
+        assert fast == scalar_batch(seed, samples, ns)
+
+    @pytest.mark.parametrize("replicas", [1, 3, 61, 20_000])
+    @pytest.mark.parametrize("K_of_N", ["N + 1", "2N"])
+    @pytest.mark.parametrize("N", [1, 2, 10, 80])
+    @pytest.mark.parametrize("seed", [0, TOP_SEED])
+    def test_mallows(self, compiled, monkeypatch, seed, N, K_of_N, replicas):
+        K = N + 1 if K_of_N == "N + 1" else 2 * N
+        fast = mallows_discrepancy(N, replicas=replicas, K=K, seed=seed)
+        assert fast == on_numpy(lambda: mallows_discrepancy(N, replicas=replicas, K=K, seed=seed), monkeypatch)
+        # the scalar oracle draws every bit, 2 us a word: it runs the 20,000
+        # replicas only where K is small
+        if replicas < 20_000 or N <= 2:
+            differ = scalar_mallows_differ(seed, N, K, replicas)
+            assert fast == MallowsDiscrepancy(
+                N=N, K=K, replicas=replicas, estimate=differ / replicas,
+                sigma=math.sqrt(differ / replicas * (1 - differ / replicas) / replicas),
+                tail_bound=Fraction(1, K),
+            )
 
 
 class TestPeakTailExact:

@@ -1,13 +1,14 @@
 """The monotone coupling simulator, its certificates and assembled bound."""
 import math
 import shutil
+import subprocess
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from permfix import coupling
+from permfix import altcouplings, coupling, native
 from permfix.coupling import (
     SELECTORS,
     START_MODES,
@@ -18,7 +19,6 @@ from permfix.coupling import (
     assemble_tv_bound,
     birth_death_thresholds,
     drift_certificate,
-    grid_cut,
     monotonicity_certificate,
     run_coupling,
     selector_kernels,
@@ -27,7 +27,8 @@ from permfix.coupling import (
 )
 from permfix.exactdist import exp_interval, pi_conditioned, tv_distance, zeta_law
 from permfix.kernels import StochasticKernel, build_restricted, p_closedform, restricted_kernel
-from permfix.rng import Stream
+from permfix.rng import grid_cut
+from scalar_reference import Stream
 
 SEED_NEAR_2_64 = (1 << 64) - 5
 
@@ -252,20 +253,19 @@ class TestRunCoupling:
 @pytest.fixture
 def compiled():
     """The compiled counts engine; skips only where no C compiler is installed."""
-    if shutil.which(coupling._C_BUILD[0]) is None:
+    if shutil.which(native.BUILD[0]) is None:
         pytest.skip("no C compiler")
-    engine = coupling._compiled_engine()
-    assert engine is not None, "a compiler is installed but the counts loop did not build"
-    return engine
+    assert native.library() is not None, "a compiler is installed but the counts loops did not build"
+    return coupling._run_block_compiled
 
 
 @pytest.fixture
 def fresh_engine(monkeypatch):
-    """Forget the engine decided for this process, and decide it again after the test."""
-    coupling._compiled_engine.cache_clear()
+    """Forget the library loaded for this process, and load it again after the test."""
+    native.library.cache_clear()
     yield monkeypatch
     monkeypatch.undo()
-    coupling._compiled_engine.cache_clear()
+    native.library.cache_clear()
 
 
 def engines(cfg, monkeypatch):
@@ -274,7 +274,7 @@ def engines(cfg, monkeypatch):
     fast = run_coupling(cfg).by_time
     exact = exact_counts(cfg)
     with monkeypatch.context() as m:
-        m.setattr(coupling, "_compiled_engine", lambda: None)
+        m.setattr(native, "library", lambda: None)
         vector = run_coupling(cfg).by_time
     return fast, vector, exact
 
@@ -400,7 +400,7 @@ class TestEngineEquivalence:
         # X: 1, then 1 (u = down cut, not below it), then 2 (u = stay cut); Y stays at 2
         expected = {0: (1, 1, 0, 0, 0, 1, 1), 1: (1, 1, 0, 0, 0, 1, 1), 2: (0, 0, 0, 0, 0, 1, 1)}
         fast = run_coupling(cfg).by_time
-        monkeypatch.setattr(coupling, "_compiled_engine", lambda: None)
+        monkeypatch.setattr(native, "library", lambda: None)
         vector = run_coupling(cfg).by_time
         for counts in (fast, vector):
             assert {n: tuple(a.counts.values()) for n, a in counts.items()} == expected
@@ -445,18 +445,24 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("breakage", ["missing compiler", "compile error", "unwritable cache"])
     def test_failed_build_falls_back(self, compiled, fresh_engine, tmp_path, breakage):
+        # every routine with a compiled loop returns what it returned compiled
         cfg = RunConfig(N=8, horizon=150, replicas=300, seed=9, checkpoints=(0, 75))
-        expected = run_coupling(cfg).by_time
+        routines = (
+            lambda: run_coupling(cfg).by_time,
+            lambda: altcouplings.ascent_peak_batch(3000, seed=9, ns=(1, 4, 63)),
+            lambda: altcouplings.mallows_discrepancy(10, replicas=3000, K=20, seed=9),
+        )
+        expected = [routine() for routine in routines]
         fresh_engine.setenv("XDG_CACHE_HOME", str(tmp_path))
         if breakage == "missing compiler":
-            fresh_engine.setattr(coupling, "_C_BUILD", (str(tmp_path / "no-cc"), *coupling._C_BUILD[1:]))
+            fresh_engine.setattr(native, "BUILD", (str(tmp_path / "no-cc"), *native.BUILD[1:]))
         elif breakage == "compile error":
-            fresh_engine.setattr(coupling, "_C_SOURCE", coupling._C_SOURCE + "\n#error broken\n")
+            fresh_engine.setattr(native, "SOURCE", native.SOURCE + "\n#error broken\n")
         else:
             (tmp_path / "permfix").write_text("")  # a file where the cache directory belongs
-        coupling._compiled_engine.cache_clear()
-        assert coupling._compiled_engine() is None
-        assert run_coupling(cfg).by_time == expected
+        native.library.cache_clear()
+        assert native.library() is None
+        assert [routine() for routine in routines] == expected
         if breakage != "unwritable cache":
             assert list((tmp_path / "permfix").iterdir()) == []  # no partial build left
 
@@ -465,11 +471,20 @@ class TestEngineEquivalence:
         expected = run_coupling(cfg).by_time
         fresh_engine.setenv("XDG_CACHE_HOME", str(tmp_path))
         for _ in range(2):
-            coupling._compiled_engine.cache_clear()
-            assert coupling._compiled_engine() is not None
+            native.library.cache_clear()
+            assert native.library() is not None
             assert [f.suffix for f in (tmp_path / "permfix").iterdir()] == [".so"]
             assert run_coupling(cfg).by_time == expected
             shutil.rmtree(tmp_path / "permfix")
+
+    def test_source_compiles_cleanly_as_c99(self, tmp_path):
+        # the one C source of every compiled loop, under strict warnings
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        subprocess.run(
+            ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-fsyntax-only", "-x", "c", "-"],
+            input=native.SOURCE.encode(), capture_output=True, check=True,
+        )
 
 
 class TestTraceReplay:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permfix.rng import MASK64, Stream, VectorStreams, check_seed, scramble
+from permfix.rng import MASK64, VectorStreams, check_seed, scramble
+from scalar_reference import Stream
 
 
 def test_scramble_stays_in_64_bits():
@@ -91,3 +92,10 @@ def test_check_seed_rejects_seeds_outside_64_bits(seed):
 def test_check_seed_accepts_the_64_bit_range():
     assert check_seed(0) == 0
     assert check_seed(MASK64) == MASK64
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_vector_streams_reject_seeds_outside_64_bits(seed):
+    # a seed outside [0, 2^64) would draw the words of seed mod 2^64
+    with pytest.raises(ValueError, match="seed must lie in"):
+        VectorStreams(seed, 0, 3)
