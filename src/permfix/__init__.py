@@ -73,6 +73,7 @@ from .moments import (
     bell_numbers,
     coefficient_systems,
     eta2_fk,
+    eta2_fk_bruteforce,
     falling_moment,
     gram,
     gram_bruteforce,

@@ -73,16 +73,16 @@ class MallowsDiscrepancy:
     tail_bound: Fraction
 
 
-def _mallows_differ_numpy(streams: VectorStreams, N: int, K: int) -> int:
+def _mallows_differ_numpy(streams: VectorStreams, N: int, K: int, cuts: np.ndarray) -> int:
     """The replicas with S_N != S_K, column by column in numpy, from streams
-    past the words of X_2..X_{N-1}."""
+    past the words of X_2..X_{N-1}: X_n is 1 when the word j < cuts[n - 1]."""
     if N == 1:
         prev = np.ones(len(streams.states), dtype=bool)
     else:
-        prev = streams.uniforms() < 1.0 / N
+        prev = (streams.next_words() >> 11) < cuts[N - 1]
     diff = prev.astype(np.int64)  # S_N - S_K, accumulated from X_N on
     for n in range(N + 1, K + 1):
-        bit = streams.uniforms() < 1.0 / n
+        bit = (streams.next_words() >> 11) < cuts[n - 1]
         diff -= prev & bit
         prev = bit
     return int(np.count_nonzero(diff))
@@ -98,11 +98,9 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     and X_2..X_{N-1} cancel.  Replica r draws X_n from word n - 1 of its
     stream (replica r of VectorStreams(seed, 0, replicas)), as the uniform
     U < 1/n; the words of the cancelled bits are skipped in O(1), and only
-    X_N..X_K are drawn (X_1 == 1 is drawn from no word).  The compiled loop
-    (`native.library()`'s `permfix_mallows`) compares the 53-bit word j
-    with grid_cut(1.0 / n), of the double 1.0 / n, the same decision on
-    integers; the numpy body, its fallback, compares the uniforms column by
-    column.
+    X_N..X_K are drawn (X_1 == 1 is drawn from no word).  Both the compiled
+    loop (`native.library()`'s `permfix_mallows`) and the numpy body, its
+    fallback, compare the 53-bit word j with cuts[n - 1] = grid_cut(1.0 / n).
     The truncation can misclassify a replica only if some product
     X_k X_{k+1} with k >= K is one; that has probability at most
     sum_{k >= K} 1/(k(k+1)) = 1/K, reported as tail_bound.
@@ -116,11 +114,11 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     streams = VectorStreams(seed, 0, replicas)
     if N > 1:
         streams.skip(N - 2)
+    cuts = np.array([grid_cut(1.0 / n) for n in range(1, K + 1)], dtype=np.uint64)
     lib = native.library()
     if lib is None:
-        differ = _mallows_differ_numpy(streams, N, K)
+        differ = _mallows_differ_numpy(streams, N, K, cuts)
     else:
-        cuts = np.array([grid_cut(1.0 / n) for n in range(1, K + 1)], dtype=np.uint64)
         differ = lib.permfix_mallows(streams.states, replicas, N, K, cuts)
     p_hat = differ / replicas
     sigma = math.sqrt(p_hat * (1.0 - p_hat) / replicas)
@@ -171,22 +169,22 @@ def _ascent_peak_numpy(streams: VectorStreams, joint: np.ndarray) -> int:
     ties = 0
     s_live = np.zeros(len(streams.states), dtype=np.int8)  # S of each live replica, 0 while unset
     rose = np.zeros(len(streams.states), dtype=bool)  # U_{n-1} < U_n
-    u_curr = streams.uniforms()
+    j_curr = streams.next_words() >> 11
     for n in range(1, 64):  # P[T > 63] <= 2^63/64!: never reached in practice
-        u_next = streams.uniforms()
-        asc = u_curr < u_next
+        j_next = streams.next_words() >> 11
+        asc = j_curr < j_next
         s_live[(s_live == 0) & asc] = n
-        peak = rose & (u_curr > u_next)
-        tied = u_curr == u_next
+        peak = rose & (j_curr > j_next)
+        tied = j_curr == j_next
         joint[:n, n] = np.bincount(s_live[peak], minlength=n)
         ties += int(np.count_nonzero(tied))
         rest = ~(peak | tied)
         if not rest.any():
             return ties
         if not rest.all():
-            s_live, asc, u_next = s_live[rest], asc[rest], u_next[rest]
+            s_live, asc, j_next = s_live[rest], asc[rest], j_next[rest]
             streams.keep(rest)
-        rose, u_curr = asc, u_next
+        rose, j_curr = asc, j_next
     raise RuntimeError("S or T unresolved after 64 uniforms")
 
 
@@ -199,9 +197,9 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     U_{n-1} < U_n, an ascent at n - 1, so S < T and the replica stops at T.
     It also stops when the two uniforms it compares are equal; ties are
     counted and the replica dropped (53-bit uniforms make them
-    astronomically unlikely).  The compiled loop (`native.library()`'s
-    `permfix_ascent_peak`) runs each replica to its end and compares the
-    53-bit words themselves, which order as the uniforms do; the numpy body,
+    astronomically unlikely).  Both engines compare the 53-bit words j of
+    the uniforms: the compiled loop (`native.library()`'s
+    `permfix_ascent_peak`) runs each replica to its end, and the numpy body,
     its fallback, runs column n over the replicas still live.  Either way a
     replica reads the same words and no others.  The laws of M and M_N are
     read off the joint counts of (S, T).
@@ -277,10 +275,10 @@ def peak_tail_exact(N: int) -> Fraction:
 
 def empirical_half_tv(pmf_counts: Mapping[int, int], samples: int, reference: ExactDist) -> float:
     """Half-convention distance between an empirical law and an exact one."""
-    points = set(pmf_counts) | set(reference.support)
+    points = set(pmf_counts) | set(reference)
     total = 0.0
     for x in points:
-        diff = pmf_counts.get(x, 0) / samples - float(reference.pmf(x))
+        diff = pmf_counts.get(x, 0) / samples - float(reference.get(x, 0))
         if diff > 0:
             total += diff
     return total

@@ -422,25 +422,20 @@ def _drift_for(N: int, which: str, theta: Fraction) -> DriftCertificate:
     return DriftCertificate(N=N, theta=theta, c_est=N ** 3 * (1 - worst))
 
 
-def drift_certificate(N: int, which: str = "R", theta: Fraction | None = None) -> DriftCertificate:
+def drift_certificate(N: int, which: str = "R") -> DriftCertificate:
     """Drift certificate for R (theta = 1, the classical exp(y/N) function)
     or R_tilde.
 
     The exp(y/N) test function does not contract for R_tilde (its up/down
     gap of one half is beaten by the second-order terms near y = 1), so for
-    R_tilde the rate theta is auto-selected from a small grid; any theta in
-    (0, 1/2) restores a positive margin.  A given theta must be
-    non-negative: the maximum at y = 1 rests on it.
+    R_tilde the rate theta is the best of the grid 1, 1/2, 1/4, 1/8; any
+    theta in (0, 1/2) restores a positive margin.
     """
     if N < 5:
         raise ValueError("N must be >= 5")
     if which not in CONSTANT_K:
         raise ValueError("which must be 'R' or 'R_tilde'")
-    if theta is not None:
-        if theta < 0:
-            raise ValueError("theta must be non-negative")
-        thetas = (Fraction(theta),)
-    elif which == "R":
+    if which == "R":
         thetas = (Fraction(1),)
     else:
         thetas = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))

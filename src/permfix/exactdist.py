@@ -82,21 +82,11 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __float__(self) -> float:
-        return float(self.midpoint)
-
-    def certainly_le(self, bound: Fraction | int) -> bool:
-        return self.hi <= bound
-
-    def certainly_ge(self, bound: Fraction | int) -> bool:
-        return self.lo >= bound
+        return float((self.lo + self.hi) / 2)
 
     def certainly_within(self, lo: Fraction | int, hi: Fraction | int) -> bool:
-        return self.certainly_ge(lo) and self.certainly_le(hi)
+        return lo <= self.lo and self.hi <= hi
 
 
 def exp_interval(x: Fraction | int, digits: int) -> Interval:
@@ -187,9 +177,9 @@ class ExactDist(Mapping[int, Fraction]):
     A law is its weights: a read-only mapping from each atom to its positive
     `Fraction` weight, in increasing order of the atoms, so two laws are
     equal when their weights are (a dict of the same weights included).
-    Zero weights are dropped, and `pmf` is 0 off the support.  A float
-    weight is converted exactly, so the weights must sum to 1 as the
-    rationals the floats denote.
+    Zero weights are dropped, so a law is read off its atoms as
+    `d.get(x, 0)`.  A float weight is converted exactly, so the weights must
+    sum to 1 as the rationals the floats denote.
     """
 
     __slots__ = ("_weights",)
@@ -219,13 +209,6 @@ class ExactDist(Mapping[int, Fraction]):
     def __repr__(self) -> str:
         return f"ExactDist({self._weights!r})"
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(self._weights)
-
-    def pmf(self, x: int) -> Fraction:
-        return self._weights.get(x, Fraction(0))
-
     def restrict(self, lo: int, hi: int) -> "ExactDist":
         """Condition on the window [lo, hi] (exact renormalization)."""
         kept = {x: w for x, w in self._weights.items() if lo <= x <= hi}
@@ -236,13 +219,6 @@ class ExactDist(Mapping[int, Fraction]):
 
     def cumulative(self) -> tuple[Fraction, ...]:
         return tuple(accumulate(self._weights.values()))
-
-    def quantile(self, u: Fraction) -> int:
-        """Smallest x in the support with CDF(x) > u (inverse-CDF sampling)."""
-        for x, c in zip(self._weights, self.cumulative()):
-            if u < c:
-                return x
-        return max(self._weights)
 
 
 def fixed_point_pmf(N: int) -> ExactDist:
@@ -349,7 +325,7 @@ def tv_distance(d1: DistLike, d2: DistLike, convention: str) -> Fraction | Inter
     terms = []
     for x, w1 in d1.items():
         n1, m1 = w1.as_integer_ratio()
-        n2, m2 = d2.pmf(x).as_integer_ratio()
+        n2, m2 = d2.get(x, 0).as_integer_ratio()
         diff = n1 * m2 - n2 * m1  # d1(x) - d2(x) = diff / (m1 m2)
         if diff > 0:
             terms.append((diff, m1 * m2))
@@ -372,7 +348,7 @@ def _tv_against_poisson(d: ExactDist, ref: PoissonRef) -> Interval:
     for x in range(max(d) + 1):
         if x:
             fact *= x
-        num, den = d.pmf(x).as_integer_ratio()
+        num, den = d.get(x, 0).as_integer_ratio()
         if num * fact * hi_d >= hi_n * den:  # d(x) x! >= hi
             a_terms.append((num, den))
             b_terms.append((-1, fact))
@@ -433,4 +409,4 @@ def separation_discrepancy(d1: DistLike, d2: DistLike) -> Fraction:
         return Fraction(1)
     if d1.keys() - d2.keys():
         return Fraction(1)
-    return max(1 - d1.pmf(x) / w for x, w in d2.items())
+    return max(1 - d1.get(x, 0) / w for x, w in d2.items())

@@ -324,7 +324,7 @@ def hat_stationary(N: int) -> ExactDist:
     """pi^ with pi^(i) = pi(z_i): the reversible law of P^."""
     z = hat_ordering(N)
     pi = fixed_point_pmf(N)
-    return ExactDist({i: pi.pmf(z[i]) for i in range(N)})
+    return ExactDist({i: pi.get(z[i], 0) for i in range(N)})
 
 
 RESTRICTED_LABELS = ("P_check", "R", "R_tilde")

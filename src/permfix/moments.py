@@ -65,22 +65,22 @@ def raw_moment_equality(N: int, k: int) -> tuple[Fraction, int, bool]:
     return moment, bell, moment == bell
 
 
-def eta2_fk(N: int, k: int, method: str = "closed") -> Fraction:
-    """E[eta_2 F_k] under the uniform law on S_N.
-
-    Closed value: 1/2 for k <= N-2 and 0 for k in {N-1, N}.  The bruteforce
-    method sums over all of S_N (guarded) and must reproduce it.
-    """
+def eta2_fk(N: int, k: int) -> Fraction:
+    """E[eta_2 F_k] under the uniform law on S_N: 1/2 for k <= N-2 and 0
+    for k in {N-1, N}."""
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
-    if method == "closed":
-        return Fraction(1, 2) if k <= N - 2 else Fraction(0)
-    if method == "bruteforce":
-        check_guard(N, 8, "eta2_fk bruteforce")
-        _, two_cycles = fixed_point_sums(N)
-        total = sum(t * falling_factorial(x, k) for x, t in enumerate(two_cycles))
-        return Fraction(total, math.factorial(N))
-    raise ValueError("method must be 'closed' or 'bruteforce'")
+    return Fraction(1, 2) if k <= N - 2 else Fraction(0)
+
+
+def eta2_fk_bruteforce(N: int, k: int) -> Fraction:
+    """`eta2_fk` summed over all of S_N (guarded at N = 8)."""
+    if not 0 <= k <= N:
+        raise ValueError("need 0 <= k <= N")
+    check_guard(N, 8, "eta2_fk_bruteforce")
+    _, two_cycles = fixed_point_sums(N)
+    total = sum(t * falling_factorial(x, k) for x, t in enumerate(two_cycles))
+    return Fraction(total, math.factorial(N))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ One source string holds three loops: the coupling's `permfix_run_block`
 (used by `coupling.run_coupling`), and the ascent/peak and Mallows loops of
 `altcouplings.ascent_peak_batch` and `altcouplings.mallows_discrepancy`.
 Each reads the SplitMix64 states of `rng.VectorStreams` and draws the
-53-bit words j of its uniforms (the uniform is the float j 2^-53), so it
-decides on integers exactly as the numpy engines decide on floats.
+53-bit words j of its uniforms (the uniform is the float j 2^-53), and
+decides on those words as the numpy engines do.
 
 Nothing is compiled at import.  The first call of `library()` in a process
 loads the library from the per-user cache $XDG_CACHE_HOME/permfix (or

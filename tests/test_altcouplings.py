@@ -35,11 +35,11 @@ TOP_SEED = 2 ** 64 - 1
 
 def on_eighths(monkeypatch):
     """Round every uniform of the scalar and numpy streams down to the 1/8
-    grid, where ties are common."""
+    grid, where ties are common: the numpy words keep their top 3 bits."""
     scalar_uniform = Stream.uniform
-    vector_uniforms = VectorStreams.uniforms
+    vector_words = VectorStreams.next_words
     monkeypatch.setattr(Stream, "uniform", lambda self: math.floor(scalar_uniform(self) * 8) / 8)
-    monkeypatch.setattr(VectorStreams, "uniforms", lambda self: np.floor(vector_uniforms(self) * 8) / 8)
+    monkeypatch.setattr(VectorStreams, "next_words", lambda self: vector_words(self) & np.uint64(7 << 61))
 
 
 def scalar_batch(seed, samples, ns=()):
@@ -185,7 +185,7 @@ class TestAscentPeakBatch:
     def test_ties_counted_only_among_the_uniforms_a_replica_reads(self, monkeypatch):
         # on a 1/8 grid ties are common; a replica that has resolved must not
         # be dropped for a tie in a column drawn only for the others.  The
-        # grid is patched into `uniforms`, which only the numpy body reads.
+        # grid is patched into `next_words`, which only the numpy body reads.
         on_eighths(monkeypatch)
         monkeypatch.setattr(native, "library", lambda: None)
         seed = 17

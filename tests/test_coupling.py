@@ -1,4 +1,5 @@
 """The monotone coupling simulator, its certificates and assembled bound."""
+import bisect
 import math
 import shutil
 import subprocess
@@ -40,21 +41,23 @@ def pair_step(x, y, u, k_x, k_y):
 
 def exact_replay(cfg):
     """The exact oracle of both block engines: one trace per replica, from
-    its uniforms redrawn as Fractions (`Stream.uniform_fraction`), its start
-    drawn by `ExactDist.quantile` and its moves made by `step` on the exact
-    thresholds, all in a plain loop.  Its u are Fractions; a float u of an
+    its uniforms redrawn as Fractions (`Stream.uniform_fraction`), each start
+    state the number of exact CDF cuts (`ExactDist.cumulative`) at or below
+    its uniform, as in `coupling._block_start`, and its moves made by `step`
+    on the exact thresholds, all in a plain loop.  Its u are Fractions; a float u of an
     engine's trace compares equal exactly when it is the same number."""
     k_x, k_y, law_x, law_y = selector_kernels(cfg.N, cfg.selector)
     thr_x, thr_y = birth_death_thresholds(k_x), birth_death_thresholds(k_y)
+    cdf_x, cdf_y = law_x.cumulative(), law_y.cumulative()
     traces = []
     for r in range(cfg.replicas):
         draw = Stream(cfg.seed, r).uniform_fraction
         u0 = draw()
-        x = law_x.quantile(u0)
+        x = bisect.bisect_right(cdf_x, u0)
         if cfg.start_mode == "shared":
-            y = law_y.quantile(u0)
+            y = bisect.bisect_right(cdf_y, u0)
         elif cfg.start_mode == "independent":
-            y = law_y.quantile(draw())
+            y = bisect.bisect_right(cdf_y, draw())
         else:
             y = x
         tau = 0 if x == y else None
@@ -573,7 +576,7 @@ class TestDriftCertificate:
 
     def test_exp_over_n_fails_for_r_tilde(self):
         # the literal exp(y/N) test function has no margin for R_tilde
-        cert = drift_certificate(12, "R_tilde", theta=Fraction(1))
+        cert = coupling._drift_for(12, "R_tilde", Fraction(1))
         assert cert.c_est < 0
 
     def test_r_tilde_auto_theta_positive(self):
@@ -599,12 +602,8 @@ class TestDriftCertificate:
         # kernel's own thresholds
         for which, thetas in (("R", (1,)), ("R_tilde", (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)))):
             for theta in thetas:
-                cert = drift_certificate(N, which, theta=Fraction(theta))
+                cert = coupling._drift_for(N, which, Fraction(theta))
                 assert cert.c_est == N ** 3 * (1 - max(drift_bound_values(N, which, Fraction(theta))))
-
-    def test_negative_theta_rejected(self):
-        with pytest.raises(ValueError, match="theta must be non-negative"):
-            drift_certificate(10, "R_tilde", theta=Fraction(-1, 2))
 
 
 def drift_rate_mp(N, which, theta):
@@ -637,7 +636,7 @@ class TestDriftRigour:
 
     @pytest.mark.parametrize("N, which, theta", CASES)
     def test_c_est_below_and_within_1e_30(self, N, which, theta):
-        cert = drift_certificate(N, which, theta=Fraction(theta))
+        cert = coupling._drift_for(N, which, Fraction(theta))
         c_true = drift_rate_mp(N, which, Fraction(theta))
         with mpmath.workdps(100):
             c_est = mpmath.mpf(cert.c_est.numerator) / cert.c_est.denominator
@@ -645,7 +644,7 @@ class TestDriftRigour:
             assert c_true - c_est < mpmath.mpf(10) ** -30
 
     def test_auto_theta_is_the_best_of_the_grid(self):
-        grid = [drift_certificate(20, "R_tilde", theta=t).c_est
+        grid = [coupling._drift_for(20, "R_tilde", Fraction(t)).c_est
                 for t in (1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))]
         assert drift_certificate(20, "R_tilde").c_est == max(grid)
 

@@ -232,8 +232,8 @@ class TestReversibilityChecker:
         x, y, residual = report.first_violation[:3]
         assert (x, y) == (1, 2)
         zeta = zeta_law(n)
-        assert residual == zeta.pmf(1) * perturbed.entry(1, 2) - zeta.pmf(2) * perturbed.entry(2, 1)
-        assert residual == zeta.pmf(1) * bump
+        assert residual == zeta[1] * perturbed.entry(1, 2) - zeta[2] * perturbed.entry(2, 1)
+        assert residual == zeta[1] * bump
 
     def test_float_weights_give_an_exact_verdict(self):
         half = Fraction(1, 2)

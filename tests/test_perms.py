@@ -139,10 +139,10 @@ class TestGuardBeforeAllocation:
         lambda: lumping.cycle_type_chain(30),
         lambda: lumping.permutation_chain(30),
         lambda: moments.gram_bruteforce(30),
-        lambda: moments.eta2_fk(30, 0, "bruteforce"),
+        lambda: moments.eta2_fk_bruteforce(30, 0),
         lambda: lumping.uniform_on_permutations(30),
         lambda: lumping.transposition_walk(30),
-    ], ids=["p_bruteforce", "cycle_type_chain", "permutation_chain", "gram_bruteforce", "eta2_fk",
+    ], ids=["p_bruteforce", "cycle_type_chain", "permutation_chain", "gram_bruteforce", "eta2_fk_bruteforce",
             "uniform_on_permutations", "transposition_walk"])
     def test_guard_raises_before_the_table_is_built(self, oracle, monkeypatch):
         def no_table(N):
