@@ -443,9 +443,9 @@ def drift_certificate(N: int, which: str = "R") -> DriftCertificate:
 
 
 @lru_cache(maxsize=None)
-def _drift_rates(N: int) -> tuple[float, float]:
-    """(c_R, c_R_tilde), the certified rates behind c_hat, once per N."""
-    return float(drift_certificate(N, "R").c_est), float(drift_certificate(N, "R_tilde").c_est)
+def _c_hat(N: int) -> float:
+    """c_hat, the smaller of the certified R and R_tilde rates, once per N."""
+    return float(min(drift_certificate(N, which).c_est for which in ("R", "R_tilde")))
 
 
 @dataclass(frozen=True)
@@ -463,7 +463,7 @@ def assemble_tv_bound(N: int, n: int, estimates: Aggregates | None = None) -> TV
     """5 * 2^N n / N! + 2 e^{1 - c_hat n / N^3} with c_hat the smaller of the
     R and R_tilde drift rates, plus the same bound rebuilt from empirical
     terms (Z, Z-tilde, Z-hat and both hitting tails) when provided."""
-    c_hat = min(_drift_rates(N))
+    c_hat = _c_hat(N)
     linear = float(Fraction(5 * 2 ** N * n, math.factorial(N)))
     exp_term = 2 * math.exp(min(1.0 - c_hat * n / N ** 3, 700.0))
     empirical = None
@@ -485,7 +485,7 @@ def suggested_horizon(N: int, exponent: int = 4) -> int:
     exponent 1 is the other reading found in the source material and is
     exposed so both assembled bounds can be reported side by side.
     """
-    c_hat = min(_drift_rates(N))
+    c_hat = _c_hat(N)
     if c_hat <= 0:
         raise ValueError(f"no positive drift certificate at N={N}")
     return math.ceil(N ** exponent * math.log(N) / c_hat)

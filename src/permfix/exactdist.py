@@ -27,12 +27,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Union
-
-import mpmath
 
 
 class PrecisionInsufficient(ArithmeticError):
@@ -77,13 +76,6 @@ class Interval:
         f = Fraction(factor)
         a, b = self.lo * f, self.hi * f
         return Interval(min(a, b), max(a, b))
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __float__(self) -> float:
-        return float((self.lo + self.hi) / 2)
 
     def certainly_within(self, lo: Fraction | int, hi: Fraction | int) -> bool:
         return lo <= self.lo and self.hi <= hi
@@ -380,20 +372,21 @@ def log_rate(N: int) -> float:
     """
     if N < 4:
         raise ValueError("log_rate needs N >= 4")
-    ref = poisson_pmf(N)
-    return _log_rate_of(N, tv_distance(fixed_point_pmf(N), ref, "total"), ref.digits)
+    return _log_rate_of(N, tv_distance(fixed_point_pmf(N), poisson_pmf(N), "total"))
 
 
-def _log_rate_of(N: int, tv: Interval, digits: int) -> float:
-    """`log_rate` from the total TV at N, enclosed against a reference whose
-    e^{-1} has `digits` digits: the mean of ln(lo) and ln(hi), over N ln N."""
+def _log_rate_of(N: int, tv: Interval) -> float:
+    """`log_rate` from the total TV at N, enclosed as `tv`: the mean of
+    ln(lo) and ln(hi), over N ln N.
+
+    The logarithms are taken in `decimal` at 40 significant digits: a double
+    holds 17, so 23 guard digits remain before the one rounding to float.
+    """
     if tv.lo <= 0:
-        raise PrecisionInsufficient(f"TV for N={N} not resolved away from zero at {digits} digits")
-    with mpmath.workdps(digits + 15):
-        lo = mpmath.log(mpmath.mpf(tv.lo.numerator) / tv.lo.denominator)
-        hi = mpmath.log(mpmath.mpf(tv.hi.numerator) / tv.hi.denominator)
-        denom = N * mpmath.log(N)
-        return float((lo + hi) / 2 / denom)
+        raise PrecisionInsufficient(f"TV for N={N} not resolved away from zero")
+    with localcontext(Context(prec=40)):
+        lo, hi = ((Decimal(q.numerator) / q.denominator).ln() for q in (tv.lo, tv.hi))
+        return float((lo + hi) / 2 / (N * Decimal(N).ln()))
 
 
 def separation_discrepancy(d1: DistLike, d2: DistLike) -> Fraction:

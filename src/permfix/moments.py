@@ -34,20 +34,13 @@ def bell_numbers(k_max: int) -> list[int]:
     return bells[: k_max + 1]
 
 
-def falling_factorial(x: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
 def falling_moment(N: int, k: int) -> Fraction:
     """E[F_k] under pi_N, computed from the exact law; equals 1 for k <= N."""
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
     pi = fixed_point_pmf(N)
     return _exact_sum(
-        (w.numerator * falling_factorial(x, k), w.denominator) for x, w in pi.items()
+        (w.numerator * math.perm(x, k), w.denominator) for x, w in pi.items()
     )
 
 
@@ -79,7 +72,7 @@ def eta2_fk_bruteforce(N: int, k: int) -> Fraction:
         raise ValueError("need 0 <= k <= N")
     check_guard(N, 8, "eta2_fk_bruteforce")
     _, two_cycles = fixed_point_sums(N)
-    total = sum(t * falling_factorial(x, k) for x, t in enumerate(two_cycles))
+    total = sum(t * math.perm(x, k) for x, t in enumerate(two_cycles))
     return Fraction(total, math.factorial(N))
 
 
@@ -144,7 +137,7 @@ def gram_bruteforce(N: int) -> GramMatrix:
         row = []
         for l in idx:
             val = _exact_sum(
-                (c * falling_factorial(x, k) * falling_factorial(x, l), total)
+                (c * math.perm(x, k) * math.perm(x, l), total)
                 for x, c in enumerate(hist)
             )
             row.append(val)
@@ -199,8 +192,7 @@ def coefficient_systems(N: int) -> CoefficientSystems:
         raise ValueError("N must be >= 4")
     G = gram(N)
     idx = G.indices
-    ones_zero = [Fraction(1)] * (len(idx) - 1) + [Fraction(0)]  # 2 E[eta_2 F_k] on V
-    a = solve_exact(G.entries, ones_zero)
+    a = solve_exact(G.entries, [2 * eta2_fk(N, k) for k in idx])
     b = [Fraction(1)] + [Fraction(0)] * (len(idx) - 1)
     c = [ai - bi for ai, bi in zip(a, b)]
 
@@ -208,7 +200,7 @@ def coefficient_systems(N: int) -> CoefficientSystems:
     f_values: dict[int, Fraction] = {}
     for x in idx:
         fx = _exact_sum(
-            (ak.numerator * falling_factorial(x, k), ak.denominator) for ak, k in zip(a, idx)
+            (ak.numerator * math.perm(x, k), ak.denominator) for ak, k in zip(a, idx)
         )
         if fx != 2 * p[x]:
             raise AssertionError(f"reconstructed f({x}) = {fx} != 2 p({x}) = {2 * p[x]}")

@@ -679,7 +679,7 @@ class TestAssembledBound:
             return real(N, which, theta)
 
         monkeypatch.setattr(coupling, "_drift_for", counted)
-        coupling._drift_rates.cache_clear()
+        coupling._c_hat.cache_clear()
         for n in (0, 100, 10 ** 6):
             assemble_tv_bound(11, n)
         suggested_horizon(11, exponent=4)

@@ -162,7 +162,7 @@ class TestPoissonRef:
 
     def test_enclosure_brackets_inv_e(self):
         iv = inv_e_interval(50)
-        assert iv.width < Fraction(1, 10 ** 50)
+        assert iv.hi - iv.lo < Fraction(1, 10 ** 50)
         assert iv.lo < Fraction(36787944117, 10 ** 11) + Fraction(1, 10 ** 10)
         # against mpmath at higher precision
         with mpmath.workdps(80):
@@ -209,8 +209,9 @@ class TestTvDistance:
             expected = float(half)
         got = tv_distance(fixed_point_pmf(4), poisson_pmf(4), "half")
         assert isinstance(got, Interval)
-        assert abs(float(got) - expected) < 1e-25
-        assert abs(float(got) - 0.09951919486069309) < 1e-12
+        for end in (got.lo, got.hi):
+            assert abs(float(end) - expected) < 1e-25
+            assert abs(float(end) - 0.09951919486069309) < 1e-12
 
     @pytest.mark.parametrize("n", LINEAR_FORM_NS)
     def test_total_is_twice_half(self, n):
@@ -222,7 +223,8 @@ class TestTvDistance:
         total = tv_distance(fixed_point_pmf(4), poisson_pmf(4), "total")
         lower, upper = tv_bracket(4)
         assert total.certainly_within(lower, upper)
-        assert abs(float(total) - 0.19903838972138618) < 1e-12
+        for end in (total.lo, total.hi):
+            assert abs(float(end) - 0.19903838972138618) < 1e-12
 
     def test_argument_order_symmetric_total(self):
         pi = fixed_point_pmf(5)
@@ -376,6 +378,15 @@ class TestLogRate:
         # frozen from a 120-digit mpmath evaluation of ln(tv)/(N ln N)
         assert abs(log_rate(30) - (-0.5553474730683111)) < 1e-9
 
+    @pytest.mark.parametrize("n", list(range(4, 201)) + [300, 500])
+    def test_equals_a_120_digit_evaluation(self, n):
+        # the same enclosure, its logarithms taken by mpmath at 120 digits
+        tv = tv_distance(fixed_point_pmf(n), poisson_pmf(n), "total")
+        with mpmath.workdps(120):
+            logs = mpmath.log(mp(tv.lo)) + mpmath.log(mp(tv.hi))
+            expected = float(logs / 2 / (n * mpmath.log(n)))
+        assert log_rate(n) == expected
+
     def test_low_n_finite_negative(self):
         value = log_rate(4)
         assert value < 0 and math.isfinite(value)
@@ -449,7 +460,8 @@ class TestSeparation:
         term = separation_ratio_term(20, 16)
         with mpmath.workdps(40):
             expected = float(1 - 9 * mpmath.e / 24)
-        assert abs(float(term) - expected) < 1e-12
+        for end in (term.lo, term.hi):
+            assert abs(float(end) - expected) < 1e-12
         assert term.hi <= 0
 
     def test_index_n_minus_3_term_is_positive(self):
@@ -457,7 +469,8 @@ class TestSeparation:
         term = separation_ratio_term(20, 17)
         with mpmath.workdps(40):
             expected = float(1 - mpmath.e / 3)
-        assert abs(float(term) - expected) < 1e-12
+        for end in (term.lo, term.hi):
+            assert abs(float(end) - expected) < 1e-12
         assert term.lo >= 0
 
 
@@ -486,7 +499,7 @@ class TestExpInterval:
         iv = exp_interval(x, digits)
         with mpmath.workdps(120):
             assert mp(iv.lo) <= mpmath.exp(mp(x)) <= mp(iv.hi)
-        assert iv.width * 10 ** digits <= Fraction(739, 100)  # e^2 < 7.39
+        assert (iv.hi - iv.lo) * 10 ** digits <= Fraction(739, 100)  # e^2 < 7.39
 
     def test_exact_at_zero(self):
         assert exp_interval(0, 30) == Interval(1, 1)
@@ -504,7 +517,7 @@ def intervals():
 
 def members(iv):
     t = st.fractions(min_value=0, max_value=1, max_denominator=1000)
-    return t.map(lambda s: iv.lo + s * iv.width)
+    return t.map(lambda s: iv.lo + s * (iv.hi - iv.lo))
 
 
 def contains(iv, value):
