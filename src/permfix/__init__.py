@@ -2,7 +2,6 @@
 count of a uniform random permutation versus Poisson(1)."""
 
 from .exactdist import (
-    DerangementTable,
     ExactDist,
     Interval,
     PoissonRef,

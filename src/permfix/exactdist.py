@@ -15,8 +15,7 @@ A + B e^{-1}.  Each term d(x) - e^{-1}/x! has a sign that one comparison
 of d(x) x! with the enclosure decides; the positive terms give A and B as
 exact rational sums, and the enclosure is scaled once.  Enclosing each term
 on its own would let e^{-1} take a different value in every term, and widen
-the result.  The derangement table is checked against the alternating sum
-in integers.
+the result.
 
 Every sum of many rationals in the exact core (here and in `kernels`,
 `lumping` and `moments`) goes through `_exact_sum`, which adds the terms
@@ -25,6 +24,7 @@ over one common denominator and normalises once.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -121,47 +121,29 @@ def enclosure_digits(N: int) -> int:
 # derangement numbers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerangementTable:
-    """Exact derangement counts D_0 .. D_max.
-
-    Built by the iteration D_n = (n-1)(D_{n-1} + D_{n-2}) and verified
-    against the alternating sum D_n = n! sum_{k<=n} (-1)^k / k!.  Multiplied
-    by n!, that identity reads D_n = n D_{n-1} + (-1)^n with D_0 = 1, so
-    every entry is checked in integers, in one pass; it implies the
-    two-term iteration, so that needs no check of its own.
-    """
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        v = self.values
-        if not v or v[0] != 1:
-            raise ValueError("D_0 must be 1")
-        for n in range(1, len(v)):
-            if v[n] != n * v[n - 1] + (-1 if n & 1 else 1):
-                raise ValueError(f"D_{n} fails the alternating-sum identity")
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def derangements(n_max: int) -> DerangementTable:
-    """Exact table D_0 .. D_{n_max} of derangement numbers."""
+def derangements(n_max: int) -> tuple[int, ...]:
+    """Exact derangement counts D_0 .. D_{n_max}, by D_n = n D_{n-1} + (-1)^n
+    from D_0 = 1 (the alternating sum D_n = n! sum_{k<=n} (-1)^k / k!,
+    multiplied by n!)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    vals = [1, 0]
-    for n in range(2, n_max + 1):
-        vals.append((n - 1) * (vals[n - 1] + vals[n - 2]))
-    return DerangementTable(tuple(vals[: n_max + 1]))
+    vals = [1]
+    for n in range(1, n_max + 1):
+        vals.append(n * vals[-1] + (-1 if n & 1 else 1))
+    return tuple(vals)
 
 
 # ---------------------------------------------------------------------------
 # exact finitely supported distributions
 # ---------------------------------------------------------------------------
+
+def _is_atom(x) -> bool:
+    """Is x a non-negative integer (a numpy integer included)?"""
+    try:
+        return operator.index(x) >= 0
+    except TypeError:
+        return False
+
 
 class ExactDist(Mapping[int, Fraction]):
     """Finitely supported probability law on Z+ with exact rational weights.
@@ -177,12 +159,12 @@ class ExactDist(Mapping[int, Fraction]):
     __slots__ = ("_weights",)
 
     def __init__(self, weights: Mapping[int, Fraction | float]) -> None:
+        if not all(_is_atom(x) for x in weights):
+            raise ValueError("support must consist of non-negative integers")
         items = [
             (x, w if isinstance(w, Fraction) else Fraction(w))
             for x, w in sorted(weights.items()) if w != 0
         ]
-        if any(x < 0 for x, _ in items):
-            raise ValueError("support must consist of non-negative integers")
         if any(w < 0 for _, w in items):
             raise ValueError("weights must be non-negative")
         if _exact_sum(w.as_integer_ratio() for _, w in items) != 1:

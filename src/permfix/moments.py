@@ -92,17 +92,6 @@ class GramMatrix:
     indices: tuple[int, ...]
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.indices)
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise ValueError("entries must be square over the index list")
-        for i in range(n):
-            for j in range(n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        if any(self.entries[0][j] != 1 for j in range(n)):
-            raise ValueError("row k=0 must be identically 1")
-
     def entry(self, k: int, l: int) -> Fraction:
         return self.entries[self.indices.index(k)][self.indices.index(l)]
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,12 +29,21 @@ from permfix.exactdist import (
     tv_distance,
     zeta_law,
 )
+from permfix.perms import fixed_point_sums
 
 
 def count_derangements_by_enumeration(n):
     return sum(
         1 for p in permutations(range(n)) if all(p[i] != i for i in range(n))
     )
+
+
+def two_term_failures(table):
+    """The n >= 2 at which table breaks D_n = (n-1)(D_{n-1} + D_{n-2})."""
+    return [
+        n for n in range(2, len(table))
+        if table[n] != (n - 1) * (table[n - 1] + table[n - 2])
+    ]
 
 
 def empirical_fixed_point_law(n):
@@ -49,33 +59,25 @@ class TestDerangements:
     def test_convention_d0(self):
         assert derangements(0)[0] == 1
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(0, 9))
     def test_against_enumeration(self, n):
         assert derangements(n)[n] == count_derangements_by_enumeration(n)
+        assert derangements(n)[n] == fixed_point_sums(n)[0][0]
 
     def test_known_values(self):
-        table = derangements(5)
-        assert table.values == (1, 0, 1, 2, 9, 44)
+        assert derangements(5) == (1, 0, 1, 2, 9, 44)
 
-    def test_bad_table_rejected(self):
-        from permfix.exactdist import DerangementTable
-
-        with pytest.raises(ValueError):
-            DerangementTable((1, 0, 1, 2, 8))
+    def test_two_term_recurrence_to_300(self):
+        assert two_term_failures(derangements(300)) == []
 
     def test_late_entry_fails_running_sum(self):
-        from permfix.exactdist import DerangementTable
-
-        values = list(derangements(40).values)
+        values = list(derangements(40))
         values[40] += 1
-        with pytest.raises(ValueError, match="D_40 fails the alternating-sum identity"):
-            DerangementTable(tuple(values))
+        assert two_term_failures(tuple(values)) == [40]
 
-    def test_wrong_d3_fails_alternating_sum(self):
-        from permfix.exactdist import DerangementTable
-
-        with pytest.raises(ValueError, match="D_3 fails the alternating-sum identity"):
-            DerangementTable((1, 0, 1, 3))
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            derangements(-1)
 
 
 class TestFixedPointPmf:
@@ -141,6 +143,18 @@ class TestExactDist:
             ExactDist({-1: Fraction(1)})
         with pytest.raises(ValueError, match="weights must be non-negative"):
             ExactDist({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+
+    @pytest.mark.parametrize(
+        "weights", [{0.5: 0.5, 1: 0.5}, {2.0: 1}, {"a": 0.5, 1: 0.5}, {0.5: 0, 0: 1}]
+    )
+    def test_non_integer_atom_rejected(self, weights):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            ExactDist(weights)
+
+    def test_numpy_integer_atom_accepted(self):
+        d = ExactDist({np.int64(2): Fraction(1, 2), 0: Fraction(1, 2)})
+        assert d == {0: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert tv_distance(d, ExactDist({0: 1}), "half") == Fraction(1, 2)
 
     def test_restrict_renormalizes(self):
         d = fixed_point_pmf(8).restrict(0, 4)

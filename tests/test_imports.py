@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-the package imports nothing beyond the standard library and its declared
-dependencies."""
+"""Every name a module of the package imports is used in that module, the
+package imports nothing beyond the standard library and its declared
+dependencies, and it reads no environment variable beyond its two."""
 import ast
 import re
 import sys
@@ -69,3 +69,56 @@ def test_imports_are_stdlib_or_declared():
 def test_absolute_imports_skip_relative_ones():
     source = "import os.path\nfrom numpy.linalg import solve\nfrom . import rng\nfrom .kernels import p\n"
     assert absolute_imports(source) == {"os", "numpy"}
+
+
+def _is_environ(node: ast.expr) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "environ" and (
+        isinstance(node.value, ast.Name) and node.value.id == "os"
+    )
+
+
+def environment_reads(source: str) -> set[str]:
+    """The environment variables that source reads by `os.environ[...]`,
+    `os.environ.get(...)` or `os.getenv(...)`.  A name given as a string
+    literal or a module-level string constant is resolved; any other name
+    is reported as unresolved, with its line."""
+    tree = ast.parse(source)
+    constants = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+    def resolve(arg: ast.expr) -> str:
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            return arg.value
+        if isinstance(arg, ast.Name) and arg.id in constants:
+            return constants[arg.id]
+        return f"unresolved (line {arg.lineno})"
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_environ(node.value):
+            names.add(resolve(node.slice))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr == "get" and _is_environ(node.func.value)
+            or node.func.attr == "getenv"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+        ):
+            names.add(resolve(node.args[0]))
+    return names
+
+
+def test_environment_census():
+    reads = set().union(*(environment_reads(p.read_text()) for p in SOURCES))
+    assert reads == {"PERMFIX_GUARD_N", "XDG_CACHE_HOME"}
+
+
+def test_environment_reads_resolve_constants():
+    source = (
+        'import os\nKEY = "A"\nos.environ["B"]\nos.environ.get(KEY)\n'
+        'os.getenv("C", "d")\nos.environ.get(prefix + "E")\n{}.get("F")\n'
+    )
+    assert environment_reads(source) == {"A", "B", "C", "unresolved (line 6)"}

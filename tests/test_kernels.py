@@ -87,18 +87,33 @@ class TestPFunctions:
         for x in range(0, n - 3):
             assert Fraction(1, 4) <= p[x] <= Fraction(3, 4)
 
-    @pytest.mark.parametrize("n", [6, 11, 20])
+    @pytest.mark.parametrize("n", range(4, 201))
     def test_sign_alternation(self, n):
-        p = p_closedform(n)
-        for off in range(0, n - 1):
-            s = 2 * p[n - 2 - off] - 1
-            assert (s > 0) if off % 2 == 0 else (s < 0)
+        """The forced values and Prop 4.1's sign pattern, on every route to p:
+        2p(N-2-x) - 1 is positive for even x and negative for odd x."""
+        routes = [p_closedform(n), p_recursion(n)] + ([p_bruteforce(n)] if n <= 8 else [])
+        for p in routes:
+            assert (p[n], p[n - 2], p[n - 3]) == (0, 1, 0)
+            for off in range(0, n - 1):
+                s = 2 * p[n - 2 - off] - 1
+                assert (s > 0) if off % 2 == 0 else (s < 0)
 
     def test_invariant_violation_rejected(self):
-        good = p_closedform(5)
-        bad = dict(good.values)
+        bad = dict(p_closedform(5).values)
         bad[5] = Fraction(1, 7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="targets unknown state 6"):
+            build_penta(5, PFunction(N=5, values=bad))
+
+    def test_domain_must_be_v(self):
+        bad = dict(p_closedform(5).values)
+        bad[4] = Fraction(0)
+        with pytest.raises(ValueError, match="defined exactly on V"):
+            PFunction(N=5, values=bad)
+
+    def test_negative_value_rejected(self):
+        bad = dict(p_closedform(5).values)
+        bad[0] = Fraction(-1, 2)
+        with pytest.raises(ValueError, match="non-negative"):
             PFunction(N=5, values=bad)
 
 
@@ -134,8 +149,7 @@ class TestPentaKernel:
     def test_negative_up_rate_rejected(self):
         p = p_closedform(6)
         inflated = dict(p.values)
-        # a valid PFunction (even offset, 2p(2) - 1 > 0) whose up rate
-        # N - x - 2p(x) at x = 2 is 6 - 2 - 6 < 0
+        # a PFunction whose up rate N - x - 2p(x) at x = 2 is 6 - 2 - 6 < 0
         inflated[2] = Fraction(3)
         with pytest.raises(ValueError, match=r"negative entry at \(2, 3\): -1/15"):
             build_penta(6, PFunction(N=6, values=inflated))

@@ -109,12 +109,14 @@ class TestGram:
         assert gram(n).entries == gram_bruteforce(n).entries
 
     def test_symmetric_and_first_row_ones(self):
-        g = gram(9)
-        size = len(g.indices)
-        assert all(g.entries[0][j] == 1 for j in range(size))
-        assert all(
-            g.entries[i][j] == g.entries[j][i] for i in range(size) for j in range(size)
-        )
+        builds = [gram(n) for n in range(1, 13)] + [gram_bruteforce(n) for n in range(1, 8)]
+        for g in builds:
+            size = len(g.indices)
+            assert len(g.entries) == size and all(len(r) == size for r in g.entries)
+            assert all(g.entries[0][j] == 1 for j in range(size)), g.N
+            assert all(
+                g.entries[i][j] == g.entries[j][i] for i in range(size) for j in range(size)
+            ), g.N
 
     def test_guard(self):
         with pytest.raises(EnumerationGuardError):
