@@ -195,22 +195,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         })
     report.write_table("p_table", rows, args.format)
 
-    pi = exactdist.fixed_point_pmf(N)
-    built = {
-        "P": (kernels.build_penta(N, p_closed), pi),
-        "P_tilde": (kernels.build_tridiag_tilde(N, p_closed), pi),
-        "P_hat": (kernels.build_hat(N), kernels.hat_stationary(N)),
-    }
-    if N >= 5:
-        p_check, r, r_tilde = kernels.build_restricted(N)
-        built["P_check"] = (p_check, exactdist.pi_conditioned(N))
-        built["R"] = (r, exactdist.zeta_law(N))
-        built["R_tilde"] = (r_tilde, kernels.birth_death_stationary(r_tilde))
-    built["P_bar"] = (kernels.poisson_reversible_penta(N), kernels.poisson_box_law(N))
-    for name, (kern, law) in built.items():
-        rep = kernels.check_reversibility(kern, law)
-        report.verdict(f"reversible_{name}", rep.ok)
-        report.write_json(f"kernel_{name}.json", kern.to_json_dict())
+    for label in kernels.KERNEL_LABELS:
+        if N == 4 and label in kernels.RESTRICTED_LABELS:
+            continue
+        kern, law = kernels.reversible_pair(N, label)
+        report.verdict(f"reversible_{label}", kernels.check_reversibility(kern, law).ok)
+        report.write_json(f"kernel_{label}.json", kern.to_json_dict())
     return report.finish()
 
 
@@ -346,18 +336,19 @@ def cmd_couple(args: argparse.Namespace) -> int:
     n = cfg.horizon
     z_bound = float(Fraction(2 ** cfg.N * n, math.factorial(cfg.N)))
     zz_bound = float(Fraction(2 ** (cfg.N + 1) * n, math.factorial(cfg.N)))
-    report.verdict("z_bound", final.estimate("z_pos") <= z_bound + 3 * final.sigma("z_pos"))
-    report.verdict("ztilde_bound",
-                   final.estimate("ztilde_pos") <= zz_bound + 3 * final.sigma("ztilde_pos"))
-    report.verdict("zhat_bound",
-                   final.estimate("zhat_pos") <= zz_bound + 3 * final.sigma("zhat_pos"))
+    for name, stat, cap in (
+        ("z_bound", "z_pos", z_bound),
+        ("ztilde_bound", "ztilde_pos", zz_bound),
+        ("zhat_bound", "zhat_pos", zz_bound),
+    ):
+        report.verdict(name, coupling.within_bound(final.counts[stat], final.replicas, cap))
     tail_sum = sum(final.estimate(s) for s in ("tau0x_gt", "tau0y_gt", "ztilde_pos", "zhat_pos"))
     slack = 4 * 3 * max(final.sigma(s) for s in coupling.STAT_NAMES)
     report.verdict("tails_decomposition", final.estimate("tau_gt") <= tail_sum + slack)
 
-    _, r, r_tilde = kernels.build_restricted(cfg.N)
     mono_rows = []
-    for kern in (r, r_tilde):
+    for label in ("R", "R_tilde"):
+        kern, _ = kernels.reversible_pair(cfg.N, label)
         cert = coupling.monotonicity_certificate(kern)
         report.verdict(f"monotone_{kern.label}", cert.ok)
         mono_rows += [{"kernel": kern.label, "x": x, "margin": m} for x, m in cert.margins]
@@ -425,9 +416,8 @@ def cmd_alt(args: argparse.Namespace) -> int:
             batch.m_n_counts[N], batch.samples, exactdist.fixed_point_pmf(N)
         )
         report.verdict(f"m{N}_law_close_to_pi", tv_n <= tol)
-        rate = batch.disagree_rate(N)
-        sig = math.sqrt(max(rate * (1 - rate), 1e-12) / batch.samples)
-        report.verdict(f"disagree_bound_N{N}", rate <= float(tails[N]) + 3 * sig)
+        report.verdict(f"disagree_bound_N{N}",
+                       coupling.within_bound(batch.disagree[N], batch.samples, float(tails[N])))
         rows.append({"law": f"M_{N}", "half_tv": tv_n, "tolerance": tol,
                      "samples": batch.samples, "ties": batch.ties})
     report.write_table("ascent_peak", rows, args.format)

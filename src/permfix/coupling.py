@@ -41,17 +41,17 @@ from typing import Mapping
 import numpy as np
 
 from . import native
-from .exactdist import ExactDist, exp_interval, pi_conditioned, zeta_law
-from .kernels import (
-    CONSTANT_K,
-    StochasticKernel,
-    _penta_moves,
-    birth_death_stationary,
-    build_restricted,
-)
+from .exactdist import ExactDist, exp_interval
+from .kernels import CONSTANT_K, StochasticKernel, _penta_moves, reversible_pair
 from .rng import TWO_NEG53, VectorStreams, check_seed, grid_cut
 
-SELECTORS = ("pcheck-r", "r-r", "pcheck-rtilde")
+# the catalogue labels (`kernels.reversible_pair`) of X's and Y's kernels
+_SELECTOR_LABELS = {
+    "pcheck-r": ("P_check", "R"),
+    "r-r": ("R", "R"),
+    "pcheck-rtilde": ("P_check", "R_tilde"),
+}
+SELECTORS = tuple(_SELECTOR_LABELS)
 START_MODES = ("shared", "independent", "copy_x")
 STAT_NAMES = ("neq", "tau_gt", "z_pos", "ztilde_pos", "zhat_pos", "tau0x_gt", "tau0y_gt")
 
@@ -119,6 +119,18 @@ class Aggregates:
         return math.sqrt(p * (1.0 - p) / self.replicas)
 
 
+def within_bound(count: int, trials: int, bound: float) -> bool:
+    """Is the estimate p = count / trials at most bound + 3 sigma?
+
+    The one rule for a Monte Carlo verdict against an upper bound.  sigma is
+    the plug-in binomial standard error sqrt(p (1 - p) / trials), so at
+    p = 0 and p = 1 it is 0: count = 0 passes every bound >= 0, and
+    count = trials passes only a bound >= 1.
+    """
+    p = count / trials
+    return p <= bound + 3 * math.sqrt(p * (1.0 - p) / trials)
+
+
 @dataclass(frozen=True)
 class CouplingStats:
     config: RunConfig
@@ -131,15 +143,15 @@ class CouplingStats:
 
 
 def selector_kernels(N: int, selector: str) -> tuple[StochasticKernel, StochasticKernel, ExactDist, ExactDist]:
-    """(K_X, K_Y, law of X(0), law of Y(0)) for a selector; stationary starts."""
-    p_check, r, r_tilde = build_restricted(N)
-    if selector == "pcheck-r":
-        return p_check, r, pi_conditioned(N), zeta_law(N)
-    if selector == "r-r":
-        return r, r, zeta_law(N), zeta_law(N)
-    if selector == "pcheck-rtilde":
-        return p_check, r_tilde, pi_conditioned(N), birth_death_stationary(r_tilde)
-    raise ValueError(f"unknown selector {selector!r}")
+    """(K_X, K_Y, law of X(0), law of Y(0)) for a selector: the catalogue
+    pairs of its two labels, so each chain starts from its reversible law.
+    When both labels agree the pair is built once."""
+    if selector not in _SELECTOR_LABELS:
+        raise ValueError(f"unknown selector {selector!r}")
+    label_x, label_y = _SELECTOR_LABELS[selector]
+    k_x, law_x = reversible_pair(N, label_x)
+    k_y, law_y = (k_x, law_x) if label_y == label_x else reversible_pair(N, label_y)
+    return k_x, k_y, law_x, law_y
 
 
 # ---------------------------------------------------------------------------

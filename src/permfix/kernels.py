@@ -14,6 +14,11 @@ also settles Kolmogorov's cycle criterion.  Row sums and the invariance
 check w K = w add their terms over one common denominator
 (`exactdist._exact_sum`), and detailed balance compares d(x) K(x,y) with
 d(y) K(y,x) by integer cross-multiplication.
+
+One catalogue pairs each of the seven kernels with the law it is
+reversible for: `reversible_pair(N, label)` over `KERNEL_LABELS`.  It is the
+only place that pairing is written; `permfix kernel`, the coupling's
+selectors and the tests read it.
 """
 from __future__ import annotations
 
@@ -22,7 +27,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .exactdist import ExactDist, _exact_sum, derangements, fixed_point_pmf, poisson_truncated
+from .exactdist import (
+    ExactDist,
+    _exact_sum,
+    derangements,
+    fixed_point_pmf,
+    pi_conditioned,
+    poisson_truncated,
+    zeta_law,
+)
 from .perms import check_guard, fixed_point_sums
 
 
@@ -362,7 +375,11 @@ def poisson_reversible_penta(N: int) -> StochasticKernel:
 
 
 def poisson_box_law(N: int) -> ExactDist:
-    """Poisson(1) conditioned on [0, N] (the reversible law of P_bar)."""
+    """`exactdist.poisson_truncated` under a second name.
+
+    Its only caller is `bench/workloads.py`; it goes with the next change to
+    the benchmark.  Package code and tests call `poisson_truncated`.
+    """
     return poisson_truncated(N)
 
 
@@ -382,6 +399,40 @@ def birth_death_stationary(kernel: StochasticKernel) -> ExactDist:
         weights[y] = weights[x] * up / down
     total = _exact_sum(map(Fraction.as_integer_ratio, weights.values()))
     return ExactDist({s: w / total for s, w in weights.items()})
+
+
+# ---------------------------------------------------------------------------
+# the catalogue: each kernel with the law it is reversible for
+# ---------------------------------------------------------------------------
+
+KERNEL_LABELS = ("P", "P_tilde", "P_hat", "P_check", "R", "R_tilde", "P_bar")
+
+
+def reversible_pair(N: int, label: str) -> tuple[StochasticKernel, ExactDist]:
+    """(kernel, the law it is reversible for) for one of `KERNEL_LABELS`.
+
+    The one place that pairs a kernel with its law: P and P_tilde go with
+    pi_N, P_hat with `hat_stationary`, P_check with `pi_conditioned`, R with
+    `zeta_law`, R_tilde with its own `birth_death_stationary`, and P_bar
+    with `poisson_truncated`.  The kernel's `.label` is `label`.  Only the
+    kernel asked for is built; an unknown label, or a restricted one at
+    N < 5, raises ValueError.
+    """
+    if label in ("P", "P_tilde"):
+        build = build_penta if label == "P" else build_tridiag_tilde
+        return build(N, p_closedform(N)), fixed_point_pmf(N)
+    if label == "P_hat":
+        return build_hat(N), hat_stationary(N)
+    if label == "P_bar":
+        return poisson_reversible_penta(N), poisson_truncated(N)
+    if label not in RESTRICTED_LABELS:
+        raise ValueError(f"label must be one of {KERNEL_LABELS}")
+    kernel = restricted_kernel(N, label)
+    if label == "P_check":
+        return kernel, pi_conditioned(N)
+    if label == "R":
+        return kernel, zeta_law(N)
+    return kernel, birth_death_stationary(kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -146,18 +146,10 @@ def test_criterion_03_intertwining_and_projection_equality():
 def test_criterion_04_reversibility_suites():
     bad = []
     for n in range(4, 13):
-        pi = exactdist.fixed_point_pmf(n)
-        suite = {
-            "P": (kernels.build_penta(n, kernels.p_closedform(n)), pi),
-            "P_tilde": (kernels.build_tridiag_tilde(n, kernels.p_closedform(n)), pi),
-            "P_hat": (kernels.build_hat(n), kernels.hat_stationary(n)),
-        }
-        if n >= 5:
-            p_check, r, _ = kernels.build_restricted(n)
-            suite["P_check"] = (p_check, exactdist.pi_conditioned(n))
-            suite["R"] = (r, exactdist.zeta_law(n))
-        for name, (kern, law) in suite.items():
-            report = kernels.check_reversibility(kern, law)
+        for name in ("P", "P_tilde", "P_hat", "P_check", "R"):
+            if n < 5 and name in kernels.RESTRICTED_LABELS:
+                continue
+            report = kernels.check_reversibility(*kernels.reversible_pair(n, name))
             if not report.ok:
                 bad.append((n, name))
     assert verdict(
@@ -209,9 +201,9 @@ def test_criterion_07_coupling_simulator():
 
     z_cap = float(Fraction(2 ** n_val * n_steps, math.factorial(n_val)))
     zz_cap = float(Fraction(2 ** (n_val + 1) * n_steps, math.factorial(n_val)))
-    z_ok = final.estimate("z_pos") <= z_cap + 3 * final.sigma("z_pos")
-    zt_ok = final.estimate("ztilde_pos") <= zz_cap + 3 * final.sigma("ztilde_pos")
-    zh_ok = final.estimate("zhat_pos") <= zz_cap + 3 * final.sigma("zhat_pos")
+    z_ok = coupling.within_bound(final.counts["z_pos"], final.replicas, z_cap)
+    zt_ok = coupling.within_bound(final.counts["ztilde_pos"], final.replicas, zz_cap)
+    zh_ok = coupling.within_bound(final.counts["zhat_pos"], final.replicas, zz_cap)
 
     tail_sum = sum(
         final.estimate(s) for s in ("tau0x_gt", "tau0y_gt", "ztilde_pos", "zhat_pos")
@@ -292,10 +284,8 @@ def test_criterion_09_alternative_couplings():
 
     disagree_ok = True
     for n in range(2, 9):
-        rate = batch.disagree_rate(n)
         tail = float(altcouplings.peak_tail_exact(n))
-        sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / batch.samples)
-        disagree_ok = disagree_ok and rate <= tail + 3 * sigma
+        disagree_ok = disagree_ok and coupling.within_bound(batch.disagree[n], batch.samples, tail)
 
     enum_ok = all(
         altcouplings.peak_tail_exact(n)

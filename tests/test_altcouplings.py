@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from permfix import native
+from permfix.coupling import within_bound
 from permfix.altcouplings import (
     AscentPeakBatch,
     AscentPeakSample,
@@ -246,10 +247,7 @@ class TestAscentPeakBatch:
 
     def test_disagreement_bounded_by_peak_tail(self):
         batch = ascent_peak_batch(120_000, seed=13, ns=(6,))
-        rate = batch.disagree_rate(6)
-        tail = float(peak_tail_exact(6))
-        sigma = math.sqrt(max(rate * (1 - rate), 1e-12) / batch.samples)
-        assert rate <= tail + 3 * sigma
+        assert within_bound(batch.disagree[6], batch.samples, float(peak_tail_exact(6)))
 
 
 class TestSeedRange:

@@ -186,6 +186,23 @@ def test_kernel_command(tmp_path, capsys):
     assert kernel["states"] == [0, 1, 2, 3, 4, 6]
 
 
+@pytest.mark.parametrize("n, labels", [
+    (4, ("P", "P_tilde", "P_hat", "P_bar")),
+    (5, ("P", "P_tilde", "P_hat", "P_check", "R", "R_tilde", "P_bar")),
+])
+def test_kernel_files_in_catalogue_order(n, labels, tmp_path, capsys):
+    # the restricted kernels P_check, R, R_tilde need N >= 5
+    code, report = run_cli(capsys, "kernel", "--n", str(n), "--out", str(tmp_path))
+    assert code == 0
+    kernel_files = [str(tmp_path / f"kernel_{label}.json") for label in labels]
+    assert report["outputs"] == [str(tmp_path / "p_table.csv")] + kernel_files
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["p_table.csv"] + [f"kernel_{label}.json" for label in labels]
+    )
+    reversible = {name for name in report["verdicts"] if name.startswith("reversible_")}
+    assert reversible == {f"reversible_{label}" for label in labels}
+
+
 def test_kernel_guard_skip(tmp_path, capsys):
     code, report = run_cli(capsys, "kernel", "--n", "9", "--out", str(tmp_path))
     assert code == 0

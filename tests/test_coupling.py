@@ -25,9 +25,16 @@ from permfix.coupling import (
     selector_kernels,
     step,
     suggested_horizon,
+    within_bound,
 )
 from permfix.exactdist import exp_interval, pi_conditioned, tv_distance, zeta_law
-from permfix.kernels import StochasticKernel, build_restricted, p_closedform, restricted_kernel
+from permfix.kernels import (
+    StochasticKernel,
+    build_restricted,
+    p_closedform,
+    restricted_kernel,
+    reversible_pair,
+)
 from permfix.rng import grid_cut
 from scalar_reference import Stream
 
@@ -718,3 +725,41 @@ class TestSelectorKernels:
         from permfix.kernels import check_reversibility
 
         assert check_reversibility(k_y, law_y).ok
+
+    def test_selectors_read_the_catalogue(self):
+        labels = {
+            "pcheck-r": ("P_check", "R"),
+            "r-r": ("R", "R"),
+            "pcheck-rtilde": ("P_check", "R_tilde"),
+        }
+        assert set(labels) == set(SELECTORS)
+        for selector, (label_x, label_y) in labels.items():
+            for N in (5, 9, 30):
+                k_x, law_x = reversible_pair(N, label_x)
+                k_y, law_y = reversible_pair(N, label_y)
+                assert selector_kernels(N, selector) == (k_x, k_y, law_x, law_y)
+
+    def test_r_r_builds_r_once(self):
+        k_x, k_y, law_x, law_y = selector_kernels(9, "r-r")
+        assert k_x is k_y and law_x is law_y
+
+
+class TestWithinBound:
+    # estimate p = count / trials against bound + 3 sigma, sigma = sqrt(p (1 - p) / trials)
+
+    def test_count_zero_has_no_spread(self):
+        assert within_bound(0, 10 ** 6, 0.0)
+        assert not within_bound(0, 10 ** 6, -1e-12)
+
+    def test_count_one_is_three_sigma(self):
+        trials = 10 ** 4
+        p = 1 / trials
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert within_bound(1, trials, 0.0)
+        assert within_bound(1, trials, p - 2.9 * sigma)
+        assert not within_bound(1, trials, p - 3.1 * sigma)
+
+    def test_count_equal_to_trials_has_no_spread(self):
+        # with a floor of 1e-12 on p (1 - p), 1 - 1e-9 would pass at 10^6 trials
+        assert within_bound(10 ** 6, 10 ** 6, 1.0)
+        assert not within_bound(10 ** 6, 10 ** 6, 1 - 1e-9)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permfix.exactdist import fixed_point_pmf, pi_conditioned, zeta_law
+from permfix.exactdist import fixed_point_pmf, pi_conditioned, poisson_truncated, zeta_law
 from permfix.kernels import (
+    KERNEL_LABELS,
+    RESTRICTED_LABELS,
     PFunction,
     StochasticKernel,
     _kernel,
@@ -25,11 +27,11 @@ from permfix.kernels import (
     p_bruteforce,
     p_closedform,
     p_recursion,
-    poisson_box_law,
     poisson_reversible_penta,
     prop41_bound,
     recursion_map,
     restricted_kernel,
+    reversible_pair,
     state_space,
 )
 from permfix.lumping import transposition_walk, uniform_on_permutations
@@ -224,7 +226,7 @@ class TestRestrictedKernels:
     def test_poisson_reversible_full_interval(self, n):
         kernel = poisson_reversible_penta(n)
         assert kernel.states == tuple(range(n + 1))
-        assert check_reversibility(kernel, poisson_box_law(n)).ok
+        assert check_reversibility(kernel, poisson_truncated(n)).ok
 
 
 class TestReversibilityChecker:
@@ -302,19 +304,8 @@ def dense_reversibility(kernel, weights):
 
 
 def every_builder(n):
-    """(kernel, its reversible law) for every kernel builder at n."""
-    p = p_closedform(n)
-    pi = fixed_point_pmf(n)
-    p_check, r, r_tilde = build_restricted(n)
-    return [
-        (build_penta(n, p), pi),
-        (build_tridiag_tilde(n, p), pi),
-        (build_hat(n), hat_stationary(n)),
-        (p_check, pi_conditioned(n)),
-        (r, zeta_law(n)),
-        (r_tilde, birth_death_stationary(r_tilde)),
-        (poisson_reversible_penta(n), poisson_box_law(n)),
-    ]
+    """(kernel, its reversible law) for every kernel of the catalogue at n."""
+    return [reversible_pair(n, label) for label in KERNEL_LABELS]
 
 
 def bumped(kernel, moves, bump=Fraction(1, 1000)):
@@ -402,6 +393,24 @@ class TestLookupErrors:
     def test_unknown_restricted_label(self):
         with pytest.raises(ValueError):
             restricted_kernel(8, "P")
+
+
+class TestCatalogue:
+    @pytest.mark.parametrize("label", KERNEL_LABELS)
+    def test_kernel_carries_its_label(self, label):
+        for n in (5, 6, 9):
+            kernel, _ = reversible_pair(n, label)
+            assert kernel.label == label
+
+    def test_unknown_label_refused(self):
+        for label in ("p", "Q", "P_tilde ", ""):
+            with pytest.raises(ValueError, match="label must be one of"):
+                reversible_pair(8, label)
+
+    @pytest.mark.parametrize("label", RESTRICTED_LABELS)
+    def test_restricted_label_refused_at_n4(self, label):
+        with pytest.raises(ValueError, match="N >= 5"):
+            reversible_pair(4, label)
 
 
 class TestKernelValidation:

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permfix import lumping
-from permfix.exactdist import fixed_point_pmf
+from permfix.exactdist import fixed_point_pmf, poisson_truncated
 from permfix.kernels import (
     StochasticKernel,
     build_penta,
     check_reversibility,
     p_bruteforce,
-    poisson_box_law,
     poisson_reversible_penta,
 )
 from permfix.lumping import (
@@ -138,7 +137,7 @@ class TestReversibilityTransfer:
         kernel = poisson_reversible_penta(n)
         chain = PartitionedChain(
             kernel=kernel,
-            invariant=poisson_box_law(n),
+            invariant=poisson_truncated(n),
             blocks={x: x % 2 for x in kernel.states},
         )
         report = reversibility_transfer(chain)
