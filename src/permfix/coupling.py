@@ -20,15 +20,16 @@ j * 2^-53 < c exactly when j < g: the engines decide alike by construction.
 Replicas run in blocks, each started by one rule (`_block_start`): X(0) is
 the number of CDF cuts at or below a start word, and likewise Y(0).  Every
 start law charges only [0, N-4], so the last CDF cut is 2^53 and that
-number is already a state.  Counts-only runs (emit_traces false) then go
-to a compiled C loop (`native.library()`'s `permfix_run_block`), `step`'s
-rule on the integers j and g, which looks the flags of each step up in a
-table built from `_events` (`_event_table`), so the event rule is written
-once.  Where the library cannot be built or loaded the vectorized numpy
-engine runs instead, with identical counts.  Traced runs always take the
-numpy engine, which alone records per-replica traces.  Both engines are
-tested against an exact replay in the tests, which redraws each replica's
-uniforms as Fractions and moves it with `step` on the exact thresholds.
+number is already a state.  `run_coupling` advances each block to each
+checkpoint in turn and tallies it there (`_tally`) from one event byte per
+replica, the OR of the bytes (`_event_table`) of its start and its moves.
+Only the advance differs between engines: counts-only runs take a compiled
+C loop (`native.library()`'s `permfix_advance`), `step`'s rule on the
+integers j and g, or the numpy advance where the library cannot be built
+or loaded, with identical results; traced runs always take the numpy
+advance, which alone records the path.  Both are tested against an exact
+replay in the tests, which redraws each replica's uniforms as Fractions
+and moves it with `step` on the exact thresholds.
 """
 from __future__ import annotations
 
@@ -70,6 +71,9 @@ class RunConfig:
     checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("N", "horizon", "replicas"):  # bool is a subclass of int
+            if not isinstance(value := getattr(self, name), int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.N < 5:
             raise ValueError("N must be >= 5 (state space [0, N-4])")
         if self.horizon < 0:
@@ -185,7 +189,7 @@ def step(x, u, down, stay):
 
 
 # ---------------------------------------------------------------------------
-# the block engines: compiled counts loop and vectorized numpy
+# the block engines: one checkpoint loop, a compiled or a numpy advance
 # ---------------------------------------------------------------------------
 
 BLOCK_SIZE = 1 << 14  # replicas per block; counts do not depend on it
@@ -207,23 +211,6 @@ def _grid_tables(cfg: RunConfig) -> tuple[np.ndarray, ...]:
     return tuple(np.array([grid_cut(c) for c in t], dtype=np.uint64) for t in cuts)
 
 
-def _block_start(
-    cfg: RunConfig, tables: tuple, first: int, count: int
-) -> tuple[VectorStreams, np.ndarray, np.ndarray]:
-    """(streams, X, Y) of replicas [first, first + count): their streams,
-    past the start words, and their start states, each the number of CDF
-    cuts at or below a 53-bit start word (a state, as the last cut is 2^53)."""
-    cdf_x, cdf_y = tables[4:]
-    streams = VectorStreams(cfg.seed, first, count)
-    j = streams.next_words() >> 11
-    X = np.searchsorted(cdf_x, j, side="right")
-    if cfg.start_mode == "copy_x":
-        return streams, X, X.copy()
-    if cfg.start_mode == "independent":
-        j = streams.next_words() >> 11
-    return streams, X, np.searchsorted(cdf_y, j, side="right")
-
-
 def _events(x, y, xn, yn):
     """The (Z, Z-tilde, Z-hat) flags of the steps (x, y) -> (xn, yn),
     elementwise: a meeting that splits, X going from at or below Y to above
@@ -231,107 +218,101 @@ def _events(x, y, xn, yn):
     return (x == y) & (xn != yn), (x <= y) & (xn > yn), (x >= y) & (xn < yn)
 
 
+def _arrivals(x, y):
+    """The flags met (x = y), X at 0 and Y at 0 of the states (x, y), elementwise."""
+    return x == y, x == 0, y == 0
+
+
+def _event_byte(*flags) -> np.ndarray:
+    """One uint8 per element with flags[b] as bit b.  An event byte holds the
+    `_events` of a step in bits 0-2 and the `_arrivals` of the states it
+    reaches in bits 3-5; a replica's byte ORs those of its start and steps."""
+    return sum(np.asarray(f, dtype=np.uint8) << b for b, f in enumerate(flags)).astype(np.uint8)
+
+
 @lru_cache(maxsize=8)  # built once per run's N, not per block; 349 KB at N = 200
 def _event_table(N: int) -> np.ndarray:
-    """The compiled loop's flags: one byte per (x, y, mx, my), at index
+    """The event byte of every move: one per (x, y, mx, my), at index
     (x (N-3) + y) 9 + 3 mx + my, for the step to x' = x + 1 - mx,
     y' = y + 1 - my (`step`, with mx and my the numbers of the state's
-    (down, stay) grid numerators above the step's word j).  Bits 0-2 are
-    `_events`; bits 3-5 are x' = y' (met), x' = 0 and y' = 0.  Entries of
+    (down, stay) grid numerators above the step's word j).  Entries of
     moves off [0, N-4], which never happen, are filled all the same.  The
     table is shared by every run at N, so it is read-only."""
     x, y, mx, my = np.ix_(*(np.arange(n) for n in (N - 3, N - 3, 3, 3)))
     xn, yn = x + 1 - mx, y + 1 - my
-    flags = (*_events(x, y, xn, yn), xn == yn, xn == 0, yn == 0)
-    table = sum(f.astype(np.uint8) << bit for bit, f in enumerate(flags)).ravel()
+    table = _event_byte(*_events(x, y, xn, yn), *_arrivals(xn, yn)).ravel()
     table.flags.writeable = False
     return table
 
 
-def _run_block_compiled(
-    cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray
-) -> list:
-    """The compiled loop (`native.library()`'s `permfix_run_block`, which
-    must have loaded) on replicas [first, first + count): adds their counts
-    into `counts` (one row per checkpoint); it records no traces."""
+def _block_start(
+    cfg: RunConfig, tables: tuple, first: int, count: int
+) -> tuple[VectorStreams, np.ndarray, np.ndarray, np.ndarray]:
+    """(streams, X, Y, ev) of replicas [first, first + count): their streams,
+    past the start words, their start states, each the number of CDF cuts
+    at or below a 53-bit start word (a state, as the last cut is 2^53), and
+    their event bytes, the `_arrivals` of the start states."""
+    cdf_x, cdf_y = tables[4:]
+    streams = VectorStreams(cfg.seed, first, count)
+    j = streams.next_words() >> 11
+    X = np.searchsorted(cdf_x, j, side="right")
+    if cfg.start_mode == "independent":
+        j = streams.next_words() >> 11
+    Y = X.copy() if cfg.start_mode == "copy_x" else np.searchsorted(cdf_y, j, side="right")
+    return streams, X, Y, _event_byte(0, 0, 0, *_arrivals(X, Y))
+
+
+def _tally(X: np.ndarray, Y: np.ndarray, ev: np.ndarray) -> list[int]:
+    """The STAT_NAMES counts of replicas at (X, Y) with event bytes ev."""
+    z, ztilde, zhat, met, hit_x, hit_y = (np.count_nonzero(ev & (1 << b)) for b in range(6))
+    n = len(ev)
+    return [np.count_nonzero(X != Y), n - met, z, ztilde, zhat, n - hit_x, n - hit_y]
+
+
+def _check_tables(N: int, tables: tuple, events: np.ndarray) -> None:
+    """Refuse tables that would index off [0, N-4]; the compiled loop
+    indexes them by state unchecked."""
     down_x, stay_x, down_y, stay_y, cdf_x, cdf_y = tables
-    events = _event_table(cfg.N)
-    size = cfg.N - 3
-    # the C loop indexes every table by state, unchecked: one cut per
-    # state, and no move or start off [0, N-4]
+    size = N - 3
     if {len(t) for t in tables} != {size}:
         raise ValueError("every table must hold one cut per state of [0, N-4]")
     if down_x[0] or down_y[0] or any(t[-1] != 1 << 53 for t in (stay_x, stay_y, cdf_x, cdf_y)):
         raise ValueError("the tables must keep every state in [0, N-4]")
     if len(events) != size * size * 9:
         raise ValueError("the event table must hold 9 entries per pair of states of [0, N-4]")
-    if counts.shape != (len(cfg.checkpoints), len(STAT_NAMES)):
-        raise ValueError("counts must hold one row per checkpoint")
-    streams, X, Y = _block_start(cfg, tables, first, count)
-    native.library().permfix_run_block(
-        streams.states, X.astype(np.int64), Y.astype(np.int64), count, cfg.horizon,
-        np.array(cfg.checkpoints, dtype=np.int64), down_x, stay_x, down_y, stay_y,
-        events, size, counts,
-    )
-    return []
 
 
-def _run_block_numpy(
-    cfg: RunConfig, tables: tuple, first: int, count: int, counts: np.ndarray
-) -> list[CouplingTrace]:
-    """The numpy engine on replicas [first, first + count): adds their counts
-    into `counts` (one row per checkpoint) and returns their traces."""
+def _advance_numpy(tables, events, streams, X, Y, ev, steps, path=None) -> None:
+    """Advance replicas at (X, Y), with event bytes ev, by `steps` moves, in
+    place: each move takes the 53-bit word j of the next uniform of their
+    streams, moves by `step` and ORs the move's `_event_table` byte into ev.
+    When path is a list, (X, Y, j) is appended to it after each move."""
     down_x, stay_x, down_y, stay_y = tables[:4]
-    streams, X, Y = _block_start(cfg, tables, first, count)
-    met = X == Y
-    hit_x = X == 0
-    hit_y = Y == 0
-    z_f = np.zeros(count, dtype=bool)
-    zt_f = np.zeros(count, dtype=bool)
-    zh_f = np.zeros(count, dtype=bool)
-    xs, ys, js = [X], [Y], []  # the path, kept when traces are asked for
-
-    rows = {n: i for i, n in enumerate(cfg.checkpoints)}
-
-    def snapshot(n: int) -> None:
-        counts[rows[n]] += [
-            np.count_nonzero(X != Y),
-            np.count_nonzero(~met),
-            np.count_nonzero(z_f),
-            np.count_nonzero(zt_f),
-            np.count_nonzero(zh_f),
-            np.count_nonzero(~hit_x),
-            np.count_nonzero(~hit_y),
-        ]
-
-    if 0 in rows:
-        snapshot(0)
-    for k in range(cfg.horizon):
+    size = len(down_x)
+    for _ in range(steps):
         j = streams.next_words() >> 11
         Xn, Yn = step(X, j, down_x, stay_x), step(Y, j, down_y, stay_y)
-        z, zt, zh = _events(X, Y, Xn, Yn)
-        z_f |= z
-        zt_f |= zt
-        zh_f |= zh
-        X, Y = Xn, Yn
-        met |= X == Y
-        hit_x |= X == 0
-        hit_y |= Y == 0
-        if cfg.emit_traces:
-            xs.append(X)
-            ys.append(Y)
-            js.append(j)
-        if k + 1 in rows:
-            snapshot(k + 1)
-    if not cfg.emit_traces:
-        return []
-    us = np.array(js, dtype=np.uint64).reshape(cfg.horizon, count) * TWO_NEG53
-    return _traces_from_path(np.array(xs), np.array(ys), us)
+        ev |= events[(X * size + Y) * 9 + 3 * (X + 1 - Xn) + (Y + 1 - Yn)]
+        X[:], Y[:] = Xn, Yn
+        if path is not None:
+            path.append((Xn, Yn, j))
 
 
-def _traces_from_path(xs: np.ndarray, ys: np.ndarray, us: np.ndarray) -> list[CouplingTrace]:
-    """One trace per replica (column) from its states xs, ys at times 0..n
-    and its uniforms us; step k takes time k to k + 1 under us[k]."""
+def _advance_compiled(tables, events, streams, X, Y, ev, steps, path=None) -> None:
+    """`_advance_numpy` as one call of the compiled loop (`native.library()`'s
+    `permfix_advance`, which must have loaded); it records no path."""
+    native.library().permfix_advance(
+        streams.states, X, Y, ev, len(X), steps, *tables[:4], events, len(tables[0])
+    )
+
+
+def _traces_from_path(path: list) -> list[CouplingTrace]:
+    """One trace per replica (column) from a block's path: its start (X, Y),
+    then (X, Y, j) after each step; step k takes time k to k + 1 under the
+    uniform j 2^-53 of entry k + 1."""
+    xs, ys = (np.array([entry[i] for entry in path]) for i in (0, 1))
+    js = np.array([entry[2] for entry in path[1:]], dtype=np.uint64)
+    us = js.reshape(len(path) - 1, xs.shape[1]) * TWO_NEG53
 
     def first(hit: np.ndarray) -> list[int | None]:
         return [int(t) if h else None for t, h in zip(hit.argmax(axis=0), hit.any(axis=0))]
@@ -355,16 +336,25 @@ def run_coupling(cfg: RunConfig) -> CouplingStats:
     """Simulate all replicas and aggregate the event counts.
 
     Replica r always consumes stream (seed, r), so the counts and traces do
-    not depend on BLOCK_SIZE or on which block engine runs; blocks are
-    reduced in replica order and all counts are exact integers.
+    not depend on BLOCK_SIZE, on the checkpoints or on the advance; blocks
+    are reduced in replica order and all counts are exact integers.
     """
-    traces: list[CouplingTrace] = []
-    counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
-    tables = _grid_tables(cfg)
+    tables, events = _grid_tables(cfg), _event_table(cfg.N)
+    _check_tables(cfg.N, tables, events)
     compiled = not cfg.emit_traces and native.library() is not None
-    run_block = _run_block_compiled if compiled else _run_block_numpy
+    advance = _advance_compiled if compiled else _advance_numpy
+    counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
+    traces: list[CouplingTrace] = []
     for first in range(0, cfg.replicas, BLOCK_SIZE):
-        traces += run_block(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first), counts)
+        streams, X, Y, ev = _block_start(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first))
+        path = [(X.copy(), Y.copy())] if cfg.emit_traces else None
+        done = 0
+        for row, n in enumerate(cfg.checkpoints):
+            advance(tables, events, streams, X, Y, ev, n - done, path)
+            counts[row] += _tally(X, Y, ev)
+            done = n
+        if path is not None:
+            traces += _traces_from_path(path)
 
     by_time = {
         n: Aggregates(n=n, replicas=cfg.replicas, counts=dict(zip(STAT_NAMES, row)))

@@ -131,17 +131,14 @@ class StochasticKernel:
         )
 
     def to_json_dict(self) -> dict:
-        def enc(state: Hashable):
-            return list(state) if isinstance(state, tuple) else state
-
         return {
             "label": self.label,
-            "states": [enc(s) for s in self.states],
+            "states": list(self.states),
             "rows": [
                 {
-                    "from": enc(s),
+                    "from": s,
                     "cols": [
-                        {"to": enc(t), "num": w.numerator, "den": w.denominator}
+                        {"to": t, "num": w.numerator, "den": w.denominator}
                         for t, w in sorted(row.items(), key=lambda kv: self.index(kv[0]))
                     ],
                 }

@@ -1,11 +1,10 @@
-"""The compiled counts loops of the Monte Carlo engines, in one C library.
+"""The compiled loops of the Monte Carlo engines, in one C library.
 
-One source string holds three loops: the coupling's `permfix_run_block`
-(used by `coupling.run_coupling`), and the ascent/peak and Mallows loops of
-`altcouplings.ascent_peak_batch` and `altcouplings.mallows_discrepancy`.
-Each reads the SplitMix64 states of `rng.VectorStreams` and draws the
-53-bit words j of its uniforms (the uniform is the float j 2^-53), and
-decides on those words as the numpy engines do.
+One source string holds three loops: `permfix_advance`, which only moves
+the replicas of `coupling.run_coupling`, and the ascent/peak and Mallows
+counts loops of `altcouplings`.  Each reads the SplitMix64 states of
+`rng.VectorStreams`, draws the 53-bit words j of its uniforms (the uniform
+is the float j 2^-53) and decides on those words as the numpy bodies do.
 
 Nothing is compiled at import.  The first call of `library()` in a process
 loads the library from the per-user cache $XDG_CACHE_HOME/permfix (or
@@ -31,12 +30,6 @@ SOURCE = r"""
 #define WORD_BITS 53 /* the bits of a word j; the uniform is j 2^-WORD_BITS */
 #endif
 #define GOLDEN 0x9E3779B97F4A7C15u
-#define Z 1u /* the event bits of `coupling._event_table` */
-#define ZTILDE 2u
-#define ZHAT 4u
-#define MET 8u
-#define HIT_X 16u
-#define HIT_Y 32u
 
 /* The next word j of the SplitMix64 stream in state *s. */
 static uint64_t next_word(uint64_t *s)
@@ -47,44 +40,33 @@ static uint64_t next_word(uint64_t *s)
     return (z ^ (z >> 31)) >> (64 - WORD_BITS);
 }
 
-/* Count replicas from their `_block_start`: SplitMix64 states past the
-   start words and start states x0, y0; the numpy engine's moves and flags,
-   on 53-bit words j against grid numerators g.  Each of the four cut tables
-   holds size cuts, one per state, and events holds the flags of every
-   step, 9 per pair of states (`_event_table`); counts holds 7 int64 per
-   checkpoint; checkpoints ascend and end at horizon.  A move is `step`'s:
-   mx in {0, 1, 2} counts the cuts above j and x' = x + 1 - mx.  ev is the
-   OR of the event bits of the start and of every step so far. */
-void permfix_run_block(const uint64_t *states, const int64_t *x0, const int64_t *y0,
-                       int64_t count, int64_t horizon, const int64_t *checkpoints,
-                       const uint64_t *down_x, const uint64_t *stay_x,
-                       const uint64_t *down_y, const uint64_t *stay_y, const uint8_t *events,
-                       int64_t size, int64_t *counts)
+/* `coupling._advance_numpy`: advance count replicas by steps moves, in
+   place (SplitMix64 states, states xs, ys, event bytes evs), on 53-bit
+   words j against grid numerators.  The four cut tables hold size cuts,
+   and events 9 bytes per pair of states (`coupling._event_table`).  A move
+   is `step`'s: mx in {0, 1, 2} counts the cuts above j, x' = x + 1 - mx. */
+void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
+                     int64_t count, int64_t steps,
+                     const uint64_t *down_x, const uint64_t *stay_x,
+                     const uint64_t *down_y, const uint64_t *stay_y, const uint8_t *events,
+                     int64_t size)
 {
     for (int64_t r = 0; r < count; r++) {
         uint64_t s = states[r];
-        uint64_t x = x0[r], y = y0[r];
-        unsigned ev = (x == y ? MET : 0) | (x == 0 ? HIT_X : 0) | (y == 0 ? HIT_Y : 0);
-        int64_t k = 0, *row = counts;
-        for (const int64_t *next = checkpoints;; next++, row += 7) {
-            for (int64_t end = *next; k < end; k++) {
-                uint64_t j = next_word(&s);
-                uint64_t mx = (uint64_t)(j < stay_x[x]) + (j < down_x[x]);
-                uint64_t my = (uint64_t)(j < stay_y[y]) + (j < down_y[y]);
-                ev |= events[(x * size + y) * 9 + 3 * mx + my];
-                x += 1 - mx;
-                y += 1 - my;
-            }
-            row[0] += x != y;
-            row[1] += !(ev & MET);
-            row[2] += !!(ev & Z);
-            row[3] += !!(ev & ZTILDE);
-            row[4] += !!(ev & ZHAT);
-            row[5] += !(ev & HIT_X);
-            row[6] += !(ev & HIT_Y);
-            if (k == horizon)
-                break;
+        uint64_t x = xs[r], y = ys[r];
+        unsigned ev = evs[r];
+        for (int64_t k = 0; k < steps; k++) {
+            uint64_t j = next_word(&s);
+            uint64_t mx = (uint64_t)(j < stay_x[x]) + (j < down_x[x]);
+            uint64_t my = (uint64_t)(j < stay_y[y]) + (j < down_y[y]);
+            ev |= events[(x * size + y) * 9 + 3 * mx + my];
+            x += 1 - mx;
+            y += 1 - my;
         }
+        states[r] = s;
+        xs[r] = (int64_t)x;
+        ys[r] = (int64_t)y;
+        evs[r] = (uint8_t)ev;
     }
 }
 
@@ -187,11 +169,11 @@ def library():
         return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
 
     words, ints, i64 = array(np.uint64), array(np.int64), ctypes.c_int64
-    lib.permfix_run_block.argtypes = [
-        words, ints, ints, i64, i64, ints, words, words, words, words, array(np.uint8), i64,
-        array(np.int64, 2),
+    lib.permfix_advance.argtypes = [
+        words, ints, ints, array(np.uint8), i64, i64, words, words, words, words,
+        array(np.uint8), i64,
     ]
-    lib.permfix_run_block.restype = None
+    lib.permfix_advance.restype = None
     lib.permfix_ascent_peak.argtypes = [words, i64, array(np.int64, 2)]
     lib.permfix_ascent_peak.restype = i64
     lib.permfix_mallows.argtypes = [words, i64, i64, i64, words]

@@ -11,6 +11,7 @@ doubles and as Fractions with denominator 2^53; an engine may compare the
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -39,15 +40,20 @@ def scramble(value: int) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """seed itself, or ValueError when it lies outside [0, 2^64).
+    """seed as an int, or ValueError when it is not an integer in [0, 2^64).
 
     The scramble reduces the seed mod 2^64, so a seed outside that range
-    would silently draw the same words as the one inside it; every stream
-    is checked here when it is made (`VectorStreams`).
+    would silently draw the same words as the one inside it, and a bool
+    would draw those of 0 or 1; every stream is checked here when it is
+    made (`VectorStreams`).  A numpy integer is an integer.
     """
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    return seed
+    try:
+        value = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or not 0 <= value <= MASK64:
+        raise ValueError(f"seed must lie in the integers [0, 2^64), got {seed!r}")
+    return value
 
 
 def grid_cut(c: Fraction | float) -> int:

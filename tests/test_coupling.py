@@ -138,6 +138,14 @@ class TestRunConfig:
             RunConfig(N=8, horizon=5, replicas=0, seed=0)
         with pytest.raises(ValueError, match="start_mode"):
             RunConfig(N=8, horizon=5, replicas=1, seed=0, start_mode="nope")
+        # bool is a subclass of int, and a float or a string is no count
+        for field in ("N", "horizon", "replicas"):
+            for value in (True, 8.0, 2.5, "8"):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    RunConfig(**{"N": 8, "horizon": 5, "replicas": 4, "seed": 1, field: value})
+        for seed in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="seed must lie in"):
+                RunConfig(N=8, horizon=5, replicas=4, seed=seed)
 
 
 class TestMonotoneStep:
@@ -262,11 +270,11 @@ class TestRunCoupling:
 
 @pytest.fixture
 def compiled():
-    """The compiled counts engine; skips only where no C compiler is installed."""
+    """The compiled advance; skips only where no C compiler is installed."""
     if shutil.which(native.BUILD[0]) is None:
         pytest.skip("no C compiler")
-    assert native.library() is not None, "a compiler is installed but the counts loops did not build"
-    return coupling._run_block_compiled
+    assert native.library() is not None, "a compiler is installed but the compiled loops did not build"
+    return coupling._advance_compiled
 
 
 @pytest.fixture
@@ -419,16 +427,21 @@ class TestEngineEquivalence:
         # the C loop indexes the tables by state unchecked; one cut missing
         # from any cut table, a table that moves or starts a chain off
         # [0, N-4], one byte missing from the event table, or an event table
-        # built for another N is refused before it runs, so the counts stay
-        # zero
+        # built for another N is refused by `run_coupling` before any block
+        # starts
         cfg = RunConfig(N=6, horizon=5, replicas=3, seed=1)
         tables = coupling._grid_tables(cfg)
+        started, advanced = [], []
+        block_start = coupling._block_start
+        monkeypatch.setattr(coupling, "_block_start", lambda *a: started.append(a) or block_start(*a))
+        monkeypatch.setattr(coupling, "_advance_compiled", lambda *a: advanced.append(a) or compiled(*a))
 
         def refused(tables, match):
-            counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
-            with pytest.raises(ValueError, match=match):
-                compiled(cfg, tables, 0, cfg.replicas, counts)
-            assert not counts.any()
+            with monkeypatch.context() as m:
+                m.setattr(coupling, "_grid_tables", lambda cfg: tables)
+                with pytest.raises(ValueError, match=match):
+                    run_coupling(cfg)
+            assert started == [] and advanced == []
 
         def patched(i, at, cut):
             table = tables[i].copy()
@@ -443,10 +456,35 @@ class TestEngineEquivalence:
             refused(patched(i, -1, 2 ** 53 - 1), "every state")
         event_table = coupling._event_table
         for wrong in (event_table(6)[:-1], event_table(5), event_table(7)):
-            monkeypatch.setattr(coupling, "_event_table", lambda N, wrong=wrong: wrong)
-            refused(tables, "event table")
-        monkeypatch.setattr(coupling, "_event_table", event_table)
-        compiled(cfg, tables, 0, cfg.replicas, np.zeros((1, len(STAT_NAMES)), dtype=np.int64))
+            with monkeypatch.context() as m:
+                m.setattr(coupling, "_event_table", lambda N, wrong=wrong: wrong)
+                refused(tables, "event table")
+        assert run_coupling(cfg).by_time == exact_counts(cfg)
+        assert len(started) == 1 and len(advanced) == len(cfg.checkpoints)
+
+    @pytest.mark.parametrize("N", [5, 30, 100])
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_advances_leave_each_replica_alike(self, compiled, selector, start_mode, N):
+        # replica for replica, not only in total: from one block start both
+        # advances leave the same streams, states and event bytes, whether
+        # the 60 steps are taken in one call or as 0 + 1 + 59, so neither the
+        # engine nor a checkpoint changes a path
+        cfg = RunConfig(
+            N=N, horizon=60, replicas=61, seed=SEED_NEAR_2_64, selector=selector,
+            start_mode=start_mode,
+        )
+        tables, events = coupling._grid_tables(cfg), coupling._event_table(N)
+        ends = []
+        for advance in (compiled, coupling._advance_numpy):
+            for chunks in ((60,), (0, 1, 59)):
+                streams, X, Y, ev = coupling._block_start(cfg, tables, 0, cfg.replicas)
+                start = streams.states.copy()
+                for steps in chunks:
+                    advance(tables, events, streams, X, Y, ev, steps)
+                assert (streams.states != start).all()
+                ends.append((streams.states.tolist(), X.tolist(), Y.tolist(), ev.tolist()))
+        assert ends[1:] == ends[:1] * 3
 
     @staticmethod
     def _words(seed):
