@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import native
+from .coupling import check_integer, plugin_sigma
 from .exactdist import ExactDist
 from .perms import check_guard
 from .rng import VectorStreams, grid_cut
@@ -105,6 +106,8 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     X_k X_{k+1} with k >= K is one; that has probability at most
     sum_{k >= K} 1/(k(k+1)) = 1/K, reported as tail_bound.
     """
+    for name, value in (("N", N), ("K", K), ("replicas", replicas)):
+        check_integer(name, value)
     if N < 1:
         raise ValueError("N must be >= 1")
     if K < N + 1:
@@ -120,10 +123,9 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
         differ = _mallows_differ_numpy(streams, N, K, cuts)
     else:
         differ = lib.permfix_mallows(streams.states, replicas, N, K, cuts)
-    p_hat = differ / replicas
-    sigma = math.sqrt(p_hat * (1.0 - p_hat) / replicas)
     return MallowsDiscrepancy(
-        N=N, K=K, replicas=replicas, estimate=p_hat, sigma=sigma,
+        N=N, K=K, replicas=replicas, estimate=differ / replicas,
+        sigma=plugin_sigma(differ, replicas),
         tail_bound=Fraction(1, K),
     )
 
@@ -204,8 +206,11 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     replica reads the same words and no others.  The laws of M and M_N are
     read off the joint counts of (S, T).
     """
+    check_integer("samples", samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    for N in ns:
+        check_integer("every N in ns", N)
     ns = tuple(dict.fromkeys(ns))
     if any(N < 1 for N in ns):
         raise ValueError("every N in ns must be >= 1")

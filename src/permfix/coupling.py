@@ -57,6 +57,14 @@ START_MODES = ("shared", "independent", "copy_x")
 STAT_NAMES = ("neq", "tau_gt", "z_pos", "ztilde_pos", "zhat_pos", "tau0x_gt", "tau0y_gt")
 
 
+def check_integer(name: str, value: object) -> None:
+    """ValueError unless value is an int; a bool is refused, though Python
+    counts it as one.  The one type rule for the counts of the Monte Carlo
+    entry points."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Reproducible description of one coupled simulation."""
@@ -71,9 +79,8 @@ class RunConfig:
     checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("N", "horizon", "replicas"):  # bool is a subclass of int
-            if not isinstance(value := getattr(self, name), int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
+        for name in ("N", "horizon", "replicas"):
+            check_integer(name, getattr(self, name))
         if self.N < 5:
             raise ValueError("N must be >= 5 (state space [0, N-4])")
         if self.horizon < 0:
@@ -85,6 +92,8 @@ class RunConfig:
             raise ValueError(f"selector must be one of {SELECTORS}")
         if self.start_mode not in START_MODES:
             raise ValueError(f"start_mode must be one of {START_MODES}")
+        if not isinstance(self.emit_traces, bool):
+            raise ValueError("emit_traces must be a bool")
         if any(not isinstance(p, int) or isinstance(p, bool) for p in self.checkpoints):
             raise ValueError("checkpoints must be integers")
         points = sorted(set(self.checkpoints) | {self.horizon})
@@ -119,20 +128,24 @@ class Aggregates:
         return self.counts[stat] / self.replicas
 
     def sigma(self, stat: str) -> float:
-        p = self.estimate(stat)
-        return math.sqrt(p * (1.0 - p) / self.replicas)
+        return plugin_sigma(self.counts[stat], self.replicas)
+
+
+def plugin_sigma(count: int, trials: int) -> float:
+    """The plug-in binomial standard error sqrt(p (1 - p) / trials) of the
+    estimate p = count / trials; it is 0 at p = 0 and p = 1."""
+    p = count / trials
+    return math.sqrt(p * (1.0 - p) / trials)
 
 
 def within_bound(count: int, trials: int, bound: float) -> bool:
     """Is the estimate p = count / trials at most bound + 3 sigma?
 
-    The one rule for a Monte Carlo verdict against an upper bound.  sigma is
-    the plug-in binomial standard error sqrt(p (1 - p) / trials), so at
-    p = 0 and p = 1 it is 0: count = 0 passes every bound >= 0, and
-    count = trials passes only a bound >= 1.
+    The one rule for a Monte Carlo verdict against an upper bound, with
+    sigma = `plugin_sigma(count, trials)`: count = 0 passes every
+    bound >= 0, and count = trials passes only a bound >= 1.
     """
-    p = count / trials
-    return p <= bound + 3 * math.sqrt(p * (1.0 - p) / trials)
+    return count / trials <= bound + 3 * plugin_sigma(count, trials)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ to mu_1.  Each kernel row is summed into blocks, Q(w, A_v'), in one place
 (`_block_rows`), which both `project` and `dynkin_check` read.  Those sums,
 the block masses and the share-weighted rows of `project` each add their
 terms over one common denominator (`exactdist._exact_sum`).
-Instantiated on the symmetric group: the transposition walk, its lumping
-to cycle types (the coagulation-fragmentation chain, built two independent
-ways and cross-checked), and the further lumping through the fixed-point
-count that reproduces the penta-diagonal kernel.  The walk and the
-brute-force lumping take their moves tau sigma from one rule on the
-permutation table, `perms.transposition_ranks`.
+Instantiated on the symmetric group: the transposition walk, whose moves
+tau sigma come from one rule on the permutation table
+(`perms.transposition_ranks`); the coagulation-fragmentation chain on cycle
+types, built by the merge/split case analysis alone; and the further
+lumping through the fixed-point count that reproduces the penta-diagonal
+kernel.  That the walk lumps to the case analysis is checked by brute force
+in the tests, by `project` and `dynkin_check` on `permutation_chain`.
 """
 from __future__ import annotations
 
@@ -274,56 +275,19 @@ def _type_index(table: np.ndarray, types: list[CycleType]) -> np.ndarray:
 def cycle_type_chain(N: int) -> PartitionedChain:
     """The coagulation-fragmentation chain on cycle types of S_N.
 
-    Built two independent ways and cross-checked entry by entry.  Route (a)
-    lumps the transposition walk by brute force without building it: for
-    every sigma in S_N (a row of `permutation_table`) and every
-    transposition tau = (a b) it takes the rank of tau sigma from
-    `transposition_ranks`, types it by the cycle counts of that row, and
-    counts the C(N,2) targets of each sigma by type in integers.  Every
-    member of a conjugacy class must give the same counts (the Dynkin
-    condition); each class's counts become the probabilities
-    2 count / (N(N-1)) once, keyed in `CycleType` order.  Route (b) is the direct merge/split case
-    analysis.  Any discrepancy is a hard failure.  The result carries the
-    class-size invariant law and the eta_1 partition.
+    Each row is the merge/split case analysis of one random-transposition
+    move (`_cycle_type_row`), so S_N is never enumerated; the tests check
+    the rows against the brute-force lumping of the walk,
+    `project(permutation_chain(N))`.  The result carries the class-size
+    invariant law and the eta_1 partition.  The guard bounds the number of
+    cycle types (22 at N = 8); no walk on N! states is built.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     check_guard(N, 8, "cycle_type_chain")
     types = all_cycle_types(N)
-
-    # route (a): count the targets of each sigma by cycle type, in integers
-    table = permutation_table(N)
-    type_of = _type_index(table, types)
-    at = np.arange(len(table))
-    targets = np.zeros((len(types), len(table)), dtype=np.uint8)  # [target type, sigma]
-    for ranks in transposition_ranks(table):
-        targets[type_of[ranks], at] += 1
-    first = np.unique(type_of, return_index=True)[1]  # first member of each class
-    differs = np.zeros(len(table), dtype=bool)
-    for per_sigma in targets:
-        differs |= per_sigma != per_sigma[first][type_of]
-    if differs.any():
-        ct = types[type_of[differs.argmax()]]
-        raise RuntimeError(
-            f"Dynkin condition fails within class {ct.counts}: rows differ"
-        )
-    den = N * (N - 1)
-    lumped = {}
-    for ct, sigma in zip(types, first.tolist()):
-        column = targets[:, sigma]
-        lumped[ct] = {types[j]: Fraction(2 * int(column[j]), den) for j in np.flatnonzero(column)}
-
-    # route (b): direct case analysis
-    for ct in types:
-        direct = _cycle_type_row(ct)
-        if direct != lumped[ct]:
-            raise RuntimeError(
-                f"cycle-type kernel disagreement at {ct}: lumped {lumped[ct]}, "
-                f"case analysis {direct}"
-            )
-
     kernel = StochasticKernel(
-        tuple(types), tuple(lumped[t] for t in types), label=f"Q_cycle_{N}"
+        tuple(types), tuple(_cycle_type_row(t) for t in types), label=f"Q_cycle_{N}"
     )
     invariant = {t: t.class_weight() for t in types}
     blocks = {t: t.fixed_points for t in types}

@@ -140,6 +140,14 @@ class TestMallowsDiscrepancy:
         with pytest.raises(ValueError, match="N must be >= 1"):
             mallows_discrepancy(n, replicas=10, K=5, seed=0)
 
+    @pytest.mark.parametrize("field", ["N", "K", "replicas"])
+    @pytest.mark.parametrize("value", [True, 2.5, 10.0, "10"])
+    def test_non_integer_counts_rejected(self, field, value):
+        # a float count used to die in ctypes, and replicas=True ran one replica
+        args = {"N": 10, "replicas": 20, "K": 20, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            mallows_discrepancy(args["N"], replicas=args["replicas"], K=args["K"], seed=0)
+
 
 class TestAscentPeakDefinitions:
     def test_descending_then_ascending(self):
@@ -228,6 +236,17 @@ class TestAscentPeakBatch:
     def test_n_below_one_rejected(self, ns):
         with pytest.raises(ValueError, match="every N in ns must be >= 1"):
             ascent_peak_batch(10, seed=0, ns=ns)
+
+    @pytest.mark.parametrize("ns", [(2.5,), (4, True), (4, 4.0), ("4",)])
+    def test_non_integer_n_rejected(self, ns):
+        # N = 2.5 used to give M_N atoms at -0.5 and 1.5
+        with pytest.raises(ValueError, match="every N in ns must be an integer"):
+            ascent_peak_batch(100, seed=0, ns=ns)
+
+    @pytest.mark.parametrize("samples", [True, 2.5, 100.0, "100"])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            ascent_peak_batch(samples, seed=0)
 
     def test_n1_law_is_a_point_mass_at_one(self):
         # pi_1 puts all its mass on one fixed point, and M_1 = 1 - 1{0 odd}

@@ -21,6 +21,7 @@ from permfix.coupling import (
     birth_death_thresholds,
     drift_certificate,
     monotonicity_certificate,
+    plugin_sigma,
     run_coupling,
     selector_kernels,
     step,
@@ -146,6 +147,10 @@ class TestRunConfig:
         for seed in (True, 1.0, "1"):
             with pytest.raises(ValueError, match="seed must lie in"):
                 RunConfig(N=8, horizon=5, replicas=4, seed=seed)
+        # any truthy value would select the traced engine
+        for value in ("no", 1, None):
+            with pytest.raises(ValueError, match="emit_traces must be a bool"):
+                RunConfig(N=8, horizon=5, replicas=4, seed=1, emit_traces=value)
 
 
 class TestMonotoneStep:
@@ -801,3 +806,13 @@ class TestWithinBound:
         # with a floor of 1e-12 on p (1 - p), 1 - 1e-9 would pass at 10^6 trials
         assert within_bound(10 ** 6, 10 ** 6, 1.0)
         assert not within_bound(10 ** 6, 10 ** 6, 1 - 1e-9)
+
+    def test_one_sigma_for_every_estimate(self):
+        # the coupling's aggregates and the Mallows estimate report the same
+        # sigma, bit for bit, as the verdict rule uses
+        assert plugin_sigma(0, 7) == plugin_sigma(7, 7) == 0.0
+        assert plugin_sigma(1, 4) == math.sqrt(0.25 * 0.75 / 4)
+        agg = Aggregates(n=3, replicas=7, counts={"neq": 2})
+        assert agg.sigma("neq") == plugin_sigma(2, 7)
+        d = altcouplings.mallows_discrepancy(10, replicas=500, K=20, seed=3)
+        assert d.sigma == plugin_sigma(round(d.estimate * 500), 500)

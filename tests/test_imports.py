@@ -1,9 +1,12 @@
 """Every name a module of the package imports is used in that module, the
 package imports nothing beyond the standard library and its declared
-dependencies, and it reads no environment variable beyond its two."""
+dependencies, it reads no environment variable beyond its two, and every
+function, class and method it defines is named somewhere outside its own
+definition."""
 import ast
 import re
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,8 @@ import permfix
 
 SOURCES = sorted(Path(permfix.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -122,3 +126,74 @@ def test_environment_reads_resolve_constants():
         'os.getenv("C", "d")\nos.environ.get(prefix + "E")\n{}.get("F")\n'
     )
     assert environment_reads(source) == {"A", "B", "C", "unresolved (line 6)"}
+
+
+def definitions(tree: ast.Module):
+    """Each module-level function and class of tree, and each method of a
+    module-level class; dunder methods, which the language calls, are left
+    out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+
+
+def namings(tree: ast.Module):
+    """(name, line) for each Name, Attribute and string constant of tree: a
+    string counts so that `wrap_function(module, "name", ...)` names it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def unnamed_definitions(package: dict[str, str], others: list[str]) -> list[str]:
+    """The definitions in the package sources (label -> source) that no
+    package source names outside the definition itself and no other source
+    names at all."""
+    trees = {label: ast.parse(source) for label, source in package.items()}
+    where = defaultdict(list)  # name -> (label, line) of each naming
+    for label, tree in trees.items():
+        for name, line in namings(tree):
+            where[name].append((label, line))
+    for source in others:
+        for name, _ in namings(ast.parse(source)):
+            where[name].append((None, 0))
+    return [
+        f"{label}:{node.lineno} {node.name}"
+        for label, tree in trees.items()
+        for node in definitions(tree)
+        if all(
+            other == label and node.lineno <= line <= node.end_lineno
+            for other, line in where[node.name]
+        )
+    ]
+
+
+def test_every_definition_is_named():
+    others = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py"))
+    package = {p.name: p.read_text() for p in SOURCES}
+    assert unnamed_definitions(package, [p.read_text() for p in others]) == []
+
+
+def test_an_unnamed_definition_is_caught():
+    package = {
+        "a.py": (
+            "def used():\n    return spare\n\n"
+            "def recursive(n):\n    return recursive(n - 1)\n\n"
+            "class Box:\n    def __len__(self):\n        return 0\n\n"
+            "    def wrapped(self):\n        pass\n\n"
+            "    def spare(self):\n        pass\n"
+        ),
+        "b.py": "from a import used\nused()\n",
+    }
+    others = ['tracer.wrap_function(a, "wrapped", "a.wrapped")\nBox\n']
+    assert unnamed_definitions(package, others) == ["a.py:4 recursive"]

@@ -98,9 +98,10 @@ class TestProjection:
         result = project(cycle_type_chain(n))
         assert result.mu1 == fixed_point_pmf(n)
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_walk_projects_to_cycle_type_chain(self, n):
-        # W != V: the transposition walk on S_n lumped by cycle type
+        # W != V: the transposition walk on S_n lumped by cycle type, the
+        # brute-force check of the case analysis in `cycle_type_chain`
         projected = project(permutation_chain(n)).kernel
         reference = cycle_type_chain(n).kernel
         assert set(projected.states) == set(reference.states)
@@ -179,6 +180,11 @@ class TestDynkin:
         assert falses == {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)}
         for v in (2, 3, 5):
             assert all(result[(v, w)] for w in (0, 1, 2, 3, 5))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_walk_is_lumpable_by_cycle_type(self, n):
+        # every member of a conjugacy class sends the same mass to each class
+        assert all(dynkin_check(permutation_chain(n)).values())
 
     def test_block_with_distinct_rows(self):
         # a block of two states whose rows put different mass on another
@@ -268,39 +274,6 @@ class TestCycleTypeChain:
     def test_n2(self):
         chain = cycle_type_chain(2)
         assert chain.kernel.row(CycleType((2, 0))) == {CycleType((0, 1)): Fraction(1)}
-
-    def test_dynkin_failure_raises(self, monkeypatch):
-        # misreport the transposition (0 1) as a 3-cycle: only four of the
-        # eight 3-cycles of S_4 are one transposition away from it, so their
-        # rows differ from the rest of their class
-        real = lumping.cycle_counts_table
-
-        def misreporting(rows):
-            counts = real(rows)
-            counts[(rows == (1, 0, 2, 3)).all(axis=1)] = (1, 0, 1, 0)
-            return counts
-
-        monkeypatch.setattr(lumping, "cycle_counts_table", misreporting)
-        with pytest.raises(RuntimeError, match="Dynkin") as failure:
-            cycle_type_chain(4)
-        assert "within class (1, 0, 1, 0)" in str(failure.value)
-
-    def test_case_analysis_disagreement_raises(self, monkeypatch):
-        # move a little mass of one case-analysis row onto its diagonal
-        real = lumping._cycle_type_row
-        target = CycleType((0, 2, 0, 0))
-
-        def perturbed(ct):
-            row = real(ct)
-            if ct == target:
-                some = next(iter(row))
-                row[some] -= Fraction(1, 12)
-                row[ct] = row.get(ct, Fraction(0)) + Fraction(1, 12)
-            return row
-
-        monkeypatch.setattr(lumping, "_cycle_type_row", perturbed)
-        with pytest.raises(RuntimeError, match="disagreement"):
-            cycle_type_chain(4)
 
     def test_guard_override(self, monkeypatch):
         monkeypatch.setenv("PERMFIX_GUARD_N", "3")
