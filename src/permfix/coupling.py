@@ -30,6 +30,15 @@ or loaded, with identical results; traced runs always take the numpy
 advance, which alone records the path.  Both are tested against an exact
 replay in the tests, which redraws each replica's uniforms as Fractions
 and moves it with `step` on the exact thresholds.
+
+The compiled loop stops moving a settled replica.  A replica is settled
+when X's step tables equal Y's (as for r-r), X = Y, and its event byte
+holds met, X at 0 and Y at 0.  Two copies of one chain driven by one
+uniform move together once they meet, so every later move keeps X = Y: no
+Z, Z-tilde or Z-hat fires, the arrival bits are set already and X != Y
+stays false.  `_tally` reads nothing else, so the counts are those of the
+full simulation; only the settled replica's X, Y and stream stop where it
+settled.
 """
 from __future__ import annotations
 
@@ -87,7 +96,7 @@ class RunConfig:
             raise ValueError("horizon must be >= 0")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.selector not in SELECTORS:
             raise ValueError(f"selector must be one of {SELECTORS}")
         if self.start_mode not in START_MODES:
@@ -313,9 +322,20 @@ def _advance_numpy(tables, events, streams, X, Y, ev, steps, path=None) -> None:
 
 def _advance_compiled(tables, events, streams, X, Y, ev, steps, path=None) -> None:
     """`_advance_numpy` as one call of the compiled loop (`native.library()`'s
-    `permfix_advance`, which must have loaded); it records no path."""
+    `permfix_advance`, which must have loaded); it records no path.
+
+    When X's step tables equal Y's, a replica is settled once X = Y and its
+    event byte holds met, X at 0 and Y at 0: each later move takes both
+    chains by one word to one state, so X = Y stays, no Z, Z-tilde or Z-hat
+    fires and the arrival bits are set already.  The loop leaves a settled
+    replica before drawing its next word, so its tally is the full
+    simulation's; after a call its X, Y and stream are those it settled at.
+    """
+    down_x, stay_x, down_y, stay_y = tables[:4]
+    same = np.array_equal(down_x, down_y) and np.array_equal(stay_x, stay_y)
+    settle = int(_event_byte(0, 0, 0, 1, 1, 1)) if same else 0
     native.library().permfix_advance(
-        streams.states, X, Y, ev, len(X), steps, *tables[:4], events, len(tables[0])
+        streams.states, X, Y, ev, len(X), steps, *tables[:4], events, len(down_x), settle
     )
 
 
@@ -350,7 +370,10 @@ def run_coupling(cfg: RunConfig) -> CouplingStats:
 
     Replica r always consumes stream (seed, r), so the counts and traces do
     not depend on BLOCK_SIZE, on the checkpoints or on the advance; blocks
-    are reduced in replica order and all counts are exact integers.
+    are reduced in replica order and all counts are exact integers.  The
+    compiled advance draws no word for a settled replica (X's step tables
+    equal Y's, X = Y, met and both hits seen), at a block start or at any
+    later checkpoint, since no later move could change its tally.
     """
     tables, events = _grid_tables(cfg), _event_table(cfg.N)
     _check_tables(cfg.N, tables, events)

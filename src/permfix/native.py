@@ -44,18 +44,24 @@ static uint64_t next_word(uint64_t *s)
    place (SplitMix64 states, states xs, ys, event bytes evs), on 53-bit
    words j against grid numerators.  The four cut tables hold size cuts,
    and events 9 bytes per pair of states (`coupling._event_table`).  A move
-   is `step`'s: mx in {0, 1, 2} counts the cuts above j, x' = x + 1 - mx. */
+   is `step`'s: mx in {0, 1, 2} counts the cuts above j, x' = x + 1 - mx.
+   settle is 0 unless X's tables equal Y's (`coupling._advance_compiled`);
+   then a replica with x = y whose byte holds every bit of settle is
+   settled: every later move keeps x = y and sets no bit its byte lacks, so
+   the loop leaves it before drawing its next word. */
 void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
                      int64_t count, int64_t steps,
                      const uint64_t *down_x, const uint64_t *stay_x,
                      const uint64_t *down_y, const uint64_t *stay_y, const uint8_t *events,
-                     int64_t size)
+                     int64_t size, unsigned settle)
 {
     for (int64_t r = 0; r < count; r++) {
         uint64_t s = states[r];
         uint64_t x = xs[r], y = ys[r];
         unsigned ev = evs[r];
         for (int64_t k = 0; k < steps; k++) {
+            if (settle && x == y && (ev & settle) == settle)
+                break;
             uint64_t j = next_word(&s);
             uint64_t mx = (uint64_t)(j < stay_x[x]) + (j < down_x[x]);
             uint64_t my = (uint64_t)(j < stay_y[y]) + (j < down_y[y]);
@@ -171,7 +177,7 @@ def library():
     words, ints, i64 = array(np.uint64), array(np.int64), ctypes.c_int64
     lib.permfix_advance.argtypes = [
         words, ints, ints, array(np.uint8), i64, i64, words, words, words, words,
-        array(np.uint8), i64,
+        array(np.uint8), i64, ctypes.c_uint,
     ]
     lib.permfix_advance.restype = None
     lib.permfix_ascent_peak.argtypes = [words, i64, array(np.int64, 2)]

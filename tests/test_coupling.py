@@ -1,5 +1,6 @@
 """The monotone coupling simulator, its certificates and assembled bound."""
 import bisect
+import dataclasses
 import math
 import shutil
 import subprocess
@@ -125,6 +126,11 @@ class TestRunConfig:
     def test_checkpoints_include_horizon(self):
         cfg = RunConfig(N=8, horizon=100, replicas=10, seed=0, checkpoints=(10,))
         assert cfg.checkpoints == (10, 100)
+
+    @pytest.mark.parametrize("seed", [np.int64(1), np.uint64((1 << 64) - 1)])
+    def test_seed_is_stored_as_an_int(self, seed):
+        cfg = RunConfig(N=8, horizon=3, replicas=2, seed=seed)
+        assert type(cfg.seed) is int and cfg.seed == int(seed)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -471,10 +477,14 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("start_mode", START_MODES)
     @pytest.mark.parametrize("selector", SELECTORS)
     def test_advances_leave_each_replica_alike(self, compiled, selector, start_mode, N):
-        # replica for replica, not only in total: from one block start both
-        # advances leave the same streams, states and event bytes, whether
-        # the 60 steps are taken in one call or as 0 + 1 + 59, so neither the
-        # engine nor a checkpoint changes a path
+        # replica for replica, not only in total: from one block start each
+        # advance leaves the same streams, states and event bytes whether
+        # the 60 steps are taken in one call or as 0 + 1 + 59, so no
+        # checkpoint changes a path.  The two advances leave every replica
+        # alike except one the compiled loop settled (X's tables equal Y's,
+        # X = Y, and met and both hits in its byte), which it leaves before
+        # its next word; there they still agree on the event byte and on
+        # X != Y, all that `_tally` reads
         cfg = RunConfig(
             N=N, horizon=60, replicas=61, seed=SEED_NEAR_2_64, selector=selector,
             start_mode=start_mode,
@@ -482,14 +492,77 @@ class TestEngineEquivalence:
         tables, events = coupling._grid_tables(cfg), coupling._event_table(N)
         ends = []
         for advance in (compiled, coupling._advance_numpy):
+            runs = []
             for chunks in ((60,), (0, 1, 59)):
                 streams, X, Y, ev = coupling._block_start(cfg, tables, 0, cfg.replicas)
                 start = streams.states.copy()
                 for steps in chunks:
                     advance(tables, events, streams, X, Y, ev, steps)
-                assert (streams.states != start).all()
-                ends.append((streams.states.tolist(), X.tolist(), Y.tolist(), ev.tolist()))
-        assert ends[1:] == ends[:1] * 3
+                runs.append((streams.states, X, Y, ev))
+            assert [a.tolist() for a in runs[0]] == [a.tolist() for a in runs[1]]
+            ends.append(runs[0])
+        assert (ends[1][0] != start).all()  # numpy moves every replica
+        (states, X, Y, ev), (states_np, X_np, Y_np, ev_np) = ends
+        assert (ev == ev_np).all() and ((X != Y) == (X_np != Y_np)).all()
+        same = all((tables[i] == tables[i + 2]).all() for i in (0, 1))
+        assert same == (selector == "r-r")
+        bits = coupling._event_byte(0, 0, 0, 1, 1, 1)
+        settled = same & (X == Y) & ((ev & bits) == bits)
+        awake = ~settled
+        for a, b in ((states, states_np), (X, X_np), (Y, Y_np)):
+            assert (a[awake] == b[awake]).all()
+        behind = states != states_np
+        assert not (behind & awake).any()
+        assert behind.any() == same  # r-r settles replicas in all 9 cases
+
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    def test_settled_across_checkpoints(self, compiled, monkeypatch, start_mode):
+        # r-r replicas settle at a block start or at one checkpoint and draw
+        # nothing at the later ones, which still tally the full simulation
+        cfg = RunConfig(
+            N=8, horizon=400, replicas=100, seed=SEED_NEAR_2_64, selector="r-r",
+            start_mode=start_mode, checkpoints=(0, 1, 5, 50, 400),
+        )
+        (fast, fast_states), (vector, states) = self._runs(cfg, monkeypatch)
+        assert fast == vector == exact_counts(cfg)
+        assert (fast_states != states).any()
+
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    def test_settling_reads_the_tables_not_the_selector(self, compiled, monkeypatch, start_mode):
+        # a pcheck-r config handed r-r's tables, Y's step tables as copies of
+        # X's: the compiled loop settles replicas, whose streams fall behind
+        # numpy's, and the counts are r-r's exact ones.  With one cut of Y's
+        # one grid step higher the tables differ, and nothing settles
+        cfg = RunConfig(
+            N=8, horizon=200, replicas=100, seed=SEED_NEAR_2_64, start_mode=start_mode,
+            checkpoints=(0, 1, 5, 50),
+        )
+        r_r = dataclasses.replace(cfg, selector="r-r")
+        down, stay, _, _, cdf_x, cdf_y = coupling._grid_tables(r_r)
+        moved = stay.copy()
+        moved[1] += 1  # Y's stay cut at state 1
+        exact = exact_counts(r_r)
+        for y_tables, settles in (((down.copy(), stay.copy()), True), ((down.copy(), moved), False)):
+            tables = (down, stay, *y_tables, cdf_x, cdf_y)
+            with monkeypatch.context() as m:
+                m.setattr(coupling, "_grid_tables", lambda cfg: tables)
+                (fast, fast_states), (vector, states) = self._runs(cfg, m)
+            assert fast == vector == exact
+            assert (fast_states != states).any() == settles
+
+    @staticmethod
+    def _runs(cfg, monkeypatch):
+        """(counts, the streams of every replica after the run) of cfg from
+        the compiled loop, then from numpy (the loader reporting failure)."""
+        block_start, runs = coupling._block_start, []
+        for library in (native.library, lambda: None):
+            with monkeypatch.context() as m:
+                blocks = []
+                m.setattr(native, "library", library)
+                m.setattr(coupling, "_block_start", lambda *a: blocks.append(block_start(*a)) or blocks[-1])
+                counts = run_coupling(cfg).by_time
+            runs.append((counts, np.concatenate([streams.states for streams, *_ in blocks])))
+        return runs
 
     @staticmethod
     def _words(seed):
