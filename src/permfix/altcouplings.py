@@ -102,6 +102,10 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     X_N..X_K are drawn (X_1 == 1 is drawn from no word).  Both the compiled
     loop (`native.library()`'s `permfix_mallows`) and the numpy body, its
     fallback, compare the 53-bit word j with cuts[n - 1] = grid_cut(1.0 / n).
+    The compiled loop runs once per share of the replicas, one contiguous
+    slice per CPU the process may run on (`native.shares`), in parallel;
+    the count of replicas with S_N != S_K is the sum over the shares, the
+    same whatever their number.
     The truncation can misclassify a replica only if some product
     X_k X_{k+1} with k >= K is one; that has probability at most
     sum_{k >= K} 1/(k(k+1)) = 1/K, reported as tail_bound.
@@ -122,7 +126,10 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     if lib is None:
         differ = _mallows_differ_numpy(streams, N, K, cuts)
     else:
-        differ = lib.permfix_mallows(streams.states, replicas, N, K, cuts)
+        states = streams.states
+        differ = sum(native.shares(
+            lambda a, b: lib.permfix_mallows(states[a:b], b - a, N, K, cuts), replicas
+        ))
     return MallowsDiscrepancy(
         N=N, K=K, replicas=replicas, estimate=differ / replicas,
         sigma=plugin_sigma(differ, replicas),
@@ -203,8 +210,12 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     the uniforms: the compiled loop (`native.library()`'s
     `permfix_ascent_peak`) runs each replica to its end, and the numpy body,
     its fallback, runs column n over the replicas still live.  Either way a
-    replica reads the same words and no others.  The laws of M and M_N are
-    read off the joint counts of (S, T).
+    replica reads the same words and no others.  The compiled loop runs
+    once per share of the replicas, one contiguous slice per CPU the
+    process may run on (`native.shares`), in parallel, each filling its own
+    joint counts; their sums, and the sum of their ties, do not depend on
+    the number of shares.  The laws of M and M_N are read off the joint
+    counts of (S, T).
     """
     check_integer("samples", samples)
     if samples < 1:
@@ -215,14 +226,21 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     if any(N < 1 for N in ns):
         raise ValueError("every N in ns must be >= 1")
     streams = VectorStreams(seed, 0, samples)
-    joint = np.zeros((64, 64), dtype=np.int64)  # joint[s, t]: replicas with S = s, T = t
     lib = native.library()
     if lib is None:
+        joint = np.zeros((64, 64), dtype=np.int64)  # joint[s, t]: replicas with S = s, T = t
         ties = _ascent_peak_numpy(streams, joint)
     else:
-        ties = lib.permfix_ascent_peak(streams.states, samples, joint)
-        if ties < 0:
+        states = streams.states
+
+        def share(a: int, b: int) -> tuple[int, np.ndarray]:
+            joint = np.zeros((64, 64), dtype=np.int64)
+            return lib.permfix_ascent_peak(states[a:b], b - a, joint), joint
+
+        ties, joints = zip(*native.shares(share, samples))
+        if min(ties) < 0:
             raise RuntimeError("S or T unresolved after 64 uniforms")
+        ties, joint = sum(ties), sum(joints)
 
     m_counts: Counter = Counter()
     m_n_counts: dict[int, Counter] = {N: Counter() for N in ns}

@@ -25,7 +25,8 @@ checkpoint in turn and tallies it there (`_tally`) from one event byte per
 replica, the OR of the bytes (`_event_table`) of its start and its moves.
 Only the advance differs between engines: counts-only runs take a compiled
 C loop (`native.library()`'s `permfix_advance`), `step`'s rule on the
-integers j and g, or the numpy advance where the library cannot be built
+integers j and g, run on one share of the replicas per CPU
+(`native.shares`), or the numpy advance where the library cannot be built
 or loaded, with identical results; traced runs always take the numpy
 advance, which alone records the path.  Both are tested against an exact
 replay in the tests, which redraws each replica's uniforms as Fractions
@@ -103,8 +104,8 @@ class RunConfig:
             raise ValueError(f"start_mode must be one of {START_MODES}")
         if not isinstance(self.emit_traces, bool):
             raise ValueError("emit_traces must be a bool")
-        if any(not isinstance(p, int) or isinstance(p, bool) for p in self.checkpoints):
-            raise ValueError("checkpoints must be integers")
+        for p in self.checkpoints:
+            check_integer("checkpoints", p)
         points = sorted(set(self.checkpoints) | {self.horizon})
         if any(p < 0 or p > self.horizon for p in points):
             raise ValueError("checkpoints must lie in [0, horizon]")
@@ -321,8 +322,11 @@ def _advance_numpy(tables, events, streams, X, Y, ev, steps, path=None) -> None:
 
 
 def _advance_compiled(tables, events, streams, X, Y, ev, steps, path=None) -> None:
-    """`_advance_numpy` as one call of the compiled loop (`native.library()`'s
-    `permfix_advance`, which must have loaded); it records no path.
+    """`_advance_numpy` by the compiled loop (`native.library()`'s
+    `permfix_advance`, which must have loaded); it records no path.  The
+    loop is called once per share of the replicas (`native.shares`) on its
+    slices of the streams, X, Y and ev, contiguous views it moves in place;
+    each replica moves alone, so the result does not depend on the shares.
 
     When X's step tables equal Y's, a replica is settled once X = Y and its
     event byte holds met, X at 0 and Y at 0: each later move takes both
@@ -334,8 +338,13 @@ def _advance_compiled(tables, events, streams, X, Y, ev, steps, path=None) -> No
     down_x, stay_x, down_y, stay_y = tables[:4]
     same = np.array_equal(down_x, down_y) and np.array_equal(stay_x, stay_y)
     settle = int(_event_byte(0, 0, 0, 1, 1, 1)) if same else 0
-    native.library().permfix_advance(
-        streams.states, X, Y, ev, len(X), steps, *tables[:4], events, len(down_x), settle
+    advance, states = native.library().permfix_advance, streams.states
+    native.shares(
+        lambda a, b: advance(
+            states[a:b], X[a:b], Y[a:b], ev[a:b], b - a, steps, *tables[:4], events,
+            len(down_x), settle,
+        ),
+        len(X),
     )
 
 
@@ -371,9 +380,13 @@ def run_coupling(cfg: RunConfig) -> CouplingStats:
     Replica r always consumes stream (seed, r), so the counts and traces do
     not depend on BLOCK_SIZE, on the checkpoints or on the advance; blocks
     are reduced in replica order and all counts are exact integers.  The
-    compiled advance draws no word for a settled replica (X's step tables
-    equal Y's, X = Y, met and both hits seen), at a block start or at any
-    later checkpoint, since no later move could change its tally.
+    compiled advance splits each block into one contiguous share of
+    replicas per CPU the process may run on (`native.shares`) and moves the
+    shares in parallel; no replica reads another's stream, so the counts do
+    not depend on the number of shares either.  It draws no word for a
+    settled replica (X's step tables equal Y's, X = Y, met and both hits
+    seen), at a block start or at any later checkpoint, since no later move
+    could change its tally.
     """
     tables, events = _grid_tables(cfg), _event_table(cfg.N)
     _check_tables(cfg.N, tables, events)

@@ -13,11 +13,18 @@ build command is built with `cc` if missing; deleting that directory is
 safe, the next run builds it again.  Where it cannot be built or loaded (no
 compiler, a compile error, an unwritable cache) `library()` is None and
 every engine runs its numpy body instead, with identical results.
+
+Each loop is called once per share (`shares`): a contiguous slice of the
+replicas, one per CPU the process may run on (at most one per replica).
+ctypes releases the interpreter lock around a foreign call and no replica
+reads another's stream, so the shares run in parallel and every count is
+the same whatever their number.
 """
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from functools import lru_cache
 from pathlib import Path
 
@@ -185,3 +192,52 @@ def library():
     lib.permfix_mallows.argtypes = [words, i64, i64, i64, words]
     lib.permfix_mallows.restype = i64
     return lib
+
+
+def cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, or
+    the machine's count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def shares(fn, count: int) -> list:
+    """[fn(a, b) for each share [a, b)], in share order.
+
+    The shares split range(count) into k = min(`cpus()`, count) contiguous
+    slices of near-equal size.  The calling thread runs the last share and
+    one thread each runs the others, so a compiled loop called by fn runs
+    on k CPUs at once; with k = 1 fn(0, count) runs inline and no thread
+    starts.  Every thread is joined before this returns or raises: an
+    exception raised in any share is raised again here, that of the first
+    failing share.
+    """
+    k = min(cpus(), count)
+    if k <= 1:
+        return [fn(0, count)]
+    bounds = [count * i // k for i in range(k + 1)]
+    results: list = [None] * k
+    errors: list = [None] * k
+
+    def run(i: int) -> None:
+        try:
+            results[i] = fn(bounds[i], bounds[i + 1])
+        except BaseException as error:  # raised again in the caller
+            errors[i] = error
+
+    started = []
+    try:
+        for i in range(k - 1):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        run(k - 1)
+    finally:
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results

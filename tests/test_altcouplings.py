@@ -324,6 +324,62 @@ class TestEngineEquivalence:
             )
 
 
+class TestShares:
+    """Each compiled loop runs once per share of the replicas
+    (`native.shares`); the number of shares changes no count."""
+
+    @staticmethod
+    def on_cpus(k, routine, monkeypatch):
+        """routine() on k CPUs."""
+        with monkeypatch.context() as m:
+            m.setattr(native, "cpus", lambda: k)
+            return routine()
+
+    @pytest.mark.parametrize("samples", [1, 3, 61, 20_000])
+    @pytest.mark.parametrize("seed", [0, TOP_SEED])
+    def test_ascent_peak(self, compiled, monkeypatch, seed, samples):
+        results = [
+            self.on_cpus(k, lambda: ascent_peak_batch(samples, seed, ns=range(1, 9)), monkeypatch)
+            for k in (1, 2, 3, 8)
+        ]
+        assert results[1:] == results[:1] * 3
+        assert results[0].samples + results[0].ties == samples
+
+    def test_ascent_peak_ties_in_several_shares(self, compiled, monkeypatch, tmp_path):
+        # 3-bit words tie often: the replicas that tie lie in several of
+        # eight shares, and their tie counts add up
+        seed, samples = 17, 2000
+        on_eighths(monkeypatch)
+        expected = scalar_batch(seed, samples)
+        tied = set()
+        for r in range(samples):
+            try:
+                ascent_peak_sample(seed, r)
+            except TieEncountered:
+                tied.add(r * 8 // samples)  # its share of eight
+        assert len(tied) > 1
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native, "BUILD", (native.BUILD[0], "-DWORD_BITS=3", *native.BUILD[1:]))
+        native.library.cache_clear()
+        try:
+            assert native.library() is not None
+            for k in (1, 2, 3, 8):
+                assert self.on_cpus(k, lambda: ascent_peak_batch(samples, seed), monkeypatch) == expected
+        finally:
+            monkeypatch.undo()
+            native.library.cache_clear()
+
+    @pytest.mark.parametrize("replicas", [1, 3, 61, 20_000])
+    @pytest.mark.parametrize("N", [1, 10])
+    @pytest.mark.parametrize("seed", [0, TOP_SEED])
+    def test_mallows(self, compiled, monkeypatch, seed, N, replicas):
+        results = [
+            self.on_cpus(k, lambda: mallows_discrepancy(N, replicas=replicas, K=2 * N + 1, seed=seed), monkeypatch)
+            for k in (1, 2, 3, 8)
+        ]
+        assert results[1:] == results[:1] * 3
+
+
 class TestPeakTailExact:
     def test_n2_equality(self):
         assert peak_tail_exact(2) == Fraction(2, 3)

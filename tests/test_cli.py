@@ -402,8 +402,8 @@ def test_couple_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, message", [
     ({"replicas": True}, "config.replicas: expected int"),
-    ({"checkpoints": [1.5]}, "checkpoints must be integers"),
-    ({"checkpoints": ["a"]}, "checkpoints must be integers"),
+    ({"checkpoints": [1.5]}, "checkpoints must be an integer"),
+    ({"checkpoints": ["a"]}, "checkpoints must be an integer"),
 ], ids=["bool-replicas", "float-checkpoint", "string-checkpoint"])
 def test_couple_bad_field_type(field, message, tmp_path, capsys):
     config = tmp_path / "bad.json"

@@ -159,6 +159,13 @@ class TestRunConfig:
                 RunConfig(N=8, horizon=5, replicas=4, seed=1, emit_traces=value)
 
 
+    @pytest.mark.parametrize("point", [1.5, "a", True, np.int64(3)])
+    def test_checkpoints_are_integers(self, point):
+        # the one type rule of the counts (`check_integer`), per checkpoint
+        with pytest.raises(ValueError, match="checkpoints must be an integer"):
+            RunConfig(N=8, horizon=5, replicas=1, seed=0, checkpoints=(2, point))
+
+
 class TestMonotoneStep:
     def test_u_zero_steps_down(self):
         p_check, r, _ = build_restricted(10)
@@ -611,6 +618,64 @@ class TestEngineEquivalence:
             ["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-fsyntax-only", "-x", "c", "-"],
             input=native.SOURCE.encode(), capture_output=True, check=True,
         )
+
+
+class TestShares:
+    """The compiled advance runs once per share of the replicas
+    (`native.shares`); the number of shares changes no replica."""
+
+    @staticmethod
+    def per_share_count(monkeypatch, k):
+        """Run on k CPUs, recording the [a, b) of every share started."""
+        seen, shares = [], native.shares
+        monkeypatch.setattr(native, "cpus", lambda: k)
+        monkeypatch.setattr(native, "shares", lambda fn, count: shares(
+            lambda a, b: seen.append((a, b)) or fn(a, b), count
+        ))
+        return seen
+
+    @pytest.mark.parametrize("replicas", [1, 3, 61, 20_000])
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("start_mode", START_MODES)
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_counts_do_not_depend_on_the_shares(self, compiled, monkeypatch, selector, start_mode, seed, replicas):
+        # 20,000 replicas run as a block of 2^14 and one of 3,616; r-r
+        # replicas settle at different checkpoints in different shares
+        cfg = RunConfig(
+            N=8, horizon=400, replicas=replicas, seed=seed, selector=selector,
+            start_mode=start_mode, checkpoints=(0, 1, 5, 50, 400),
+        )
+        counts = {}
+        for k in (1, 2, 3, 8):
+            with monkeypatch.context() as m:
+                seen = self.per_share_count(m, k)
+                counts[k] = run_coupling(cfg).by_time
+            assert len(seen) == len(cfg.checkpoints) * sum(
+                min(k, coupling.BLOCK_SIZE, replicas - first)
+                for first in range(0, replicas, coupling.BLOCK_SIZE)
+            )
+        assert counts[2] == counts[3] == counts[8] == counts[1]
+
+    @pytest.mark.parametrize("replicas", [1, 3, 61, 20_000])
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_one_advance_moves_each_replica_as_one_share_does(self, compiled, monkeypatch, selector, seed, replicas):
+        # replica for replica: streams, X, Y and event bytes, settled
+        # replicas (r-r) included
+        cfg = RunConfig(
+            N=30, horizon=300, replicas=replicas, seed=seed, selector=selector,
+            start_mode="independent",
+        )
+        tables, events = coupling._grid_tables(cfg), coupling._event_table(cfg.N)
+        ends = {}
+        for k in (1, 2, 3, 8):
+            with monkeypatch.context() as m:
+                seen = self.per_share_count(m, k)
+                streams, X, Y, ev = coupling._block_start(cfg, tables, 0, replicas)
+                compiled(tables, events, streams, X, Y, ev, cfg.horizon)
+            assert len(seen) == min(k, replicas)
+            ends[k] = [a.tolist() for a in (streams.states, X, Y, ev)]
+        assert ends[2] == ends[3] == ends[8] == ends[1]
 
 
 class TestTraceReplay:
