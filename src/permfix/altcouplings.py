@@ -32,7 +32,7 @@ from . import native
 from .coupling import check_integer, plugin_sigma
 from .exactdist import ExactDist
 from .perms import check_guard
-from .rng import VectorStreams, grid_cut
+from .rng import VectorStreams, check_seed, grid_cut, scramble
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +104,10 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     fallback, compare the 53-bit word j with cuts[n - 1] = grid_cut(1.0 / n).
     The compiled loop runs once per share of the replicas, one contiguous
     slice per CPU the process may run on (`native.shares`), in parallel;
-    the count of replicas with S_N != S_K is the sum over the shares, the
-    same whatever their number.
+    each share derives its replicas' start states from scramble(seed) and
+    its first replica, so only the numpy body builds the streams.  The
+    count of replicas with S_N != S_K is the sum over the shares, the same
+    whatever their number.
     The truncation can misclassify a replica only if some product
     X_k X_{k+1} with k >= K is one; that has probability at most
     sum_{k >= K} 1/(k(k+1)) = 1/K, reported as tail_bound.
@@ -118,17 +120,18 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
         raise ValueError("K must be at least N + 1")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    streams = VectorStreams(seed, 0, replicas)
-    if N > 1:
-        streams.skip(N - 2)
+    seed = check_seed(seed)
     cuts = np.array([grid_cut(1.0 / n) for n in range(1, K + 1)], dtype=np.uint64)
     lib = native.library()
     if lib is None:
+        streams = VectorStreams(seed, 0, replicas)
+        if N > 1:
+            streams.skip(N - 2)
         differ = _mallows_differ_numpy(streams, N, K, cuts)
     else:
-        states = streams.states
+        base = scramble(seed)
         differ = sum(native.shares(
-            lambda a, b: lib.permfix_mallows(states[a:b], b - a, N, K, cuts), replicas
+            lambda a, b: lib.permfix_mallows(base, a, b - a, N, K, cuts), replicas
         ))
     return MallowsDiscrepancy(
         N=N, K=K, replicas=replicas, estimate=differ / replicas,
@@ -212,10 +215,11 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     its fallback, runs column n over the replicas still live.  Either way a
     replica reads the same words and no others.  The compiled loop runs
     once per share of the replicas, one contiguous slice per CPU the
-    process may run on (`native.shares`), in parallel, each filling its own
-    joint counts; their sums, and the sum of their ties, do not depend on
-    the number of shares.  The laws of M and M_N are read off the joint
-    counts of (S, T).
+    process may run on (`native.shares`), in parallel, each deriving its
+    replicas' start states from scramble(seed) and its first replica (only
+    the numpy body builds the streams) and filling its own joint counts;
+    their sums, and the sum of their ties, do not depend on the number of
+    shares.  The laws of M and M_N are read off the joint counts of (S, T).
     """
     check_integer("samples", samples)
     if samples < 1:
@@ -225,17 +229,17 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     ns = tuple(dict.fromkeys(ns))
     if any(N < 1 for N in ns):
         raise ValueError("every N in ns must be >= 1")
-    streams = VectorStreams(seed, 0, samples)
+    seed = check_seed(seed)
     lib = native.library()
     if lib is None:
         joint = np.zeros((64, 64), dtype=np.int64)  # joint[s, t]: replicas with S = s, T = t
-        ties = _ascent_peak_numpy(streams, joint)
+        ties = _ascent_peak_numpy(VectorStreams(seed, 0, samples), joint)
     else:
-        states = streams.states
+        base = scramble(seed)
 
         def share(a: int, b: int) -> tuple[int, np.ndarray]:
             joint = np.zeros((64, 64), dtype=np.int64)
-            return lib.permfix_ascent_peak(states[a:b], b - a, joint), joint
+            return lib.permfix_ascent_peak(base, a, b - a, joint), joint
 
         ties, joints = zip(*native.shares(share, samples))
         if min(ties) < 0:

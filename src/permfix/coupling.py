@@ -399,7 +399,8 @@ def run_coupling(cfg: RunConfig) -> CouplingStats:
         path = [(X.copy(), Y.copy())] if cfg.emit_traces else None
         done = 0
         for row, n in enumerate(cfg.checkpoints):
-            advance(tables, events, streams, X, Y, ev, n - done, path)
+            if n > done:  # a checkpoint at 0 tallies the start; nothing moves
+                advance(tables, events, streams, X, Y, ev, n - done, path)
             counts[row] += _tally(X, Y, ev)
             done = n
         if path is not None:

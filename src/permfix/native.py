@@ -2,9 +2,13 @@
 
 One source string holds three loops: `permfix_advance`, which only moves
 the replicas of `coupling.run_coupling`, and the ascent/peak and Mallows
-counts loops of `altcouplings`.  Each reads the SplitMix64 states of
-`rng.VectorStreams`, draws the 53-bit words j of its uniforms (the uniform
-is the float j 2^-53) and decides on those words as the numpy bodies do.
+counts loops of `altcouplings`.  `permfix_advance` reads and moves the
+SplitMix64 states of `rng.VectorStreams`; the two counts loops take
+scramble(seed) and a first replica instead and derive each replica's start
+state themselves, by the rule of `VectorStreams`, so no state array is
+built for them.  Each loop draws the 53-bit words j of its uniforms (the
+uniform is the float j 2^-53) and decides on those words as the numpy
+bodies do.
 
 Nothing is compiled at import.  The first call of `library()` in a process
 loads the library from the per-user cache $XDG_CACHE_HOME/permfix (or
@@ -38,13 +42,25 @@ SOURCE = r"""
 #endif
 #define GOLDEN 0x9E3779B97F4A7C15u
 
+/* The SplitMix64 output function, `rng.scramble`. */
+static uint64_t scramble(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return z ^ (z >> 31);
+}
+
 /* The next word j of the SplitMix64 stream in state *s. */
 static uint64_t next_word(uint64_t *s)
 {
-    uint64_t z = *s += GOLDEN;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
-    return (z ^ (z >> 31)) >> (64 - WORD_BITS);
+    return scramble(*s += GOLDEN) >> (64 - WORD_BITS);
+}
+
+/* The start state of replica r's stream, base = scramble(seed):
+   scramble(base + (r + 1) GOLDEN) mod 2^64, as `rng.VectorStreams`. */
+static uint64_t start_state(uint64_t base, int64_t r)
+{
+    return scramble(base + ((uint64_t)r + 1) * GOLDEN);
 }
 
 /* `coupling._advance_numpy`: advance count replicas by steps moves, in
@@ -83,16 +99,18 @@ void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
     }
 }
 
-/* The ascent/peak batch: replica r compares words j_n < j_{n+1} of its
-   stream, as the uniforms compare, until its first peak T or its first tie.
-   joint holds 64 x 64 counts, joint[64 S + T] of the replicas with first
-   ascent S and first peak T.  Returns the number of replicas dropped for a
-   tie, or -1 when a replica has neither after 64 words. */
-int64_t permfix_ascent_peak(const uint64_t *states, int64_t count, int64_t *joint)
+/* The ascent/peak batch over replicas first .. first + count - 1 of the
+   streams with base = scramble(seed): replica r compares words
+   j_n < j_{n+1} of its stream, as the uniforms compare, until its first
+   peak T or its first tie.  joint holds 64 x 64 counts, joint[64 S + T] of
+   the replicas with first ascent S and first peak T.  Returns the number
+   of replicas dropped for a tie, or -1 when a replica has neither after 64
+   words. */
+int64_t permfix_ascent_peak(uint64_t base, int64_t first, int64_t count, int64_t *joint)
 {
     int64_t ties = 0;
-    for (int64_t r = 0; r < count; r++) {
-        uint64_t s = states[r];
+    for (int64_t r = first; r < first + count; r++) {
+        uint64_t s = start_state(base, r);
         uint64_t curr = next_word(&s);
         int64_t ascent = 0; /* S, 0 while unset */
         for (int64_t n = 1;; n++) {
@@ -115,16 +133,19 @@ int64_t permfix_ascent_peak(const uint64_t *states, int64_t count, int64_t *join
     return ties;
 }
 
-/* The Mallows replicas with S_N != S_K: replica r draws the bits
-   X_n = 1{j < cuts[n - 1]} for n = N..K from its stream, already past the
-   words of X_2..X_{N-1} (X_1 = 1 draws none, so at N = 1, X_N = 1), and
-   counts it when X_N - (X_N X_{N+1} + ... + X_{K-1} X_K) is nonzero. */
-int64_t permfix_mallows(const uint64_t *states, int64_t count, int64_t N, int64_t K,
+/* The Mallows replicas with S_N != S_K among replicas first ..
+   first + count - 1 of the streams with base = scramble(seed): replica r
+   draws the bits X_n = 1{j < cuts[n - 1]} for n = N..K from its stream,
+   started past the N - 2 words of X_2..X_{N-1} (X_1 = 1 draws none, so at
+   N = 1, X_N = 1, and nothing is skipped), and counts it when
+   X_N - (X_N X_{N+1} + ... + X_{K-1} X_K) is nonzero. */
+int64_t permfix_mallows(uint64_t base, int64_t first, int64_t count, int64_t N, int64_t K,
                         const uint64_t *cuts)
 {
+    uint64_t skip = N > 1 ? (uint64_t)(N - 2) * GOLDEN : 0; /* `VectorStreams.skip` */
     int64_t differ = 0;
-    for (int64_t r = 0; r < count; r++) {
-        uint64_t s = states[r];
+    for (int64_t r = first; r < first + count; r++) {
+        uint64_t s = start_state(base, r) + skip;
         int64_t prev = N == 1 || next_word(&s) < cuts[N - 1];
         int64_t diff = prev;
         for (int64_t n = N + 1; n <= K; n++) {
@@ -187,9 +208,9 @@ def library():
         array(np.uint8), i64, ctypes.c_uint,
     ]
     lib.permfix_advance.restype = None
-    lib.permfix_ascent_peak.argtypes = [words, i64, array(np.int64, 2)]
+    lib.permfix_ascent_peak.argtypes = [ctypes.c_uint64, i64, i64, array(np.int64, 2)]
     lib.permfix_ascent_peak.restype = i64
-    lib.permfix_mallows.argtypes = [words, i64, i64, i64, words]
+    lib.permfix_mallows.argtypes = [ctypes.c_uint64, i64, i64, i64, i64, words]
     lib.permfix_mallows.restype = i64
     return lib
 

@@ -45,7 +45,8 @@ def check_seed(seed: int) -> int:
     The scramble reduces the seed mod 2^64, so a seed outside that range
     would silently draw the same words as the one inside it, and a bool
     would draw those of 0 or 1; every stream is checked here when it is
-    made (`VectorStreams`).  A numpy integer is an integer.
+    made (`VectorStreams`), and by each routine whose compiled loop derives
+    its streams from the seed itself.  A numpy integer is an integer.
     """
     try:
         value = None if isinstance(seed, bool) else operator.index(seed)

@@ -270,7 +270,16 @@ class TestAscentPeakBatch:
 
 
 class TestSeedRange:
-    # a seed outside [0, 2^64) would alias seed mod 2^64
+    """A seed outside [0, 2^64) would alias seed mod 2^64.  Each routine
+    checks it before it picks an engine, so both engines refuse it."""
+
+    @pytest.fixture(autouse=True, params=["compiled", "numpy"])
+    def engine(self, request, monkeypatch):
+        if request.param == "compiled":
+            request.getfixturevalue("compiled")
+        else:
+            monkeypatch.setattr(native, "library", lambda: None)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_ascent_peak_rejects_seeds_outside_64_bits(self, seed):
         with pytest.raises(ValueError, match="seed must lie in"):
@@ -370,7 +379,7 @@ class TestShares:
             native.library.cache_clear()
 
     @pytest.mark.parametrize("replicas", [1, 3, 61, 20_000])
-    @pytest.mark.parametrize("N", [1, 10])
+    @pytest.mark.parametrize("N", [1, 2, 10])  # N = 2 starts past 0 words, N = 1 skips none
     @pytest.mark.parametrize("seed", [0, TOP_SEED])
     def test_mallows(self, compiled, monkeypatch, seed, N, replicas):
         results = [

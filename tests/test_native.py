@@ -1,8 +1,12 @@
 """The shares the compiled loops run in: how `native.shares` splits the
 replicas, that it raises what any share raises after every share has
-joined, and that on one CPU it starts no thread."""
+joined, and that on one CPU it starts no thread; and the C source itself:
+that it compiles without a warning and that every loop's ctypes
+declaration has its C parameter count."""
 import os
+import re
 import shutil
+import subprocess
 import sys
 import threading
 from types import SimpleNamespace
@@ -117,7 +121,7 @@ class TestLoopsInShares:
     @pytest.mark.parametrize("caller", [True, False])
     def test_an_unresolved_replica_in_one_share_is_refused(self, monkeypatch, caller):
         # of two shares, the caller's or the other reports -1 and the other 0 ties
-        def ascent_peak(states, count, joint):
+        def ascent_peak(base, first, count, joint):
             joint[1, 2] += count
             return -1 if (threading.current_thread() is threading.main_thread()) == caller else 0
 
@@ -148,3 +152,31 @@ class TestLoopsInShares:
                 if name == "permfix_advance":
                     result = result.by_time
                 assert expected.setdefault(name, result) == result
+
+
+class TestSource:
+    """The C source compiles cleanly, and `library()` declares each loop
+    with as many arguments as its C prototype takes: ctypes checks the
+    count it is given against argtypes, not against the C function."""
+
+    @pytest.fixture(autouse=True)
+    def compiler(self):
+        if shutil.which(native.BUILD[0]) is None:
+            pytest.skip("no C compiler")
+
+    @pytest.mark.parametrize("defines", [(), ("-DWORD_BITS=3",)], ids=["default", "word-bits-3"])
+    def test_compiles_cleanly_as_c99(self, defines):
+        command = [
+            native.BUILD[0], *defines, "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror",
+            "-fsyntax-only", "-x", "c", "-",
+        ]
+        result = subprocess.run(command, input=native.SOURCE.encode(), capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+
+    def test_every_loop_declares_its_parameter_count(self):
+        prototypes = re.findall(r"^\w+ (permfix_\w+)\(([^)]*)\)", native.SOURCE, re.MULTILINE)
+        assert [name for name, _ in prototypes] == ["permfix_advance", "permfix_ascent_peak", "permfix_mallows"]
+        lib = native.library()
+        assert lib is not None
+        for name, parameters in prototypes:
+            assert len(getattr(lib, name).argtypes) == len(parameters.split(",")), name
