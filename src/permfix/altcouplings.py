@@ -17,6 +17,11 @@ has M ~ Poisson(1) exactly, while the truncated variant M_N built from
 S_N = min(S, N), T_N = min(T, N) has law pi_N; they differ only when a
 peak fails to appear by index N, an event of probability at most
 2^N / (N+1)!.
+
+Both Monte Carlo routines split their replicas once per call, one
+contiguous share per CPU (`native.shares`); each share runs the compiled
+loop, or the numpy body on its own streams where the library is missing,
+and the shares' counts are summed.
 """
 from __future__ import annotations
 
@@ -102,12 +107,12 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     X_N..X_K are drawn (X_1 == 1 is drawn from no word).  Both the compiled
     loop (`native.library()`'s `permfix_mallows`) and the numpy body, its
     fallback, compare the 53-bit word j with cuts[n - 1] = grid_cut(1.0 / n).
-    The compiled loop runs once per share of the replicas, one contiguous
-    slice per CPU the process may run on (`native.shares`), in parallel;
-    each share derives its replicas' start states from scramble(seed) and
-    its first replica, so only the numpy body builds the streams.  The
-    count of replicas with S_N != S_K is the sum over the shares, the same
-    whatever their number.
+    The replicas are split once, one contiguous share per CPU the process
+    may run on (`native.shares`), and the shares run in parallel.  A share
+    [a, b) runs the compiled loop, which derives its replicas' start states
+    from scramble(seed) and a, or the numpy body on VectorStreams(seed, a,
+    b - a).  The count of replicas with S_N != S_K is the sum over the
+    shares, the same whatever their number.
     The truncation can misclassify a replica only if some product
     X_k X_{k+1} with k >= K is one; that has probability at most
     sum_{k >= K} 1/(k(k+1)) = 1/K, reported as tail_bound.
@@ -122,17 +127,17 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
         raise ValueError("replicas must be >= 1")
     seed = check_seed(seed)
     cuts = np.array([grid_cut(1.0 / n) for n in range(1, K + 1)], dtype=np.uint64)
-    lib = native.library()
-    if lib is None:
-        streams = VectorStreams(seed, 0, replicas)
+    lib, base = native.library(), scramble(seed)
+
+    def share(a: int, b: int) -> int:
+        if lib is not None:
+            return lib.permfix_mallows(base, a, b - a, N, K, cuts)
+        streams = VectorStreams(seed, a, b - a)
         if N > 1:
             streams.skip(N - 2)
-        differ = _mallows_differ_numpy(streams, N, K, cuts)
-    else:
-        base = scramble(seed)
-        differ = sum(native.shares(
-            lambda a, b: lib.permfix_mallows(base, a, b - a, N, K, cuts), replicas
-        ))
+        return _mallows_differ_numpy(streams, N, K, cuts)
+
+    differ = sum(native.shares(share, replicas))
     return MallowsDiscrepancy(
         N=N, K=K, replicas=replicas, estimate=differ / replicas,
         sigma=plugin_sigma(differ, replicas),
@@ -177,7 +182,9 @@ class AscentPeakBatch:
 
 
 def _ascent_peak_numpy(streams: VectorStreams, joint: np.ndarray) -> int:
-    """Fill joint[s, t] column by column in numpy; return the ties."""
+    """Fill joint[s, t] column by column in numpy; return the ties, or -1
+    when a replica has neither S nor T after 64 uniforms, as the compiled
+    loop does."""
     ties = 0
     s_live = np.zeros(len(streams.states), dtype=np.int8)  # S of each live replica, 0 while unset
     rose = np.zeros(len(streams.states), dtype=bool)  # U_{n-1} < U_n
@@ -197,7 +204,7 @@ def _ascent_peak_numpy(streams: VectorStreams, joint: np.ndarray) -> int:
             s_live, asc, j_next = s_live[rest], asc[rest], j_next[rest]
             streams.keep(rest)
         rose, j_curr = asc, j_next
-    raise RuntimeError("S or T unresolved after 64 uniforms")
+    return -1
 
 
 def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> AscentPeakBatch:
@@ -213,38 +220,38 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     the uniforms: the compiled loop (`native.library()`'s
     `permfix_ascent_peak`) runs each replica to its end, and the numpy body,
     its fallback, runs column n over the replicas still live.  Either way a
-    replica reads the same words and no others.  The compiled loop runs
-    once per share of the replicas, one contiguous slice per CPU the
-    process may run on (`native.shares`), in parallel, each deriving its
-    replicas' start states from scramble(seed) and its first replica (only
-    the numpy body builds the streams) and filling its own joint counts;
-    their sums, and the sum of their ties, do not depend on the number of
-    shares.  The laws of M and M_N are read off the joint counts of (S, T).
+    replica reads the same words and no others.  The replicas are split
+    once, one contiguous share per CPU the process may run on
+    (`native.shares`), and the shares run in parallel.  A share [a, b) fills
+    its own joint counts by the compiled loop, which derives its replicas'
+    start states from scramble(seed) and a, or by the numpy body on
+    VectorStreams(seed, a, b - a); the sums of the joints and of the ties do
+    not depend on the number of shares.  Either engine reports -1 for a
+    replica with no peak after 64 uniforms, and that is raised here.  The
+    laws of M and M_N are read off the joint counts of (S, T).
     """
     check_integer("samples", samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    ns = tuple(ns)  # read once: it may be a one-shot iterable
     for N in ns:
         check_integer("every N in ns", N)
     ns = tuple(dict.fromkeys(ns))
     if any(N < 1 for N in ns):
         raise ValueError("every N in ns must be >= 1")
     seed = check_seed(seed)
-    lib = native.library()
-    if lib is None:
+    lib, base = native.library(), scramble(seed)
+
+    def share(a: int, b: int) -> tuple[int, np.ndarray]:
         joint = np.zeros((64, 64), dtype=np.int64)  # joint[s, t]: replicas with S = s, T = t
-        ties = _ascent_peak_numpy(VectorStreams(seed, 0, samples), joint)
-    else:
-        base = scramble(seed)
-
-        def share(a: int, b: int) -> tuple[int, np.ndarray]:
-            joint = np.zeros((64, 64), dtype=np.int64)
+        if lib is not None:
             return lib.permfix_ascent_peak(base, a, b - a, joint), joint
+        return _ascent_peak_numpy(VectorStreams(seed, a, b - a), joint), joint
 
-        ties, joints = zip(*native.shares(share, samples))
-        if min(ties) < 0:
-            raise RuntimeError("S or T unresolved after 64 uniforms")
-        ties, joint = sum(ties), sum(joints)
+    ties, joints = zip(*native.shares(share, samples))
+    if min(ties) < 0:
+        raise RuntimeError("S or T unresolved after 64 uniforms")
+    ties, joint = sum(ties), sum(joints)
 
     m_counts: Counter = Counter()
     m_n_counts: dict[int, Counter] = {N: Counter() for N in ns}

@@ -17,20 +17,21 @@ and the CDFs of X(0) and Y(0).  Every uniform is drawn as its 53-bit word
 j, and every cut c is stored as g = ceil(c * 2^53) (`rng.grid_cut`), so
 j * 2^-53 < c exactly when j < g: the engines decide alike by construction.
 
-Replicas run in blocks, each started by one rule (`_block_start`): X(0) is
-the number of CDF cuts at or below a start word, and likewise Y(0).  Every
-start law charges only [0, N-4], so the last CDF cut is 2^53 and that
-number is already a state.  `run_coupling` advances each block to each
-checkpoint in turn and tallies it there (`_tally`) from one event byte per
-replica, the OR of the bytes (`_event_table`) of its start and its moves.
-Only the advance differs between engines: counts-only runs take a compiled
-C loop (`native.library()`'s `permfix_advance`), `step`'s rule on the
-integers j and g, run on one share of the replicas per CPU
-(`native.shares`), or the numpy advance where the library cannot be built
-or loaded, with identical results; traced runs always take the numpy
-advance, which alone records the path.  Both are tested against an exact
-replay in the tests, which redraws each replica's uniforms as Fractions
-and moves it with `step` on the exact thresholds.
+`run_coupling` splits the replicas once, into one contiguous share per CPU
+the process may run on (`native.shares`), and each share runs its replicas
+in blocks, each started by one rule (`_block_start`): X(0) is the number
+of CDF cuts at or below a start word, and likewise Y(0).  Every start law
+charges only [0, N-4], so the last CDF cut is 2^53 and that number is
+already a state.  A share advances each block to each checkpoint in turn
+and tallies it there (`_tally`) from one event byte per replica, the OR of
+the bytes (`_event_table`) of its start and its moves.  Only the advance
+differs between engines: counts-only runs take a compiled C loop
+(`native.library()`'s `permfix_advance`), `step`'s rule on the integers j
+and g, or the numpy advance where the library cannot be built or loaded,
+with identical results; traced runs always take the numpy advance, which
+alone records the path.  Every engine runs inside the shares.  Both are
+tested against an exact replay in the tests, which redraws each replica's
+uniforms as Fractions and moves it with `step` on the exact thresholds.
 
 The compiled loop stops moving a settled replica.  A replica is settled
 when X's step tables equal Y's (as for r-r), X = Y, and its event byte
@@ -104,9 +105,10 @@ class RunConfig:
             raise ValueError(f"start_mode must be one of {START_MODES}")
         if not isinstance(self.emit_traces, bool):
             raise ValueError("emit_traces must be a bool")
-        for p in self.checkpoints:
+        checkpoints = tuple(self.checkpoints)  # read once: it may be a one-shot iterable
+        for p in checkpoints:
             check_integer("checkpoints", p)
-        points = sorted(set(self.checkpoints) | {self.horizon})
+        points = sorted(set(checkpoints) | {self.horizon})
         if any(p < 0 or p > self.horizon for p in points):
             raise ValueError("checkpoints must lie in [0, horizon]")
         object.__setattr__(self, "checkpoints", tuple(points))
@@ -323,10 +325,9 @@ def _advance_numpy(tables, events, streams, X, Y, ev, steps, path=None) -> None:
 
 def _advance_compiled(tables, events, streams, X, Y, ev, steps, path=None) -> None:
     """`_advance_numpy` by the compiled loop (`native.library()`'s
-    `permfix_advance`, which must have loaded); it records no path.  The
-    loop is called once per share of the replicas (`native.shares`) on its
-    slices of the streams, X, Y and ev, contiguous views it moves in place;
-    each replica moves alone, so the result does not depend on the shares.
+    `permfix_advance`, which must have loaded); it records no path.  One
+    call moves every replica it is given in place, on the calling thread:
+    the replicas are split across CPUs once per run, by `run_coupling`.
 
     When X's step tables equal Y's, a replica is settled once X = Y and its
     event byte holds met, X at 0 and Y at 0: each later move takes both
@@ -338,13 +339,8 @@ def _advance_compiled(tables, events, streams, X, Y, ev, steps, path=None) -> No
     down_x, stay_x, down_y, stay_y = tables[:4]
     same = np.array_equal(down_x, down_y) and np.array_equal(stay_x, stay_y)
     settle = int(_event_byte(0, 0, 0, 1, 1, 1)) if same else 0
-    advance, states = native.library().permfix_advance, streams.states
-    native.shares(
-        lambda a, b: advance(
-            states[a:b], X[a:b], Y[a:b], ev[a:b], b - a, steps, *tables[:4], events,
-            len(down_x), settle,
-        ),
-        len(X),
+    native.library().permfix_advance(
+        streams.states, X, Y, ev, len(X), steps, *tables[:4], events, len(down_x), settle
     )
 
 
@@ -377,40 +373,47 @@ def _traces_from_path(path: list) -> list[CouplingTrace]:
 def run_coupling(cfg: RunConfig) -> CouplingStats:
     """Simulate all replicas and aggregate the event counts.
 
-    Replica r always consumes stream (seed, r), so the counts and traces do
-    not depend on BLOCK_SIZE, on the checkpoints or on the advance; blocks
-    are reduced in replica order and all counts are exact integers.  The
-    compiled advance splits each block into one contiguous share of
-    replicas per CPU the process may run on (`native.shares`) and moves the
-    shares in parallel; no replica reads another's stream, so the counts do
-    not depend on the number of shares either.  It draws no word for a
-    settled replica (X's step tables equal Y's, X = Y, met and both hits
-    seen), at a block start or at any later checkpoint, since no later move
-    could change its tally.
+    The replicas are split once, into one contiguous share per CPU the
+    process may run on (`native.shares`), and the shares run in parallel.
+    A share runs its replicas in blocks of at most BLOCK_SIZE, each started
+    by `_block_start`, advanced to each checkpoint in turn and tallied
+    there; tables, event table and advance are chosen once, before any
+    share starts.  Replica r always consumes stream (seed, r), so the counts
+    and traces do not depend on the shares, on BLOCK_SIZE, on the
+    checkpoints or on the advance; the shares' counts are summed and their
+    traces joined in share order, which is replica order, and all counts
+    are exact integers.  The compiled advance draws no word for a settled
+    replica (X's step tables equal Y's, X = Y, met and both hits seen), at a
+    block start or at any later checkpoint, since no later move could
+    change its tally.
     """
     tables, events = _grid_tables(cfg), _event_table(cfg.N)
     _check_tables(cfg.N, tables, events)
     compiled = not cfg.emit_traces and native.library() is not None
     advance = _advance_compiled if compiled else _advance_numpy
-    counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
-    traces: list[CouplingTrace] = []
-    for first in range(0, cfg.replicas, BLOCK_SIZE):
-        streams, X, Y, ev = _block_start(cfg, tables, first, min(BLOCK_SIZE, cfg.replicas - first))
-        path = [(X.copy(), Y.copy())] if cfg.emit_traces else None
-        done = 0
-        for row, n in enumerate(cfg.checkpoints):
-            if n > done:  # a checkpoint at 0 tallies the start; nothing moves
-                advance(tables, events, streams, X, Y, ev, n - done, path)
-            counts[row] += _tally(X, Y, ev)
-            done = n
-        if path is not None:
-            traces += _traces_from_path(path)
 
+    def share(a: int, b: int) -> tuple[np.ndarray, list[CouplingTrace]]:
+        counts = np.zeros((len(cfg.checkpoints), len(STAT_NAMES)), dtype=np.int64)
+        traces: list[CouplingTrace] = []
+        for first in range(a, b, BLOCK_SIZE):
+            streams, X, Y, ev = _block_start(cfg, tables, first, min(BLOCK_SIZE, b - first))
+            path = [(X.copy(), Y.copy())] if cfg.emit_traces else None
+            done = 0
+            for row, n in enumerate(cfg.checkpoints):
+                if n > done:  # a checkpoint at 0 tallies the start; nothing moves
+                    advance(tables, events, streams, X, Y, ev, n - done, path)
+                counts[row] += _tally(X, Y, ev)
+                done = n
+            if path is not None:
+                traces += _traces_from_path(path)
+        return counts, traces
+
+    counts, traces = zip(*native.shares(share, cfg.replicas))
     by_time = {
         n: Aggregates(n=n, replicas=cfg.replicas, counts=dict(zip(STAT_NAMES, row)))
-        for n, row in zip(cfg.checkpoints, counts.tolist())
+        for n, row in zip(cfg.checkpoints, sum(counts).tolist())
     }
-    return CouplingStats(config=cfg, by_time=by_time, traces=tuple(traces))
+    return CouplingStats(config=cfg, by_time=by_time, traces=tuple(t for part in traces for t in part))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ safe, the next run builds it again.  Where it cannot be built or loaded (no
 compiler, a compile error, an unwritable cache) `library()` is None and
 every engine runs its numpy body instead, with identical results.
 
-Each loop is called once per share (`shares`): a contiguous slice of the
-replicas, one per CPU the process may run on (at most one per replica).
-ctypes releases the interpreter lock around a foreign call and no replica
-reads another's stream, so the shares run in parallel and every count is
-the same whatever their number.
+Each Monte Carlo routine splits its replicas once per call (`shares`):
+one contiguous slice of whole replicas per CPU the process may run on (at
+most one per replica), and it picks its engine, a compiled loop or a numpy
+body, inside each share.  ctypes releases the interpreter lock around a
+foreign call and no replica reads another's stream, so the shares run in
+parallel and every count is the same whatever their number.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 """Mallows bit-chain and ascent/peak couplings."""
+import itertools
 import math
 import shutil
 from collections import Counter
@@ -14,6 +15,7 @@ from permfix.altcouplings import (
     AscentPeakBatch,
     AscentPeakSample,
     MallowsDiscrepancy,
+    _ascent_peak_numpy,
     ascent_peak_batch,
     empirical_half_tv,
     mallows_discrepancy,
@@ -232,6 +234,32 @@ class TestAscentPeakBatch:
     def test_repeated_n_counted_once(self):
         assert ascent_peak_batch(1000, seed=3, ns=(4, 4, 5)) == ascent_peak_batch(1000, seed=3, ns=(4, 5))
 
+    def test_ns_from_a_one_shot_iterable(self):
+        # a generator is read once, so its N are checked and kept
+        batch = ascent_peak_batch(100, seed=0, ns=(n for n in (4, 6)))
+        assert batch == ascent_peak_batch(100, seed=0, ns=(4, 6))
+        assert set(batch.m_n_counts) == set(batch.disagree) == {4, 6}
+        with pytest.raises(ValueError, match="every N in ns must be an integer"):
+            ascent_peak_batch(100, seed=0, ns=(n for n in (4, True)))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_numpy_unresolved_replica_is_refused(self, monkeypatch, k):
+        # words that only rise give every replica its ascent S = 1 and never
+        # a peak: the numpy body returns -1, as the compiled loop does, and
+        # the caller raises, on one CPU or with a share on another thread
+        rising = itertools.count(1)
+        monkeypatch.setattr(
+            VectorStreams, "next_words",
+            lambda self: np.full(len(self.states), next(rising) << 11, dtype=np.uint64),
+        )
+        joint = np.zeros((64, 64), dtype=np.int64)
+        assert _ascent_peak_numpy(VectorStreams(0, 0, 5), joint) == -1
+        assert not joint.any()
+        monkeypatch.setattr(native, "library", lambda: None)
+        monkeypatch.setattr(native, "cpus", lambda: k)
+        with pytest.raises(RuntimeError, match="unresolved after 64 uniforms"):
+            ascent_peak_batch(5, seed=0)
+
     @pytest.mark.parametrize("ns", [(0,), (4, -1), (1, 0)])
     def test_n_below_one_rejected(self, ns):
         with pytest.raises(ValueError, match="every N in ns must be >= 1"):
@@ -387,6 +415,20 @@ class TestShares:
             for k in (1, 2, 3, 8)
         ]
         assert results[1:] == results[:1] * 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_numpy_bodies_in_shares(self, compiled, monkeypatch, k):
+        # each share runs the numpy body on its own streams, VectorStreams(seed,
+        # a, b - a): the results equal one share's and the compiled loop's
+        routines = (
+            lambda: ascent_peak_batch(20_000, TOP_SEED, ns=(1, 4, 63)),
+            lambda: mallows_discrepancy(10, replicas=20_000, K=21, seed=TOP_SEED),
+        )
+        for routine in routines:
+            fast = routine()
+            whole = self.on_cpus(1, lambda: on_numpy(routine, monkeypatch), monkeypatch)
+            shared = self.on_cpus(k, lambda: on_numpy(routine, monkeypatch), monkeypatch)
+            assert shared == whole == fast
 
 
 class TestPeakTailExact:

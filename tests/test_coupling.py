@@ -3,6 +3,7 @@ import bisect
 import dataclasses
 import math
 import shutil
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -125,6 +126,13 @@ class TestRunConfig:
     def test_checkpoints_include_horizon(self):
         cfg = RunConfig(N=8, horizon=100, replicas=10, seed=0, checkpoints=(10,))
         assert cfg.checkpoints == (10, 100)
+
+    def test_checkpoints_from_a_one_shot_iterable(self):
+        # a generator is read once, so its points are checked and kept
+        cfg = RunConfig(N=8, horizon=10, replicas=2, seed=0, checkpoints=(p for p in (2, 5)))
+        assert cfg.checkpoints == (2, 5, 10)
+        with pytest.raises(ValueError, match="checkpoints must be an integer"):
+            RunConfig(N=8, horizon=10, replicas=2, seed=0, checkpoints=(p for p in (2, 2.5)))
 
     @pytest.mark.parametrize("seed", [np.int64(1), np.uint64((1 << 64) - 1)])
     def test_seed_is_stored_as_an_int(self, seed):
@@ -287,20 +295,25 @@ class TestRunCoupling:
     @pytest.mark.parametrize("engine", ["compiled", "numpy", "traces"])
     def test_checkpoint_zero_calls_no_advance(self, monkeypatch, engine):
         # a checkpoint at 0 tallies the start states of each block and
-        # advances nothing; the later checkpoints advance by their gaps
+        # advances nothing; the later checkpoints advance by their gaps.
+        # The 50 replicas are one block in each share
         cfg = RunConfig(
             N=8, horizon=60, replicas=50, seed=4, checkpoints=(0, 20), emit_traces=engine == "traces"
         )
         if engine != "compiled":
             monkeypatch.setattr(native, "library", lambda: None)
-        steps = []
+        steps = {}  # id(X) -> (X, the steps of each advance of its block); X is kept, so no id is reused
+
+        def counted(advance):
+            def run(*args):
+                steps.setdefault(id(args[3]), (args[3], []))[1].append(args[6])
+                advance(*args)
+            return run
+
         for name in ("_advance_compiled", "_advance_numpy"):
-            advance = getattr(coupling, name)
-            monkeypatch.setattr(
-                coupling, name, lambda *args, advance=advance: steps.append(args[6]) or advance(*args)
-            )
+            monkeypatch.setattr(coupling, name, counted(getattr(coupling, name)))
         stats = run_coupling(cfg)
-        assert steps == [20, 40]
+        assert [gaps for _, gaps in steps.values()] == [[20, 40]] * min(native.cpus(), cfg.replicas)
         _, X, Y, ev = coupling._block_start(cfg, coupling._grid_tables(cfg), 0, cfg.replicas)
         assert list(stats.by_time[0].counts.values()) == coupling._tally(X, Y, ev)
         assert stats.by_time == exact_counts(cfg)
@@ -501,7 +514,8 @@ class TestEngineEquivalence:
                 m.setattr(coupling, "_event_table", lambda N, wrong=wrong: wrong)
                 refused(tables, "event table")
         assert run_coupling(cfg).by_time == exact_counts(cfg)
-        assert len(started) == 1 and len(advanced) == len(cfg.checkpoints)
+        blocks = min(native.cpus(), cfg.replicas)  # one per share
+        assert len(started) == blocks and len(advanced) == blocks * len(cfg.checkpoints)
 
     @pytest.mark.parametrize("N", [5, 30, 100])
     @pytest.mark.parametrize("start_mode", START_MODES)
@@ -585,13 +599,18 @@ class TestEngineEquivalence:
         """(counts, the streams of every replica after the run) of cfg from
         the compiled loop, then from numpy (the loader reporting failure)."""
         block_start, runs = coupling._block_start, []
+
+        def started(*args):
+            blocks[args[2]] = block_start(*args)  # by first replica: shares start in any order
+            return blocks[args[2]]
+
         for library in (native.library, lambda: None):
             with monkeypatch.context() as m:
-                blocks = []
+                blocks = {}
                 m.setattr(native, "library", library)
-                m.setattr(coupling, "_block_start", lambda *a: blocks.append(block_start(*a)) or blocks[-1])
+                m.setattr(coupling, "_block_start", started)
                 counts = run_coupling(cfg).by_time
-            runs.append((counts, np.concatenate([streams.states for streams, *_ in blocks])))
+            runs.append((counts, np.concatenate([blocks[first][0].states for first in sorted(blocks)])))
         return runs
 
     @staticmethod
@@ -635,8 +654,9 @@ class TestEngineEquivalence:
 
 
 class TestShares:
-    """The compiled advance runs once per share of the replicas
-    (`native.shares`); the number of shares changes no replica."""
+    """`run_coupling` splits the replicas once per call, one contiguous share
+    per CPU (`native.shares`), and runs every engine inside the shares; the
+    number of shares changes no replica."""
 
     @staticmethod
     def per_share_count(monkeypatch, k):
@@ -653,8 +673,9 @@ class TestShares:
     @pytest.mark.parametrize("start_mode", START_MODES)
     @pytest.mark.parametrize("selector", SELECTORS)
     def test_counts_do_not_depend_on_the_shares(self, compiled, monkeypatch, selector, start_mode, seed, replicas):
-        # 20,000 replicas run as a block of 2^14 and one of 3,616; r-r
-        # replicas settle at different checkpoints in different shares
+        # 20,000 replicas run as a block of 2^14 and one of 3,616 on one
+        # CPU, and as blocks of each share on more; r-r replicas settle at
+        # different checkpoints in different shares
         cfg = RunConfig(
             N=8, horizon=400, replicas=replicas, seed=seed, selector=selector,
             start_mode=start_mode, checkpoints=(0, 1, 5, 50, 400),
@@ -664,33 +685,72 @@ class TestShares:
             with monkeypatch.context() as m:
                 seen = self.per_share_count(m, k)
                 counts[k] = run_coupling(cfg).by_time
-            # one advance per checkpoint but the one at 0, which moves nothing
-            assert len(seen) == (len(cfg.checkpoints) - 1) * sum(
-                min(k, coupling.BLOCK_SIZE, replicas - first)
-                for first in range(0, replicas, coupling.BLOCK_SIZE)
-            )
+            assert len(seen) == min(k, replicas)  # one split per run
         assert counts[2] == counts[3] == counts[8] == counts[1]
 
     @pytest.mark.parametrize("replicas", [1, 3, 61, 20_000])
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
     @pytest.mark.parametrize("selector", SELECTORS)
-    def test_one_advance_moves_each_replica_as_one_share_does(self, compiled, monkeypatch, selector, seed, replicas):
-        # replica for replica: streams, X, Y and event bytes, settled
-        # replicas (r-r) included
+    def test_an_advance_starts_no_share(self, compiled, monkeypatch, selector, seed, replicas):
+        # the compiled advance moves every replica it is given in one call on
+        # the calling thread, whatever the CPUs; replica for replica, settled
+        # replicas (r-r) included, it leaves the same streams, X, Y and bytes
         cfg = RunConfig(
             N=30, horizon=300, replicas=replicas, seed=seed, selector=selector,
             start_mode="independent",
         )
         tables, events = coupling._grid_tables(cfg), coupling._event_table(cfg.N)
         ends = {}
-        for k in (1, 2, 3, 8):
+        for k in (1, 8):
             with monkeypatch.context() as m:
                 seen = self.per_share_count(m, k)
+                m.setattr(threading, "Thread", None)  # starting a thread would fail
                 streams, X, Y, ev = coupling._block_start(cfg, tables, 0, replicas)
                 compiled(tables, events, streams, X, Y, ev, cfg.horizon)
-            assert len(seen) == min(k, replicas)
+            assert seen == []
             ends[k] = [a.tolist() for a in (streams.states, X, Y, ev)]
-        assert ends[2] == ends[3] == ends[8] == ends[1]
+        assert ends[8] == ends[1]
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        """A traced config of 2^14 + 301 replicas and its exact (traces, counts)."""
+        cfg = RunConfig(
+            N=8, horizon=3, replicas=coupling.BLOCK_SIZE + 301, seed=SEED_NEAR_2_64,
+            selector="pcheck-rtilde", start_mode="independent", emit_traces=True, checkpoints=(0, 1),
+        )
+        return cfg, (exact_replay(cfg), exact_counts(cfg))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_traces_across_a_block_boundary(self, monkeypatch, traced, k):
+        # one block in each share, or two on one CPU; the traces are joined
+        # in replica order
+        cfg, expected = traced
+        with monkeypatch.context() as m:
+            seen = self.per_share_count(m, k)
+            stats = run_coupling(cfg)
+        assert len(seen) == k
+        assert (stats.traces, stats.by_time) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_numpy_fallback_in_shares(self, compiled, monkeypatch, k):
+        # the numpy advance runs inside the shares as the compiled one does,
+        # over 2^14 + 301 replicas; r-r replicas settle in the compiled loop
+        cfg = RunConfig(
+            N=8, horizon=60, replicas=coupling.BLOCK_SIZE + 301, seed=0, selector="r-r",
+            checkpoints=(0, 5),
+        )
+        runs = []
+        for library in (native.library, lambda: None):
+            with monkeypatch.context() as m:
+                m.setattr(native, "library", library)
+                seen = self.per_share_count(m, k)
+                runs.append(run_coupling(cfg).by_time)
+            assert len(seen) == k
+        with monkeypatch.context() as m:
+            m.setattr(native, "library", lambda: None)
+            self.per_share_count(m, 1)
+            runs.append(run_coupling(cfg).by_time)
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestTraceReplay:

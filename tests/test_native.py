@@ -154,6 +154,31 @@ class TestLoopsInShares:
                 assert expected.setdefault(name, result) == result
 
 
+class TestOneSplitPerCall:
+    """Every Monte Carlo routine splits its replicas once per call, over
+    range(replicas), and runs its engine inside the shares."""
+
+    @pytest.mark.parametrize("loop, engine", [
+        *((loop, engine) for loop in ("permfix_advance", "permfix_ascent_peak", "permfix_mallows")
+          for engine in ("compiled", "numpy")),
+        ("permfix_advance", "traced"),  # only the coupling records traces
+    ])
+    def test_one_call_of_shares_over_every_replica(self, monkeypatch, loop, engine):
+        if engine == "numpy":
+            monkeypatch.setattr(native, "library", lambda: None)
+        elif engine == "compiled" and shutil.which(native.BUILD[0]) is None:
+            pytest.skip("no C compiler")
+        routine = routines()[loop]
+        if engine == "traced":
+            cfg = RunConfig(N=8, horizon=40, replicas=300, seed=9, checkpoints=(0, 20), emit_traces=True)
+            routine = lambda: run_coupling(cfg)  # noqa: E731
+        counts, shares = [], native.shares
+        monkeypatch.setattr(native, "cpus", lambda: 3)
+        monkeypatch.setattr(native, "shares", lambda fn, count: counts.append(count) or shares(fn, count))
+        routine()
+        assert counts == [300]
+
+
 class TestSource:
     """The C source compiles cleanly, and `library()` declares each loop
     with as many arguments as its C prototype takes: ctypes checks the
