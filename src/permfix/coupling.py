@@ -193,11 +193,10 @@ def birth_death_thresholds(kernel: StochasticKernel) -> tuple[list[Fraction], li
         raise ValueError("monotone stepping needs a birth-and-death kernel")
     down, stay = [], []
     states = kernel.states
-    for i, x in enumerate(states):
-        d = kernel.entry(x, states[i - 1]) if i > 0 else Fraction(0)
-        s = d + kernel.entry(x, x)
-        down.append(d)
-        stay.append(s)
+    for i, (x, (den, row)) in enumerate(zip(states, kernel.integer_rows)):
+        d = row.get(states[i - 1], 0) if i > 0 else 0
+        down.append(Fraction(d, den))
+        stay.append(Fraction(d + row.get(x, 0), den))
     return down, stay
 
 
@@ -469,12 +468,16 @@ _DRIFT_DIGITS = 45  # enclosure width of e^{-+theta/N}; far below any margin c/N
 
 
 def _drift_for(N: int, which: str, theta: Fraction) -> DriftCertificate:
-    em = exp_interval(-theta / N, _DRIFT_DIGITS).hi - 1
-    ep = exp_interval(theta / N, _DRIFT_DIGITS).hi - 1
-    moves = _penta_moves(N, 1, CONSTANT_K[which])  # the rates K(1, 0) and K(1, 2)
+    # the upper ends (m/dm, q/dq) of e^{-theta/N} and e^{theta/N}
+    (m, dm), (q, dq) = (
+        exp_interval(sign * theta / N, _DRIFT_DIGITS).hi.as_integer_ratio() for sign in (-1, 1)
+    )
+    den, moves = _penta_moves(N, 1, CONSTANT_K[which])  # the rates K(1, 0) and K(1, 2)
     up = moves[2] if N > 5 else 0  # y = 1 is the top state at N = 5
-    worst = 1 + em * moves[0] + ep * up  # F_bar(1), the maximum
-    return DriftCertificate(N=N, theta=theta, c_est=N ** 3 * (1 - worst))
+    # F_bar(1) - 1 = (m/dm - 1) K(1, 0) + (q/dq - 1) K(1, 2) = excess / (dm dq den),
+    # and F_bar(1) is the maximum
+    excess = (m - dm) * moves[0] * dq + (q - dq) * up * dm
+    return DriftCertificate(N=N, theta=theta, c_est=Fraction(-N ** 3 * excess, dm * dq * den))
 
 
 def drift_certificate(N: int, which: str = "R") -> DriftCertificate:

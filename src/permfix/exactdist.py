@@ -3,10 +3,12 @@
 Everything here is computed in rational arithmetic.  The only transcendental
 constant that ever enters is e^{-1}; it is carried around as an exact rational
 enclosure (an interval whose endpoints are consecutive partial sums of the
-alternating series sum (-1)^k / k!, see `exp_interval`), so every comparison
-against an analytic bound can be certified rather than merely observed in
-floating point.  The enclosure for a quantity at N has `enclosure_digits(N)`
-digits, enough to resolve the distance between pi_N and Poisson(1).
+alternating series sum (-1)^k / k!, D_k / k! and D_{k+1} / (k+1)!, see
+`exp_interval`, which sums in integers and builds one `Fraction` per
+endpoint), so every comparison against an analytic bound can be certified
+rather than merely observed in floating point.  The enclosure for a
+quantity at N has `enclosure_digits(N)` digits, enough to resolve the
+distance between pi_N and Poisson(1).
 
 Between two laws of mass one, sum |d1 - d2| = 2 sum (d1 - d2)_+ and the
 positive-part sum is the same in either order, so every distance is one
@@ -19,7 +21,9 @@ the result.
 
 Every sum of many rationals in the exact core (here and in `kernels`,
 `lumping` and `moments`) goes through `_exact_sum`, which adds the terms
-over one common denominator and normalises once.
+over one common denominator and normalises once.  Sums whose denominator
+is known in advance (a kernel row, a block of a row) are plain integer
+sums of numerators over it.
 """
 from __future__ import annotations
 
@@ -88,21 +92,32 @@ def exp_interval(x: Fraction | int, digits: int) -> Interval:
     alternating series sum_k (-|x|)^k / k! bracket e^{-|x|}; the sum stops at
     the first term below 10^-digits, which bounds the width.  For x > 0 the
     bracket is inverted, which widens it by at most a factor e^2.
+
+    With |x| = a/b the k-th partial sum is s_k / (b^k k!), where
+    s_k = k b s_{k-1} + (-a)^k from s_0 = 1, so the sums and the stopping
+    test stay in integers and one `Fraction` is built per endpoint.  At
+    x = -1, s_k is the derangement number D_k.
     """
-    x = Fraction(x)
-    if abs(x) > 1:
+    a, b = Fraction(x).as_integer_ratio()
+    a = abs(a)
+    if a > b:
         raise ValueError("exp_interval needs |x| <= 1")
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    target = Fraction(1, 10 ** digits)
-    term = s = Fraction(1)
+    scale = 10 ** digits
+    s, den, power = 1, 1, 1  # s_k, b^k k!, a^k
     k = 0
-    while abs(term) >= target:
+    while power * scale >= den:  # the term a^k / (b^k k!) is >= 10^-digits
         k += 1
-        term = term * -abs(x) / k
-        prev, s = s, s + term
-    lo, hi = sorted((prev, s))
-    return Interval(1 / hi, 1 / lo) if x > 0 else Interval(lo, hi)
+        power *= a
+        prev = (s, den)
+        s = k * b * s + (-power if k & 1 else power)
+        den *= k * b
+    # the last term, (-a)^k / (b^k k!), is <= 0 for odd k
+    (lo_n, lo_d), (hi_n, hi_d) = ((s, den), prev) if k & 1 else (prev, (s, den))
+    if x > 0:
+        return Interval(Fraction(hi_d, hi_n), Fraction(lo_d, lo_n))
+    return Interval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
 
 @lru_cache(maxsize=None)

@@ -10,10 +10,13 @@ and the diagonal completing each row.  Three independent routes to p are
 provided (brute-force enumeration, the derangement closed form, and the
 reversibility recursion), together with the derived birth-and-death kernels
 and an exact detailed-balance check, which for a law with positive weights
-also settles Kolmogorov's cycle criterion.  Row sums and the invariance
-check w K = w add their terms over one common denominator
-(`exactdist._exact_sum`), and detailed balance compares d(x) K(x,y) with
-d(y) K(y,x) by integer cross-multiplication.
+also settles Kolmogorov's cycle criterion.  A kernel row is stored as
+integer numerators over one row denominator (N(N-1) times the denominator
+of k for the family below), so its row sum is one integer sum; detailed
+balance compares d(x) K(x,y) with d(y) K(y,x) by integer
+cross-multiplication, and the invariance check w K = w adds each column
+over one common denominator (`exactdist._exact_sum`).  A `Fraction` is
+built only where a value is read: an entry, a value of p, a residual.
 
 One catalogue pairs each of the seven kernels with the law it is
 reversible for: `reversible_pair(N, label)` over `KERNEL_LABELS`.  It is the
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .exactdist import (
@@ -48,44 +52,92 @@ def state_space(N: int) -> tuple[int, ...]:
 # kernels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StochasticKernel:
     """Row-stochastic kernel over an explicit ordered state list.
 
-    Entries are stored as exact rationals (`Fraction`), and each stored row
-    must sum to exactly 1; rows are stored as mappings keyed by the target
+    Each row is stored once, in integers: `integer_rows[i]` is a pair
+    (den, {target: numerator}) with positive numerators summing to den,
+    reduced by one gcd over the row, so equal kernels store equal rows and
+    `==` compares states, entries and label.  Rows are keyed by the target
     *state label*, never by index arithmetic, so a state absent from the
     list (such as N-1 in V) cannot be addressed at all.
+
+    The constructor takes rational rows and puts each over the lcm of its
+    denominators; builders that know a row's denominator hand the integers
+    to `from_integer_rows`.  Both go through one validation: every target
+    is a state, no entry is negative, and each row sums to exactly 1.
+    `Fraction`s are built only where an entry is read: `rows`, `row`,
+    `entry` and `to_json_dict` give reduced ones.
     """
 
     states: tuple[Hashable, ...]
-    rows: tuple[Mapping[Hashable, Fraction], ...]
+    integer_rows: tuple[tuple[int, Mapping[Hashable, int]], ...]
     label: str = ""
-    _positions: Mapping[Hashable, int] = field(init=False, repr=False, compare=False)
+    _positions: Mapping[Hashable, int] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.states) != len(self.rows):
+    def __init__(
+        self,
+        states: Sequence[Hashable],
+        rows: Sequence[Mapping[Hashable, Fraction | int | float]],
+        label: str = "",
+    ) -> None:
+        integer_rows = []
+        for row in rows:
+            row = {t: w if isinstance(w, Fraction) else Fraction(w) for t, w in row.items()}
+            den = math.lcm(*(w.denominator for w in row.values()))
+            nums = {t: w.numerator * (den // w.denominator) for t, w in row.items()}
+            integer_rows.append((den, nums))
+        self._store(states, integer_rows, label)
+
+    @classmethod
+    def from_integer_rows(
+        cls,
+        states: Sequence[Hashable],
+        rows: Sequence[tuple[int, Mapping[Hashable, int]]],
+        label: str = "",
+    ) -> "StochasticKernel":
+        """The kernel whose row i is {t: n / den} for rows[i] = (den, {t: n}), den > 0."""
+        kernel = cls.__new__(cls)
+        kernel._store(states, rows, label)
+        return kernel
+
+    def _store(self, states, rows, label) -> None:
+        """The one validation; stores each row reduced by the gcd of its
+        denominator and numerators, with its zero entries dropped."""
+        states = tuple(states)
+        if len(states) != len(rows):
             raise ValueError("states/rows length mismatch")
-        index = {s: i for i, s in enumerate(self.states)}
-        if len(index) != len(self.states):
+        index = {s: i for i, s in enumerate(states)}
+        if len(index) != len(states):
             raise ValueError("duplicate states")
-        frozen = []
-        for s, row in zip(self.states, self.rows):
-            stored = {}
-            for t, w in row.items():
+        stored = []
+        for s, (den, row) in zip(states, rows):
+            kept = {}
+            for t, n in row.items():
                 if t not in index:
                     raise ValueError(f"row {s!r} targets unknown state {t!r}")
-                q = w if isinstance(w, Fraction) else Fraction(w)
-                if q.numerator < 0:  # the denominator is positive
-                    raise ValueError(f"negative entry at ({s!r}, {t!r}): {w}")
-                if q:
-                    stored[t] = q
-            total = _exact_sum(map(Fraction.as_integer_ratio, stored.values()))
-            if total != 1:
-                raise ValueError(f"row {s!r} sums to {total}, not 1")
-            frozen.append(stored)
-        object.__setattr__(self, "rows", tuple(frozen))
+                if n < 0:
+                    raise ValueError(f"negative entry at ({s!r}, {t!r}): {Fraction(n, den)}")
+                if n:
+                    kept[t] = n
+            total = sum(kept.values())
+            if total != den:
+                raise ValueError(f"row {s!r} sums to {Fraction(total, den)}, not 1")
+            g = math.gcd(den, *kept.values())
+            if g > 1:
+                den, kept = den // g, {t: n // g for t, n in kept.items()}
+            stored.append((den, kept))
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "integer_rows", tuple(stored))
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "_positions", index)
+
+    @property
+    def rows(self) -> tuple[dict[Hashable, Fraction], ...]:
+        return tuple(
+            {t: Fraction(n, den) for t, n in row.items()} for den, row in self.integer_rows
+        )
 
     def index(self, state: Hashable) -> int:
         try:
@@ -93,19 +145,20 @@ class StochasticKernel:
         except KeyError:
             raise ValueError(f"{state!r} is not a state of kernel {self.label!r}") from None
 
-    def row(self, state: Hashable) -> Mapping[Hashable, Fraction]:
-        return self.rows[self.index(state)]
+    def row(self, state: Hashable) -> dict[Hashable, Fraction]:
+        den, row = self.integer_rows[self.index(state)]
+        return {t: Fraction(n, den) for t, n in row.items()}
 
     def entry(self, x: Hashable, y: Hashable) -> Fraction:
-        row = self.row(x)
+        den, row = self.integer_rows[self.index(x)]
         self.index(y)  # an unknown target raises ValueError, as a source does
-        return row.get(y, Fraction(0))
+        return Fraction(row.get(y, 0), den)
 
     def bandwidth(self) -> int:
         """Largest |i - j| over nonzero off-diagonal entries, in list positions."""
         pos = self._positions
         width = 0
-        for s, row in zip(self.states, self.rows):
+        for s, (_, row) in zip(self.states, self.integer_rows):
             for t in row:
                 width = max(width, abs(pos[s] - pos[t]))
         return width
@@ -113,37 +166,37 @@ class StochasticKernel:
     def is_invariant(self, weights: Mapping[Hashable, Fraction]) -> bool:
         """Does weights * K = weights hold exactly?
 
-        The products w(s) K(s, t) go in unnormalised, as (w.num v.num,
-        w.den v.den); a column keeps one integer numerator per distinct
-        denominator, and is then summed over one common denominator.
+        The products w(s) K(s, t) go in unnormalised, as (w.num n,
+        w.den den) for the entry n/den; a column keeps one integer numerator
+        per distinct denominator, and is then summed over one common
+        denominator.
         """
         w = {s: Fraction(weights.get(s, 0)) for s in self.states}
         columns: dict[Hashable, dict[int, int]] = {s: {} for s in self.states}
-        for s, row in zip(self.states, self.rows):
+        for s, (den, row) in zip(self.states, self.integer_rows):
             wn, wd = w[s].as_integer_ratio()
             if wn:
-                for t, v in row.items():
-                    vn, vd = v.as_integer_ratio()
+                d = wd * den
+                for t, n in row.items():
                     column = columns[t]
-                    column[wd * vd] = column.get(wd * vd, 0) + wn * vn
+                    column[d] = column.get(d, 0) + wn * n
         return all(
             _exact_sum((n, d) for d, n in columns[s].items()) == w[s] for s in self.states
         )
 
     def to_json_dict(self) -> dict:
+        pos = self._positions
+        cols = []
+        for den, row in self.integer_rows:
+            entries = []
+            for t in sorted(row, key=pos.__getitem__):
+                g = math.gcd(row[t], den)
+                entries.append({"to": t, "num": row[t] // g, "den": den // g})
+            cols.append(entries)
         return {
             "label": self.label,
             "states": list(self.states),
-            "rows": [
-                {
-                    "from": s,
-                    "cols": [
-                        {"to": t, "num": w.numerator, "den": w.denominator}
-                        for t, w in sorted(row.items(), key=lambda kv: self.index(kv[0]))
-                    ],
-                }
-                for s, row in zip(self.states, self.rows)
-            ],
+            "rows": [{"from": s, "cols": c} for s, c in zip(self.states, cols)],
         }
 
 
@@ -158,7 +211,7 @@ class PFunction:
     Only the domain and non-negativity are checked.  The forced values
     p(N) = 0, p(N-2) = 1, p(N-3) = 0 hold for every route to p; a p that
     breaks one makes `build_penta` move off V, which `StochasticKernel`
-    rejects.
+    rejects.  `values` is a read-only mapping, so a checked p stays checked.
     """
 
     N: int
@@ -169,7 +222,7 @@ class PFunction:
             raise ValueError("p must be defined exactly on V")
         if any(v < 0 for v in self.values.values()):
             raise ValueError("p must be non-negative")
-        object.__setattr__(self, "values", dict(self.values))
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
     def __getitem__(self, x: int) -> Fraction:
         return self.values[x]
@@ -186,22 +239,27 @@ def p_bruteforce(N: int) -> PFunction:
 
 
 def p_closedform(N: int) -> PFunction:
-    """p(x) = (1/2) (D_{N-x-2} / (N-x-2)!) ((N-x)! / D_{N-x}) for x <= N-2."""
+    """p(x) = (1/2) (D_{N-x-2} / (N-x-2)!) ((N-x)! / D_{N-x}) for x <= N-2,
+    that is D_{m-2} m(m-1) / (2 D_m) with m = N-x: one `Fraction` per x."""
     if N < 1:
         raise ValueError("N must be >= 1")
     table = derangements(N)
     values: dict[int, Fraction] = {N: Fraction(0)}
     for x in range(N - 1):
         m = N - x
-        values[x] = Fraction(1, 2) * Fraction(
-            table[m - 2] * math.factorial(m), math.factorial(m - 2) * table[m]
-        )
+        values[x] = Fraction(table[m - 2] * m * (m - 1), 2 * table[m])
     return PFunction(N=N, values=values)
 
 
-def recursion_map(N: int, x: int, r: Fraction) -> Fraction:
-    """F_x(r) = (N-x)(N-x-1-r) / ((N-x-1)^2 - r); fixed point F_x(1) = 1."""
-    return (N - x) * ((N - x - 1) - Fraction(r)) / ((N - x - 1) ** 2 - Fraction(r))
+def recursion_map(N: int, x: int, r: Fraction | int) -> Fraction:
+    """F_x(r) = (N-x)(N-x-1-r) / ((N-x-1)^2 - r); fixed point F_x(1) = 1.
+
+    With m = N-x and r = a/b this is m((m-1)b - a) / ((m-1)^2 b - a), one
+    `Fraction` built from integers.
+    """
+    a, b = r.as_integer_ratio()
+    m = N - x
+    return Fraction(m * ((m - 1) * b - a), (m - 1) ** 2 * b - a)
 
 
 def p_recursion(N: int) -> PFunction:
@@ -226,44 +284,55 @@ def p_recursion(N: int) -> PFunction:
 # kernel builders
 # ---------------------------------------------------------------------------
 
-def _penta_moves(N: int, x: int, k: Fraction | int) -> dict[int, Fraction]:
+Moves = tuple[int, dict[Hashable, int]]  # (den, {target: numerator over den})
+
+
+def _penta_moves(N: int, x: int, k: Fraction | int) -> Moves:
     """The moves from x of the penta-diagonal family driven by k.
 
     Down by one at x(N-x), down by two at x(x-1), up by one at N-x-k and up
     by two at k, all over N(N-1).  P, P~, P^ and P_check have k = 2p(x); R
-    and P_bar set k = 1, and R~ sets k = 1/2.  Each builder keeps the moves
-    its state space and band allow.
+    and P_bar set k = 1, and R~ sets k = 1/2.  With k = a/b the moves are
+    integer numerators over N(N-1) b.  Each builder keeps the moves its
+    state space and band allow.
     """
-    den = N * (N - 1)
-    return {
-        x - 1: Fraction(x * (N - x), den),
-        x - 2: Fraction(x * (x - 1), den),
-        x + 1: Fraction(N - x - k, den),
-        x + 2: Fraction(k, den),
+    a, b = k.as_integer_ratio()
+    return N * (N - 1) * b, {
+        x - 1: x * (N - x) * b,
+        x - 2: x * (x - 1) * b,
+        x + 1: (N - x) * b - a,
+        x + 2: a,
     }
 
 
-def _kernel(states: Sequence[Hashable], moves: Iterable[Mapping], label: str) -> StochasticKernel:
-    """Rows from per-state moves: zero weights dropped, the diagonal set to
-    1 - (sum of the moves).  `StochasticKernel` rejects a move to an unknown
-    state and a negative entry, the diagonal included."""
+def _kernel(states: Sequence[Hashable], moves: Iterable[Moves], label: str) -> StochasticKernel:
+    """Rows from per-state moves, (den, {target: numerator}): zero weights
+    dropped, the diagonal set to den - (sum of the moves).
+    `StochasticKernel` rejects a move to an unknown state and a negative
+    entry, the diagonal included."""
     rows = []
-    for s, row in zip(states, moves):
-        row = {t: w for t, w in row.items() if w != 0}
-        row[s] = 1 - _exact_sum(w.as_integer_ratio() for w in row.values())
-        rows.append(row)
-    return StochasticKernel(tuple(states), tuple(rows), label=label)
+    for s, (den, row) in zip(states, moves):
+        row = {t: n for t, n in row.items() if n}
+        row[s] = den - sum(row.values())
+        rows.append((den, row))
+    return StochasticKernel.from_integer_rows(states, rows, label)
 
 
 def _neighbour_kernel(
-    states: Sequence[Hashable], moves: Iterable[Mapping], label: str
+    states: Sequence[Hashable], moves: Iterable[Moves], label: str
 ) -> StochasticKernel:
     """`_kernel` keeping only the moves between neighbours in the order of states."""
     kept = []
-    for i, row in enumerate(moves):
+    for i, (den, row) in enumerate(moves):
         near = states[max(i - 1, 0):i + 2]
-        kept.append({t: w for t, w in row.items() if t in near})
+        kept.append((den, {t: n for t, n in row.items() if t in near}))
     return _kernel(states, kept, label)
+
+
+def _relabelled(moves: Moves, at: Mapping[Hashable, Hashable]) -> Moves:
+    """The moves to targets in `at`, each target renamed to at[target]."""
+    den, row = moves
+    return den, {at[t]: n for t, n in row.items() if t in at}
 
 
 def build_penta(N: int, p: PFunction) -> StochasticKernel:
@@ -312,9 +381,7 @@ def build_hat(N: int) -> StochasticKernel:
     z = hat_ordering(N)
     p = p_closedform(N)
     at = {x: i for i, x in enumerate(z)}
-    moves = (
-        {at[y]: w for y, w in _penta_moves(N, x, 2 * p[x]).items() if y in at} for x in z
-    )
+    moves = (_relabelled(_penta_moves(N, x, 2 * p[x]), at) for x in z)
     return _neighbour_kernel(tuple(range(N)), moves, "P_hat")
 
 
@@ -367,7 +434,8 @@ def poisson_reversible_penta(N: int) -> StochasticKernel:
     if N < 2:
         raise ValueError("N must be >= 2")
     states = tuple(range(N + 1))
-    moves = ({y: w for y, w in _penta_moves(N, x, 1).items() if 0 <= y <= N} for x in states)
+    inside = {y: y for y in states}
+    moves = (_relabelled(_penta_moves(N, x, 1), inside) for x in states)
     return _kernel(states, moves, "P_bar")
 
 
@@ -383,17 +451,18 @@ def poisson_box_law(N: int) -> ExactDist:
 def birth_death_stationary(kernel: StochasticKernel) -> ExactDist:
     """Stationary law of an irreducible birth-and-death kernel via the
     detailed-balance product formula w(x+1)/w(x) = K(x, x+1)/K(x+1, x)."""
-    states = kernel.states
+    states, rows = kernel.states, kernel.integer_rows
     if kernel.bandwidth() > 1:
         raise ValueError("kernel is not tri-diagonal in its state order")
     weights = {states[0]: Fraction(1)}
     for i in range(len(states) - 1):
         x, y = states[i], states[i + 1]
-        up = kernel.entry(x, y)
-        down = kernel.entry(y, x)
+        (up_den, up_row), (down_den, down_row) = rows[i], rows[i + 1]
+        up, down = up_row.get(y, 0), down_row.get(x, 0)
         if up == 0 or down == 0:
             raise ValueError(f"kernel not irreducible across edge ({x!r}, {y!r})")
-        weights[y] = weights[x] * up / down
+        wn, wd = weights[x].as_integer_ratio()
+        weights[y] = Fraction(wn * up * down_den, wd * up_den * down)
     total = _exact_sum(map(Fraction.as_integer_ratio, weights.values()))
     return ExactDist({s: w / total for s, w in weights.items()})
 
@@ -460,20 +529,23 @@ def check_reversibility(kernel: StochasticKernel, dist: Mapping) -> Reversibilit
     K(x,y) K(y,z) K(z,x) = K(x,z) K(z,y) K(y,x) on every cycle (Kolmogorov's
     criterion).  The pairs (i < j, in state-list positions) with K(x,y) or
     K(y,x) nonzero are visited in (i, j) order, and the scan stops at the
-    first violation, the one an all-pairs scan would meet first.  The two
+    first violation, the one an all-pairs scan would meet first.  With
+    d(x) = a/b and row x over den, d(x) K(x,y) = a n / (b den), so the two
     sides are compared by integer cross-multiplication; the `Fraction`
     residual is formed only for that violation.
     """
-    weights = []
-    for s in kernel.states:
-        w = Fraction(dist.get(s, 0))
-        if w <= 0:
+    states, rows, pos = kernel.states, kernel.integer_rows, kernel._positions
+    nums, dens = [], []  # d(x) K(x, y) = nums[i] * (numerator of K(x, y)) / dens[i]
+    for s, (den, _) in zip(states, rows):
+        w = dist.get(s, 0)
+        a, b = (w if isinstance(w, Fraction) else Fraction(w)).as_integer_ratio()
+        if a <= 0:
             raise ValueError(f"state {s!r} has zero weight")
-        weights.append(w)
+        nums.append(a)
+        dens.append(b * den)
 
-    states, rows, pos = kernel.states, kernel.rows, kernel._positions
     pairs = set()
-    for i, row in enumerate(rows):
+    for i, (_, row) in enumerate(rows):
         for t in row:
             j = pos[t]
             if i < j:
@@ -482,14 +554,12 @@ def check_reversibility(kernel: StochasticKernel, dist: Mapping) -> Reversibilit
                 pairs.add((j, i))
 
     first = None
-    zero = Fraction(0)
     for i, j in sorted(pairs):
         x, y = states[i], states[j]
-        wx, wy = weights[i], weights[j]
-        kxy, kyx = rows[i].get(y, zero), rows[j].get(x, zero)
-        if (wx.numerator * kxy.numerator * wy.denominator * kyx.denominator
-                != wy.numerator * kyx.numerator * wx.denominator * kxy.denominator):
-            first = (x, y, wx * kxy - wy * kyx)
+        lhs = nums[i] * rows[i][1].get(y, 0) * dens[j]
+        rhs = nums[j] * rows[j][1].get(x, 0) * dens[i]
+        if lhs != rhs:
+            first = (x, y, Fraction(lhs - rhs, dens[i] * dens[j]))
             break
 
     return ReversibilityReport(

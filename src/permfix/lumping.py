@@ -9,9 +9,10 @@ with invariant law mu_1(v) = mu(A_v).  With the constant-row link
 Lambda(w, v) = mu_1(v), the intertwining Q Lambda = Lambda P reduces to
 mu_1 P = mu_1, which `project` checks exactly; reversibility of mu transfers
 to mu_1.  Each kernel row is summed into blocks, Q(w, A_v'), in one place
-(`_block_rows`), which both `project` and `dynkin_check` read.  Those sums,
-the block masses and the share-weighted rows of `project` each add their
-terms over one common denominator (`exactdist._exact_sum`).
+(`_block_rows`), which both `project` and `dynkin_check` read: integer
+numerators over the row's own denominator.  Each share-weighted row of
+`project` is put over one row denominator in integers, and the block
+masses are added over one common denominator (`exactdist._exact_sum`).
 Instantiated on the symmetric group: the transposition walk, whose moves
 tau sigma come from one rule on the permutation table
 (`perms.transposition_ranks`); the coagulation-fragmentation chain on cycle
@@ -92,14 +93,16 @@ class ProjectionResult:
     mu1: dict[Hashable, Fraction]
 
 
-def _block_rows(chain: PartitionedChain) -> dict[Hashable, dict[Hashable, Fraction]]:
-    """Q(w, A_v') for every state w: each kernel row summed into blocks."""
+def _block_rows(chain: PartitionedChain) -> dict[Hashable, tuple[int, dict[Hashable, int]]]:
+    """Q(w, A_v') for every state w: each kernel row summed into blocks, as
+    (den, {v': numerator}) over the denominator of the row of w."""
+    blocks = chain.blocks
     out = {}
-    for w, row in zip(chain.kernel.states, chain.kernel.rows):
-        terms: dict[Hashable, list[tuple[int, int]]] = defaultdict(list)
-        for w2, q in row.items():
-            terms[chain.blocks[w2]].append(q.as_integer_ratio())
-        out[w] = {v: _exact_sum(t) for v, t in terms.items()}
+    for w, (den, row) in zip(chain.kernel.states, chain.kernel.integer_rows):
+        sums: dict[Hashable, int] = defaultdict(int)
+        for w2, n in row.items():
+            sums[blocks[w2]] += n
+        out[w] = (den, dict(sums))
     return out
 
 
@@ -120,16 +123,18 @@ def project(chain: PartitionedChain) -> ProjectionResult:
 
     rows = []
     for v in ids:
-        # share mu(w) / mu(A_v) times Q(w, A_v'), as one unnormalised pair
+        # share mu(w) / mu(A_v) = (un md) / (ud mn) times Q(w, A_v') = n / den,
+        # all over one row denominator mn * lcm(ud den)
         mn, md = mass[v].as_integer_ratio()
-        terms: dict[Hashable, list[tuple[int, int]]] = defaultdict(list)
-        for w in members[v]:
-            un, ud = mu[w].as_integer_ratio()
-            for v2, q in block_rows[w].items():
-                qn, qd = q.as_integer_ratio()
-                terms[v2].append((un * md * qn, ud * mn * qd))
-        rows.append({v2: _exact_sum(t) for v2, t in terms.items()})
-    projected = StochasticKernel(ids, tuple(rows), label=f"proj({chain.kernel.label})")
+        parts = [(mu[w].as_integer_ratio(), block_rows[w]) for w in members[v]]
+        common = math.lcm(*(ud * den for (_, ud), (den, _) in parts))
+        nums: dict[Hashable, int] = defaultdict(int)
+        for (un, ud), (den, sums) in parts:
+            share = un * md * (common // (ud * den))
+            for v2, n in sums.items():
+                nums[v2] += share * n
+        rows.append((mn * common, dict(nums)))
+    projected = StochasticKernel.from_integer_rows(ids, rows, label=f"proj({chain.kernel.label})")
     if not projected.is_invariant(mass):
         raise AssertionError("mu_1 is not invariant for the projected kernel")
     return ProjectionResult(kernel=projected, mu1=dict(mass))
@@ -170,9 +175,10 @@ def dynkin_check(chain: PartitionedChain) -> dict[tuple[Hashable, Hashable], boo
     ids = chain.block_ids()
     out: dict[tuple[Hashable, Hashable], bool] = {}
     for v in ids:
+        (den0, first), *rest = (block_rows[w] for w in members[v])
         for v2 in ids:
-            vals = {block_rows[w].get(v2, Fraction(0)) for w in members[v]}
-            out[(v, v2)] = len(vals) == 1
+            n0 = first.get(v2, 0)
+            out[(v, v2)] = all(row.get(v2, 0) * den0 == n0 * den for den, row in rest)
     return out
 
 
@@ -187,9 +193,9 @@ def transposition_walk(N: int) -> StochasticKernel:
     check_guard(N, 8, "transposition_walk")
     states = tuple(iter_permutations(N))
     moves = np.column_stack(list(transposition_ranks(permutation_table(N))))  # [sigma, (a b)]
-    weight = Fraction(2, N * (N - 1))
-    rows = tuple({states[r]: weight for r in targets} for targets in moves.tolist())
-    return StochasticKernel(states, rows, label=f"T_{N}")
+    den = N * (N - 1) // 2
+    rows = [(den, {states[r]: 1 for r in targets}) for targets in moves.tolist()]
+    return StochasticKernel.from_integer_rows(states, rows, label=f"T_{N}")
 
 
 def uniform_on_permutations(N: int) -> dict[tuple[int, ...], Fraction]:
@@ -209,8 +215,9 @@ def _split_pair_count(length: int, part: int) -> int:
     return length // 2 if part == other else length
 
 
-def _cycle_type_row(ct: CycleType) -> dict[CycleType, Fraction]:
-    """Direct case analysis of one random-transposition move on a cycle type."""
+def _cycle_type_row(ct: CycleType) -> tuple[int, dict[CycleType, int]]:
+    """Direct case analysis of one random-transposition move on a cycle
+    type, as (N(N-1), {target: numerator})."""
     N = ct.N
     counts = ct.counts
     den = N * (N - 1)  # probabilities are 2 * (pair count) / (N(N-1))
@@ -252,9 +259,8 @@ def _cycle_type_row(ct: CycleType) -> dict[CycleType, Fraction]:
             nc[l - a - 1] += 1
             bump(nc, pairs)
 
-    stay = den - sum(twice_pairs.values())
-    twice_pairs[ct] += stay
-    return {t: Fraction(c, den) for t, c in twice_pairs.items() if c}
+    twice_pairs[ct] += den - sum(twice_pairs.values())
+    return den, dict(twice_pairs)
 
 
 def _type_index(table: np.ndarray, types: list[CycleType]) -> np.ndarray:
@@ -286,8 +292,8 @@ def cycle_type_chain(N: int) -> PartitionedChain:
         raise ValueError("N must be >= 2")
     check_guard(N, 8, "cycle_type_chain")
     types = all_cycle_types(N)
-    kernel = StochasticKernel(
-        tuple(types), tuple(_cycle_type_row(t) for t in types), label=f"Q_cycle_{N}"
+    kernel = StochasticKernel.from_integer_rows(
+        types, [_cycle_type_row(t) for t in types], label=f"Q_cycle_{N}"
     )
     invariant = {t: t.class_weight() for t in types}
     blocks = {t: t.fixed_points for t in types}

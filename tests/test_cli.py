@@ -7,6 +7,9 @@ import pytest
 
 from permfix import cli, exactdist
 from permfix.cli import FAIL, ConfigError, build_parser, main, parse_range, write_table
+from permfix.kernels import StochasticKernel
+from test_exactdist import series_exp_interval
+from test_kernels import json_from_entries
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +211,31 @@ def test_kernel_guard_skip(tmp_path, capsys):
     assert code == 0
     assert report["verdicts"]["p_triple_agreement"] == "skipped-guard"
     assert report["verdicts"]["p_closed_equals_recursion"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--n", "30"],
+    ["kernel", "--n", "50"],
+    ["exact", "--n", "4..30"],
+], ids=["kernel-30", "kernel-50", "exact-4..30"])
+def test_files_equal_the_reference_routes(argv, tmp_path, capsys, monkeypatch):
+    # the same files when every kernel's JSON is built from `entry()` and
+    # e^x is enclosed one `Fraction` term at a time, so the reduction of
+    # large denominators is pinned beyond the frozen digests' N
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert main(argv + ["--out", str(tmp_path / "fast")]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(StochasticKernel, "to_json_dict", json_from_entries)
+        m.setattr(exactdist, "exp_interval", series_exp_interval)
+        exactdist.inv_e_interval.cache_clear()
+        assert main(argv + ["--out", str(tmp_path / "reference")]) == 0
+    exactdist.inv_e_interval.cache_clear()
+    capsys.readouterr()
+    fast = tree(tmp_path / "fast")
+    assert len(fast) == (8 if argv[0] == "kernel" else 2)
+    assert fast == tree(tmp_path / "reference")
 
 
 def test_project_command(tmp_path, capsys):

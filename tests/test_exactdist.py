@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permfix import exactdist
+from permfix import coupling, exactdist
 from permfix.exactdist import (
     ExactDist,
     Interval,
@@ -506,6 +506,22 @@ def mp(q):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
+def series_exp_interval(x, digits):
+    """`exp_interval` summed one `Fraction` term at a time (its reference):
+    consecutive partial sums of sum_k (-|x|)^k / k!, stopped at the first
+    term below 10^-digits, and inverted for x > 0."""
+    x = Fraction(x)
+    target = Fraction(1, 10 ** digits)
+    term = s = Fraction(1)
+    k = 0
+    while abs(term) >= target:
+        k += 1
+        term = term * -abs(x) / k
+        prev, s = s, s + term
+    lo, hi = sorted((prev, s))
+    return Interval(1 / hi, 1 / lo) if x > 0 else Interval(lo, hi)
+
+
 class TestExpInterval:
     @PROPERTY
     @given(rationals, st.integers(1, 60))
@@ -517,6 +533,34 @@ class TestExpInterval:
 
     def test_exact_at_zero(self):
         assert exp_interval(0, 30) == Interval(1, 1)
+
+    @pytest.mark.parametrize(
+        "x", [-1, 0, 1, Fraction(1, 3), Fraction(-1, 3), Fraction(7, 9), Fraction(-7, 9)]
+    )
+    @pytest.mark.parametrize("digits", [1, 2, 10, 45, 50, 200, 480])
+    def test_equals_the_fraction_series(self, x, digits):
+        assert exp_interval(x, digits) == series_exp_interval(x, digits)
+
+    def test_equals_the_fraction_series_at_every_drift_argument(self):
+        digits = coupling._DRIFT_DIGITS
+        for N in range(5, 201):
+            for theta in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
+                for x in (-theta / N, theta / N):
+                    assert exp_interval(x, digits) == series_exp_interval(x, digits), (N, x)
+
+    def test_equals_the_fraction_series_at_every_enclosure_digit_count(self):
+        for N in range(4, 201):
+            digits = enclosure_digits(N)
+            assert exp_interval(-1, digits) == series_exp_interval(-1, digits), N
+
+    @pytest.mark.parametrize("digits", [1, 2, 10, 50, 200, 480])
+    def test_inv_e_ends_are_derangement_ratios(self, digits):
+        """e^{-1} lies between D_k/k! and D_{k+1}/(k+1)! for the k where the
+        series stops."""
+        iv = inv_e_interval(digits)
+        ratios = [Fraction(d, math.factorial(k)) for k, d in enumerate(derangements(500))]
+        k = next(k for k, r in enumerate(ratios) if r in (iv.lo, iv.hi))
+        assert {iv.lo, iv.hi} == {ratios[k], ratios[k + 1]}
 
     @pytest.mark.parametrize("x, digits", [(Fraction(101, 100), 10), (-2, 10), (1, 0)])
     def test_rejects_out_of_range(self, x, digits):

@@ -75,7 +75,7 @@ class TestPFunctions:
         rec = p_recursion(n)
         assert brute.values == closed.values == rec.values
 
-    @pytest.mark.parametrize("n", range(4, 31))
+    @pytest.mark.parametrize("n", range(4, 201))
     def test_closedform_equals_recursion(self, n):
         assert p_closedform(n).values == p_recursion(n).values
 
@@ -117,6 +117,12 @@ class TestPFunctions:
         bad[0] = Fraction(-1, 2)
         with pytest.raises(ValueError, match="non-negative"):
             PFunction(N=5, values=bad)
+
+    def test_values_are_read_only(self):
+        p = p_closedform(6)
+        with pytest.raises(TypeError):
+            p.values[0] = -5
+        assert p[0] == p_recursion(6)[0] >= 0
 
 
 class TestPentaKernel:
@@ -248,6 +254,7 @@ class TestReversibilityChecker:
         x, y, residual = report.first_violation[:3]
         assert (x, y) == (1, 2)
         zeta = zeta_law(n)
+        assert type(residual) is Fraction
         assert residual == zeta[1] * perturbed.entry(1, 2) - zeta[2] * perturbed.entry(2, 1)
         assert residual == zeta[1] * bump
 
@@ -301,6 +308,20 @@ def dense_reversibility(kernel, weights):
             if first is None:
                 first = (x, y, z, fwd - bwd)
     return db_ok and kol_ok, first, pairs
+
+
+def json_from_entries(kernel):
+    """`to_json_dict` rebuilt from `entry()`, the reduced `Fraction` of each
+    nonzero entry (its reference)."""
+    rows = []
+    for x in kernel.states:
+        cols = []
+        for y in kernel.states:
+            q = kernel.entry(x, y)
+            if q:
+                cols.append({"to": y, "num": q.numerator, "den": q.denominator})
+        rows.append({"from": x, "cols": cols})
+    return {"label": kernel.label, "states": list(kernel.states), "rows": rows}
 
 
 def every_builder(n):
@@ -433,10 +454,40 @@ class TestKernelValidation:
         assert kernel.rows == ({0: Fraction(1, 4), 1: Fraction(3, 4)}, {1: Fraction(1)})
         assert all(type(w) is Fraction for row in kernel.rows for w in row.values())
 
+    def test_unreduced_and_mixed_denominators_compare_equal(self):
+        states = (0, 1)
+        reduced = StochasticKernel(states, ({0: Fraction(1, 4), 1: Fraction(3, 4)}, {1: Fraction(1)}))
+        mixed = StochasticKernel(states, ({0: 0.25, 1: Fraction(6, 8)}, {0: 0, 1: 1}))
+        unreduced = StochasticKernel.from_integer_rows(states, [(12, {0: 3, 1: 9}), (5, {0: 0, 1: 5})])
+        assert reduced == mixed == unreduced
+        assert unreduced.integer_rows == ((4, {0: 1, 1: 3}), (1, {1: 1}))
+        relabelled = StochasticKernel.from_integer_rows(states, [(4, {0: 1, 1: 3}), (1, {1: 1})], "L")
+        assert reduced != relabelled
+        for n in (5, 30):
+            for label in KERNEL_LABELS:
+                kernel, _ = reversible_pair(n, label)
+                assert kernel == StochasticKernel(kernel.states, kernel.rows, label)
+                doubled = [
+                    (2 * den, {t: 2 * m for t, m in row.items()}) for den, row in kernel.integer_rows
+                ]
+                assert kernel == StochasticKernel.from_integer_rows(kernel.states, doubled, label)
+
+    @pytest.mark.parametrize("n", [5, 30, 50])
+    def test_reads_are_reduced_fractions(self, n):
+        for label in KERNEL_LABELS:
+            kernel, _ = reversible_pair(n, label)
+            for x, row in zip(kernel.states, kernel.rows):
+                assert row == kernel.row(x)
+                for y, w in row.items():
+                    assert type(w) is Fraction and w > 0
+                    assert math.gcd(w.numerator, w.denominator) == 1
+                    assert kernel.entry(x, y) == w
+            assert kernel.to_json_dict() == json_from_entries(kernel)
+
     def test_birth_death_negative_diagonal_raises(self):
         # an up-rate of 40/(N(N-1)) = 4/3 at N=6 leaves the diagonal at -1/3
         with pytest.raises(ValueError, match="negative entry"):
-            _kernel((0, 1, 2), [{1: Fraction(40, 30)}, {}, {}], "inflated")
+            _kernel((0, 1, 2), [(30, {1: 40}), (30, {}), (30, {})], "inflated")
 
 
 class TestEveryBuilder:
