@@ -47,26 +47,26 @@ from .rng import VectorStreams, check_seed, grid_cut, scramble
 def mallows_exact_pmf(N: int) -> ExactDist:
     """Exact law of S_N by dynamic programming over (last bit, partial sum).
 
-    Must coincide with the fixed-point law pi_N; the test suite enforces it.
+    The weights after bit n are integers over n!: X_n = 0 has probability
+    (n - 1)/n and X_n = 1 has 1/n, so a 0 bit multiplies a weight by n - 1
+    and a 1 bit by 1, and the law is the final weights over N!.  It must
+    coincide with the fixed-point law pi_N; the test suite enforces it.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     # state: (last bit value, sum of adjacent products so far)
-    dist: dict[tuple[int, int], Fraction] = {(1, 0): Fraction(1)}  # X_1 == 1
+    dist: dict[tuple[int, int], int] = {(1, 0): 1}  # X_1 == 1
     for n in range(2, N + 1):
-        p_one = Fraction(1, n)
-        nxt: dict[tuple[int, int], Fraction] = {}
+        nxt: dict[tuple[int, int], int] = {}
         for (prev, acc), w in dist.items():
-            for bit in (0, 1):
-                w_bit = w * (p_one if bit else 1 - p_one)
+            for bit, factor in ((0, n - 1), (1, 1)):
                 key = (bit, acc + (prev & bit))
-                nxt[key] = nxt.get(key, Fraction(0)) + w_bit
+                nxt[key] = nxt.get(key, 0) + w * factor
         dist = nxt
-    law: dict[int, Fraction] = {}
+    law: dict[int, int] = {}
     for (last, acc), w in dist.items():
-        s = acc + last
-        law[s] = law.get(s, Fraction(0)) + w
-    return ExactDist(law)
+        law[acc + last] = law.get(acc + last, 0) + w
+    return ExactDist(math.factorial(N), law)
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,19 @@ rather than merely observed in floating point.  The enclosure for a
 quantity at N has `enclosure_digits(N)` digits, enough to resolve the
 distance between pi_N and Poisson(1).
 
+A law (`ExactDist`) is integer numerators over one denominator, as a
+kernel row is, so a sum over a law is an integer sum of its numerators.
 Between two laws of mass one, sum |d1 - d2| = 2 sum (d1 - d2)_+ and the
 positive-part sum is the same in either order, so every distance is one
-positive-part sum.  Against Poisson(1) it is one exact linear form
-A + B e^{-1}.  Each term d(x) - e^{-1}/x! has a sign that one comparison
-of d(x) x! with the enclosure decides; the positive terms give A and B as
-exact rational sums, and the enclosure is scaled once.  Enclosing each term
-on its own would let e^{-1} take a different value in every term, and widen
-the result.
-
-Every sum of many rationals in the exact core (here and in `kernels`,
-`lumping` and `moments`) goes through `_exact_sum`, which adds the terms
-over one common denominator and normalises once.  Sums whose denominator
-is known in advance (a kernel row, a block of a row) are plain integer
-sums of numerators over it.
+positive-part sum, over the product of the two denominators.  Against
+Poisson(1) it is one exact linear form A + B e^{-1}.  Each term
+d(x) - e^{-1}/x! has a sign that one comparison of d(x) x! with the
+enclosure decides; the positive terms give A, over the law's denominator,
+and B, and the enclosure is scaled once.  Enclosing each term on its own
+would let e^{-1} take a different value in every term, and widen the
+result.  A sum whose denominators really differ (B here, the invariance
+check and block masses of `kernels` and `lumping`, the Gram sums of
+`moments`) goes through `_exact_sum`: over one lcm, normalised once.
 """
 from __future__ import annotations
 
@@ -35,6 +34,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from types import MappingProxyType
 from typing import Union
 
 
@@ -163,67 +163,72 @@ def _is_atom(x) -> bool:
 class ExactDist(Mapping[int, Fraction]):
     """Finitely supported probability law on Z+ with exact rational weights.
 
-    A law is its weights: a read-only mapping from each atom to its positive
-    `Fraction` weight, in increasing order of the atoms, so two laws are
-    equal when their weights are (a dict of the same weights included).
-    Zero weights are dropped, so a law is read off its atoms as
-    `d.get(x, 0)`.  A float weight is converted exactly, so the weights must
-    sum to 1 as the rationals the floats denote.
+    The one constructor, `ExactDist(den, {atom: numerator})`, takes integer
+    numerators over one denominator: den a positive int, the atoms
+    non-negative integers, the numerators non-negative ints (bools refused)
+    summing to den.  They are stored once, as `integer_weights` = (den,
+    {atom: numerator}) reduced by one gcd, zero numerators dropped and the
+    atoms increasing.  The law reads as a read-only mapping from each atom
+    to its reduced `Fraction` weight, built where it is read, so two laws
+    are equal when their weights are (a dict of the same weights included).
     """
 
-    __slots__ = ("_weights",)
+    __slots__ = ("integer_weights",)
 
-    def __init__(self, weights: Mapping[int, Fraction | float]) -> None:
-        if not all(_is_atom(x) for x in weights):
+    def __init__(self, den: int, numerators: Mapping[int, int]) -> None:
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"den must be a positive int, got {den!r}")
+        if not all(_is_atom(x) for x in numerators):
             raise ValueError("support must consist of non-negative integers")
-        items = [
-            (x, w if isinstance(w, Fraction) else Fraction(w))
-            for x, w in sorted(weights.items()) if w != 0
-        ]
-        if any(w < 0 for _, w in items):
+        bad = [n for n in numerators.values() if type(n) is not int]
+        if bad:
+            raise ValueError(f"each numerator must be an int, got {bad[0]!r}")
+        if any(n < 0 for n in numerators.values()):
             raise ValueError("weights must be non-negative")
-        if _exact_sum(w.as_integer_ratio() for _, w in items) != 1:
+        if sum(numerators.values()) != den:
             raise ValueError("weights must sum exactly to 1")
-        self._weights = dict(items)
+        g = math.gcd(den, *numerators.values())
+        kept = {x: n // g for x, n in sorted(numerators.items()) if n}
+        self.integer_weights = (den // g, MappingProxyType(kept))
 
     def __getitem__(self, x: int) -> Fraction:
-        return self._weights[x]
+        den, nums = self.integer_weights
+        return Fraction(nums[x], den)
 
     def __iter__(self):
-        return iter(self._weights)
+        return iter(self.integer_weights[1])
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self.integer_weights[1])
 
     def __repr__(self) -> str:
-        return f"ExactDist({self._weights!r})"
+        den, nums = self.integer_weights
+        return f"ExactDist({den}, {dict(nums)!r})"
 
     def restrict(self, lo: int, hi: int) -> "ExactDist":
-        """Condition on the window [lo, hi] (exact renormalization)."""
-        kept = {x: w for x, w in self._weights.items() if lo <= x <= hi}
-        mass = _exact_sum(w.as_integer_ratio() for w in kept.values())
-        if mass == 0:
+        """Condition on the window [lo, hi]: the kept numerators over their sum."""
+        kept = {x: n for x, n in self.integer_weights[1].items() if lo <= x <= hi}
+        if not kept:
             raise ValueError("conditioning on a null event")
-        return ExactDist({x: w / mass for x, w in kept.items()})
+        return ExactDist(sum(kept.values()), kept)
 
     def cumulative(self) -> tuple[Fraction, ...]:
-        return tuple(accumulate(self._weights.values()))
+        den, nums = self.integer_weights
+        return tuple(Fraction(c, den) for c in accumulate(nums.values()))
 
 
 def fixed_point_pmf(N: int) -> ExactDist:
     """Law of the number of fixed points of a uniform permutation of N items.
 
-    pi(x) = D_{N-x} / ((N-x)! x!); the impossible value N-1 carries weight 0
-    and is omitted from the support.
+    pi(x) = C(N, x) D_{N-x} / N!, that is D_{N-x} / ((N-x)! x!); the
+    impossible value N-1 carries weight 0 and is omitted from the support.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     table = derangements(N)
-    weights = {
-        x: Fraction(table[N - x], math.factorial(N - x) * math.factorial(x))
-        for x in range(N + 1)
-    }
-    return ExactDist(weights)
+    return ExactDist(
+        math.factorial(N), {x: math.comb(N, x) * table[N - x] for x in range(N + 1)}
+    )
 
 
 def pi_conditioned(N: int) -> ExactDist:
@@ -262,14 +267,15 @@ def poisson_pmf(k_max: int, digits: int | None = None) -> PoissonRef:
 
 
 def poisson_truncated(k_max: int) -> ExactDist:
-    """Poisson(1) conditioned on [0, k_max]: exactly rational, weights prop. to 1/x!.
+    """Poisson(1) conditioned on [0, k_max]: exactly rational, weights prop. to 1/x!,
+    that is the numerators k_max!/x! over their sum.
 
     This is the law called zeta when k_max = N - 4.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    total = _exact_sum((1, math.factorial(x)) for x in range(k_max + 1))
-    return ExactDist({x: Fraction(1, math.factorial(x)) / total for x in range(k_max + 1)})
+    nums = {x: math.perm(k_max, k_max - x) for x in range(k_max + 1)}
+    return ExactDist(sum(nums.values()), nums)
 
 
 def zeta_law(N: int) -> ExactDist:
@@ -311,14 +317,10 @@ def tv_distance(d1: DistLike, d2: DistLike, convention: str) -> Fraction | Inter
     if isinstance(d2, PoissonRef):
         half = _tv_against_poisson(d1, d2)
         return half if convention == "half" else half.scale(2)
-    terms = []
-    for x, w1 in d1.items():
-        n1, m1 = w1.as_integer_ratio()
-        n2, m2 = d2.get(x, 0).as_integer_ratio()
-        diff = n1 * m2 - n2 * m1  # d1(x) - d2(x) = diff / (m1 m2)
-        if diff > 0:
-            terms.append((diff, m1 * m2))
-    half = _exact_sum(terms)
+    (m1, nums1), (m2, nums2) = d1.integer_weights, d2.integer_weights
+    # d1(x) - d2(x), over m1 m2
+    diffs = (n1 * m2 - nums2.get(x, 0) * m1 for x, n1 in nums1.items())
+    half = Fraction(sum(diff for diff in diffs if diff > 0), m1 * m2)
     return half if convention == "half" else 2 * half
 
 
@@ -327,25 +329,27 @@ def _tv_against_poisson(d: ExactDist, ref: PoissonRef) -> Interval:
 
     The sign of d(x) - e^{-1}/x! is that of d(x) x! - e^{-1}, which the
     enclosure of e^{-1} decides (PrecisionInsufficient if it cannot).  The
-    positive terms, all inside the support of d, give A = sum d(x) and
-    B = -sum 1/x!; each is one exact sum, and e^{-1} enters once.
+    positive terms, all inside the support of d, give A = sum d(x), one
+    integer sum over the denominator of d, and B = -sum 1/x!, one exact
+    sum; e^{-1} enters once.
     """
     inv_e = inv_e_interval(ref.digits)
     (lo_n, lo_d), (hi_n, hi_d) = inv_e.lo.as_integer_ratio(), inv_e.hi.as_integer_ratio()
-    a_terms, b_terms = [], []
+    den, nums = d.integer_weights
+    a_num, b_terms = 0, []
     fact = 1
-    for x in range(max(d) + 1):
+    for x in range(max(nums) + 1):
         if x:
             fact *= x
-        num, den = d.get(x, 0).as_integer_ratio()
+        num = nums.get(x, 0)
         if num * fact * hi_d >= hi_n * den:  # d(x) x! >= hi
-            a_terms.append((num, den))
+            a_num += num
             b_terms.append((-1, fact))
         elif num * fact * lo_d > lo_n * den:  # lo < d(x) x! < hi
             raise PrecisionInsufficient(
                 f"sign of d({x}) - e^-1/{x}! not resolved at {ref.digits} digits"
             )
-    return inv_e.scale(_exact_sum(b_terms)) + _exact_sum(a_terms)
+    return inv_e.scale(_exact_sum(b_terms)) + Fraction(a_num, den)
 
 
 def tv_bracket(N: int) -> tuple[Fraction, Fraction]:

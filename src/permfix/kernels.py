@@ -10,10 +10,10 @@ and the diagonal completing each row.  Three independent routes to p are
 provided (brute-force enumeration, the derangement closed form, and the
 reversibility recursion), together with the derived birth-and-death kernels
 and an exact detailed-balance check, which for a law with positive weights
-also settles Kolmogorov's cycle criterion.  A kernel row is stored as
-integer numerators over one row denominator (N(N-1) times the denominator
-of k for the family below), so its row sum is one integer sum; detailed
-balance compares d(x) K(x,y) with d(y) K(y,x) by integer
+also settles Kolmogorov's cycle criterion.  A kernel row enters and is
+stored as integer numerators over one row denominator (N(N-1) times the
+denominator of k for the family below), so its row sum is one integer
+sum; detailed balance compares d(x) K(x,y) with d(y) K(y,x) by integer
 cross-multiplication, and the invariance check w K = w adds each column
 over one common denominator (`exactdist._exact_sum`).  A `Fraction` is
 built only where a value is read: an entry, a value of p, a residual.
@@ -26,8 +26,10 @@ selectors and the tests read it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -56,18 +58,17 @@ def state_space(N: int) -> tuple[int, ...]:
 class StochasticKernel:
     """Row-stochastic kernel over an explicit ordered state list.
 
-    Each row is stored once, in integers: `integer_rows[i]` is a pair
-    (den, {target: numerator}) with positive numerators summing to den,
-    reduced by one gcd over the row, so equal kernels store equal rows and
-    `==` compares states, entries and label.  Rows are keyed by the target
-    *state label*, never by index arithmetic, so a state absent from the
-    list (such as N-1 in V) cannot be addressed at all.
-
-    The constructor takes rational rows and puts each over the lcm of its
-    denominators; builders that know a row's denominator hand the integers
-    to `from_integer_rows`.  Both go through one validation: every target
-    is a state, no entry is negative, and each row sums to exactly 1.
-    `Fraction`s are built only where an entry is read: `rows`, `row`,
+    A row enters as integer numerators over one denominator:
+    `StochasticKernel(states, rows, label)` takes row i as the pair
+    (den, {target: numerator}) of rows[i], the entries numerator / den.
+    `den` is a positive int and every numerator a non-negative int (a bool
+    is refused); every target is a state, and each row's numerators sum to
+    its den.  Each row is stored once, as `integer_rows[i]`, reduced by one
+    gcd over the row and with its zero entries dropped, so equal kernels
+    store equal rows and `==` compares states, entries and label.  Rows are
+    keyed by the target *state label*, never by index arithmetic, so a
+    state absent from the list (such as N-1 in V) cannot be addressed at
+    all.  `Fraction`s are built only where an entry is read: `rows`, `row`,
     `entry` and `to_json_dict` give reduced ones.
     """
 
@@ -79,32 +80,9 @@ class StochasticKernel:
     def __init__(
         self,
         states: Sequence[Hashable],
-        rows: Sequence[Mapping[Hashable, Fraction | int | float]],
-        label: str = "",
-    ) -> None:
-        integer_rows = []
-        for row in rows:
-            row = {t: w if isinstance(w, Fraction) else Fraction(w) for t, w in row.items()}
-            den = math.lcm(*(w.denominator for w in row.values()))
-            nums = {t: w.numerator * (den // w.denominator) for t, w in row.items()}
-            integer_rows.append((den, nums))
-        self._store(states, integer_rows, label)
-
-    @classmethod
-    def from_integer_rows(
-        cls,
-        states: Sequence[Hashable],
         rows: Sequence[tuple[int, Mapping[Hashable, int]]],
         label: str = "",
-    ) -> "StochasticKernel":
-        """The kernel whose row i is {t: n / den} for rows[i] = (den, {t: n}), den > 0."""
-        kernel = cls.__new__(cls)
-        kernel._store(states, rows, label)
-        return kernel
-
-    def _store(self, states, rows, label) -> None:
-        """The one validation; stores each row reduced by the gcd of its
-        denominator and numerators, with its zero entries dropped."""
+    ) -> None:
         states = tuple(states)
         if len(states) != len(rows):
             raise ValueError("states/rows length mismatch")
@@ -113,10 +91,14 @@ class StochasticKernel:
             raise ValueError("duplicate states")
         stored = []
         for s, (den, row) in zip(states, rows):
+            if type(den) is not int or den <= 0:
+                raise ValueError(f"row {s!r}: den must be a positive int, got {den!r}")
             kept = {}
             for t, n in row.items():
                 if t not in index:
                     raise ValueError(f"row {s!r} targets unknown state {t!r}")
+                if type(n) is not int:
+                    raise ValueError(f"numerator at ({s!r}, {t!r}) must be an int, got {n!r}")
                 if n < 0:
                     raise ValueError(f"negative entry at ({s!r}, {t!r}): {Fraction(n, den)}")
                 if n:
@@ -315,7 +297,7 @@ def _kernel(states: Sequence[Hashable], moves: Iterable[Moves], label: str) -> S
         row = {t: n for t, n in row.items() if n}
         row[s] = den - sum(row.values())
         rows.append((den, row))
-    return StochasticKernel.from_integer_rows(states, rows, label)
+    return StochasticKernel(states, rows, label)
 
 
 def _neighbour_kernel(
@@ -386,10 +368,11 @@ def build_hat(N: int) -> StochasticKernel:
 
 
 def hat_stationary(N: int) -> ExactDist:
-    """pi^ with pi^(i) = pi(z_i): the reversible law of P^."""
+    """pi^ with pi^(i) = pi(z_i): the reversible law of P^, pi_N's
+    numerators reordered."""
     z = hat_ordering(N)
-    pi = fixed_point_pmf(N)
-    return ExactDist({i: pi.get(z[i], 0) for i in range(N)})
+    den, nums = fixed_point_pmf(N).integer_weights
+    return ExactDist(den, {i: nums.get(z[i], 0) for i in range(N)})
 
 
 RESTRICTED_LABELS = ("P_check", "R", "R_tilde")
@@ -449,22 +432,27 @@ def poisson_box_law(N: int) -> ExactDist:
 
 
 def birth_death_stationary(kernel: StochasticKernel) -> ExactDist:
-    """Stationary law of an irreducible birth-and-death kernel via the
-    detailed-balance product formula w(x+1)/w(x) = K(x, x+1)/K(x+1, x)."""
+    """Stationary law of an irreducible birth-and-death kernel by the
+    detailed-balance product form, in integers.  On the edge (x_i, x_{i+1}),
+    a_i and b_i are the numerators of K(x_i, x_{i+1}) and K(x_{i+1}, x_i),
+    each times the other row's den, so w(x_{i+1}) / w(x_i) = a_i / b_i and
+    w(x_k) is prop. to prod_{i<k} a_i prod_{i>=k} b_i: no division."""
     states, rows = kernel.states, kernel.integer_rows
     if kernel.bandwidth() > 1:
         raise ValueError("kernel is not tri-diagonal in its state order")
-    weights = {states[0]: Fraction(1)}
+    ups, downs = [], []  # a_i and b_i
     for i in range(len(states) - 1):
         x, y = states[i], states[i + 1]
         (up_den, up_row), (down_den, down_row) = rows[i], rows[i + 1]
         up, down = up_row.get(y, 0), down_row.get(x, 0)
         if up == 0 or down == 0:
             raise ValueError(f"kernel not irreducible across edge ({x!r}, {y!r})")
-        wn, wd = weights[x].as_integer_ratio()
-        weights[y] = Fraction(wn * up * down_den, wd * up_den * down)
-    total = _exact_sum(map(Fraction.as_integer_ratio, weights.values()))
-    return ExactDist({s: w / total for s, w in weights.items()})
+        ups.append(up * down_den)
+        downs.append(down * up_den)
+    below = [*accumulate(ups, operator.mul, initial=1)]  # prod_{i<k} a_i
+    above = [*accumulate(reversed(downs), operator.mul, initial=1)][::-1]  # prod_{i>=k} b_i
+    nums = {s: b * a for s, b, a in zip(states, below, above)}
+    return ExactDist(sum(nums.values()), nums)
 
 
 # ---------------------------------------------------------------------------

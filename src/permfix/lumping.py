@@ -27,6 +27,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -47,7 +48,11 @@ from .perms import (
 
 @dataclass(frozen=True)
 class PartitionedChain:
-    """A kernel with exact invariant law and a partition of its state space."""
+    """A kernel with exact invariant law and a partition of its state space.
+
+    Both `invariant` and `blocks` are stored as read-only mappings, so a
+    validated chain stays validated.
+    """
 
     kernel: StochasticKernel
     invariant: Mapping[Hashable, Fraction]
@@ -66,8 +71,8 @@ class PartitionedChain:
             raise ValueError("mu Q != mu: not an invariant law")
         if set(self.blocks) != set(states):
             raise ValueError("every state must be assigned a block")
-        object.__setattr__(self, "invariant", inv)
-        object.__setattr__(self, "blocks", dict(self.blocks))
+        object.__setattr__(self, "invariant", MappingProxyType(inv))
+        object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
 
     def block_ids(self) -> tuple[Hashable, ...]:
         return tuple(sorted(set(self.blocks.values())))
@@ -134,7 +139,7 @@ def project(chain: PartitionedChain) -> ProjectionResult:
             for v2, n in sums.items():
                 nums[v2] += share * n
         rows.append((mn * common, dict(nums)))
-    projected = StochasticKernel.from_integer_rows(ids, rows, label=f"proj({chain.kernel.label})")
+    projected = StochasticKernel(ids, rows, label=f"proj({chain.kernel.label})")
     if not projected.is_invariant(mass):
         raise AssertionError("mu_1 is not invariant for the projected kernel")
     return ProjectionResult(kernel=projected, mu1=dict(mass))
@@ -195,7 +200,7 @@ def transposition_walk(N: int) -> StochasticKernel:
     moves = np.column_stack(list(transposition_ranks(permutation_table(N))))  # [sigma, (a b)]
     den = N * (N - 1) // 2
     rows = [(den, {states[r]: 1 for r in targets}) for targets in moves.tolist()]
-    return StochasticKernel.from_integer_rows(states, rows, label=f"T_{N}")
+    return StochasticKernel(states, rows, label=f"T_{N}")
 
 
 def uniform_on_permutations(N: int) -> dict[tuple[int, ...], Fraction]:
@@ -292,9 +297,7 @@ def cycle_type_chain(N: int) -> PartitionedChain:
         raise ValueError("N must be >= 2")
     check_guard(N, 8, "cycle_type_chain")
     types = all_cycle_types(N)
-    kernel = StochasticKernel.from_integer_rows(
-        types, [_cycle_type_row(t) for t in types], label=f"Q_cycle_{N}"
-    )
+    kernel = StochasticKernel(types, [_cycle_type_row(t) for t in types], label=f"Q_cycle_{N}")
     invariant = {t: t.class_weight() for t in types}
     blocks = {t: t.fixed_points for t in types}
     return PartitionedChain(kernel=kernel, invariant=invariant, blocks=blocks)

@@ -35,13 +35,12 @@ def bell_numbers(k_max: int) -> list[int]:
 
 
 def falling_moment(N: int, k: int) -> Fraction:
-    """E[F_k] under pi_N, computed from the exact law; equals 1 for k <= N."""
+    """E[F_k] under pi_N, computed from the exact law as one integer sum
+    over its denominator; equals 1 for k <= N."""
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
-    pi = fixed_point_pmf(N)
-    return _exact_sum(
-        (w.numerator * math.perm(x, k), w.denominator) for x, w in pi.items()
-    )
+    den, nums = fixed_point_pmf(N).integer_weights
+    return Fraction(sum(n * math.perm(x, k) for x, n in nums.items()), den)
 
 
 def raw_moment_equality(N: int, k: int) -> tuple[Fraction, int, bool]:
@@ -52,8 +51,8 @@ def raw_moment_equality(N: int, k: int) -> tuple[Fraction, int, bool]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    pi = fixed_point_pmf(N)
-    moment = _exact_sum((w.numerator * x ** k, w.denominator) for x, w in pi.items())
+    den, nums = fixed_point_pmf(N).integer_weights
+    moment = Fraction(sum(n * x ** k for x, n in nums.items()), den)
     bell = bell_numbers(k)[k]
     return moment, bell, moment == bell
 

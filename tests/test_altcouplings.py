@@ -25,6 +25,7 @@ from permfix.altcouplings import (
 from permfix.exactdist import fixed_point_pmf, poisson_truncated, tv_distance
 from permfix.perms import EnumerationGuardError
 from permfix.rng import VectorStreams
+import exact_reference
 from scalar_reference import (
     Stream,
     TieEncountered,
@@ -86,6 +87,11 @@ class TestMallowsExact:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_fixed_point_law(self, n):
         assert mallows_exact_pmf(n) == fixed_point_pmf(n)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_equals_fraction_dp(self, n):
+        assert mallows_exact_pmf(n) == exact_reference.mallows_pmf(n)
+        assert mallows_exact_pmf(n).integer_weights[0] == math.factorial(n)
 
     def test_sample_consistent_with_bits(self):
         n, K = 6, 16

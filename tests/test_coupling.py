@@ -5,6 +5,7 @@ import math
 import shutil
 import threading
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -38,6 +39,7 @@ from permfix.kernels import (
     reversible_pair,
 )
 from permfix.rng import grid_cut
+import exact_reference
 from scalar_reference import Stream
 
 SEED_NEAR_2_64 = (1 << 64) - 5
@@ -381,6 +383,27 @@ class TestGridCuts:
             for j in (g - 1, g, g + 1):
                 if 0 <= j < 2 ** 53:
                     assert (Fraction(j, 2 ** 53) < c) == (j < g)
+
+
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_tables_equal_grid_cuts_of_oracle_laws(self, selector):
+        # the start-law CDFs against the `Fraction` formulas of
+        # `exact_reference`: pi_N conditioned on [0, N-4] for P_check, the
+        # truncated Poisson law for R, the ratio form for R_tilde
+        for N in range(5, 61):
+            k_x, k_y, _, _ = selector_kernels(N, selector)
+            oracle = {
+                "P_check": lambda k: exact_reference.conditioned(exact_reference.pi_law(N), 0, N - 4),
+                "R": lambda k: exact_reference.truncated_poisson(N - 4),
+                "R_tilde": exact_reference.birth_death_stationary,
+            }
+            laws = [oracle[k.label](k) for k in (k_x, k_y)]
+            exact = (
+                *birth_death_thresholds(k_x), *birth_death_thresholds(k_y),
+                *(list(accumulate(law[x] for x in range(N - 3))) for law in laws),
+            )
+            tables = coupling._grid_tables(RunConfig(N=N, horizon=0, replicas=1, seed=0, selector=selector))
+            assert [[int(g) for g in t] for t in tables] == [[grid_cut(c) for c in t] for t in exact]
 
 
 class TestEventTable:
@@ -803,11 +826,7 @@ class TestMonotonicityCertificate:
 
     def test_constructed_failure(self):
         # down-rate 1 at the top state, but stay+down below it downstairs
-        kernel = StochasticKernel(
-            (0, 1),
-            ({0: Fraction(1, 4), 1: Fraction(3, 4)}, {0: Fraction(1)}),
-            label="steep",
-        )
+        kernel = StochasticKernel((0, 1), ((4, {0: 1, 1: 3}), (1, {0: 1})), label="steep")
         report = monotonicity_certificate(kernel)
         assert not report.ok
         assert report.margins[0][1] < 0

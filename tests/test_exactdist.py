@@ -1,7 +1,7 @@
 """Exact laws, derangements, distances, bounds."""
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import mpmath
 import numpy as np
@@ -29,7 +29,9 @@ from permfix.exactdist import (
     tv_distance,
     zeta_law,
 )
+from permfix.kernels import hat_ordering, hat_stationary
 from permfix.perms import fixed_point_sums
+import exact_reference
 
 
 def count_derangements_by_enumeration(n):
@@ -104,62 +106,108 @@ class TestFixedPointPmf:
 class TestExactDist:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            ExactDist({0: Fraction(1, 2), 1: Fraction(1, 3)})
-
-    def test_float_weights_stored_as_fractions(self):
-        d = ExactDist({0: 0.5, 1: 0.5})
-        assert all(type(w) is Fraction for w in d.values())
-        assert d[0] == Fraction(1, 2)
-
-    def test_float_weights_summing_to_one_only_in_floats_refused(self):
-        # 0.1 + 0.9 is 1 in floats, but the rationals the floats denote sum
-        # to (2^55 + 1) / 2^55
-        with pytest.raises(ValueError, match="weights must sum exactly to 1"):
-            ExactDist({0: 0.1, 1: 0.9})
+            ExactDist(6, {0: 3, 1: 2})  # 1/2 + 1/3
 
     def test_zero_weights_dropped(self):
-        d = ExactDist({0: Fraction(1), 5: Fraction(0)})
+        d = ExactDist(1, {0: 1, 5: 0})
         assert tuple(d) == (0,)
 
     def test_unsorted_mapping_stored_in_increasing_order(self):
-        d = ExactDist({2: Fraction(1, 2), 0: Fraction(1, 2)})
+        d = ExactDist(2, {2: 1, 0: 1})
         assert list(d) == [0, 2]
 
     def test_read_only(self):
-        d = ExactDist({0: Fraction(1)})
+        d = ExactDist(1, {0: 1})
         with pytest.raises(TypeError):
             d[0] = Fraction(1, 2)
         with pytest.raises(TypeError):
             d[1] = Fraction(0)
 
+    def test_integer_weights_reduced_and_read_only(self):
+        d = ExactDist(12, {3: 6, 0: 3, 1: 3, 2: 0})
+        assert d.integer_weights == (4, {0: 1, 1: 1, 3: 2})
+        assert list(d.integer_weights[1]) == [0, 1, 3]
+        assert d == {0: Fraction(1, 4), 1: Fraction(1, 4), 3: Fraction(1, 2)}
+        assert all(type(w) is Fraction for w in d.values())
+        with pytest.raises(TypeError):
+            d.integer_weights[1][0] = 2
+
     def test_equal_by_weights(self):
         weights = {0: Fraction(1, 4), 2: Fraction(3, 4)}
-        assert ExactDist(weights) == weights
-        assert ExactDist(weights) == ExactDist({2: 0.75, 0: 0.25})
-        assert ExactDist(weights) != ExactDist({0: Fraction(3, 4), 2: Fraction(1, 4)})
+        assert ExactDist(4, {0: 1, 2: 3}) == weights
+        assert ExactDist(4, {0: 1, 2: 3}) == ExactDist(8, {2: 6, 0: 2})
+        assert ExactDist(4, {0: 1, 2: 3}) != ExactDist(4, {0: 3, 2: 1})
 
     def test_negative_atom_and_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative integers"):
-            ExactDist({-1: Fraction(1)})
+            ExactDist(1, {-1: 1})
         with pytest.raises(ValueError, match="weights must be non-negative"):
-            ExactDist({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+            ExactDist(2, {0: 3, 1: -1})
+
+    @pytest.mark.parametrize("den", [0, -4, 4.0, True, Fraction(4), np.int64(4), None])
+    def test_den_must_be_a_positive_int(self, den):
+        with pytest.raises(ValueError, match="den must be a positive int"):
+            ExactDist(den, {0: 1, 1: 3})
+
+    @pytest.mark.parametrize("numerator", [1.0, True, Fraction(1), np.int64(1), "1"])
+    def test_numerator_must_be_an_int(self, numerator):
+        # True counts as 1 and 1.0 equals 1, so either would otherwise pass
+        # the sum check
+        with pytest.raises(ValueError, match="must be an int"):
+            ExactDist(2, {0: numerator, 1: 1})
 
     @pytest.mark.parametrize(
-        "weights", [{0.5: 0.5, 1: 0.5}, {2.0: 1}, {"a": 0.5, 1: 0.5}, {0.5: 0, 0: 1}]
+        "weights", [(2, {0.5: 1, 1: 1}), (1, {2.0: 1}), (2, {"a": 1, 1: 1}), (1, {0.5: 0, 0: 1})]
     )
     def test_non_integer_atom_rejected(self, weights):
         with pytest.raises(ValueError, match="non-negative integers"):
-            ExactDist(weights)
+            ExactDist(*weights)
 
     def test_numpy_integer_atom_accepted(self):
-        d = ExactDist({np.int64(2): Fraction(1, 2), 0: Fraction(1, 2)})
+        d = ExactDist(2, {np.int64(2): 1, 0: 1})
         assert d == {0: Fraction(1, 2), 2: Fraction(1, 2)}
-        assert tv_distance(d, ExactDist({0: 1}), "half") == Fraction(1, 2)
+        assert tv_distance(d, ExactDist(1, {0: 1}), "half") == Fraction(1, 2)
 
     def test_restrict_renormalizes(self):
         d = fixed_point_pmf(8).restrict(0, 4)
         assert sum(d.values()) == 1
         assert tuple(d) == (0, 1, 2, 3, 4)
+
+
+class TestIntegerBuilders:
+    """The builders that hand `ExactDist` integer numerators, against the
+    `Fraction` formulas of `exact_reference`."""
+
+    @pytest.mark.parametrize(
+        "build", [fixed_point_pmf, pi_conditioned, zeta_law, poisson_truncated, hat_stationary],
+        ids=lambda build: build.__name__,
+    )
+    def test_integer_weights_round_trip_in_lowest_terms(self, build):
+        for n in range(5, 201):
+            d = build(n)
+            den, nums = d.integer_weights
+            assert math.gcd(den, *nums.values()) == 1
+            assert ExactDist(*d.integer_weights) == d
+
+    def test_laws_equal_fraction_formulas(self):
+        for n in range(5, 61):
+            pi = exact_reference.pi_law(n)
+            assert fixed_point_pmf(n) == pi
+            assert fixed_point_pmf(n).integer_weights[0] == math.factorial(n)
+            assert pi_conditioned(n) == exact_reference.conditioned(pi, 0, n - 4)
+            assert zeta_law(n) == exact_reference.truncated_poisson(n - 4)
+            assert poisson_truncated(n) == exact_reference.truncated_poisson(n)
+            z = hat_ordering(n)
+            assert hat_stationary(n) == {i: pi[x] for i, x in enumerate(z) if x in pi}
+
+    def test_restrict_and_cumulative_equal_fraction_formulas(self):
+        for n in range(5, 31):
+            pi = exact_reference.pi_law(n)
+            for lo, hi in ((0, n - 4), (2, n), (n - 2, n + 3)):
+                assert fixed_point_pmf(n).restrict(lo, hi) == exact_reference.conditioned(pi, lo, hi)
+            assert fixed_point_pmf(n).cumulative() == tuple(accumulate(pi.values()))
+        with pytest.raises(ValueError, match="null event"):
+            fixed_point_pmf(8).restrict(7, 7)
 
 
 class TestPoissonRef:
@@ -450,8 +498,8 @@ class TestSeparation:
         assert separation_discrepancy(fixed_point_pmf(n), poisson_pmf(n)) == 1
 
     def test_missing_point_gives_one(self):
-        d1 = ExactDist({0: Fraction(1)})
-        d2 = ExactDist({0: Fraction(1, 2), 1: Fraction(1, 2)})
+        d1 = ExactDist(1, {0: 1})
+        d2 = ExactDist(2, {0: 1, 1: 1})
         assert separation_discrepancy(d1, d2) == 1
 
     @pytest.mark.parametrize("n", [5, 8, 13, 30])

@@ -36,6 +36,7 @@ from permfix.kernels import (
 )
 from permfix.lumping import transposition_walk, uniform_on_permutations
 from permfix.perms import EnumerationGuardError
+import exact_reference
 
 
 class TestPFunctions:
@@ -222,6 +223,17 @@ class TestRestrictedKernels:
         assert check_reversibility(p_check, law).ok
         assert birth_death_stationary(p_check) == law
 
+    @pytest.mark.parametrize("label", ("P_tilde", "P_hat", "P_check", "R", "R_tilde"))
+    def test_birth_death_stationary_equals_ratio_form(self, label):
+        # every bandwidth-one kernel of the catalogue; each law but R_tilde's
+        # is built without `birth_death_stationary`
+        for n in range(5, 61):
+            kernel, law = reversible_pair(n, label)
+            stationary = birth_death_stationary(kernel)
+            assert stationary == exact_reference.birth_death_stationary(kernel)
+            if label != "R_tilde":
+                assert stationary == law
+
     def test_rtilde_up_rates(self):
         n = 9
         _, _, rt = build_restricted(n)
@@ -239,15 +251,14 @@ class TestReversibilityChecker:
     def test_perturbed_kernel_fails_with_residual(self):
         n = 8
         _, r, _ = build_restricted(n)
-        rows = []
-        for x in r.states:
-            row = dict(r.row(x))
-            rows.append(row)
-        # bump one up-rate and absorb the change on the diagonal
+        # bump one up-rate by 1/1000 and absorb the change on the diagonal,
+        # every row over 1000 times its denominator
         bump = Fraction(1, 1000)
-        rows[1][2] = rows[1].get(2, Fraction(0)) + bump
-        rows[1][1] -= bump
-        perturbed = StochasticKernel(r.states, tuple(rows), label="R_perturbed")
+        rows = [(1000 * den, {t: 1000 * m for t, m in row.items()}) for den, row in r.integer_rows]
+        den, row = rows[1]
+        row[2] = row.get(2, 0) + den // 1000
+        row[1] -= den // 1000
+        perturbed = StochasticKernel(r.states, rows, label="R_perturbed")
         report = check_reversibility(perturbed, zeta_law(n))
         assert not report.ok
         assert report.first_violation is not None
@@ -259,8 +270,7 @@ class TestReversibilityChecker:
         assert residual == zeta[1] * bump
 
     def test_float_weights_give_an_exact_verdict(self):
-        half = Fraction(1, 2)
-        coin = StochasticKernel((0, 1), ({0: half, 1: half}, {0: half, 1: half}))
+        coin = StochasticKernel((0, 1), ((2, {0: 1, 1: 1}), (2, {0: 1, 1: 1})))
         report = check_reversibility(coin, {0: 0.1 + 0.2, 1: 0.7})
         assert not report.ok
         x, y, residual = report.first_violation
@@ -330,14 +340,17 @@ def every_builder(n):
 
 
 def bumped(kernel, moves, bump=Fraction(1, 1000)):
-    """kernel with weight `bump` moved from each (x, x) to (x, y), y in moves[x]."""
-    rows = [dict(kernel.row(x)) for x in kernel.states]
+    """kernel with weight `bump` moved from each (x, x) to (x, y), y in moves[x];
+    every row is put over bump.denominator times its denominator."""
+    scale = bump.denominator
+    rows = [(scale * den, {t: scale * m for t, m in row.items()}) for den, row in kernel.integer_rows]
     for x, targets in moves.items():
-        i = kernel.index(x)
+        den, row = rows[kernel.index(x)]
+        step = den // scale * bump.numerator  # bump over den
         for y in targets:
-            rows[i][y] = rows[i].get(y, Fraction(0)) + bump
-            rows[i][x] -= bump
-    return StochasticKernel(kernel.states, tuple(rows), label=f"{kernel.label}_bumped")
+            row[y] = row.get(y, 0) + step
+            row[x] -= step
+    return StochasticKernel(kernel.states, rows, label=f"{kernel.label}_bumped")
 
 
 def assert_matches_dense(kernel, law):
@@ -436,41 +449,52 @@ class TestCatalogue:
 
 class TestKernelValidation:
     @pytest.mark.parametrize("states, rows, message", [
-        ((0, 1), ({0: Fraction(1)},), "length mismatch"),
-        ((0, 0), ({0: Fraction(1)}, {0: Fraction(1)}), "duplicate states"),
-        ((0, 1), ({0: Fraction(1)}, {2: Fraction(1)}), "unknown state"),
-        ((0, 1), ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, {1: Fraction(1)}), "negative entry"),
-        ((0, 1), ({0: Fraction(1, 2)}, {1: Fraction(1)}), "sums to 1/2"),
-        # 0.1 + 0.9 == 1.0 in floats, but the stored rationals sum to 1 + 2^-55
-        ((0, 1), ({0: 0.1, 1: 0.9}, {0: Fraction(1, 2), 1: Fraction(1, 2)}),
-         f"sums to {2 ** 55 + 1}/{2 ** 55}"),
-    ], ids=["length", "duplicate", "unknown-target", "negative", "row-sum", "float-row"])
+        ((0, 1), ((1, {0: 1}),), "length mismatch"),
+        ((0, 0), ((1, {0: 1}), (1, {0: 1})), "duplicate states"),
+        ((0, 1), ((1, {0: 1}), (1, {2: 1})), "unknown state"),
+        ((0, 1), ((2, {0: 3, 1: -1}), (1, {1: 1})), "negative entry"),
+        ((0, 1), ((2, {0: 1}), (1, {1: 1})), "sums to 1/2"),
+    ], ids=["length", "duplicate", "unknown-target", "negative", "row-sum"])
     def test_rejects(self, states, rows, message):
         with pytest.raises(ValueError, match=message):
             StochasticKernel(states, rows)
 
-    def test_entries_stored_as_fractions(self):
-        kernel = StochasticKernel((0, 1), ({0: 0.25, 1: 0.75}, {0: 0, 1: 1}))
-        assert kernel.rows == ({0: Fraction(1, 4), 1: Fraction(3, 4)}, {1: Fraction(1)})
-        assert all(type(w) is Fraction for row in kernel.rows for w in row.values())
+    @pytest.mark.parametrize("den", [0, -2, 2.0, True, Fraction(2), None])
+    def test_den_must_be_a_positive_int(self, den):
+        # (0, {}) is a row with no mass at all, which `check_reversibility`
+        # would otherwise pass
+        for row in ((den, {0: 1, 1: 1}), (den, {})):
+            with pytest.raises(ValueError, match="den must be a positive int"):
+                StochasticKernel((0, 1), (row, (1, {1: 1})))
+
+    @pytest.mark.parametrize("numerator", [1.0, True, Fraction(1), "1"])
+    def test_numerator_must_be_an_int(self, numerator):
+        # True counts as 1 and 1.0 equals 1, so either would otherwise pass
+        # the row-sum check
+        with pytest.raises(ValueError, match="must be an int"):
+            StochasticKernel((0, 1), ((2, {0: 1, 1: numerator}), (1, {1: 1})))
 
     def test_unreduced_and_mixed_denominators_compare_equal(self):
         states = (0, 1)
-        reduced = StochasticKernel(states, ({0: Fraction(1, 4), 1: Fraction(3, 4)}, {1: Fraction(1)}))
-        mixed = StochasticKernel(states, ({0: 0.25, 1: Fraction(6, 8)}, {0: 0, 1: 1}))
-        unreduced = StochasticKernel.from_integer_rows(states, [(12, {0: 3, 1: 9}), (5, {0: 0, 1: 5})])
+        reduced = StochasticKernel(states, [(4, {0: 1, 1: 3}), (1, {1: 1})])
+        mixed = StochasticKernel(states, [(8, {0: 2, 1: 6}), (3, {0: 0, 1: 3})])
+        unreduced = StochasticKernel(states, [(12, {0: 3, 1: 9}), (5, {0: 0, 1: 5})])
         assert reduced == mixed == unreduced
         assert unreduced.integer_rows == ((4, {0: 1, 1: 3}), (1, {1: 1}))
-        relabelled = StochasticKernel.from_integer_rows(states, [(4, {0: 1, 1: 3}), (1, {1: 1})], "L")
+        relabelled = StochasticKernel(states, [(4, {0: 1, 1: 3}), (1, {1: 1})], "L")
         assert reduced != relabelled
         for n in (5, 30):
             for label in KERNEL_LABELS:
                 kernel, _ = reversible_pair(n, label)
-                assert kernel == StochasticKernel(kernel.states, kernel.rows, label)
+                over_lcm = []  # each row read as Fractions, put back over their lcm
+                for row in kernel.rows:
+                    den = math.lcm(*(w.denominator for w in row.values()))
+                    over_lcm.append((den, {t: int(w * den) for t, w in row.items()}))
+                assert kernel == StochasticKernel(kernel.states, over_lcm, label)
                 doubled = [
                     (2 * den, {t: 2 * m for t, m in row.items()}) for den, row in kernel.integer_rows
                 ]
-                assert kernel == StochasticKernel.from_integer_rows(kernel.states, doubled, label)
+                assert kernel == StochasticKernel(kernel.states, doubled, label)
 
     @pytest.mark.parametrize("n", [5, 30, 50])
     def test_reads_are_reduced_fractions(self, n):

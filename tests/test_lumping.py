@@ -30,11 +30,7 @@ from permfix.perms import CycleType, EnumerationGuardError
 def rotation_chain():
     """Three-state deterministic rotation: uniform invariant, not reversible."""
     third = Fraction(1, 3)
-    kernel = StochasticKernel(
-        (0, 1, 2),
-        ({1: Fraction(1)}, {2: Fraction(1)}, {0: Fraction(1)}),
-        label="rotation",
-    )
+    kernel = StochasticKernel((0, 1, 2), ((1, {1: 1}), (1, {2: 1}), (1, {0: 1})), label="rotation")
     return PartitionedChain(
         kernel=kernel,
         invariant={0: third, 1: third, 2: third},
@@ -147,11 +143,7 @@ class TestReversibilityTransfer:
 
     def test_zero_weight_state_rejected(self):
         # state 1 leaks into the absorbing state 0, so mu = (1, 0) is invariant
-        kernel = StochasticKernel(
-            (0, 1),
-            ({0: Fraction(1)}, {0: Fraction(1, 2), 1: Fraction(1, 2)}),
-            label="absorbing",
-        )
+        kernel = StochasticKernel((0, 1), ((1, {0: 1}), (2, {0: 1, 1: 1})), label="absorbing")
         chain = PartitionedChain(
             kernel=kernel,
             invariant={0: Fraction(1), 1: Fraction(0)},
@@ -190,14 +182,9 @@ class TestDynkin:
         # a block of two states whose rows put different mass on another
         # block; with a single all-encompassing block the condition would
         # hold vacuously, so a second block is needed to expose it
-        half = Fraction(1, 2)
         kernel = StochasticKernel(
             (0, 1, 2),
-            (
-                {0: half, 2: half},
-                {0: Fraction(1, 4), 1: half, 2: Fraction(1, 4)},
-                {0: half, 1: Fraction(3, 8), 2: Fraction(1, 8)},
-            ),
+            ((2, {0: 1, 2: 1}), (4, {0: 1, 1: 2, 2: 1}), (8, {0: 4, 1: 3, 2: 1})),
             label="three",
         )
         invariant = {0: Fraction(11, 25), 1: Fraction(6, 25), 2: Fraction(8, 25)}
@@ -283,17 +270,24 @@ class TestCycleTypeChain:
 
 class TestPartitionedChainValidation:
     def test_non_invariant_rejected(self):
-        kernel = StochasticKernel(
-            (0, 1),
-            ({1: Fraction(1)}, {0: Fraction(1, 2), 1: Fraction(1, 2)}),
-            label="bad",
-        )
+        kernel = StochasticKernel((0, 1), ((1, {1: 1}), (2, {0: 1, 1: 1})), label="bad")
         with pytest.raises(ValueError):
             PartitionedChain(
                 kernel=kernel,
                 invariant={0: Fraction(1, 2), 1: Fraction(1, 2)},
                 blocks={0: 0, 1: 0},
             )
+
+    def test_invariant_and_blocks_read_only(self):
+        chain = cycle_type_chain(4)
+        t = chain.kernel.states[0]
+        with pytest.raises(TypeError):
+            chain.invariant[t] = Fraction(7)
+        with pytest.raises(TypeError):
+            chain.blocks[t] = 99
+        assert dict(chain.invariant) == {s: s.class_weight() for s in chain.kernel.states}
+        assert dict(chain.blocks) == {s: s.fixed_points for s in chain.kernel.states}
+        assert project(chain).mu1 == chain.block_mass()
 
     def test_incomplete_blocks_rejected(self):
         chain = cycle_type_chain(3)
@@ -373,7 +367,7 @@ def conductance_chains(draw):
     totals = [sum(c[i, j] for j in range(size)) for i in range(size)]
     kernel = StochasticKernel(
         tuple(range(size)),
-        tuple({j: Fraction(c[i, j], totals[i]) for j in range(size) if c[i, j]} for i in range(size)),
+        tuple((totals[i], {j: c[i, j] for j in range(size) if c[i, j]}) for i in range(size)),
         label="conductance",
     )
     blocks = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
