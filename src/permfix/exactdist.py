@@ -20,15 +20,17 @@ d(x) - e^{-1}/x! has a sign that one comparison of d(x) x! with the
 enclosure decides; the positive terms give A, over the law's denominator,
 and B, and the enclosure is scaled once.  Enclosing each term on its own
 would let e^{-1} take a different value in every term, and widen the
-result.  A sum whose denominators really differ (B here, the invariance
-check and block masses of `kernels` and `lumping`, the Gram sums of
-`moments`) goes through `_exact_sum`: over one lcm, normalised once.
+result.  B is one integer sum over the largest factorial it meets.
+`over_one_denominator` is the one reader of exact weights, `kernels` and
+`lumping` included: an `ExactDist`'s stored numerators, or any mapping's
+over the lcm of its denominators, so every exact sum in the package is an
+integer sum over a denominator known before the sum.
 """
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -40,20 +42,6 @@ from typing import Union
 
 class PrecisionInsufficient(ArithmeticError):
     """Raised when a requested quantity is not resolved at the working precision."""
-
-
-def _exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
-    """The exact sum of the rationals n/d given as (n, d) pairs with d > 0.
-
-    The numerators are scaled to the lcm of the distinct denominators and
-    added as integers, and the result is normalised once; adding `Fraction`s
-    one at a time takes a gcd at every step.  A term need not be in lowest
-    terms, so a product of two rationals can go in as (n1 n2, d1 d2).  The
-    empty sum is 0.
-    """
-    terms = list(terms)
-    den = math.lcm(*{d for _, d in terms})
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +205,24 @@ class ExactDist(Mapping[int, Fraction]):
         return tuple(Fraction(c, den) for c in accumulate(nums.values()))
 
 
+def over_one_denominator(weights: Mapping) -> tuple[int, Mapping]:
+    """Exact weights as (den, {state: numerator}), each weight numerator / den.
+
+    An `ExactDist` gives back its `integer_weights` and builds nothing.  Any
+    other mapping of ints, `Fraction`s or floats (taken exactly) is put over
+    the lcm of its distinct denominators, its least common denominator; the
+    empty mapping gives (1, {}).
+    """
+    if isinstance(weights, ExactDist):
+        return weights.integer_weights
+    ratios = {
+        s: (w if isinstance(w, Fraction) else Fraction(w)).as_integer_ratio()
+        for s, w in weights.items()
+    }
+    den = math.lcm(*{d for _, d in ratios.values()})
+    return den, {s: n * (den // d) for s, (n, d) in ratios.items()}
+
+
 def fixed_point_pmf(N: int) -> ExactDist:
     """Law of the number of fixed points of a uniform permutation of N items.
 
@@ -330,13 +336,13 @@ def _tv_against_poisson(d: ExactDist, ref: PoissonRef) -> Interval:
     The sign of d(x) - e^{-1}/x! is that of d(x) x! - e^{-1}, which the
     enclosure of e^{-1} decides (PrecisionInsufficient if it cannot).  The
     positive terms, all inside the support of d, give A = sum d(x), one
-    integer sum over the denominator of d, and B = -sum 1/x!, one exact
-    sum; e^{-1} enters once.
+    integer sum over the denominator of d, and B = -sum 1/x!, that is
+    -sum top!/x! over top! for the largest atom top; e^{-1} enters once.
     """
     inv_e = inv_e_interval(ref.digits)
     (lo_n, lo_d), (hi_n, hi_d) = inv_e.lo.as_integer_ratio(), inv_e.hi.as_integer_ratio()
     den, nums = d.integer_weights
-    a_num, b_terms = 0, []
+    a_num, b_facts = 0, []  # b_facts: x! of each positive term
     fact = 1
     for x in range(max(nums) + 1):
         if x:
@@ -344,12 +350,13 @@ def _tv_against_poisson(d: ExactDist, ref: PoissonRef) -> Interval:
         num = nums.get(x, 0)
         if num * fact * hi_d >= hi_n * den:  # d(x) x! >= hi
             a_num += num
-            b_terms.append((-1, fact))
+            b_facts.append(fact)
         elif num * fact * lo_d > lo_n * den:  # lo < d(x) x! < hi
             raise PrecisionInsufficient(
                 f"sign of d({x}) - e^-1/{x}! not resolved at {ref.digits} digits"
             )
-    return inv_e.scale(_exact_sum(b_terms)) + Fraction(a_num, den)
+    b = Fraction(-sum(fact // f for f in b_facts), fact)
+    return inv_e.scale(b) + Fraction(a_num, den)
 
 
 def tv_bracket(N: int) -> tuple[Fraction, Fraction]:

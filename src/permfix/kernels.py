@@ -13,10 +13,12 @@ and an exact detailed-balance check, which for a law with positive weights
 also settles Kolmogorov's cycle criterion.  A kernel row enters and is
 stored as integer numerators over one row denominator (N(N-1) times the
 denominator of k for the family below), so its row sum is one integer
-sum; detailed balance compares d(x) K(x,y) with d(y) K(y,x) by integer
-cross-multiplication, and the invariance check w K = w adds each column
-over one common denominator (`exactdist._exact_sum`).  A `Fraction` is
-built only where a value is read: an entry, a value of p, a residual.
+sum.  A law is read as integers over its one denominator
+(`exactdist.over_one_denominator`): detailed balance compares d(x) K(x,y)
+with d(y) K(y,x) by integer cross-multiplication, the law's denominator
+cancelling, and the invariance check w K = w adds each column over the
+lcm of the row denominators.  A `Fraction` is built only where a value is
+read: an entry, a value of p, a residual.
 
 One catalogue pairs each of the seven kernels with the law it is
 reversible for: `reversible_pair(N, label)` over `KERNEL_LABELS`.  It is the
@@ -35,9 +37,9 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .exactdist import (
     ExactDist,
-    _exact_sum,
     derangements,
     fixed_point_pmf,
+    over_one_denominator,
     pi_conditioned,
     poisson_truncated,
     zeta_law,
@@ -64,8 +66,9 @@ class StochasticKernel:
     `den` is a positive int and every numerator a non-negative int (a bool
     is refused); every target is a state, and each row's numerators sum to
     its den.  Each row is stored once, as `integer_rows[i]`, reduced by one
-    gcd over the row and with its zero entries dropped, so equal kernels
-    store equal rows and `==` compares states, entries and label.  Rows are
+    gcd over the row and with its zero entries dropped, its numerators a
+    read-only mapping, so equal kernels store equal rows, `==` compares
+    states, entries and label, and a validated kernel stays validated.  Rows are
     keyed by the target *state label*, never by index arithmetic, so a
     state absent from the list (such as N-1 in V) cannot be addressed at
     all.  `Fraction`s are built only where an entry is read: `rows`, `row`,
@@ -109,7 +112,7 @@ class StochasticKernel:
             g = math.gcd(den, *kept.values())
             if g > 1:
                 den, kept = den // g, {t: n // g for t, n in kept.items()}
-            stored.append((den, kept))
+            stored.append((den, MappingProxyType(kept)))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "integer_rows", tuple(stored))
         object.__setattr__(self, "label", label)
@@ -148,23 +151,19 @@ class StochasticKernel:
     def is_invariant(self, weights: Mapping[Hashable, Fraction]) -> bool:
         """Does weights * K = weights hold exactly?
 
-        The products w(s) K(s, t) go in unnormalised, as (w.num n,
-        w.den den) for the entry n/den; a column keeps one integer numerator
-        per distinct denominator, and is then summed over one common
-        denominator.
+        With w(s) = a_s / m over the weights' one denominator and the rows
+        over the lcm L of their denominators, each column of w K is one
+        integer sum over m L.
         """
-        w = {s: Fraction(weights.get(s, 0)) for s in self.states}
-        columns: dict[Hashable, dict[int, int]] = {s: {} for s in self.states}
+        _, w = over_one_denominator(weights)
+        common = math.lcm(*(den for den, _ in self.integer_rows))
+        columns = dict.fromkeys(self.states, 0)  # (w K)(t), over m L
         for s, (den, row) in zip(self.states, self.integer_rows):
-            wn, wd = w[s].as_integer_ratio()
-            if wn:
-                d = wd * den
+            scale = w.get(s, 0) * (common // den)
+            if scale:
                 for t, n in row.items():
-                    column = columns[t]
-                    column[d] = column.get(d, 0) + wn * n
-        return all(
-            _exact_sum((n, d) for d, n in columns[s].items()) == w[s] for s in self.states
-        )
+                    columns[t] += scale * n
+        return all(n == w.get(s, 0) * common for s, n in columns.items())
 
     def to_json_dict(self) -> dict:
         pos = self._positions
@@ -517,20 +516,18 @@ def check_reversibility(kernel: StochasticKernel, dist: Mapping) -> Reversibilit
     K(x,y) K(y,z) K(z,x) = K(x,z) K(z,y) K(y,x) on every cycle (Kolmogorov's
     criterion).  The pairs (i < j, in state-list positions) with K(x,y) or
     K(y,x) nonzero are visited in (i, j) order, and the scan stops at the
-    first violation, the one an all-pairs scan would meet first.  With
-    d(x) = a/b and row x over den, d(x) K(x,y) = a n / (b den), so the two
-    sides are compared by integer cross-multiplication; the `Fraction`
-    residual is formed only for that violation.
+    first violation, the one an all-pairs scan would meet first.  With the
+    law over one denominator m (`over_one_denominator`), d(x) = a/m, and
+    row x over den, d(x) K(x,y) = a n / (m den): m cancels, so the two
+    sides are compared by integer cross-multiplication, and the `Fraction`
+    residual is formed, over m, only for that violation.
     """
     states, rows, pos = kernel.states, kernel.integer_rows, kernel._positions
-    nums, dens = [], []  # d(x) K(x, y) = nums[i] * (numerator of K(x, y)) / dens[i]
-    for s, (den, _) in zip(states, rows):
-        w = dist.get(s, 0)
-        a, b = (w if isinstance(w, Fraction) else Fraction(w)).as_integer_ratio()
+    m, weights = over_one_denominator(dist)
+    nums = [weights.get(s, 0) for s in states]  # d(x) K(x, y) = nums[i] n / (m den_i)
+    for s, a in zip(states, nums):
         if a <= 0:
             raise ValueError(f"state {s!r} has zero weight")
-        nums.append(a)
-        dens.append(b * den)
 
     pairs = set()
     for i, (_, row) in enumerate(rows):
@@ -544,10 +541,11 @@ def check_reversibility(kernel: StochasticKernel, dist: Mapping) -> Reversibilit
     first = None
     for i, j in sorted(pairs):
         x, y = states[i], states[j]
-        lhs = nums[i] * rows[i][1].get(y, 0) * dens[j]
-        rhs = nums[j] * rows[j][1].get(x, 0) * dens[i]
+        (den_x, row_x), (den_y, row_y) = rows[i], rows[j]
+        lhs = nums[i] * row_x.get(y, 0) * den_y
+        rhs = nums[j] * row_y.get(x, 0) * den_x
         if lhs != rhs:
-            first = (x, y, Fraction(lhs - rhs, dens[i] * dens[j]))
+            first = (x, y, Fraction(lhs - rhs, m * den_x * den_y))
             break
 
     return ReversibilityReport(

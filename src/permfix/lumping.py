@@ -10,9 +10,10 @@ Lambda(w, v) = mu_1(v), the intertwining Q Lambda = Lambda P reduces to
 mu_1 P = mu_1, which `project` checks exactly; reversibility of mu transfers
 to mu_1.  Each kernel row is summed into blocks, Q(w, A_v'), in one place
 (`_block_rows`), which both `project` and `dynkin_check` read: integer
-numerators over the row's own denominator.  Each share-weighted row of
-`project` is put over one row denominator in integers, and the block
-masses are added over one common denominator (`exactdist._exact_sum`).
+numerators over the row's own denominator.  The invariant law is read as
+integers n_w over one denominator (`exactdist.over_one_denominator`): a
+block's mass is the sum m_v of its n_w, and its projected row one integer
+sum over m_v times the lcm of its members' row denominators.
 Instantiated on the symmetric group: the transposition walk, whose moves
 tau sigma come from one rule on the permutation table
 (`perms.transposition_ranks`); the coagulation-fragmentation chain on cycle
@@ -33,7 +34,7 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from . import kernels
-from .exactdist import _exact_sum
+from .exactdist import over_one_denominator
 from .kernels import StochasticKernel
 from .perms import (
     CycleType,
@@ -60,12 +61,13 @@ class PartitionedChain:
 
     def __post_init__(self) -> None:
         states = self.kernel.states
-        inv = {s: Fraction(self.invariant.get(s, 0)) for s in states}
         if set(self.invariant) != set(states):
             raise ValueError("invariant law must be defined exactly on the states")
-        if any(w < 0 for w in inv.values()):
+        inv = {s: Fraction(self.invariant[s]) for s in states}
+        den, nums = over_one_denominator(inv)
+        if any(n < 0 for n in nums.values()):
             raise ValueError("invariant weights must be non-negative")
-        if _exact_sum(map(Fraction.as_integer_ratio, inv.values())) != 1:
+        if sum(nums.values()) != den:
             raise ValueError("invariant weights must sum to 1")
         if not self.kernel.is_invariant(inv):
             raise ValueError("mu Q != mu: not an invariant law")
@@ -84,10 +86,11 @@ class PartitionedChain:
         return dict(members)
 
     def block_mass(self) -> dict[Hashable, Fraction]:
-        terms: dict[Hashable, list[tuple[int, int]]] = defaultdict(list)
+        den, nums = over_one_denominator(self.invariant)
+        mass: dict[Hashable, int] = defaultdict(int)
         for s, v in self.blocks.items():
-            terms[v].append(self.invariant[s].as_integer_ratio())
-        return {v: _exact_sum(t) for v, t in terms.items()}
+            mass[v] += nums[s]
+        return {v: Fraction(n, den) for v, n in mass.items()}
 
 
 @dataclass(frozen=True)
@@ -124,21 +127,20 @@ def project(chain: PartitionedChain) -> ProjectionResult:
 
     members = chain.block_members()
     block_rows = _block_rows(chain)
-    mu = chain.invariant
+    _, mu = over_one_denominator(chain.invariant)
 
     rows = []
     for v in ids:
-        # share mu(w) / mu(A_v) = (un md) / (ud mn) times Q(w, A_v') = n / den,
-        # all over one row denominator mn * lcm(ud den)
-        mn, md = mass[v].as_integer_ratio()
-        parts = [(mu[w].as_integer_ratio(), block_rows[w]) for w in members[v]]
-        common = math.lcm(*(ud * den for (_, ud), (den, _) in parts))
+        # share mu(w) / mu(A_v) = n_w / m_v times Q(w, A_v') = n / den,
+        # all over one row denominator m_v * lcm(den)
+        parts = [(mu[w], block_rows[w]) for w in members[v]]
+        common = math.lcm(*(den for _, (den, _) in parts))
         nums: dict[Hashable, int] = defaultdict(int)
-        for (un, ud), (den, sums) in parts:
-            share = un * md * (common // (ud * den))
+        for n_w, (den, sums) in parts:
+            share = n_w * (common // den)
             for v2, n in sums.items():
                 nums[v2] += share * n
-        rows.append((mn * common, dict(nums)))
+        rows.append((sum(n_w for n_w, _ in parts) * common, dict(nums)))
     projected = StochasticKernel(ids, rows, label=f"proj({chain.kernel.label})")
     if not projected.is_invariant(mass):
         raise AssertionError("mu_1 is not invariant for the projected kernel")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactdist import Interval, _exact_sum, enclosure_digits, fixed_point_pmf, inv_e_interval
+from .exactdist import Interval, enclosure_digits, fixed_point_pmf, inv_e_interval
 from .kernels import p_closedform, state_space
 from .perms import check_guard, fixed_point_sums
 
@@ -105,11 +105,9 @@ def gram(N: int) -> GramMatrix:
         row = []
         for l in idx:
             a, b = min(k, l), max(k, l)
-            val = _exact_sum(
-                (math.factorial(a) * math.comb(b, a - r), math.factorial(r))
-                for r in range(0, min(a, N - b) + 1)
-            )
-            row.append(val)
+            top = min(a, N - b)
+            total = sum(math.comb(b, a - r) * math.perm(top, top - r) for r in range(top + 1))
+            row.append(Fraction(math.factorial(a) * total, math.factorial(top)))
         entries.append(tuple(row))
     return GramMatrix(N=N, indices=idx, entries=tuple(entries))
 
@@ -124,11 +122,8 @@ def gram_bruteforce(N: int) -> GramMatrix:
     for k in idx:
         row = []
         for l in idx:
-            val = _exact_sum(
-                (c * math.perm(x, k) * math.perm(x, l), total)
-                for x, c in enumerate(hist)
-            )
-            row.append(val)
+            val = sum(c * math.perm(x, k) * math.perm(x, l) for x, c in enumerate(hist))
+            row.append(Fraction(val, total))
         entries.append(tuple(row))
     return GramMatrix(N=N, indices=idx, entries=tuple(entries))
 
@@ -187,16 +182,14 @@ def coefficient_systems(N: int) -> CoefficientSystems:
     p = p_closedform(N)
     f_values: dict[int, Fraction] = {}
     for x in idx:
-        fx = _exact_sum(
-            (ak.numerator * math.perm(x, k), ak.denominator) for ak, k in zip(a, idx)
-        )
+        fx = sum((ak * math.perm(x, k) for ak, k in zip(a, idx)), Fraction(0))
         if fx != 2 * p[x]:
             raise AssertionError(f"reconstructed f({x}) = {fx} != 2 p({x}) = {2 * p[x]}")
         f_values[x] = fx
 
-    rational_sum = _exact_sum(  # sum_{x <= N-2} |f(x) - 1| / x!
-        (abs(f.numerator - f.denominator), f.denominator * math.factorial(x))
-        for x, f in f_values.items() if x <= N - 2
+    rational_sum = sum(  # sum_{x <= N-2} |f(x) - 1| / x!
+        (abs(f - 1) / math.factorial(x) for x, f in f_values.items() if x <= N - 2),
+        Fraction(0),
     )
     functional = inv_e_interval(enclosure_digits(N)).scale(rational_sum)
     return CoefficientSystems(

@@ -341,6 +341,28 @@ def test_all_files_match_frozen_digests(tmp_path, capsys):
     assert digests == golden
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["project", "--n", "7"], {
+        "dynkin.csv": "97ccff9d9dfce9a4e64897ec2aaea05d4dbf8801046ff6d89cfce8df5b7467e5",
+        "partition.json": "fe4db3d25cc451cd724483d30741336d6b9accd59bba136776893565bbe054ce",
+        "projected_kernel.json": "4e760da5b668bf971b62e5a6c910bbba53980964f140f3fae15689e691ec90a4",
+    }),
+    (["moments", "--n", "10"], {
+        "coefficients.csv": "c609dc728750aeeba8b19d2f367579ad032d2225849f266d09ad9a7b16dd36b9",
+        "gram.csv": "20bdda6d218af2f4112090a481cf8388fe02a37f402411f4ac37b699109a45fd",
+        "moments.csv": "dbe9fcbc4711b2f58263840aaaf3111fc2f0b64672df22f05f6863de73c2a323",
+    }),
+], ids=["project-7", "moments-10"])
+def test_files_past_all_match_frozen_digests(argv, golden, tmp_path, capsys):
+    # sha256 of every data file of a projection and a Gram run at an N that
+    # `all` does not reach: the projected rows, the block masses and the
+    # Gram sums are pinned there too
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == golden
+
+
 def test_couple_traces(tmp_path, capsys, monkeypatch):
     # every file of the run, traces.jsonl included, is written by the
     # module-level `write_table`, the function the benchmark counts files at

@@ -386,6 +386,27 @@ def per_point_tv(d, ref, convention, poisson_first):
     return lo, hi
 
 
+def linear_form_reference(d, ref):
+    """sum_x (d(x) - e^{-1}/x!)_+ as A + B e^{-1}, one `Fraction` at a time:
+    A = sum d(x) and B = -sum 1/x! over the x with d(x) x! >= hi."""
+    inv_e = inv_e_interval(ref.digits)
+    a = b = Fraction(0)
+    for x in range(max(d) + 1):
+        if d.get(x, 0) * math.factorial(x) >= inv_e.hi:
+            a += d[x]
+            b -= Fraction(1, math.factorial(x))
+    return inv_e.scale(b) + a
+
+
+class TestLinearFormAgainstPoisson:
+    @pytest.mark.parametrize("law, ns", [(fixed_point_pmf, range(4, 61)), (zeta_law, range(8, 31))],
+                             ids=["pi", "zeta"])
+    def test_equals_term_by_term_linear_form(self, law, ns):
+        for n in ns:
+            d, ref = law(n), poisson_pmf(n)
+            assert exactdist._tv_against_poisson(d, ref) == linear_form_reference(d, ref)
+
+
 class TestTvBracket:
     def test_n4(self):
         assert tv_bracket(4) == (Fraction(16, 90), Fraction(31, 120))
@@ -639,31 +660,45 @@ class TestIntervalSoundness:
         assert contains(a + factor, x + factor)
 
 
-def rational_pairs():
-    """(n, d) with d > 0, not in lowest terms: small and factorial-sized
-    denominators, zero and negative numerators."""
+def exact_weights():
+    """Values a mapping of exact weights may hold: ints, `Fraction`s over
+    small and factorial-sized denominators, and floats (taken exactly)."""
     dens = st.one_of(st.integers(1, 1000), st.integers(1, 80).map(math.factorial))
-    return st.tuples(st.integers(-10 ** 30, 10 ** 30), dens, st.integers(1, 50)).map(
-        lambda t: (t[0] * t[2], t[1] * t[2])
+    return st.one_of(
+        st.integers(-10 ** 30, 10 ** 30),
+        st.tuples(st.integers(-10 ** 30, 10 ** 30), dens).map(lambda t: Fraction(*t)),
+        st.floats(allow_nan=False, allow_infinity=False),
     )
 
 
-class TestExactSum:
+def exact_dists():
+    numerators = st.dictionaries(st.integers(0, 40), st.integers(1, 10 ** 20), min_size=1)
+    return st.one_of(
+        st.integers(1, 60).map(fixed_point_pmf),
+        st.integers(0, 60).map(poisson_truncated),
+        numerators.map(lambda nums: ExactDist(sum(nums.values()), nums)),
+    )
+
+
+class TestOverOneDenominator:
     @PROPERTY
-    @given(st.lists(rational_pairs(), max_size=40))
-    def test_equals_term_by_term_fraction_sum(self, pairs):
-        total = exactdist._exact_sum(pairs)
-        assert isinstance(total, Fraction)
-        assert total == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+    @given(st.one_of(
+        st.dictionaries(st.integers(0, 50), exact_weights(), max_size=20), exact_dists()
+    ))
+    def test_least_common_denominator(self, weights):
+        den, nums = exactdist.over_one_denominator(weights)
+        assert type(den) is int and den >= 1
+        assert list(nums) == list(weights)
+        assert all(type(n) is int and Fraction(n, den) == Fraction(w)
+                   for n, w in zip(nums.values(), weights.values()))
+        # den is least exactly when no integer > 1 divides it and every numerator
+        assert math.gcd(den, *nums.values()) == 1
 
-    def test_empty_zero_and_cancelling_terms(self):
-        assert exactdist._exact_sum([]) == 0
-        assert exactdist._exact_sum([(0, 7), (0, math.factorial(30))]) == 0
-        assert exactdist._exact_sum([(3, 6), (-2, 4)]) == 0
-        assert exactdist._exact_sum([(2, 30)] * 15) == 1
+    def test_empty_mapping(self):
+        assert exactdist.over_one_denominator({}) == (1, {})
 
-    @pytest.mark.parametrize("n", [50, 200])
-    def test_pmf_weights_sum_to_one(self, n):
-        for law in (fixed_point_pmf(n), poisson_truncated(n)):
-            pairs = [w.as_integer_ratio() for w in law.values()]
-            assert exactdist._exact_sum(pairs) == sum(law.values(), Fraction(0)) == 1
+    @PROPERTY
+    @given(exact_dists())
+    def test_exact_dist_gives_its_integer_weights(self, law):
+        assert exactdist.over_one_denominator(law) is law.integer_weights
+        assert exactdist.over_one_denominator(dict(law)) == law.integer_weights

@@ -34,7 +34,7 @@ from permfix.kernels import (
     reversible_pair,
     state_space,
 )
-from permfix.lumping import transposition_walk, uniform_on_permutations
+from permfix.lumping import cycle_type_chain, project, transposition_walk, uniform_on_permutations
 from permfix.perms import EnumerationGuardError
 import exact_reference
 
@@ -407,6 +407,31 @@ class TestSparseReversibilityAgainstDense:
         assert report.first_violation[:2] == (1, 2)
 
 
+class TestLawReadTheSameWay:
+    """An `ExactDist` is read through its own numerators, a dict of the same
+    weights over their least common denominator: the reports agree."""
+
+    @pytest.mark.parametrize("n", range(5, 61))
+    def test_every_pair_against_its_law_as_a_dict(self, n):
+        for kernel, law in every_builder(n):
+            report, plain = check_reversibility(kernel, law), check_reversibility(kernel, dict(law))
+            assert report.ok
+            assert (report.ok, report.pairs_checked, report.first_violation) == (
+                plain.ok, plain.pairs_checked, plain.first_violation)
+
+    def test_perturbed_kernel_residual(self):
+        n = 20
+        law = fixed_point_pmf(n)
+        bent = bumped(build_penta(n, p_closedform(n)), {3: [5], 6: [7]})
+        report, plain = check_reversibility(bent, law), check_reversibility(bent, dict(law))
+        assert not report.ok
+        assert (report.ok, report.pairs_checked, report.first_violation) == (
+            plain.ok, plain.pairs_checked, plain.first_violation)
+        x, y, residual = report.first_violation
+        assert (x, y) == (3, 5)
+        assert residual == law[x] * bent.entry(x, y) - law[y] * bent.entry(y, x) != 0
+
+
 class TestLookupErrors:
     def test_unknown_state_raises_value_error(self):
         n = 6
@@ -445,6 +470,20 @@ class TestCatalogue:
     def test_restricted_label_refused_at_n4(self, label):
         with pytest.raises(ValueError, match="N >= 5"):
             reversible_pair(4, label)
+
+
+class TestRowsReadOnly:
+    def test_numerators_cannot_be_edited(self):
+        catalogue, _ = reversible_pair(8, "R")
+        chain = cycle_type_chain(6)
+        for kernel in (catalogue, chain.kernel, project(chain).kernel):
+            den, row = kernel.integer_rows[0]
+            t = next(iter(row))
+            with pytest.raises(TypeError):
+                row[t] += 5
+            assert sum(row.values()) == den
+            rebuilt = [(d, dict(r)) for d, r in kernel.integer_rows]
+            assert kernel == StochasticKernel(kernel.states, rebuilt, kernel.label)
 
 
 class TestKernelValidation:
