@@ -162,7 +162,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             "in_bracket": in_bracket,
             "separation": _fmt(exactdist.separation_discrepancy(pi, ref)),
         }
-        row["log_rate"] = exactdist._log_rate_of(N, tv_total) if N >= 4 else ""
+        row["log_rate"] = exactdist.log_rate_from_tv(N, tv_total) if N >= 4 else ""
         summary.append(row)
     report.write_table("pi_table", pi_rows, args.format)
     report.write_table("exact_summary", summary, args.format)

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import native
 from .exactdist import ExactDist, exp_interval
-from .kernels import CONSTANT_K, StochasticKernel, _penta_moves, reversible_pair
+from .kernels import CONSTANT_K, StochasticKernel, penta_moves, reversible_pair
 from .rng import TWO_NEG53, VectorStreams, check_seed, grid_cut
 
 # the catalogue labels (`kernels.reversible_pair`) of X's and Y's kernels
@@ -472,7 +472,7 @@ def _drift_for(N: int, which: str, theta: Fraction) -> DriftCertificate:
     (m, dm), (q, dq) = (
         exp_interval(sign * theta / N, _DRIFT_DIGITS).hi.as_integer_ratio() for sign in (-1, 1)
     )
-    den, moves = _penta_moves(N, 1, CONSTANT_K[which])  # the rates K(1, 0) and K(1, 2)
+    den, moves = penta_moves(N, 1, CONSTANT_K[which])  # the rates K(1, 0) and K(1, 2)
     up = moves[2] if N > 5 else 0  # y = 1 is the top state at N = 5
     # F_bar(1) - 1 = (m/dm - 1) K(1, 0) + (q/dq - 1) K(1, 2) = excess / (dm dq den),
     # and F_bar(1) is the maximum

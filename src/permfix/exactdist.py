@@ -380,10 +380,10 @@ def log_rate(N: int) -> float:
     """
     if N < 4:
         raise ValueError("log_rate needs N >= 4")
-    return _log_rate_of(N, tv_distance(fixed_point_pmf(N), poisson_pmf(N), "total"))
+    return log_rate_from_tv(N, tv_distance(fixed_point_pmf(N), poisson_pmf(N), "total"))
 
 
-def _log_rate_of(N: int, tv: Interval) -> float:
+def log_rate_from_tv(N: int, tv: Interval) -> float:
     """`log_rate` from the total TV at N, enclosed as `tv`: the mean of
     ln(lo) and ln(hi), over N ln N.
 

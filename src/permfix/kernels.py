@@ -189,7 +189,8 @@ class StochasticKernel:
 class PFunction:
     """Exact values of p(x) = E[eta_2 | eta_1 = x] on V.
 
-    Only the domain and non-negativity are checked.  The forced values
+    Only the domain and non-negativity, read off each value's numerator,
+    are checked.  The forced values
     p(N) = 0, p(N-2) = 1, p(N-3) = 0 hold for every route to p; a p that
     breaks one makes `build_penta` move off V, which `StochasticKernel`
     rejects.  `values` is a read-only mapping, so a checked p stays checked.
@@ -201,7 +202,7 @@ class PFunction:
     def __post_init__(self) -> None:
         if set(self.values) != set(state_space(self.N)):
             raise ValueError("p must be defined exactly on V")
-        if any(v < 0 for v in self.values.values()):
+        if any(v.numerator < 0 for v in self.values.values()):
             raise ValueError("p must be non-negative")
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
@@ -268,7 +269,7 @@ def p_recursion(N: int) -> PFunction:
 Moves = tuple[int, dict[Hashable, int]]  # (den, {target: numerator over den})
 
 
-def _penta_moves(N: int, x: int, k: Fraction | int) -> Moves:
+def penta_moves(N: int, x: int, k: Fraction | int) -> Moves:
     """The moves from x of the penta-diagonal family driven by k.
 
     Down by one at x(N-x), down by two at x(x-1), up by one at N-x-k and up
@@ -326,7 +327,7 @@ def build_penta(N: int, p: PFunction) -> StochasticKernel:
     if p.N != N:
         raise ValueError("p was built for a different N")
     V = state_space(N)
-    return _kernel(V, (_penta_moves(N, x, 2 * p[x]) for x in V), "P")
+    return _kernel(V, (penta_moves(N, x, 2 * p[x]) for x in V), "P")
 
 
 def build_tridiag_tilde(N: int, p: PFunction) -> StochasticKernel:
@@ -336,7 +337,7 @@ def build_tridiag_tilde(N: int, p: PFunction) -> StochasticKernel:
     if p.N != N:
         raise ValueError("p was built for a different N")
     V = state_space(N)
-    return _neighbour_kernel(V, (_penta_moves(N, x, 2 * p[x]) for x in V), "P_tilde")
+    return _neighbour_kernel(V, (penta_moves(N, x, 2 * p[x]) for x in V), "P_tilde")
 
 
 def hat_ordering(N: int) -> tuple[int, ...]:
@@ -362,7 +363,7 @@ def build_hat(N: int) -> StochasticKernel:
     z = hat_ordering(N)
     p = p_closedform(N)
     at = {x: i for i, x in enumerate(z)}
-    moves = (_relabelled(_penta_moves(N, x, 2 * p[x]), at) for x in z)
+    moves = (_relabelled(penta_moves(N, x, 2 * p[x]), at) for x in z)
     return _neighbour_kernel(tuple(range(N)), moves, "P_hat")
 
 
@@ -395,9 +396,9 @@ def restricted_kernel(N: int, label: str) -> StochasticKernel:
     states = tuple(range(N - 3))
     if label == "P_check":
         p = p_closedform(N)
-        moves = (_penta_moves(N, x, 2 * p[x]) for x in states)
+        moves = (penta_moves(N, x, 2 * p[x]) for x in states)
     else:
-        moves = (_penta_moves(N, x, CONSTANT_K[label]) for x in states)
+        moves = (penta_moves(N, x, CONSTANT_K[label]) for x in states)
     return _neighbour_kernel(states, moves, label)
 
 
@@ -417,7 +418,7 @@ def poisson_reversible_penta(N: int) -> StochasticKernel:
         raise ValueError("N must be >= 2")
     states = tuple(range(N + 1))
     inside = {y: y for y in states}
-    moves = (_relabelled(_penta_moves(N, x, 1), inside) for x in states)
+    moves = (_relabelled(penta_moves(N, x, 1), inside) for x in states)
     return _kernel(states, moves, "P_bar")
 
 

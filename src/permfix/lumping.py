@@ -10,23 +10,26 @@ Lambda(w, v) = mu_1(v), the intertwining Q Lambda = Lambda P reduces to
 mu_1 P = mu_1, which `project` checks exactly; reversibility of mu transfers
 to mu_1.  Each kernel row is summed into blocks, Q(w, A_v'), in one place
 (`_block_rows`), which both `project` and `dynkin_check` read: integer
-numerators over the row's own denominator.  The invariant law is read as
-integers n_w over one denominator (`exactdist.over_one_denominator`): a
-block's mass is the sum m_v of its n_w, and its projected row one integer
-sum over m_v times the lcm of its members' row denominators.
-Instantiated on the symmetric group: the transposition walk, whose moves
-tau sigma come from one rule on the permutation table
-(`perms.transposition_ranks`); the coagulation-fragmentation chain on cycle
-types, built by the merge/split case analysis alone; and the further
-lumping through the fixed-point count that reproduces the penta-diagonal
-kernel.  That the walk lumps to the case analysis is checked by brute force
-in the tests, by `project` and `dynkin_check` on `permutation_chain`.
+numerators over the row's own denominator, keyed by block index (the
+position in `block_ids()`); labels name only the projected kernel.  The
+invariant law is read once, as integers n_w over one denominator
+(`exactdist.over_one_denominator`): a block's mass is the sum m_v of its
+n_w, and its projected row one integer sum over m_v times the lcm of its
+members' row denominators.
+Instantiated on the symmetric group: the transposition walk on the ranks
+range(N!) of `perms.permutation_table`, its moves tau sigma from one rule
+(`perms.transposition_ranks`), its uniform law N! unit numerators; the
+coagulation-fragmentation chain on cycle types, built by the merge/split
+case analysis alone; and the further lumping through the fixed-point
+count that reproduces the penta-diagonal kernel.  That the walk lumps to
+the case analysis is checked by brute force in the tests, by `project`
+and `dynkin_check` on `permutation_chain`.
 """
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Hashable, Mapping
@@ -34,14 +37,13 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from . import kernels
-from .exactdist import over_one_denominator
+from .exactdist import ExactDist, over_one_denominator
 from .kernels import StochasticKernel
 from .perms import (
     CycleType,
     all_cycle_types,
     check_guard,
     cycle_counts_table,
-    iter_permutations,
     permutation_table,
     transposition_ranks,
 )
@@ -51,42 +53,41 @@ from .perms import (
 class PartitionedChain:
     """A kernel with exact invariant law and a partition of its state space.
 
-    Both `invariant` and `blocks` are stored as read-only mappings, so a
-    validated chain stays validated.
+    The law is read once, as `integer_invariant` = (den, {state:
+    numerator}).  An `ExactDist` is kept as given, any other law stored as
+    `Fraction`s; all are read-only, so a validated chain stays validated.
     """
 
     kernel: StochasticKernel
     invariant: Mapping[Hashable, Fraction]
     blocks: Mapping[Hashable, Hashable]
+    integer_invariant: tuple[int, Mapping[Hashable, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         states = self.kernel.states
         if set(self.invariant) != set(states):
             raise ValueError("invariant law must be defined exactly on the states")
-        inv = {s: Fraction(self.invariant[s]) for s in states}
-        den, nums = over_one_denominator(inv)
+        den, nums = over_one_denominator(self.invariant)
         if any(n < 0 for n in nums.values()):
             raise ValueError("invariant weights must be non-negative")
         if sum(nums.values()) != den:
             raise ValueError("invariant weights must sum to 1")
-        if not self.kernel.is_invariant(inv):
+        if not isinstance(self.invariant, ExactDist):
+            inv = MappingProxyType({s: Fraction(nums[s], den) for s in states})
+            object.__setattr__(self, "invariant", inv)
+            nums = MappingProxyType(nums)
+        if not self.kernel.is_invariant(self.invariant):
             raise ValueError("mu Q != mu: not an invariant law")
         if set(self.blocks) != set(states):
             raise ValueError("every state must be assigned a block")
-        object.__setattr__(self, "invariant", MappingProxyType(inv))
         object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
+        object.__setattr__(self, "integer_invariant", (den, nums))
 
     def block_ids(self) -> tuple[Hashable, ...]:
         return tuple(sorted(set(self.blocks.values())))
 
-    def block_members(self) -> dict[Hashable, list[Hashable]]:
-        members: dict[Hashable, list[Hashable]] = defaultdict(list)
-        for s in self.kernel.states:
-            members[self.blocks[s]].append(s)
-        return dict(members)
-
     def block_mass(self) -> dict[Hashable, Fraction]:
-        den, nums = over_one_denominator(self.invariant)
+        den, nums = self.integer_invariant
         mass: dict[Hashable, int] = defaultdict(int)
         for s, v in self.blocks.items():
             mass[v] += nums[s]
@@ -101,16 +102,20 @@ class ProjectionResult:
     mu1: dict[Hashable, Fraction]
 
 
-def _block_rows(chain: PartitionedChain) -> dict[Hashable, tuple[int, dict[Hashable, int]]]:
-    """Q(w, A_v') for every state w: each kernel row summed into blocks, as
-    (den, {v': numerator}) over the denominator of the row of w."""
-    blocks = chain.blocks
-    out = {}
+def _block_rows(chain: PartitionedChain) -> list[list[tuple[Hashable, int, dict[int, int]]]]:
+    """Q(w, A_v') for every state w, by block: entry j lists the members w
+    of block `chain.block_ids()[j]`, in the kernel's state order, as (w,
+    den, {k: numerator}), the row of w summed into block indices k over
+    its own denominator."""
+    ids = chain.block_ids()
+    index = {v: j for j, v in enumerate(ids)}
+    block_of = {w: index[v] for w, v in chain.blocks.items()}
+    out: list[list] = [[] for _ in ids]
     for w, (den, row) in zip(chain.kernel.states, chain.kernel.integer_rows):
-        sums: dict[Hashable, int] = defaultdict(int)
+        sums: dict[int, int] = defaultdict(int)
         for w2, n in row.items():
-            sums[blocks[w2]] += n
-        out[w] = (den, dict(sums))
+            sums[block_of[w2]] += n
+        out[block_of[w]].append((w, den, dict(sums)))
     return out
 
 
@@ -119,32 +124,27 @@ def project(chain: PartitionedChain) -> ProjectionResult:
     projected kernel (an `AssertionError` if not).  A zero-mass block is an
     error.
     """
-    mass = chain.block_mass()
     ids = chain.block_ids()
-    for v in ids:
-        if mass[v] == 0:
+    den, mu = chain.integer_invariant
+    mu1, rows = {}, []
+    for v, members in zip(ids, _block_rows(chain)):
+        m = sum(mu[w] for w, _, _ in members)
+        if m == 0:
             raise ValueError(f"block {v!r} has zero invariant mass")
-
-    members = chain.block_members()
-    block_rows = _block_rows(chain)
-    _, mu = over_one_denominator(chain.invariant)
-
-    rows = []
-    for v in ids:
-        # share mu(w) / mu(A_v) = n_w / m_v times Q(w, A_v') = n / den,
-        # all over one row denominator m_v * lcm(den)
-        parts = [(mu[w], block_rows[w]) for w in members[v]]
-        common = math.lcm(*(den for _, (den, _) in parts))
-        nums: dict[Hashable, int] = defaultdict(int)
-        for n_w, (den, sums) in parts:
-            share = n_w * (common // den)
-            for v2, n in sums.items():
-                nums[v2] += share * n
-        rows.append((sum(n_w for n_w, _ in parts) * common, dict(nums)))
+        # share mu(w) / mu(A_v) = n_w / m_v times Q(w, A_v') = n / row_den,
+        # all over one row denominator m_v * lcm(row_den)
+        common = math.lcm(*(row_den for _, row_den, _ in members))
+        nums: dict[int, int] = defaultdict(int)
+        for w, row_den, sums in members:
+            share = mu[w] * (common // row_den)
+            for k, n in sums.items():
+                nums[k] += share * n
+        mu1[v] = Fraction(m, den)
+        rows.append((m * common, {ids[k]: n for k, n in nums.items()}))
     projected = StochasticKernel(ids, rows, label=f"proj({chain.kernel.label})")
-    if not projected.is_invariant(mass):
+    if not projected.is_invariant(mu1):
         raise AssertionError("mu_1 is not invariant for the projected kernel")
-    return ProjectionResult(kernel=projected, mu1=dict(mass))
+    return ProjectionResult(kernel=projected, mu1=mu1)
 
 
 @dataclass(frozen=True)
@@ -177,15 +177,12 @@ def dynkin_check(chain: PartitionedChain) -> dict[tuple[Hashable, Hashable], boo
     When every entry is True the projected kernel coincides with the
     classical lumped chain.
     """
-    members = chain.block_members()
-    block_rows = _block_rows(chain)
     ids = chain.block_ids()
     out: dict[tuple[Hashable, Hashable], bool] = {}
-    for v in ids:
-        (den0, first), *rest = (block_rows[w] for w in members[v])
-        for v2 in ids:
-            n0 = first.get(v2, 0)
-            out[(v, v2)] = all(row.get(v2, 0) * den0 == n0 * den for den, row in rest)
+    for v, ((_, den0, first), *rest) in zip(ids, _block_rows(chain)):
+        for k, v2 in enumerate(ids):
+            n0 = first.get(k, 0)
+            out[(v, v2)] = all(row.get(k, 0) * den0 == n0 * den for _, den, row in rest)
     return out
 
 
@@ -194,22 +191,22 @@ def dynkin_check(chain: PartitionedChain) -> dict[tuple[Hashable, Hashable], boo
 # ---------------------------------------------------------------------------
 
 def transposition_walk(N: int) -> StochasticKernel:
-    """The random-transposition walk on S_N: T(sigma, tau sigma) = 2/(N(N-1))."""
+    """The random-transposition walk on S_N, T(sigma, tau sigma) = 2/(N(N-1)),
+    on the lexicographic ranks range(N!): rank r is row r of the table."""
     if N < 2:
         raise ValueError("N must be >= 2")
     check_guard(N, 8, "transposition_walk")
-    states = tuple(iter_permutations(N))
     moves = np.column_stack(list(transposition_ranks(permutation_table(N))))  # [sigma, (a b)]
     den = N * (N - 1) // 2
-    rows = [(den, {states[r]: 1 for r in targets}) for targets in moves.tolist()]
-    return StochasticKernel(states, rows, label=f"T_{N}")
+    rows = [(den, dict.fromkeys(targets, 1)) for targets in moves.tolist()]
+    return StochasticKernel(range(len(rows)), rows, label=f"T_{N}")
 
 
-def uniform_on_permutations(N: int) -> dict[tuple[int, ...], Fraction]:
-    """The uniform law on S_N, keyed by permutation tuple (guarded: N! states)."""
+def uniform_on_permutations(N: int) -> ExactDist:
+    """The uniform law on S_N, on the lexicographic ranks (guarded: N! states)."""
     check_guard(N, 8, "uniform_on_permutations")
-    w = Fraction(1, math.factorial(N))
-    return {sigma: w for sigma in iter_permutations(N)}
+    size = math.factorial(N)
+    return ExactDist(size, dict.fromkeys(range(size), 1))
 
 
 def _split_pair_count(length: int, part: int) -> int:
@@ -313,5 +310,5 @@ def permutation_chain(N: int) -> PartitionedChain:
     return PartitionedChain(
         kernel=walk,
         invariant=uniform_on_permutations(N),
-        blocks={sigma: types[t] for sigma, t in zip(walk.states, type_of.tolist())},
+        blocks=dict(enumerate(types[t] for t in type_of.tolist())),
     )

@@ -1,8 +1,8 @@
-"""Every name a module of the package imports is used in that module, the
-package imports nothing beyond the standard library and its declared
-dependencies, it reads no environment variable beyond its two, and every
-function, class and method it defines is named somewhere outside its own
-definition."""
+"""Every name a module of the package imports is used in that module, no
+module imports or reads a private name of another, the package imports
+nothing beyond the standard library and its declared dependencies, it
+reads no environment variable beyond its two, and every function, class
+and method it defines is named somewhere outside its own definition."""
 import ast
 import re
 import sys
@@ -43,6 +43,48 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_caught():
     source = "from __future__ import annotations\nimport math\nimport os.path\nfrom a import b as c, d\nd()\n"
     assert unused_imports(source) == ["math (line 2)", "os (line 3)", "c (line 4)"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(source: str) -> list[str]:
+    """The `_`-prefixed names of other package modules that source imports
+    (`from .kernels import _x`) or reads as an attribute of a package
+    module it imported (`from . import exactdist`, then `exactdist._y`);
+    dunder names are exempt."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "permfix"):
+            for alias in node.names:
+                if node.module in (None, "permfix"):
+                    modules.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    found.append(f"{alias.name} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) and (
+            isinstance(node.value, ast.Name) and node.value.id in modules
+        ):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_private_name_crosses_modules(path):
+    assert private_reads(path.read_text()) == []
+
+
+def test_a_private_read_is_caught():
+    source = (
+        "from . import exactdist, kernels as k\nfrom .kernels import _x, y\n"
+        "from permfix.rng import _z\nfrom numpy import _w\n"
+        "exactdist._y\nk._v\nexactdist.z\nself._u\nexactdist.__doc__\n"
+    )
+    assert private_reads(source) == [
+        "_x (line 2)", "_z (line 3)", "exactdist._y (line 5)", "k._v (line 6)",
+    ]
 
 
 def absolute_imports(source: str) -> set[str]:

@@ -338,10 +338,12 @@ def nudged(law):
 
 
 def assert_matches_naive(chain):
-    block_rows = {
-        w: {v: Fraction(n, den) for v, n in row.items()}
-        for w, (den, row) in lumping._block_rows(chain).items()
-    }
+    ids = chain.block_ids()  # _block_rows names blocks by their index here
+    block_rows = {}
+    for v, members in zip(ids, lumping._block_rows(chain), strict=True):
+        for w, den, row in members:
+            assert chain.blocks[w] == v
+            block_rows[w] = {ids[k]: Fraction(n, den) for k, n in row.items()}
     assert block_rows == naive_block_rows(chain)
     rows, mass = naive_projection(chain)
     result = project(chain)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from permfix import kernels, lumping, moments, perms
+from permfix.exactdist import ExactDist
 from permfix.perms import (
+    CycleType,
     EnumerationGuardError,
     all_cycle_types,
     cycle_counts_table,
@@ -96,14 +98,37 @@ class TestTranspositionRanks:
     def test_walk_rows_equal_the_scalar_swap(self, n):
         walk = lumping.transposition_walk(n)
         weight = Fraction(2, n * (n - 1))
-        assert walk.states == tuple(permutations(range(n)))
-        for sigma in walk.states:
+        perms_n = list(permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms_n)}
+        assert walk.states == tuple(range(math.factorial(n)))
+        for r in walk.states:
             expected = {
-                apply_transposition(sigma, a, b): weight
+                index[apply_transposition(perms_n[r], a, b)]: weight
                 for a in range(n) for b in range(a + 1, n)
             }
-            assert walk.row(sigma) == expected
-            assert list(walk.row(sigma)) == list(expected)
+            assert walk.row(r) == expected
+            assert list(walk.row(r)) == list(expected)
+
+
+class TestRankStates:
+    """Rank r of the S_N chains is row r of the table, the r-th permutation
+    in lexicographic order."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_blocks_are_the_cycle_types_of_the_ranks(self, n):
+        chain = lumping.permutation_chain(n)
+        perms_n = list(permutations(range(n)))
+        assert chain.kernel.states == tuple(range(len(perms_n)))
+        for r, perm in enumerate(perms_n):
+            assert chain.blocks[r] == CycleType(cycle_counts(perm))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_uniform_law_is_one_over_n_factorial_per_rank(self, n):
+        law = lumping.uniform_on_permutations(n)
+        assert isinstance(law, ExactDist)
+        den, nums = law.integer_weights
+        assert den == math.factorial(n)
+        assert dict(nums) == dict.fromkeys(range(den), 1)
 
 
 class TestCycleCountsTable:
@@ -154,6 +179,6 @@ class TestGuardBeforeAllocation:
         monkeypatch.delenv(perms.GUARD_ENV, raising=False)
         for module in (perms, lumping):
             monkeypatch.setattr(module, "permutation_table", no_table)
-            monkeypatch.setattr(module, "iter_permutations", no_tuples)
+        monkeypatch.setattr(perms, "iter_permutations", no_tuples)
         with pytest.raises(EnumerationGuardError):
             oracle()
