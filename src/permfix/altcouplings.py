@@ -52,6 +52,7 @@ def mallows_exact_pmf(N: int) -> ExactDist:
     and a 1 bit by 1, and the law is the final weights over N!.  It must
     coincide with the fixed-point law pi_N; the test suite enforces it.
     """
+    check_integer("N", N)
     if N < 1:
         raise ValueError("N must be >= 1")
     # state: (last bit value, sum of adjacent products so far)
@@ -278,33 +279,42 @@ def peak_tail_exact(N: int) -> Fraction:
     """Exact P[T > N]: the share of the (N+1)! relative orderings of
     U_1..U_{N+1} with no interior local maximum at an index n in [2, N].
 
-    The orderings are counted by extending prefixes one entry at a time; a
-    prefix whose last three entries already form a peak is dropped with its
-    whole subtree, since every ordering in it has a peak, so the count is
-    exact while only peak-free prefixes are visited.  The result is checked
-    against the bound 2^N / (N+1)! by criterion 9 and by the
-    `peak_tail_bound` verdict of `permfix alt`, not here.
+    The orderings are counted prefix by prefix, one actual value at a time,
+    never placing a value that would make the last entry a peak.  A prefix's
+    peak-free completions depend only on the state (last value, unused
+    values, rising into last), so each state is counted once, in a memo
+    local to the call; there is no closed form and no relabelling by rank.
+    The result is checked against the bound 2^N / (N+1)! by criterion 9 and
+    by the `peak_tail_bound` verdict of `permfix alt`, not here.
     """
+    check_integer("N", N)
     if N < 2:
         raise ValueError("N must be >= 2")
     check_guard(N, 10, "peak_tail_exact")
     m = N + 1
+    memo: dict[tuple[int, int, bool], int] = {}
 
-    def extensions(prev: int, last: int, unused: int) -> int:
-        """Peak-free completions of a prefix ending (prev, last), where bit v
-        of unused marks the values still to place."""
+    def extensions(last: int, unused: int, rising: bool) -> int:
+        """Peak-free completions of a prefix ending at value last (risen into
+        when rising), where bit v of unused marks the values still to place."""
         if not unused:
             return 1
-        count = 0
-        for v in range(m):
-            if unused >> v & 1 and not prev < last > v:
-                count += extensions(last, v, unused & ~(1 << v))
-        return count
+        key = (last, unused, rising)
+        if key not in memo:
+            # after a rise, a value below last would make last a peak
+            allowed = unused >> last + 1 << last + 1 if rising else unused
+            count = 0
+            while allowed:
+                bit = allowed & -allowed
+                v = bit.bit_length() - 1
+                count += extensions(v, unused ^ bit, v > last)
+                allowed ^= bit
+            memo[key] = count
+        return memo[key]
 
-    # the sentinel m as prev keeps the first entry from counting as a peak
-    full = (1 << m) - 1
-    count = sum(extensions(m, v, full & ~(1 << v)) for v in range(m))
-    return Fraction(count, math.factorial(m))
+    # the start state: last = m lies above every value, so the first entry
+    # does not rise into its place and cannot count as a peak
+    return Fraction(extensions(m, (1 << m) - 1, False), math.factorial(m))
 
 
 def empirical_half_tv(pmf_counts: Mapping[int, int], samples: int, reference: ExactDist) -> float:

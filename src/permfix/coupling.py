@@ -71,7 +71,7 @@ STAT_NAMES = ("neq", "tau_gt", "z_pos", "ztilde_pos", "zhat_pos", "tau0x_gt", "t
 def check_integer(name: str, value: object) -> None:
     """ValueError unless value is an int; a bool is refused, though Python
     counts it as one.  The one type rule for the counts of the Monte Carlo
-    entry points."""
+    entry points and for the N of `altcouplings`' exact laws."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer")
 

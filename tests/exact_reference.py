@@ -3,7 +3,9 @@ that hand `ExactDist` integer numerators.
 
 Each returns a dict from atom to `Fraction` weight, built one `Fraction` at
 a time by the textbook formula, with zero weights dropped; an `ExactDist`
-equals such a dict when its weights are the same.
+equals such a dict when its weights are the same.  `peak_tail_prefix_count`
+is the oracle of the memoised `peak_tail_exact`: the same prefix count with
+every peak-free prefix walked anew.
 """
 from __future__ import annotations
 
@@ -70,3 +72,25 @@ def mallows_pmf(N: int) -> dict[int, Fraction]:
     for (last, acc), w in dist.items():
         law[acc + last] = law.get(acc + last, Fraction(0)) + w
     return {s: w for s, w in law.items() if w}
+
+
+def peak_tail_prefix_count(N: int) -> Fraction:
+    """P[T > N] as the share of the (N+1)! orderings of N+1 values with no
+    interior peak, by extending peak-free prefixes one entry at a time."""
+    m = N + 1
+
+    def extensions(prev: int, last: int, unused: int) -> int:
+        """Peak-free completions of a prefix ending (prev, last), where bit v
+        of unused marks the values still to place."""
+        if not unused:
+            return 1
+        count = 0
+        for v in range(m):
+            if unused >> v & 1 and not prev < last > v:
+                count += extensions(last, v, unused & ~(1 << v))
+        return count
+
+    # the sentinel m as prev keeps the first entry from counting as a peak
+    full = (1 << m) - 1
+    count = sum(extensions(m, v, full & ~(1 << v)) for v in range(m))
+    return Fraction(count, math.factorial(m))

@@ -93,6 +93,11 @@ class TestMallowsExact:
         assert mallows_exact_pmf(n) == exact_reference.mallows_pmf(n)
         assert mallows_exact_pmf(n).integer_weights[0] == math.factorial(n)
 
+    @pytest.mark.parametrize("value", [True, 9.0, np.int64(9)])
+    def test_refuses_non_integer_n(self, value):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            mallows_exact_pmf(value)
+
     def test_sample_consistent_with_bits(self):
         n, K = 6, 16
         for seed in (0, 3, 11, 2 ** 64 - 1):
@@ -472,3 +477,20 @@ class TestPeakTailExact:
     def test_guard(self):
         with pytest.raises(EnumerationGuardError):
             peak_tail_exact(11)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_equals_unmemoised_prefix_count(self, n):
+        assert peak_tail_exact(n) == exact_reference.peak_tail_prefix_count(n)
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        # a count kept across calls would answer without meeting the guard
+        first = peak_tail_exact(9)
+        assert peak_tail_exact(9) == first
+        monkeypatch.setenv("PERMFIX_GUARD_N", "5")
+        with pytest.raises(EnumerationGuardError):
+            peak_tail_exact(9)
+
+    @pytest.mark.parametrize("value", [True, 9.0, np.int64(9)])
+    def test_refuses_non_integer_n(self, value):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            peak_tail_exact(value)
