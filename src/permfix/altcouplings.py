@@ -29,6 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -292,25 +293,22 @@ def peak_tail_exact(N: int) -> Fraction:
         raise ValueError("N must be >= 2")
     check_guard(N, 10, "peak_tail_exact")
     m = N + 1
-    memo: dict[tuple[int, int, bool], int] = {}
 
+    @lru_cache(maxsize=None)
     def extensions(last: int, unused: int, rising: bool) -> int:
         """Peak-free completions of a prefix ending at value last (risen into
         when rising), where bit v of unused marks the values still to place."""
         if not unused:
             return 1
-        key = (last, unused, rising)
-        if key not in memo:
-            # after a rise, a value below last would make last a peak
-            allowed = unused >> last + 1 << last + 1 if rising else unused
-            count = 0
-            while allowed:
-                bit = allowed & -allowed
-                v = bit.bit_length() - 1
-                count += extensions(v, unused ^ bit, v > last)
-                allowed ^= bit
-            memo[key] = count
-        return memo[key]
+        # after a rise, a value below last would make last a peak
+        allowed = unused >> last + 1 << last + 1 if rising else unused
+        count = 0
+        while allowed:
+            bit = allowed & -allowed
+            v = bit.bit_length() - 1
+            count += extensions(v, unused ^ bit, v > last)
+            allowed ^= bit
+        return count
 
     # the start state: last = m lies above every value, so the first entry
     # does not rise into its place and cannot count as a peak

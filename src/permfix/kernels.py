@@ -515,13 +515,17 @@ def check_reversibility(kernel: StochasticKernel, dist: Mapping) -> Reversibilit
 
     With every weight positive, detailed balance is the whole check: it gives
     K(x,y) K(y,z) K(z,x) = K(x,z) K(z,y) K(y,x) on every cycle (Kolmogorov's
-    criterion).  The pairs (i < j, in state-list positions) with K(x,y) or
-    K(y,x) nonzero are visited in (i, j) order, and the scan stops at the
-    first violation, the one an all-pairs scan would meet first.  With the
-    law over one denominator m (`over_one_denominator`), d(x) = a/m, and
-    row x over den, d(x) K(x,y) = a n / (m den): m cancels, so the two
-    sides are compared by integer cross-multiplication, and the `Fraction`
-    residual is formed, over m, only for that violation.
+    criterion).  One pass over the rows, in state order, meets each nonzero
+    entry once.  An entry x -> y with y later in the list (positions i < j)
+    is compared with its reverse; an entry with y earlier is a violation of
+    the pair (j, i) only when the reverse entry is missing, since otherwise
+    row y compared the pair already.  Of the violations met, the one first in
+    (i, j) order is reported, the one an all-pairs scan would meet first.
+    With the law over one denominator m (`over_one_denominator`),
+    d(x) = a/m, and row x over den, d(x) K(x,y) = a n / (m den): m cancels,
+    so the two sides are compared by integer cross-multiplication, and the
+    `Fraction` residual is formed, over m, after the pass and only for the
+    reported violation.
     """
     states, rows, pos = kernel.states, kernel.integer_rows, kernel._positions
     m, weights = over_one_denominator(dist)
@@ -530,29 +534,32 @@ def check_reversibility(kernel: StochasticKernel, dist: Mapping) -> Reversibilit
         if a <= 0:
             raise ValueError(f"state {s!r} has zero weight")
 
-    pairs = set()
-    for i, (_, row) in enumerate(rows):
-        for t in row:
-            j = pos[t]
-            if i < j:
-                pairs.add((i, j))
-            elif j < i:
-                pairs.add((j, i))
+    first = None  # the earliest violating (i, j) met so far
+    for i, (x, (den_x, row_x)) in enumerate(zip(states, rows)):
+        a_x = nums[i]
+        for y, n in row_x.items():
+            j = pos[y]
+            if j > i:
+                den_y, row_y = rows[j]
+                if a_x * n * den_y != nums[j] * row_y.get(x, 0) * den_x:
+                    if first is None or (i, j) < first:
+                        first = (i, j)
+            elif j < i and x not in rows[j][1]:
+                if first is None or (j, i) < first:
+                    first = (j, i)
 
-    first = None
-    for i, j in sorted(pairs):
+    violation = None
+    if first is not None:
+        i, j = first
         x, y = states[i], states[j]
         (den_x, row_x), (den_y, row_y) = rows[i], rows[j]
         lhs = nums[i] * row_x.get(y, 0) * den_y
         rhs = nums[j] * row_y.get(x, 0) * den_x
-        if lhs != rhs:
-            first = (x, y, Fraction(lhs - rhs, m * den_x * den_y))
-            break
-
+        violation = (x, y, Fraction(lhs - rhs, m * den_x * den_y))
     return ReversibilityReport(
-        ok=first is None,
+        ok=violation is None,
         pairs_checked=len(states) * (len(states) - 1) // 2,
-        first_violation=first,
+        first_violation=violation,
     )
 
 

@@ -2,8 +2,9 @@
 
 A permutation is a sequence of images on range(N).  The oracles hold all of
 S_N at once as one int8 table, `permutation_table(N)`, whose row r is the
-permutation of lexicographic rank r (`lex_rank` inverts it), read cycle
-types off it column by column with `cycle_counts_table`, and find the
+permutation of lexicographic rank r (`lex_rank` inverts it), read whole
+cycle types off it with `cycle_counts_table`, read the fixed points and
+2-cycles alone off its columns with `fixed_point_sums`, and find the
 transposition moves tau sigma as ranks with `transposition_ranks`.  At
 N = 8 the table takes 40320 x 8 bytes.  Each enumeration oracle refuses N
 above its own fixed guard before it builds a table; the environment
@@ -131,10 +132,19 @@ def cycle_counts_table(rows: np.ndarray) -> np.ndarray:
 
 def fixed_point_sums(N: int) -> tuple[list[int], list[int]]:
     """(count, two_cycles) over S_N, as exact integers: count[x] permutations
-    have x fixed points, and they have two_cycles[x] 2-cycles in all."""
-    counts = cycle_counts_table(permutation_table(N))
-    eta1 = counts[:, 0] if N >= 1 else np.zeros(1, dtype=np.uint8)
-    eta2 = counts[:, 1] if N >= 2 else np.zeros_like(eta1)
+    have x fixed points, and they have two_cycles[x] 2-cycles in all.
+
+    eta_1 and eta_2 are read by their definitions, column by column of the
+    table: sigma fixes i where column i holds i, and swaps i < v where
+    column i holds v and column v holds i.  Both counts fit in uint8.
+    """
+    cols = np.ascontiguousarray(permutation_table(N).T)  # cols[i][r] = sigma_r(i)
+    eta1 = np.zeros(cols.shape[1], dtype=np.uint8)
+    eta2 = np.zeros_like(eta1)
+    for i in range(N):
+        eta1 += cols[i] == i
+        for v in range(i + 1, N):
+            eta2 += (cols[i] == v) & (cols[v] == i)
     count = np.bincount(eta1, minlength=N + 1).tolist()
     two_cycles = [int(eta2[eta1 == x].sum(dtype=np.int64)) for x in range(N + 1)]
     return count, two_cycles

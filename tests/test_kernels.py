@@ -380,6 +380,20 @@ class TestSparseReversibilityAgainstDense:
         skewed = {s: Fraction(i + 1) for i, s in enumerate(walk.states)}
         assert not assert_matches_dense(walk, skewed).ok
 
+    def test_transposition_walk_earliest_pair_met_from_the_later_row(self):
+        walk = transposition_walk(5)
+        # the lazy walk keeps half of each row in place, for `bumped` to draw on
+        lazy = StochasticKernel(walk.states, [
+            (2 * den, {**row, x: den}) for x, (den, row) in zip(walk.states, walk.integer_rows)
+        ])
+        assert check_reversibility(lazy, uniform_on_permutations(5)).ok
+        assert 60 not in lazy.integer_rows[1][1] and 119 not in lazy.integer_rows[0][1]
+        # row 1 gains a move to 60: the forward violation (1, 60) is met first;
+        # row 119 gains a move to 0, a pair seen only from the later row, and
+        # (0, 119) precedes (1, 60) in (i, j) order, so it is the first violation
+        report = assert_matches_dense(bumped(lazy, {1: [60], 119: [0]}), uniform_on_permutations(5))
+        assert report.first_violation[:2] == (0, 119)
+
     def test_penta_size_two_bump(self):
         n = 8
         penta = build_penta(n, p_closedform(n))

@@ -157,6 +157,25 @@ class TestFixedPointSums:
             two_cycles[eta[0]] += eta[1]
         assert perms.fixed_point_sums(n) == (count, two_cycles)
 
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_equals_the_cycle_counts_table(self, n):
+        table = permutation_table(n)
+        # two zero columns give every n an eta_1 and an eta_2 column, n = 0 and 1 too
+        counts = np.hstack([cycle_counts_table(table), np.zeros((len(table), 2), dtype=np.uint8)])
+        eta1, eta2 = counts[:, 0], counts[:, 1]
+        count = np.bincount(eta1, minlength=n + 1).tolist()
+        two_cycles = [int(eta2[eta1 == x].sum()) for x in range(n + 1)]
+        assert perms.fixed_point_sums(n) == (count, two_cycles)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_callers_equal_their_closed_forms(self, n):
+        """Every caller over its whole guard range: p and eta2_fk to 8, gram to 7."""
+        if n >= 1:
+            assert kernels.p_bruteforce(n).values == kernels.p_closedform(n).values
+        if 1 <= n <= 7:
+            assert moments.gram_bruteforce(n).entries == moments.gram(n).entries
+        assert all(moments.eta2_fk_bruteforce(n, k) == moments.eta2_fk(n, k) for k in range(n + 1))
+
 
 class TestGuardBeforeAllocation:
     @pytest.mark.parametrize("oracle", [
