@@ -12,6 +12,10 @@ distance between pi_N and Poisson(1).
 
 A law (`ExactDist`) is integer numerators over one denominator, as a
 kernel row is, so a sum over a law is an integer sum of its numerators.
+One function, `checked_weights`, holds the rule for that form (den a
+positive int, the numerators non-negative ints summing to it, reduced by
+one gcd, zeros dropped, read-only) for a law, a kernel row and a chain's
+invariant law alike.
 Between two laws of mass one, sum |d1 - d2| = 2 sum (d1 - d2)_+ and the
 positive-part sum is the same in either order, so every distance is one
 positive-part sum, over the product of the two denominators.  Against
@@ -140,44 +144,64 @@ def derangements(n_max: int) -> tuple[int, ...]:
 # exact finitely supported distributions
 # ---------------------------------------------------------------------------
 
-def _is_atom(x) -> bool:
-    """Is x a non-negative integer (a numpy integer included)?"""
+def checked_weights(den: int, numerators: Mapping) -> tuple[int, Mapping]:
+    """The one rule for exact weights, a law's, a kernel row's or a chain's
+    invariant law's: den a positive int, the numerators non-negative ints
+    (bools refused) summing to den.  Gives back (den, {key: numerator})
+    reduced by one gcd, zero numerators dropped and the keys in their given
+    order, the numerators a read-only copy.  The keys are the caller's to
+    check.
+    """
+    if type(den) is not int or den <= 0:
+        raise ValueError(f"den must be a positive int, got {den!r}")
+    zeros = False  # a zero numerator to drop
+    for k, n in numerators.items():
+        if type(n) is not int or n <= 0:
+            if type(n) is not int:
+                raise ValueError(f"numerator at {k!r} must be an int, got {n!r}")
+            if n < 0:
+                raise ValueError(f"negative entry at {k!r}: {Fraction(n, den)}")
+            zeros = True
+    nums = numerators.values()
+    if sum(nums) != den:
+        raise ValueError(f"sums to {Fraction(sum(nums), den)}, not 1")
+    g = math.gcd(den, *nums)
+    if g > 1 or zeros:
+        return den // g, MappingProxyType({k: n // g for k, n in numerators.items() if n})
+    return den, MappingProxyType(dict(numerators))
+
+
+def _atom(x) -> int:
+    """x as an int, if it is a non-negative integer (a numpy integer
+    included, a bool refused)."""
     try:
-        return operator.index(x) >= 0
+        atom = operator.index(x)
     except TypeError:
-        return False
+        atom = -1
+    if atom < 0 or type(x) is bool:
+        raise ValueError(f"support must consist of non-negative integers, got {x!r}")
+    return atom
 
 
 class ExactDist(Mapping[int, Fraction]):
     """Finitely supported probability law on Z+ with exact rational weights.
 
     The one constructor, `ExactDist(den, {atom: numerator})`, takes integer
-    numerators over one denominator: den a positive int, the atoms
-    non-negative integers, the numerators non-negative ints (bools refused)
-    summing to den.  They are stored once, as `integer_weights` = (den,
-    {atom: numerator}) reduced by one gcd, zero numerators dropped and the
-    atoms increasing.  The law reads as a read-only mapping from each atom
-    to its reduced `Fraction` weight, built where it is read, so two laws
-    are equal when their weights are (a dict of the same weights included).
+    numerators over one denominator under `checked_weights`, the rule a
+    kernel row is held to, and its own check that each atom is a
+    non-negative integer (a bool refused), stored as an int.  They are
+    stored once, as `integer_weights` = (den, {atom: numerator}) reduced
+    by one gcd, zero numerators dropped and the atoms increasing.  The law
+    reads as a read-only mapping from each atom to its reduced `Fraction`
+    weight, built where it is read, so two laws are equal when their
+    weights are (a dict of the same weights included).
     """
 
     __slots__ = ("integer_weights",)
 
     def __init__(self, den: int, numerators: Mapping[int, int]) -> None:
-        if type(den) is not int or den <= 0:
-            raise ValueError(f"den must be a positive int, got {den!r}")
-        if not all(_is_atom(x) for x in numerators):
-            raise ValueError("support must consist of non-negative integers")
-        bad = [n for n in numerators.values() if type(n) is not int]
-        if bad:
-            raise ValueError(f"each numerator must be an int, got {bad[0]!r}")
-        if any(n < 0 for n in numerators.values()):
-            raise ValueError("weights must be non-negative")
-        if sum(numerators.values()) != den:
-            raise ValueError("weights must sum exactly to 1")
-        g = math.gcd(den, *numerators.values())
-        kept = {x: n // g for x, n in sorted(numerators.items()) if n}
-        self.integer_weights = (den // g, MappingProxyType(kept))
+        atoms = dict(sorted(zip(map(_atom, numerators), numerators.values())))
+        self.integer_weights = checked_weights(den, atoms)
 
     def __getitem__(self, x: int) -> Fraction:
         den, nums = self.integer_weights

@@ -12,8 +12,9 @@ reversibility recursion), together with the derived birth-and-death kernels
 and an exact detailed-balance check, which for a law with positive weights
 also settles Kolmogorov's cycle criterion.  A kernel row enters and is
 stored as integer numerators over one row denominator (N(N-1) times the
-denominator of k for the family below), so its row sum is one integer
-sum.  A law is read as integers over its one denominator
+denominator of k for the family below), under `exactdist.checked_weights`,
+the rule a law is held to, so its row sum is one integer sum.  A law is
+read as integers over its one denominator
 (`exactdist.over_one_denominator`): detailed balance compares d(x) K(x,y)
 with d(y) K(y,x) by integer cross-multiplication, the law's denominator
 cancelling, and the invariance check w K = w adds each column over the
@@ -37,6 +38,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .exactdist import (
     ExactDist,
+    checked_weights,
     derangements,
     fixed_point_pmf,
     over_one_denominator,
@@ -63,16 +65,16 @@ class StochasticKernel:
     A row enters as integer numerators over one denominator:
     `StochasticKernel(states, rows, label)` takes row i as the pair
     (den, {target: numerator}) of rows[i], the entries numerator / den.
-    `den` is a positive int and every numerator a non-negative int (a bool
-    is refused); every target is a state, and each row's numerators sum to
-    its den.  Each row is stored once, as `integer_rows[i]`, reduced by one
-    gcd over the row and with its zero entries dropped, its numerators a
-    read-only mapping, so equal kernels store equal rows, `==` compares
-    states, entries and label, and a validated kernel stays validated.  Rows are
-    keyed by the target *state label*, never by index arithmetic, so a
-    state absent from the list (such as N-1 in V) cannot be addressed at
-    all.  `Fraction`s are built only where an entry is read: `rows`, `row`,
-    `entry` and `to_json_dict` give reduced ones.
+    The kernel's own check is that every target is a state; the rest is
+    `exactdist.checked_weights`, whose refusal is re-raised with the row
+    named.  Each row is stored once, as `integer_rows[i]`, the pair that
+    rule gives back: reduced by one gcd, zero entries dropped, the
+    numerators a read-only mapping, so equal kernels store equal rows, `==`
+    compares states, entries and label, and a validated kernel stays
+    validated.  Rows are keyed by the target *state label*, never by index
+    arithmetic, so a state absent from the list (such as N-1 in V) cannot
+    be addressed at all.  `Fraction`s are built only where an entry is
+    read: `rows`, `row`, `entry` and `to_json_dict` give reduced ones.
     """
 
     states: tuple[Hashable, ...]
@@ -94,25 +96,13 @@ class StochasticKernel:
             raise ValueError("duplicate states")
         stored = []
         for s, (den, row) in zip(states, rows):
-            if type(den) is not int or den <= 0:
-                raise ValueError(f"row {s!r}: den must be a positive int, got {den!r}")
-            kept = {}
-            for t, n in row.items():
-                if t not in index:
-                    raise ValueError(f"row {s!r} targets unknown state {t!r}")
-                if type(n) is not int:
-                    raise ValueError(f"numerator at ({s!r}, {t!r}) must be an int, got {n!r}")
-                if n < 0:
-                    raise ValueError(f"negative entry at ({s!r}, {t!r}): {Fraction(n, den)}")
-                if n:
-                    kept[t] = n
-            total = sum(kept.values())
-            if total != den:
-                raise ValueError(f"row {s!r} sums to {Fraction(total, den)}, not 1")
-            g = math.gcd(den, *kept.values())
-            if g > 1:
-                den, kept = den // g, {t: n // g for t, n in kept.items()}
-            stored.append((den, MappingProxyType(kept)))
+            if not row.keys() <= index.keys():
+                unknown = next(t for t in row if t not in index)
+                raise ValueError(f"row {s!r} targets unknown state {unknown!r}")
+            try:
+                stored.append(checked_weights(den, row))
+            except ValueError as err:
+                raise ValueError(f"row {s!r}: {err}") from None
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "integer_rows", tuple(stored))
         object.__setattr__(self, "label", label)
@@ -422,13 +412,9 @@ def poisson_reversible_penta(N: int) -> StochasticKernel:
     return _kernel(states, moves, "P_bar")
 
 
-def poisson_box_law(N: int) -> ExactDist:
-    """`exactdist.poisson_truncated` under a second name.
-
-    Its only caller is `bench/workloads.py`; it goes with the next change to
-    the benchmark.  Package code and tests call `poisson_truncated`.
-    """
-    return poisson_truncated(N)
+# `exactdist.poisson_truncated` under a second name, for `bench/workloads.py`
+# alone; it goes with the next change to the benchmark
+poisson_box_law = poisson_truncated
 
 
 def birth_death_stationary(kernel: StochasticKernel) -> ExactDist:

@@ -13,8 +13,9 @@ to mu_1.  Each kernel row is summed into blocks, Q(w, A_v'), in one place
 numerators over the row's own denominator, keyed by block index (the
 position in `block_ids()`); labels name only the projected kernel.  The
 invariant law is read once, as integers n_w over one denominator
-(`exactdist.over_one_denominator`): a block's mass is the sum m_v of its
-n_w, and its projected row one integer sum over m_v times the lcm of its
+(`exactdist.over_one_denominator`, held to `exactdist.checked_weights`): a
+block's mass is the sum m_v of its n_w, the mu_1 that `project` returns,
+and its projected row one integer sum over m_v times the lcm of its
 members' row denominators.
 Instantiated on the symmetric group: the transposition walk on the ranks
 range(N!) of `perms.permutation_table`, its moves tau sigma from one rule
@@ -37,7 +38,7 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from . import kernels
-from .exactdist import ExactDist, over_one_denominator
+from .exactdist import ExactDist, checked_weights, over_one_denominator
 from .kernels import StochasticKernel
 from .perms import (
     CycleType,
@@ -54,8 +55,11 @@ class PartitionedChain:
     """A kernel with exact invariant law and a partition of its state space.
 
     The law is read once, as `integer_invariant` = (den, {state:
-    numerator}).  An `ExactDist` is kept as given, any other law stored as
-    `Fraction`s; all are read-only, so a validated chain stays validated.
+    numerator}) under `exactdist.checked_weights`, zero weights dropped;
+    the chain's own checks are that the law and the partition are defined
+    exactly on the states and that the law is invariant.  An `ExactDist`
+    is kept as given, any other law stored as `Fraction`s; all are
+    read-only, so a validated chain stays validated.
     """
 
     kernel: StochasticKernel
@@ -67,15 +71,10 @@ class PartitionedChain:
         states = self.kernel.states
         if set(self.invariant) != set(states):
             raise ValueError("invariant law must be defined exactly on the states")
-        den, nums = over_one_denominator(self.invariant)
-        if any(n < 0 for n in nums.values()):
-            raise ValueError("invariant weights must be non-negative")
-        if sum(nums.values()) != den:
-            raise ValueError("invariant weights must sum to 1")
+        den, nums = checked_weights(*over_one_denominator(self.invariant))
         if not isinstance(self.invariant, ExactDist):
-            inv = MappingProxyType({s: Fraction(nums[s], den) for s in states})
+            inv = MappingProxyType({s: Fraction(nums.get(s, 0), den) for s in states})
             object.__setattr__(self, "invariant", inv)
-            nums = MappingProxyType(nums)
         if not self.kernel.is_invariant(self.invariant):
             raise ValueError("mu Q != mu: not an invariant law")
         if set(self.blocks) != set(states):
@@ -85,13 +84,6 @@ class PartitionedChain:
 
     def block_ids(self) -> tuple[Hashable, ...]:
         return tuple(sorted(set(self.blocks.values())))
-
-    def block_mass(self) -> dict[Hashable, Fraction]:
-        den, nums = self.integer_invariant
-        mass: dict[Hashable, int] = defaultdict(int)
-        for s, v in self.blocks.items():
-            mass[v] += nums[s]
-        return {v: Fraction(n, den) for v, n in mass.items()}
 
 
 @dataclass(frozen=True)
@@ -128,7 +120,7 @@ def project(chain: PartitionedChain) -> ProjectionResult:
     den, mu = chain.integer_invariant
     mu1, rows = {}, []
     for v, members in zip(ids, _block_rows(chain)):
-        m = sum(mu[w] for w, _, _ in members)
+        m = sum(mu.get(w, 0) for w, _, _ in members)
         if m == 0:
             raise ValueError(f"block {v!r} has zero invariant mass")
         # share mu(w) / mu(A_v) = n_w / m_v times Q(w, A_v') = n / row_den,
@@ -136,7 +128,7 @@ def project(chain: PartitionedChain) -> ProjectionResult:
         common = math.lcm(*(row_den for _, row_den, _ in members))
         nums: dict[int, int] = defaultdict(int)
         for w, row_den, sums in members:
-            share = mu[w] * (common // row_den)
+            share = mu.get(w, 0) * (common // row_den)
             for k, n in sums.items():
                 nums[k] += share * n
         mu1[v] = Fraction(m, den)

@@ -15,6 +15,7 @@ from permfix.exactdist import (
     Interval,
     PoissonRef,
     PrecisionInsufficient,
+    checked_weights,
     derangements,
     enclosure_digits,
     exp_interval,
@@ -29,7 +30,8 @@ from permfix.exactdist import (
     tv_distance,
     zeta_law,
 )
-from permfix.kernels import hat_ordering, hat_stationary
+from permfix.kernels import StochasticKernel, hat_ordering, hat_stationary
+from permfix.lumping import PartitionedChain
 from permfix.perms import fixed_point_sums
 import exact_reference
 
@@ -141,7 +143,7 @@ class TestExactDist:
     def test_negative_atom_and_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative integers"):
             ExactDist(1, {-1: 1})
-        with pytest.raises(ValueError, match="weights must be non-negative"):
+        with pytest.raises(ValueError, match="negative entry at 1: -1/2"):
             ExactDist(2, {0: 3, 1: -1})
 
     @pytest.mark.parametrize("den", [0, -4, 4.0, True, Fraction(4), np.int64(4), None])
@@ -157,7 +159,8 @@ class TestExactDist:
             ExactDist(2, {0: numerator, 1: 1})
 
     @pytest.mark.parametrize(
-        "weights", [(2, {0.5: 1, 1: 1}), (1, {2.0: 1}), (2, {"a": 1, 1: 1}), (1, {0.5: 0, 0: 1})]
+        "weights",
+        [(2, {0.5: 1, 1: 1}), (1, {2.0: 1}), (2, {"a": 1, 1: 1}), (1, {0.5: 0, 0: 1}), (1, {True: 1})],
     )
     def test_non_integer_atom_rejected(self, weights):
         with pytest.raises(ValueError, match="non-negative integers"):
@@ -166,12 +169,62 @@ class TestExactDist:
     def test_numpy_integer_atom_accepted(self):
         d = ExactDist(2, {np.int64(2): 1, 0: 1})
         assert d == {0: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert all(type(x) is int for x in d)
         assert tv_distance(d, ExactDist(1, {0: 1}), "half") == Fraction(1, 2)
 
     def test_restrict_renormalizes(self):
         d = fixed_point_pmf(8).restrict(0, 4)
         assert sum(d.values()) == 1
         assert tuple(d) == (0, 1, 2, 3, 4)
+
+
+# den, numerators on the keys 0 and 1, the refusal, and whether a chain's
+# invariant law (a mapping of weights put over one denominator) can hold it
+MALFORMED_WEIGHTS = [
+    (0, {0: 1, 1: 1}, "den must be a positive int, got 0", False),
+    (True, {0: 1}, "den must be a positive int, got True", False),
+    (4.0, {0: 1, 1: 3}, "den must be a positive int, got 4.0", False),
+    (2, {0: True, 1: 1}, "numerator at 0 must be an int, got True", False),
+    (2, {0: 1.0, 1: 1}, "numerator at 0 must be an int, got 1.0", False),
+    (2, {0: np.int64(1), 1: 1}, f"numerator at 0 must be an int, got {np.int64(1)!r}", False),
+    (2, {0: "1", 1: 1}, "numerator at 0 must be an int, got '1'", False),
+    (2, {0: 3, 1: -1}, "negative entry at 1: -1/2", True),
+    (2, {0: 1, 1: 2}, "sums to 3/2, not 1", True),
+]
+
+
+class TestCheckedWeights:
+    """The one rule for exact weights, as a law, a kernel row and a chain's
+    invariant law each meet it."""
+
+    @pytest.mark.parametrize(
+        "den, numerators, message, as_invariant", MALFORMED_WEIGHTS,
+        ids=["den-0", "den-true", "den-float", "num-true", "num-float", "num-numpy",
+             "num-str", "negative", "wrong-sum"],
+    )
+    def test_every_caller_refuses_with_the_rule_message(self, den, numerators, message, as_invariant):
+        with pytest.raises(ValueError) as law:
+            ExactDist(den, numerators)
+        assert str(law.value) == message
+        with pytest.raises(ValueError) as row:
+            StochasticKernel((0, 1), ((den, numerators), (1, {1: 1})))
+        assert str(row.value) == f"row 0: {message}"
+        if as_invariant:
+            identity = StochasticKernel((0, 1), ((1, {0: 1}), (1, {1: 1})))
+            invariant = {k: Fraction(n, den) for k, n in numerators.items()}
+            with pytest.raises(ValueError) as chain:
+                PartitionedChain(kernel=identity, invariant=invariant, blocks={0: 0, 1: 0})
+            assert str(chain.value) == message
+
+    def test_reduced_zero_free_and_read_only(self):
+        den, nums = checked_weights(9, {1: 0, 0: 6, 2: 3})
+        assert (den, dict(nums), list(nums)) == (3, {0: 2, 2: 1}, [0, 2])
+        with pytest.raises(TypeError):
+            nums[0] = 1
+        given = {0: 2, 1: 1}  # reduced and zero-free already: held as a copy
+        held = checked_weights(3, given)[1]
+        given[0] = 5
+        assert held == {0: 2, 1: 1}
 
 
 class TestIntegerBuilders:

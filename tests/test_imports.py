@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, no
 module imports or reads a private name of another, the package imports
 nothing beyond the standard library and its declared dependencies, it
-reads no environment variable beyond its two, and every function, class
-and method it defines is named somewhere outside its own definition."""
+reads no environment variable beyond its two, one module states the rule
+for exact weights, and every function, class and method it defines is
+named somewhere outside its own definition."""
 import ast
 import re
 import sys
@@ -160,6 +161,12 @@ def environment_reads(source: str) -> set[str]:
 def test_environment_census():
     reads = set().union(*(environment_reads(p.read_text()) for p in SOURCES))
     assert reads == {"PERMFIX_GUARD_N", "XDG_CACHE_HOME"}
+
+
+def test_one_module_states_the_weight_rule():
+    # laws, kernel rows and chain invariants share `exactdist.checked_weights`
+    holders = [p.stem for p in SOURCES if "den must be a positive int" in p.read_text()]
+    assert holders == ["exactdist"]
 
 
 def test_environment_reads_resolve_constants():

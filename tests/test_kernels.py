@@ -160,7 +160,7 @@ class TestPentaKernel:
         inflated = dict(p.values)
         # a PFunction whose up rate N - x - 2p(x) at x = 2 is 6 - 2 - 6 < 0
         inflated[2] = Fraction(3)
-        with pytest.raises(ValueError, match=r"negative entry at \(2, 3\): -1/15"):
+        with pytest.raises(ValueError, match="row 2: negative entry at 3: -1/15"):
             build_penta(6, PFunction(N=6, values=inflated))
 
 

@@ -106,7 +106,7 @@ class TestProjection:
 
     def test_zero_mass_block_impossible_by_construction(self):
         chain = cycle_type_chain(4)
-        assert all(m > 0 for m in chain.block_mass().values())
+        assert all(m > 0 for m in project(chain).mu1.values())
 
 
 class TestReversibilityTransfer:
@@ -151,6 +151,18 @@ class TestReversibilityTransfer:
         )
         with pytest.raises(ValueError):
             reversibility_transfer(chain)
+
+    def test_zero_weight_state_dropped_from_the_integer_law(self):
+        kernel = StochasticKernel((0, 1), ((1, {0: 1}), (2, {0: 1, 1: 1})), label="absorbing")
+        chain = PartitionedChain(
+            kernel=kernel, invariant={0: Fraction(1), 1: Fraction(0)}, blocks={0: 0, 1: 0}
+        )
+        assert chain.integer_invariant == (1, {0: 1})
+        assert dict(chain.invariant) == {0: 1, 1: 0}
+        assert project(chain).mu1 == {0: 1}
+        split = PartitionedChain(kernel=kernel, invariant=chain.invariant, blocks={0: 0, 1: 1})
+        with pytest.raises(ValueError, match="block 1 has zero invariant mass"):
+            project(split)
 
 
 class TestDynkin:
@@ -287,7 +299,6 @@ class TestPartitionedChainValidation:
             chain.blocks[t] = 99
         assert dict(chain.invariant) == {s: s.class_weight() for s in chain.kernel.states}
         assert dict(chain.blocks) == {s: s.fixed_points for s in chain.kernel.states}
-        assert project(chain).mu1 == chain.block_mass()
 
     def test_incomplete_blocks_rejected(self):
         chain = cycle_type_chain(3)
@@ -347,7 +358,7 @@ def assert_matches_naive(chain):
     assert block_rows == naive_block_rows(chain)
     rows, mass = naive_projection(chain)
     result = project(chain)
-    assert result.mu1 == chain.block_mass() == mass
+    assert result.mu1 == mass
     assert {v: dict(result.kernel.row(v)) for v in result.kernel.states} == rows
     assert chain.kernel.is_invariant(chain.invariant)
     assert naive_is_invariant(chain.kernel, chain.invariant)
@@ -381,7 +392,7 @@ def conductance_chains(draw):
 
 
 class TestCommonDenominatorSums:
-    """`is_invariant`, `_block_rows`, `block_mass` and `project` against
+    """`is_invariant`, `_block_rows` and `project` against
     term-by-term `Fraction` sums."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
