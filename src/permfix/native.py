@@ -10,6 +10,17 @@ built for them.  Each loop draws the 53-bit words j of its uniforms (the
 uniform is the float j 2^-53) and decides on those words as the numpy
 bodies do.
 
+On x86-64, `permfix_advance` also holds a body that moves 8 replicas per
+step, one per 64-bit lane of AVX-512 (`advance_lanes`): SplitMix64 by lane
+multiplies, the cuts and the event bytes by gathers.  It is compiled for
+AVX-512 F and DQ whatever the build flags, and taken only when the CPU
+reports both (`__builtin_cpu_supports`) and the run settles nothing, over
+the largest multiple of 8 replicas; the rest, settling runs (r-r), other
+CPUs and other architectures take the one-replica loop.  Settling stays
+there because a settled replica leaves its loop at once, while a lane
+would run on until its 7 neighbours settle.  Both leave every replica
+alike.
+
 Nothing is compiled at import.  The first call of `library()` in a process
 loads the library from the per-user cache $XDG_CACHE_HOME/permfix (or
 ~/.cache/permfix), where one file named by the hash of the source and the
@@ -42,12 +53,14 @@ SOURCE = r"""
 #define WORD_BITS 53 /* the bits of a word j; the uniform is j 2^-WORD_BITS */
 #endif
 #define GOLDEN 0x9E3779B97F4A7C15u
+#define MIX1 0xBF58476D1CE4E5B9u /* the multipliers of `scramble` */
+#define MIX2 0x94D049BB133111EBu
 
 /* The SplitMix64 output function, `rng.scramble`. */
 static uint64_t scramble(uint64_t z)
 {
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    z = (z ^ (z >> 30)) * MIX1;
+    z = (z ^ (z >> 27)) * MIX2;
     return z ^ (z >> 31);
 }
 
@@ -64,6 +77,71 @@ static uint64_t start_state(uint64_t base, int64_t r)
     return scramble(base + ((uint64_t)r + 1) * GOLDEN);
 }
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+
+/* permfix_advance's moves with settle = 0 for count replicas, a multiple
+   of 8, one replica per 64-bit lane: SplitMix64 by lane multiplies, the
+   four cuts by gathers and mx, my from unsigned compares.  Compiled for
+   AVX-512 whatever the build flags; call it only where the CPU has it. */
+__attribute__((target("avx512f,avx512dq")))
+static void advance_lanes(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
+                          int64_t count, int64_t steps,
+                          const uint64_t *down_x, const uint64_t *stay_x,
+                          const uint64_t *down_y, const uint64_t *stay_y,
+                          const uint8_t *events, int64_t size)
+{
+    const __m512i one = _mm512_set1_epi64(1), golden = _mm512_set1_epi64((long long)GOLDEN);
+    const __m512i mul1 = _mm512_set1_epi64((long long)MIX1), mul2 = _mm512_set1_epi64((long long)MIX2);
+    const __m512i row = _mm512_set1_epi64(9 * size), nine = _mm512_set1_epi64(9);
+    /* dwords: the table's first byte rounded down to a 4-byte boundary */
+    const uintptr_t lead = (uintptr_t)events & 3;
+    const void *dwords = (const void *)((uintptr_t)events - lead);
+    const __m512i leads = _mm512_set1_epi64((long long)lead), bytes = _mm512_set1_epi64(3);
+    for (int64_t r = 0; r < count; r += 8) {
+        __m512i s = _mm512_loadu_si512(states + r);
+        __m512i x = _mm512_loadu_si512(xs + r), y = _mm512_loadu_si512(ys + r);
+        __m512i ev = _mm512_cvtepu8_epi64(_mm_loadl_epi64((const __m128i *)(evs + r)));
+        for (int64_t k = 0; k < steps; k++) {
+            s = _mm512_add_epi64(s, golden);
+            __m512i z = _mm512_mullo_epi64(_mm512_xor_si512(s, _mm512_srli_epi64(s, 30)), mul1);
+            z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 27)), mul2);
+            __m512i j = _mm512_srli_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 31)),
+                                          64 - WORD_BITS);
+            __m512i mx = _mm512_add_epi64(
+                _mm512_maskz_mov_epi64(
+                    _mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(x, stay_x, 8)), one),
+                _mm512_maskz_mov_epi64(
+                    _mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(x, down_x, 8)), one));
+            __m512i my = _mm512_add_epi64(
+                _mm512_maskz_mov_epi64(
+                    _mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(y, stay_y, 8)), one),
+                _mm512_maskz_mov_epi64(
+                    _mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(y, down_y, 8)), one));
+            /* (x size + y) 9 + 3 mx + my + lead; every factor is below 2^32 */
+            __m512i at = _mm512_add_epi64(
+                _mm512_add_epi64(_mm512_mul_epu32(x, row), _mm512_mul_epu32(y, nine)),
+                _mm512_add_epi64(_mm512_add_epi64(_mm512_slli_epi64(mx, 1), mx),
+                                 _mm512_add_epi64(my, leads)));
+            /* Entry i is byte (i + lead) % 4 of the aligned dword (i + lead) / 4
+               of dwords.  Every dword read holds an entry, so no read leaves
+               the aligned dword holding the table's last byte, and an aligned
+               dword never crosses a page. */
+            __m512i word = _mm512_cvtepu32_epi64(
+                _mm512_i64gather_epi32(_mm512_srli_epi64(at, 2), dwords, 4));
+            ev = _mm512_or_si512(
+                ev, _mm512_srlv_epi64(word, _mm512_slli_epi64(_mm512_and_si512(at, bytes), 3)));
+            x = _mm512_sub_epi64(_mm512_add_epi64(x, one), mx);
+            y = _mm512_sub_epi64(_mm512_add_epi64(y, one), my);
+        }
+        _mm512_storeu_si512(states + r, s);
+        _mm512_storeu_si512(xs + r, x);
+        _mm512_storeu_si512(ys + r, y);
+        _mm_storel_epi64((__m128i *)(evs + r), _mm512_cvtepi64_epi8(ev)); /* the low bytes */
+    }
+}
+#endif
+
 /* `coupling._advance_numpy`: advance count replicas by steps moves, in
    place (SplitMix64 states, states xs, ys, event bytes evs), on 53-bit
    words j against grid numerators.  The four cut tables hold size cuts,
@@ -72,14 +150,26 @@ static uint64_t start_state(uint64_t base, int64_t r)
    settle is 0 unless X's tables equal Y's (`coupling._advance_compiled`);
    then a replica with x = y whose byte holds every bit of settle is
    settled: every later move keeps x = y and sets no bit its byte lacks, so
-   the loop leaves it before drawing its next word. */
+   the loop leaves it before drawing its next word.
+   On x86-64 CPUs with AVX-512 F and DQ, runs with settle = 0 move the
+   first count - count % 8 replicas 8 at a time (`advance_lanes`) and the
+   rest by the loop below.  Settling runs stay on that loop: its replicas
+   leave one by one, and a lane could not leave before its 7 neighbours. */
 void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
                      int64_t count, int64_t steps,
                      const uint64_t *down_x, const uint64_t *stay_x,
                      const uint64_t *down_y, const uint64_t *stay_y, const uint8_t *events,
                      int64_t size, unsigned settle)
 {
-    for (int64_t r = 0; r < count; r++) {
+    int64_t first = 0;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (!settle && __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
+        first = count - count % 8;
+        advance_lanes(states, xs, ys, evs, first, steps, down_x, stay_x, down_y, stay_y,
+                      events, size);
+    }
+#endif
+    for (int64_t r = first; r < count; r++) {
         uint64_t s = states[r];
         uint64_t x = xs[r], y = ys[r];
         unsigned ev = evs[r];

@@ -23,6 +23,7 @@ from typing import Iterator
 import numpy as np
 
 GUARD_ENV = "PERMFIX_GUARD_N"
+ROWS_PER_SLICE = 1 << 16  # rows of the table `fixed_point_sums` transposes at once; 8! < 2^16 < 9!
 
 
 class EnumerationGuardError(ValueError):
@@ -136,17 +137,25 @@ def fixed_point_sums(N: int) -> tuple[list[int], list[int]]:
 
     eta_1 and eta_2 are read by their definitions, column by column of the
     table: sigma fixes i where column i holds i, and swaps i < v where
-    column i holds v and column v holds i.  Both counts fit in uint8.
+    column i holds v and column v holds i.  Both counts fit in uint8.  The
+    columns are read off a contiguous transpose of ROWS_PER_SLICE rows at a
+    time, so the table is held once, beside one slice.
     """
-    cols = np.ascontiguousarray(permutation_table(N).T)  # cols[i][r] = sigma_r(i)
-    eta1 = np.zeros(cols.shape[1], dtype=np.uint8)
+    table = permutation_table(N)
+    eta1 = np.zeros(len(table), dtype=np.uint8)
     eta2 = np.zeros_like(eta1)
-    for i in range(N):
-        eta1 += cols[i] == i
-        for v in range(i + 1, N):
-            eta2 += (cols[i] == v) & (cols[v] == i)
-    count = np.bincount(eta1, minlength=N + 1).tolist()
-    two_cycles = [int(eta2[eta1 == x].sum(dtype=np.int64)) for x in range(N + 1)]
+    for a in range(0, len(table), ROWS_PER_SLICE):
+        cols = np.ascontiguousarray(table[a:a + ROWS_PER_SLICE].T)  # cols[i][r] = sigma_{a+r}(i)
+        fixed, swapped = eta1[a:a + ROWS_PER_SLICE], eta2[a:a + ROWS_PER_SLICE]
+        for i in range(N):
+            fixed += cols[i] == i
+            for v in range(i + 1, N):
+                swapped += (cols[i] == v) & (cols[v] == i)
+    count, two_cycles = [], []
+    for x in range(N + 1):  # no bincount: it would copy eta1 as N! int64
+        has = eta1 == x
+        count.append(int(np.count_nonzero(has)))
+        two_cycles.append(int(eta2[has].sum(dtype=np.int64)))
     return count, two_cycles
 
 

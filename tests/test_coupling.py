@@ -775,6 +775,81 @@ class TestShares:
             runs.append(run_coupling(cfg).by_time)
         assert runs[0] == runs[1] == runs[2]
 
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_counts_do_not_depend_on_ragged_shares(self, compiled, monkeypatch, selector):
+        # 1,003 replicas run as one share, as 501 + 502 and as 334 + 334 + 335:
+        # no share is a multiple of 8, so each ends on the compiled loop's
+        # one-replica remainder, wherever its first replicas ran in lanes
+        cfg = RunConfig(
+            N=8, horizon=300, replicas=1003, seed=SEED_NEAR_2_64, selector=selector,
+            checkpoints=(0, 7, 60),
+        )
+        counts = {}
+        for k in (1, 2, 3):
+            with monkeypatch.context() as m:
+                seen = self.per_share_count(m, k)
+                counts[k] = run_coupling(cfg).by_time
+            assert len(seen) == k and all((b - a) % 8 for a, b in seen)
+        with monkeypatch.context() as m:
+            m.setattr(native, "library", lambda: None)
+            numpy_counts = run_coupling(cfg).by_time
+        assert counts[1] == counts[2] == counts[3] == numpy_counts
+
+
+def advance_numpy_settling(tables, events, streams, X, Y, ev, steps):
+    """`_advance_numpy` one move at a time, holding in place every replica
+    the compiled loop calls settled before the move: X's step tables equal
+    Y's, X = Y, and its byte holds met, X at 0 and Y at 0."""
+    same = all(np.array_equal(tables[i], tables[i + 2]) for i in (0, 1))
+    bits = coupling._event_byte(0, 0, 0, 1, 1, 1)
+    for _ in range(steps):
+        held = same & (X == Y) & ((ev & bits) == bits)
+        before = [a.copy() for a in (streams.states, X, Y, ev)]
+        coupling._advance_numpy(tables, events, streams, X, Y, ev, 1)
+        for now, then in zip((streams.states, X, Y, ev), before):
+            now[held] = then[held]
+
+
+class TestLanes:
+    """Where the CPU has AVX-512 F and DQ, the compiled advance moves the
+    first count - count % 8 replicas of a non-settling run 8 at a time and
+    the rest one by one; settling runs (r-r) move one by one everywhere.
+    Every replica ends as the numpy advance leaves it, held where it
+    settled."""
+
+    @pytest.mark.parametrize("N", [5, 8, 30, 200])  # N = 200: the 349 KB event table
+    @pytest.mark.parametrize("replicas", [1, 7, 8, 9, 15, 16, 17, 61])
+    @pytest.mark.parametrize("selector", SELECTORS)
+    def test_each_replica_moves_as_numpy_moves_it(self, compiled, selector, replicas, N):
+        cfg = RunConfig(
+            N=N, horizon=0, replicas=replicas, seed=SEED_NEAR_2_64, selector=selector,
+            start_mode="independent",
+        )
+        tables, events = coupling._grid_tables(cfg), coupling._event_table(N)
+        fast = coupling._block_start(cfg, tables, 0, replicas)
+        slow = coupling._block_start(cfg, tables, 0, replicas)
+        for steps in (40, 23):  # twice in a row, from where the first call left each replica
+            compiled(tables, events, *fast, steps)
+            advance_numpy_settling(tables, events, *slow, steps)
+            for a, b in zip((fast[0].states, *fast[1:]), (slow[0].states, *slow[1:])):
+                assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 3])
+    def test_event_table_at_any_byte_alignment(self, compiled, offset):
+        # the lanes read the event table by aligned dwords; a table starting
+        # at any byte of one gives the same bytes.  At N = 8 the 17 replicas
+        # reach the top pair of states, whose entries end the table
+        cfg = RunConfig(N=8, horizon=0, replicas=17, seed=3, selector="pcheck-rtilde")
+        tables, events = coupling._grid_tables(cfg), coupling._event_table(cfg.N)
+        shifted = np.zeros(len(events) + 4, dtype=np.uint8)[offset:offset + len(events)]
+        shifted[:] = events
+        fast = coupling._block_start(cfg, tables, 0, cfg.replicas)
+        slow = coupling._block_start(cfg, tables, 0, cfg.replicas)
+        compiled(tables, shifted, *fast, 500)
+        coupling._advance_numpy(tables, events, *slow, 500)
+        for a, b in zip((fast[0].states, *fast[1:]), (slow[0].states, *slow[1:])):
+            assert a.tolist() == b.tolist()
+
 
 class TestTraceReplay:
     """The traces of the numpy engine equal the exact replay's, field for

@@ -189,7 +189,14 @@ class TestSource:
         if shutil.which(native.BUILD[0]) is None:
             pytest.skip("no C compiler")
 
-    @pytest.mark.parametrize("defines", [(), ("-DWORD_BITS=3",)], ids=["default", "word-bits-3"])
+    # "not-x86-64" compiles the source without its AVX-512 lanes, as a host
+    # of another architecture sees it; -ffreestanding takes <stdint.h> from
+    # the compiler alone, since the C library's headers would read the
+    # missing __x86_64__ as a 32-bit x86 target
+    @pytest.mark.parametrize(
+        "defines", [(), ("-DWORD_BITS=3",), ("-U__x86_64__", "-ffreestanding")],
+        ids=["default", "word-bits-3", "not-x86-64"],
+    )
     def test_compiles_cleanly_as_c99(self, defines):
         command = [
             native.BUILD[0], *defines, "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror",

@@ -167,6 +167,13 @@ class TestFixedPointSums:
         two_cycles = [int(eta2[eta1 == x].sum()) for x in range(n + 1)]
         assert perms.fixed_point_sums(n) == (count, two_cycles)
 
+    @pytest.mark.parametrize("rows", [13, 5039, 5040])
+    def test_the_same_sums_for_any_slice_of_rows(self, rows, monkeypatch):
+        # 7! = 5040 rows as ragged slices of 13, as 5039 + 1, and as one slice
+        expected = perms.fixed_point_sums(7)
+        monkeypatch.setattr(perms, "ROWS_PER_SLICE", rows)
+        assert perms.fixed_point_sums(7) == expected
+
     @pytest.mark.parametrize("n", range(0, 9))
     def test_callers_equal_their_closed_forms(self, n):
         """Every caller over its whole guard range: p and eta2_fk to 8, gram to 7."""
