@@ -10,16 +10,20 @@ built for them.  Each loop draws the 53-bit words j of its uniforms (the
 uniform is the float j 2^-53) and decides on those words as the numpy
 bodies do.
 
-On x86-64, `permfix_advance` also holds a body that moves 8 replicas per
-step, one per 64-bit lane of AVX-512 (`advance_lanes`): SplitMix64 by lane
-multiplies, the cuts and the event bytes by gathers.  It is compiled for
-AVX-512 F and DQ whatever the build flags, and taken only when the CPU
-reports both (`__builtin_cpu_supports`) and the run settles nothing, over
-the largest multiple of 8 replicas; the rest, settling runs (r-r), other
-CPUs and other architectures take the one-replica loop.  Settling stays
-there because a settled replica leaves its loop at once, while a lane
-would run on until its 7 neighbours settle.  Both leave every replica
-alike.
+On x86-64, `permfix_advance` and `permfix_mallows` also hold bodies that
+move one replica per 64-bit lane of AVX-512, with SplitMix64 by lane
+multiplies (one helper for both).  `advance_lanes` moves two groups of 8
+replicas per step, so that each group's gathers of cuts and event bytes
+overlap the other's, while 16 or more remain, then one group of 8;
+`mallows_lanes` moves 8 replicas at a time against one broadcast cut per
+bit, with no gather.  They are compiled for AVX-512 F and DQ whatever the
+build flags, and taken only when the CPU reports both
+(`__builtin_cpu_supports`), over the largest multiple of 8 replicas of the
+call; the advance takes its lanes only when the run settles nothing.  The
+rest, settling runs (r-r), other CPUs and other architectures take the
+one-replica loops.  Settling stays there because a settled replica leaves
+its loop at once, while a lane would run on until its 7 neighbours settle.
+Both leave every replica alike.
 
 Nothing is compiled at import.  The first call of `library()` in a process
 loads the library from the per-user cache $XDG_CACHE_HOME/permfix (or
@@ -80,65 +84,157 @@ static uint64_t start_state(uint64_t base, int64_t r)
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 
-/* permfix_advance's moves with settle = 0 for count replicas, a multiple
-   of 8, one replica per 64-bit lane: SplitMix64 by lane multiplies, the
-   four cuts by gathers and mx, my from unsigned compares.  Compiled for
-   AVX-512 whatever the build flags; call it only where the CPU has it. */
-__attribute__((target("avx512f,avx512dq")))
-static void advance_lanes(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
-                          int64_t count, int64_t steps,
-                          const uint64_t *down_x, const uint64_t *stay_x,
-                          const uint64_t *down_y, const uint64_t *stay_y,
-                          const uint8_t *events, int64_t size)
+/* The lane bodies are compiled for AVX-512 F and DQ whatever the build
+   flags; call them only where `has_lanes` reports the CPU has both. */
+#define LANES __attribute__((target("avx512f,avx512dq")))
+#define INLINE LANES __attribute__((always_inline)) static inline
+
+static int has_lanes(void)
 {
-    const __m512i one = _mm512_set1_epi64(1), golden = _mm512_set1_epi64((long long)GOLDEN);
-    const __m512i mul1 = _mm512_set1_epi64((long long)MIX1), mul2 = _mm512_set1_epi64((long long)MIX2);
-    const __m512i row = _mm512_set1_epi64(9 * size), nine = _mm512_set1_epi64(9);
-    /* dwords: the table's first byte rounded down to a 4-byte boundary */
-    const uintptr_t lead = (uintptr_t)events & 3;
-    const void *dwords = (const void *)((uintptr_t)events - lead);
-    const __m512i leads = _mm512_set1_epi64((long long)lead), bytes = _mm512_set1_epi64(3);
-    for (int64_t r = 0; r < count; r += 8) {
-        __m512i s = _mm512_loadu_si512(states + r);
-        __m512i x = _mm512_loadu_si512(xs + r), y = _mm512_loadu_si512(ys + r);
-        __m512i ev = _mm512_cvtepu8_epi64(_mm_loadl_epi64((const __m128i *)(evs + r)));
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+}
+
+/* `scramble` in each 64-bit lane. */
+INLINE __m512i scramble_lanes(__m512i z)
+{
+    z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 30)),
+                           _mm512_set1_epi64((long long)MIX1));
+    z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 27)),
+                           _mm512_set1_epi64((long long)MIX2));
+    return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+}
+
+/* `next_word` in each lane: the next word j of the stream in state *s. */
+INLINE __m512i next_words_lanes(__m512i *s)
+{
+    *s = _mm512_add_epi64(*s, _mm512_set1_epi64((long long)GOLDEN));
+    return _mm512_srli_epi64(scramble_lanes(*s), 64 - WORD_BITS);
+}
+
+/* 8 replicas of permfix_advance, one per lane: stream state, X, Y, event byte. */
+struct group {
+    __m512i s, x, y, ev;
+};
+
+/* The cut tables and the event table of one permfix_advance call; dwords
+   is the event table's first byte rounded down to a 4-byte boundary, lead
+   the bytes between the two. */
+struct tables {
+    const uint64_t *down_x, *stay_x, *down_y, *stay_y;
+    const void *dwords;
+    int64_t lead, size;
+};
+
+INLINE struct group load_group(const uint64_t *states, const int64_t *xs, const int64_t *ys,
+                               const uint8_t *evs)
+{
+    struct group g;
+    g.s = _mm512_loadu_si512(states);
+    g.x = _mm512_loadu_si512(xs);
+    g.y = _mm512_loadu_si512(ys);
+    g.ev = _mm512_cvtepu8_epi64(_mm_loadl_epi64((const __m128i *)evs));
+    return g;
+}
+
+INLINE void store_group(struct group g, uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs)
+{
+    _mm512_storeu_si512(states, g.s);
+    _mm512_storeu_si512(xs, g.x);
+    _mm512_storeu_si512(ys, g.y);
+    _mm_storel_epi64((__m128i *)evs, _mm512_cvtepi64_epi8(g.ev)); /* the low bytes */
+}
+
+/* mx (or my) in each lane: the count of the cuts stay[x], down[x] above j,
+   by two gathers and unsigned compares. */
+INLINE __m512i cuts_above(__m512i j, __m512i x, const uint64_t *stay, const uint64_t *down)
+{
+    const __m512i one = _mm512_set1_epi64(1);
+    return _mm512_add_epi64(
+        _mm512_maskz_mov_epi64(_mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(x, stay, 8)), one),
+        _mm512_maskz_mov_epi64(_mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(x, down, 8)), one));
+}
+
+/* One move of permfix_advance with settle = 0 for the 8 replicas of g. */
+INLINE void step_group(struct group *g, const struct tables *t)
+{
+    const __m512i one = _mm512_set1_epi64(1);
+    __m512i j = next_words_lanes(&g->s);
+    __m512i mx = cuts_above(j, g->x, t->stay_x, t->down_x);
+    __m512i my = cuts_above(j, g->y, t->stay_y, t->down_y);
+    /* (x size + y) 9 + 3 mx + my + lead; every factor is below 2^32 */
+    __m512i at = _mm512_add_epi64(
+        _mm512_add_epi64(_mm512_mul_epu32(g->x, _mm512_set1_epi64(9 * t->size)),
+                         _mm512_mul_epu32(g->y, _mm512_set1_epi64(9))),
+        _mm512_add_epi64(_mm512_add_epi64(_mm512_slli_epi64(mx, 1), mx),
+                         _mm512_add_epi64(my, _mm512_set1_epi64(t->lead))));
+    /* Entry i is byte (i + lead) % 4 of the aligned dword (i + lead) / 4
+       of dwords.  Every dword read holds an entry, so no read leaves the
+       aligned dword holding the table's last byte, and an aligned dword
+       never crosses a page. */
+    __m512i word = _mm512_cvtepu32_epi64(
+        _mm512_i64gather_epi32(_mm512_srli_epi64(at, 2), t->dwords, 4));
+    g->ev = _mm512_or_si512(
+        g->ev, _mm512_srlv_epi64(
+            word, _mm512_slli_epi64(_mm512_and_si512(at, _mm512_set1_epi64(3)), 3)));
+    g->x = _mm512_sub_epi64(_mm512_add_epi64(g->x, one), mx);
+    g->y = _mm512_sub_epi64(_mm512_add_epi64(g->y, one), my);
+}
+
+/* permfix_advance's moves with settle = 0 for count replicas, a multiple
+   of 8: two groups of 8 per step loop, so that each group's gathers
+   overlap the other's, while 16 or more replicas remain; then one group. */
+LANES static void advance_lanes(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
+                                int64_t count, int64_t steps, const struct tables *t)
+{
+    int64_t r = 0;
+    for (; r + 16 <= count; r += 16) {
+        struct group a = load_group(states + r, xs + r, ys + r, evs + r);
+        struct group b = load_group(states + r + 8, xs + r + 8, ys + r + 8, evs + r + 8);
         for (int64_t k = 0; k < steps; k++) {
-            s = _mm512_add_epi64(s, golden);
-            __m512i z = _mm512_mullo_epi64(_mm512_xor_si512(s, _mm512_srli_epi64(s, 30)), mul1);
-            z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 27)), mul2);
-            __m512i j = _mm512_srli_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 31)),
-                                          64 - WORD_BITS);
-            __m512i mx = _mm512_add_epi64(
-                _mm512_maskz_mov_epi64(
-                    _mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(x, stay_x, 8)), one),
-                _mm512_maskz_mov_epi64(
-                    _mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(x, down_x, 8)), one));
-            __m512i my = _mm512_add_epi64(
-                _mm512_maskz_mov_epi64(
-                    _mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(y, stay_y, 8)), one),
-                _mm512_maskz_mov_epi64(
-                    _mm512_cmplt_epu64_mask(j, _mm512_i64gather_epi64(y, down_y, 8)), one));
-            /* (x size + y) 9 + 3 mx + my + lead; every factor is below 2^32 */
-            __m512i at = _mm512_add_epi64(
-                _mm512_add_epi64(_mm512_mul_epu32(x, row), _mm512_mul_epu32(y, nine)),
-                _mm512_add_epi64(_mm512_add_epi64(_mm512_slli_epi64(mx, 1), mx),
-                                 _mm512_add_epi64(my, leads)));
-            /* Entry i is byte (i + lead) % 4 of the aligned dword (i + lead) / 4
-               of dwords.  Every dword read holds an entry, so no read leaves
-               the aligned dword holding the table's last byte, and an aligned
-               dword never crosses a page. */
-            __m512i word = _mm512_cvtepu32_epi64(
-                _mm512_i64gather_epi32(_mm512_srli_epi64(at, 2), dwords, 4));
-            ev = _mm512_or_si512(
-                ev, _mm512_srlv_epi64(word, _mm512_slli_epi64(_mm512_and_si512(at, bytes), 3)));
-            x = _mm512_sub_epi64(_mm512_add_epi64(x, one), mx);
-            y = _mm512_sub_epi64(_mm512_add_epi64(y, one), my);
+            step_group(&a, t);
+            step_group(&b, t);
         }
-        _mm512_storeu_si512(states + r, s);
-        _mm512_storeu_si512(xs + r, x);
-        _mm512_storeu_si512(ys + r, y);
-        _mm_storel_epi64((__m128i *)(evs + r), _mm512_cvtepi64_epi8(ev)); /* the low bytes */
+        store_group(a, states + r, xs + r, ys + r, evs + r);
+        store_group(b, states + r + 8, xs + r + 8, ys + r + 8, evs + r + 8);
     }
+    if (r < count) {
+        struct group a = load_group(states + r, xs + r, ys + r, evs + r);
+        for (int64_t k = 0; k < steps; k++)
+            step_group(&a, t);
+        store_group(a, states + r, xs + r, ys + r, evs + r);
+    }
+}
+
+/* permfix_mallows's count for count replicas first .. first + count - 1,
+   count a multiple of 8 (first any), one replica per lane.  Every lane
+   compares its word with the same cut, so the cut is broadcast; the bits
+   X_{n-1}, X_n are lane masks, and diff drops by one in the lanes where
+   both are set. */
+LANES static int64_t mallows_lanes(uint64_t base, int64_t first, int64_t count, int64_t N,
+                                   int64_t K, const uint64_t *cuts, uint64_t skip)
+{
+    const __m512i golden = _mm512_set1_epi64((long long)GOLDEN), one = _mm512_set1_epi64(1);
+    const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    int64_t differ = 0;
+    for (int64_t r = first; r < first + count; r += 8) {
+        /* `start_state` of replica r + lane, plus skip */
+        __m512i rank = _mm512_add_epi64(_mm512_set1_epi64((long long)r + 1), lane);
+        __m512i s = _mm512_add_epi64(
+            scramble_lanes(_mm512_add_epi64(_mm512_set1_epi64((long long)base),
+                                            _mm512_mullo_epi64(rank, golden))),
+            _mm512_set1_epi64((long long)skip));
+        __mmask8 prev = N == 1 ? 0xFF : _mm512_cmplt_epu64_mask(
+            next_words_lanes(&s), _mm512_set1_epi64((long long)cuts[N - 1]));
+        __m512i diff = _mm512_maskz_mov_epi64(prev, one);
+        for (int64_t n = N + 1; n <= K; n++) {
+            __mmask8 bit = _mm512_cmplt_epu64_mask(
+                next_words_lanes(&s), _mm512_set1_epi64((long long)cuts[n - 1]));
+            diff = _mm512_mask_sub_epi64(diff, prev & bit, diff, one);
+            prev = bit;
+        }
+        differ += __builtin_popcount(_mm512_test_epi64_mask(diff, diff));
+    }
+    return differ;
 }
 #endif
 
@@ -152,9 +248,10 @@ static void advance_lanes(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *e
    settled: every later move keeps x = y and sets no bit its byte lacks, so
    the loop leaves it before drawing its next word.
    On x86-64 CPUs with AVX-512 F and DQ, runs with settle = 0 move the
-   first count - count % 8 replicas 8 at a time (`advance_lanes`) and the
-   rest by the loop below.  Settling runs stay on that loop: its replicas
-   leave one by one, and a lane could not leave before its 7 neighbours. */
+   first count - count % 8 replicas in lanes (`advance_lanes`: 16 at a
+   time, two groups of 8 per step, then one group of 8) and the rest by
+   the loop below.  Settling runs stay on that loop: its replicas leave
+   one by one, and a lane could not leave before its 7 neighbours. */
 void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
                      int64_t count, int64_t steps,
                      const uint64_t *down_x, const uint64_t *stay_x,
@@ -163,10 +260,12 @@ void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
 {
     int64_t first = 0;
 #if defined(__x86_64__) && defined(__GNUC__)
-    if (!settle && __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
+    if (!settle && has_lanes()) {
+        const uintptr_t lead = (uintptr_t)events & 3;
+        const struct tables t = {down_x, stay_x, down_y, stay_y,
+                                 (const void *)((uintptr_t)events - lead), (int64_t)lead, size};
         first = count - count % 8;
-        advance_lanes(states, xs, ys, evs, first, steps, down_x, stay_x, down_y, stay_y,
-                      events, size);
+        advance_lanes(states, xs, ys, evs, first, steps, &t);
     }
 #endif
     for (int64_t r = first; r < count; r++) {
@@ -229,13 +328,22 @@ int64_t permfix_ascent_peak(uint64_t base, int64_t first, int64_t count, int64_t
    draws the bits X_n = 1{j < cuts[n - 1]} for n = N..K from its stream,
    started past the N - 2 words of X_2..X_{N-1} (X_1 = 1 draws none, so at
    N = 1, X_N = 1, and nothing is skipped), and counts it when
-   X_N - (X_N X_{N+1} + ... + X_{K-1} X_K) is nonzero. */
+   X_N - (X_N X_{N+1} + ... + X_{K-1} X_K) is nonzero.
+   On x86-64 CPUs with AVX-512 F and DQ, the first count - count % 8
+   replicas run 8 at a time (`mallows_lanes`) and the rest by the loop
+   below. */
 int64_t permfix_mallows(uint64_t base, int64_t first, int64_t count, int64_t N, int64_t K,
                         const uint64_t *cuts)
 {
     uint64_t skip = N > 1 ? (uint64_t)(N - 2) * GOLDEN : 0; /* `VectorStreams.skip` */
-    int64_t differ = 0;
-    for (int64_t r = first; r < first + count; r++) {
+    int64_t differ = 0, lanes = 0;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (has_lanes()) {
+        lanes = count - count % 8;
+        differ = mallows_lanes(base, first, lanes, N, K, cuts, skip);
+    }
+#endif
+    for (int64_t r = first + lanes; r < first + count; r++) {
         uint64_t s = start_state(base, r) + skip;
         int64_t prev = N == 1 || next_word(&s) < cuts[N - 1];
         int64_t diff = prev;

@@ -5,7 +5,8 @@ Each returns a dict from atom to `Fraction` weight, built one `Fraction` at
 a time by the textbook formula, with zero weights dropped; an `ExactDist`
 equals such a dict when its weights are the same.  `peak_tail_prefix_count`
 is the oracle of the memoised `peak_tail_exact`: the same prefix count with
-every peak-free prefix walked anew.
+every peak-free prefix walked anew.  `mallows_differ` is the exact
+P[S_N != S_K] that the Monte Carlo `mallows_discrepancy` estimates.
 """
 from __future__ import annotations
 
@@ -72,6 +73,27 @@ def mallows_pmf(N: int) -> dict[int, Fraction]:
     for (last, acc), w in dist.items():
         law[acc + last] = law.get(acc + last, Fraction(0)) + w
     return {s: w for s, w in law.items() if w}
+
+
+def mallows_differ(N: int, K: int) -> Fraction:
+    """P[S_N != S_K] for the independent bits X_n, P[X_n = 1] = 1/n, by an
+    integer dynamic programme over (last bit, D), where
+
+        D = X_N - (X_N X_{N+1} + ... + X_{K-1} X_K) = S_N - S_K.
+
+    Bit n weighs 1 when set and n - 1 when clear, so the weights over
+    n = N..K sum to K! / (N - 1)!; at N = 1, X_1 = 1 since a clear bit
+    weighs 0."""
+    weights = {(1, 1): 1, (0, 0): N - 1}
+    for n in range(N + 1, K + 1):
+        nxt: dict = {}
+        for (last, d), w in weights.items():
+            for bit, factor in ((1, 1), (0, n - 1)):
+                key = (bit, d - (last & bit))
+                nxt[key] = nxt.get(key, 0) + w * factor
+        weights = nxt
+    differ = sum(w for (_, d), w in weights.items() if d)
+    return Fraction(differ, math.factorial(K) // math.factorial(N - 1))
 
 
 def peak_tail_prefix_count(N: int) -> Fraction:

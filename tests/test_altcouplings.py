@@ -162,6 +162,53 @@ class TestMallowsDiscrepancy:
             mallows_discrepancy(args["N"], replicas=args["replicas"], K=args["K"], seed=0)
 
 
+def mallows_differ_by_enumeration(N, K):
+    """P[S_N != S_K] over every bit vector X_2..X_K (X_1 = 1), each of
+    weight prod 1/n or 1 - 1/n, with S_N and S_K as defined."""
+    total = Fraction(0)
+    for tail in itertools.product((0, 1), repeat=K - 1):
+        bits = (1, *tail)
+        weight = math.prod(Fraction(1, n) if x else 1 - Fraction(1, n) for n, x in enumerate(bits, 1))
+        s_n = sum(bits[i] * bits[i + 1] for i in range(N - 1)) + bits[N - 1]
+        s_k = sum(bits[i] * bits[i + 1] for i in range(K - 1))
+        total += weight * (s_n != s_k)
+    return total
+
+
+class TestMallowsDifferExact:
+    """`exact_reference.mallows_differ`, the exact P[S_N != S_K], and the
+    Monte Carlo counts of both engines against it."""
+
+    def test_pinned_values(self):
+        # D = 1 - X_2 at N = 1, K = 2
+        assert exact_reference.mallows_differ(1, 2) == Fraction(1, 2)
+        assert float(exact_reference.mallows_differ(10, 20)) == pytest.approx(0.1234846174, abs=1e-10)
+
+    @pytest.mark.parametrize("N, K", [(N, K) for N in range(1, 5) for K in range(N + 1, N + 7)])
+    def test_equals_enumeration(self, N, K):
+        assert exact_reference.mallows_differ(N, K) == mallows_differ_by_enumeration(N, K)
+
+    @pytest.mark.parametrize("engine", ["compiled", "numpy"])
+    @pytest.mark.parametrize("N, K", [(10, 20), (80, 160)])
+    def test_estimate_within_four_sigma(self, monkeypatch, engine, N, K):
+        # Both engines draw X_n = 1{j < cut} with cut = grid_cut(1.0 / n):
+        # cut * 2^-53 lies within 2^-52 of 1/n (the double 1.0 / n rounded up
+        # to the 53-bit grid), so the law of D = S_N - S_K, made of the
+        # K - N + 1 bits X_N..X_K, moves by less than (K - N + 1) 2^-52,
+        # far below sigma
+        if engine == "compiled":
+            if shutil.which(native.BUILD[0]) is None:
+                pytest.skip("no C compiler")
+            assert native.library() is not None
+        else:
+            monkeypatch.setattr(native, "library", lambda: None)
+        replicas = 200_000
+        p = float(exact_reference.mallows_differ(N, K))
+        sigma = math.sqrt(p * (1 - p) / replicas)
+        estimate = mallows_discrepancy(N, replicas=replicas, K=K, seed=23).estimate
+        assert abs(estimate - p) <= 4 * sigma
+
+
 class TestAscentPeakDefinitions:
     def test_descending_then_ascending(self):
         sample = ascent_peak_from_uniforms([0.9, 0.7, 0.5, 0.3, 0.6, 0.8, 0.2])
@@ -353,7 +400,9 @@ class TestEngineEquivalence:
         assert fast == on_numpy(lambda: ascent_peak_batch(samples, seed, ns=ns), monkeypatch)
         assert fast == scalar_batch(seed, samples, ns)
 
-    @pytest.mark.parametrize("replicas", [1, 3, 61, 20_000])
+    # 7, 8, 9 and 15, 16, 17 replicas: at the edges of the compiled loop's
+    # groups of 8 lanes
+    @pytest.mark.parametrize("replicas", [1, 3, 7, 8, 9, 15, 16, 17, 61, 20_000])
     @pytest.mark.parametrize("K_of_N", ["N + 1", "2N"])
     @pytest.mark.parametrize("N", [1, 2, 10, 80])
     @pytest.mark.parametrize("seed", [0, TOP_SEED])
@@ -417,7 +466,10 @@ class TestShares:
             monkeypatch.undo()
             native.library.cache_clear()
 
-    @pytest.mark.parametrize("replicas", [1, 3, 61, 20_000])
+    # 1,003 replicas: 501 + 502 on 2 CPUs and 334 + 334 + 335 on 3, so no
+    # share after the first starts at a multiple of 8 and every share ends
+    # on the compiled loop's one-replica remainder
+    @pytest.mark.parametrize("replicas", [1, 3, 61, 1003, 20_000])
     @pytest.mark.parametrize("N", [1, 2, 10])  # N = 2 starts past 0 words, N = 1 skips none
     @pytest.mark.parametrize("seed", [0, TOP_SEED])
     def test_mallows(self, compiled, monkeypatch, seed, N, replicas):

@@ -812,13 +812,14 @@ def advance_numpy_settling(tables, events, streams, X, Y, ev, steps):
 
 class TestLanes:
     """Where the CPU has AVX-512 F and DQ, the compiled advance moves the
-    first count - count % 8 replicas of a non-settling run 8 at a time and
+    first count - count % 8 replicas of a non-settling run in lanes, two
+    groups of 8 per step while 16 or more remain, then one group of 8, and
     the rest one by one; settling runs (r-r) move one by one everywhere.
     Every replica ends as the numpy advance leaves it, held where it
     settled."""
 
     @pytest.mark.parametrize("N", [5, 8, 30, 200])  # N = 200: the 349 KB event table
-    @pytest.mark.parametrize("replicas", [1, 7, 8, 9, 15, 16, 17, 61])
+    @pytest.mark.parametrize("replicas", [1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 61])
     @pytest.mark.parametrize("selector", SELECTORS)
     def test_each_replica_moves_as_numpy_moves_it(self, compiled, selector, replicas, N):
         cfg = RunConfig(
@@ -837,18 +838,21 @@ class TestLanes:
     @pytest.mark.parametrize("offset", [0, 1, 2, 3])
     def test_event_table_at_any_byte_alignment(self, compiled, offset):
         # the lanes read the event table by aligned dwords; a table starting
-        # at any byte of one gives the same bytes.  At N = 8 the 17 replicas
-        # reach the top pair of states, whose entries end the table
-        cfg = RunConfig(N=8, horizon=0, replicas=17, seed=3, selector="pcheck-rtilde")
-        tables, events = coupling._grid_tables(cfg), coupling._event_table(cfg.N)
-        shifted = np.zeros(len(events) + 4, dtype=np.uint8)[offset:offset + len(events)]
-        shifted[:] = events
-        fast = coupling._block_start(cfg, tables, 0, cfg.replicas)
-        slow = coupling._block_start(cfg, tables, 0, cfg.replicas)
-        compiled(tables, shifted, *fast, 500)
-        coupling._advance_numpy(tables, events, *slow, 500)
-        for a, b in zip((fast[0].states, *fast[1:]), (slow[0].states, *slow[1:])):
-            assert a.tolist() == b.tolist()
+        # at any byte of one gives the same bytes.  At N = 8 every group of 8
+        # replicas reaches the top pair of states, whose entries end the
+        # table: 17 and 33 replicas run both groups of the 16-replica body,
+        # 25 the one-group body after it
+        for replicas in (17, 25, 33):
+            cfg = RunConfig(N=8, horizon=0, replicas=replicas, seed=3, selector="pcheck-rtilde")
+            tables, events = coupling._grid_tables(cfg), coupling._event_table(cfg.N)
+            shifted = np.zeros(len(events) + 4, dtype=np.uint8)[offset:offset + len(events)]
+            shifted[:] = events
+            fast = coupling._block_start(cfg, tables, 0, cfg.replicas)
+            slow = coupling._block_start(cfg, tables, 0, cfg.replicas)
+            compiled(tables, shifted, *fast, 500)
+            coupling._advance_numpy(tables, events, *slow, 500)
+            for a, b in zip((fast[0].states, *fast[1:]), (slow[0].states, *slow[1:])):
+                assert a.tolist() == b.tolist()
 
 
 class TestTraceReplay:
