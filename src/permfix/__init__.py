@@ -15,7 +15,6 @@ from .exactdist import (
     pi_conditioned,
     poisson_pmf,
     poisson_truncated,
-    separation_discrepancy,
     tv_bracket,
     tv_distance,
     zeta_law,

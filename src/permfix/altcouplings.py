@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import native
-from .coupling import check_integer, plugin_sigma
+from .coupling import check_integer, check_integers, plugin_sigma
 from .exactdist import ExactDist
 from .perms import check_guard
 from .rng import VectorStreams, check_seed, grid_cut, scramble
@@ -53,9 +53,7 @@ def mallows_exact_pmf(N: int) -> ExactDist:
     and a 1 bit by 1, and the law is the final weights over N!.  It must
     coincide with the fixed-point law pi_N; the test suite enforces it.
     """
-    check_integer("N", N)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_integer("N", N, 1)
     # state: (last bit value, sum of adjacent products so far)
     dist: dict[tuple[int, int], int] = {(1, 0): 1}  # X_1 == 1
     for n in range(2, N + 1):
@@ -121,14 +119,9 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     X_k X_{k+1} with k >= K is one; that has probability at most
     sum_{k >= K} 1/(k(k+1)) = 1/K, reported as tail_bound.
     """
-    for name, value in (("N", N), ("K", K), ("replicas", replicas)):
-        check_integer(name, value)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if K < N + 1:
-        raise ValueError("K must be at least N + 1")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    check_integer("N", N, 1)
+    check_integer("K", K, N + 1)
+    check_integer("replicas", replicas, 1)
     seed = check_seed(seed)
     cuts = np.array([grid_cut(1.0 / n) for n in range(1, K + 1)], dtype=np.uint64)
     lib, base = native.library(), scramble(seed)
@@ -234,15 +227,8 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     replica with no peak after 64 uniforms, and that is raised here.  The
     laws of M and M_N are read off the joint counts of (S, T).
     """
-    check_integer("samples", samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    ns = tuple(ns)  # read once: it may be a one-shot iterable
-    for N in ns:
-        check_integer("every N in ns", N)
-    ns = tuple(dict.fromkeys(ns))
-    if any(N < 1 for N in ns):
-        raise ValueError("every N in ns must be >= 1")
+    check_integer("samples", samples, 1)
+    ns = tuple(dict.fromkeys(check_integers("every N in ns", ns, 1)))
     seed = check_seed(seed)
     lib, base = native.library(), scramble(seed)
 
@@ -290,9 +276,7 @@ def peak_tail_exact(N: int) -> Fraction:
     The result is checked against the bound 2^N / (N+1)! by criterion 9 and
     by the `peak_tail_bound` verdict of `permfix alt`, not here.
     """
-    check_integer("N", N)
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    check_integer("N", N, 2)
     check_guard(N, 10, "peak_tail_exact")
     m = N + 1
 

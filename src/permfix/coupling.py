@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -68,12 +68,28 @@ START_MODES = ("shared", "independent", "copy_x")
 STAT_NAMES = ("neq", "tau_gt", "z_pos", "ztilde_pos", "zhat_pos", "tau0x_gt", "tau0y_gt")
 
 
-def check_integer(name: str, value: object) -> None:
-    """ValueError unless value is an int; a bool is refused, though Python
-    counts it as one.  The one type rule for the counts of the Monte Carlo
-    entry points and for the N of `altcouplings`' exact laws."""
+def check_integer(name: str, value: object, minimum: int) -> None:
+    """ValueError unless value is an int of at least minimum; a bool is
+    refused, though Python counts it as one.  The one type and range rule
+    for the counts of the Monte Carlo entry points and for the N of
+    `altcouplings`' exact laws."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_integers(name: str, values: Iterable[object], minimum: int) -> tuple[int, ...]:
+    """values as a tuple, read once (they may be a one-shot iterable), each
+    checked by `check_integer`; ValueError when values is not iterable."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable of integers") from None
+    values = tuple(items)
+    for value in values:
+        check_integer(name, value, minimum)
+    return values
 
 
 @dataclass(frozen=True)
@@ -90,14 +106,8 @@ class RunConfig:
     checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("N", "horizon", "replicas"):
-            check_integer(name, getattr(self, name))
-        if self.N < 5:
-            raise ValueError("N must be >= 5 (state space [0, N-4])")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+        for name, minimum in (("N", 5), ("horizon", 0), ("replicas", 1)):
+            check_integer(name, getattr(self, name), minimum)
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.selector not in SELECTORS:
             raise ValueError(f"selector must be one of {SELECTORS}")
@@ -105,11 +115,8 @@ class RunConfig:
             raise ValueError(f"start_mode must be one of {START_MODES}")
         if not isinstance(self.emit_traces, bool):
             raise ValueError("emit_traces must be a bool")
-        checkpoints = tuple(self.checkpoints)  # read once: it may be a one-shot iterable
-        for p in checkpoints:
-            check_integer("checkpoints", p)
-        points = sorted(set(checkpoints) | {self.horizon})
-        if any(p < 0 or p > self.horizon for p in points):
+        points = sorted(set(check_integers("checkpoints", self.checkpoints, 0)) | {self.horizon})
+        if points[-1] > self.horizon:
             raise ValueError("checkpoints must lie in [0, horizon]")
         object.__setattr__(self, "checkpoints", tuple(points))
 

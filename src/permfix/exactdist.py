@@ -419,19 +419,3 @@ def log_rate_from_tv(N: int, tv: Interval) -> float:
     with localcontext(Context(prec=40)):
         lo, hi = ((Decimal(q.numerator) / q.denominator).ln() for q in (tv.lo, tv.hi))
         return float((lo + hi) / 2 / (N * Decimal(N).ln()))
-
-
-def separation_discrepancy(d1: DistLike, d2: DistLike) -> Fraction:
-    """sup_x (1 - d1(x)/d2(x)).
-
-    A point with d2 = 0 < d1 contributes the value 1.
-    """
-    if not isinstance(d1, ExactDist):
-        raise ValueError("d1 must be an ExactDist")
-    if isinstance(d2, PoissonRef):
-        # d1 is finitely supported while the reference is positive everywhere,
-        # so any point outside the support realizes the maximal value 1.
-        return Fraction(1)
-    if d1.keys() - d2.keys():
-        return Fraction(1)
-    return max(1 - d1.get(x, 0) / w for x, w in d2.items())

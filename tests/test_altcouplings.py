@@ -98,6 +98,11 @@ class TestMallowsExact:
         with pytest.raises(ValueError, match="N must be an integer"):
             mallows_exact_pmf(value)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_refuses_n_below_one(self, value):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            mallows_exact_pmf(value)
+
     def test_sample_consistent_with_bits(self):
         n, K = 6, 16
         for seed in (0, 3, 11, 2 ** 64 - 1):
@@ -145,8 +150,13 @@ class TestMallowsDiscrepancy:
         assert abs(a.estimate - b.estimate) <= float(a.tail_bound) + 3 * (a.sigma + b.sigma)
 
     def test_k_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="K must be >= 11"):
             mallows_discrepancy(10, replicas=10, K=10, seed=0)
+
+    @pytest.mark.parametrize("replicas", [0, -1])
+    def test_replicas_below_one_rejected(self, replicas):
+        with pytest.raises(ValueError, match="replicas must be >= 1"):
+            mallows_discrepancy(10, replicas=replicas, K=20, seed=0)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_below_one_rejected(self, n):
@@ -328,6 +338,16 @@ class TestAscentPeakBatch:
         # N = 2.5 used to give M_N atoms at -0.5 and 1.5
         with pytest.raises(ValueError, match="every N in ns must be an integer"):
             ascent_peak_batch(100, seed=0, ns=ns)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            ascent_peak_batch(samples, seed=0)
+
+    @pytest.mark.parametrize("ns", [5, None])
+    def test_ns_that_is_not_iterable(self, ns):
+        with pytest.raises(ValueError, match="every N in ns must be an iterable of integers"):
+            ascent_peak_batch(10, 1, ns=ns)
 
     @pytest.mark.parametrize("samples", [True, 2.5, 100.0, "100"])
     def test_non_integer_samples_rejected(self, samples):
@@ -545,4 +565,9 @@ class TestPeakTailExact:
     @pytest.mark.parametrize("value", [True, 9.0, np.int64(9)])
     def test_refuses_non_integer_n(self, value):
         with pytest.raises(ValueError, match="N must be an integer"):
+            peak_tail_exact(value)
+
+    @pytest.mark.parametrize("value", [1, 0])
+    def test_refuses_n_below_two(self, value):
+        with pytest.raises(ValueError, match="N must be >= 2"):
             peak_tail_exact(value)

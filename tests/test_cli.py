@@ -142,7 +142,7 @@ def test_exact_files_match_frozen_digests(tmp_path, capsys):
     # a TV endpoint, a bracket or a log rate changes a digest
     golden = {
         "pi_table.csv": "5de5f520de4f9dd032a0cfdf8bd2cb78553686d3bf1c4c2356efe1c0ea28adc2",
-        "exact_summary.csv": "09b70e16548b9907c0e5a563ecdee93f5564053d7ae18851895195c4970f9f4b",
+        "exact_summary.csv": "71fa6ba2b47b3cc27bf423f7f69619745034d501887638534356daa1c284481b",
     }
     code, _ = run_cli(capsys, "exact", "--n", "1..60", "--out", str(tmp_path))
     assert code == 0
@@ -300,7 +300,7 @@ def test_all_files_match_frozen_digests(tmp_path, capsys):
         "couple/tv_bound.csv":
             "c6a785d6e4a80a5469187212f945206debdce16341c2bc6016f1ae34f790d269",
         "exact/exact_summary.csv":
-            "dcd04e05eece36740a86516a934a42061df6de93cc7ad71bafd5123ab88d66c3",
+            "0291a1ed932fcfb08151064a36ee38a9fa9428a60a5823b9feef31397eebba55",
         "exact/pi_table.csv":
             "0741f49800e9a217a794092461133c92bdf4d0b02b6356b1cabaa20cf401a2c3",
         "kernel/kernel_P.json":
@@ -465,11 +465,20 @@ def test_couple_bad_config(tmp_path, capsys):
     assert "selector" in err
 
 
+# every field's type is RunConfig's rule; the CLI only names the file's fields
 @pytest.mark.parametrize("field, message", [
-    ({"replicas": True}, "config.replicas: expected int"),
+    ({"replicas": True}, "replicas must be an integer"),
     ({"checkpoints": [1.5]}, "checkpoints must be an integer"),
     ({"checkpoints": ["a"]}, "checkpoints must be an integer"),
-], ids=["bool-replicas", "float-checkpoint", "string-checkpoint"])
+    ({"N": "8"}, "N must be an integer"),
+    ({"selector": 5}, "selector must be one of"),
+    ({"start_mode": 3}, "start_mode must be one of"),
+    ({"emit_traces": 1}, "emit_traces must be a bool"),
+    ({"seed": 1.5}, "seed must lie in"),
+    ({"checkpoints": 5}, "checkpoints must be an iterable of integers"),
+    ({"checkpoints": None}, "checkpoints must be an iterable of integers"),
+], ids=["bool-replicas", "float-checkpoint", "string-checkpoint", "string-N", "int-selector",
+        "int-start-mode", "int-emit-traces", "float-seed", "int-checkpoints", "null-checkpoints"])
 def test_couple_bad_field_type(field, message, tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"N": 8, "n": 10, **field}))

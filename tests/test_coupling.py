@@ -142,15 +142,17 @@ class TestRunConfig:
         assert type(cfg.seed) is int and cfg.seed == int(seed)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N must be >= 5"):
             RunConfig(N=4, horizon=1, replicas=1, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
             RunConfig(N=8, horizon=-1, replicas=1, seed=0)
         with pytest.raises(ValueError):
             RunConfig(N=8, horizon=1, replicas=1, seed=0, selector="nope")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="checkpoints must lie in"):
             RunConfig(N=8, horizon=5, replicas=1, seed=0, checkpoints=(9,))
-        with pytest.raises(ValueError, match="replicas"):
+        with pytest.raises(ValueError, match="checkpoints must be >= 0"):
+            RunConfig(N=8, horizon=5, replicas=1, seed=0, checkpoints=(2, -1))
+        with pytest.raises(ValueError, match="replicas must be >= 1"):
             RunConfig(N=8, horizon=5, replicas=0, seed=0)
         with pytest.raises(ValueError, match="start_mode"):
             RunConfig(N=8, horizon=5, replicas=1, seed=0, start_mode="nope")
@@ -173,6 +175,12 @@ class TestRunConfig:
         # the one type rule of the counts (`check_integer`), per checkpoint
         with pytest.raises(ValueError, match="checkpoints must be an integer"):
             RunConfig(N=8, horizon=5, replicas=1, seed=0, checkpoints=(2, point))
+
+    @pytest.mark.parametrize("checkpoints", [5, None, 2.5])
+    def test_checkpoints_that_are_not_iterable(self, checkpoints):
+        # a ValueError, as for every other bad field, not a TypeError
+        with pytest.raises(ValueError, match="checkpoints must be an iterable of integers"):
+            RunConfig(N=8, horizon=5, replicas=1, seed=0, checkpoints=checkpoints)
 
 
 class TestMonotoneStep:

@@ -25,7 +25,6 @@ from permfix.exactdist import (
     pi_conditioned,
     poisson_pmf,
     poisson_truncated,
-    separation_discrepancy,
     tv_bracket,
     tv_distance,
     zeta_law,
@@ -563,34 +562,6 @@ def separation_ratio_term(N, x):
 
 
 class TestSeparation:
-    def test_identical_is_zero(self):
-        d = fixed_point_pmf(5)
-        assert separation_discrepancy(d, d) == 0
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    def test_pi_vs_poisson_is_one(self, n):
-        assert separation_discrepancy(fixed_point_pmf(n), poisson_pmf(n)) == 1
-
-    def test_missing_point_gives_one(self):
-        d1 = ExactDist(1, {0: 1})
-        d2 = ExactDist(2, {0: 1, 1: 1})
-        assert separation_discrepancy(d1, d2) == 1
-
-    @pytest.mark.parametrize("n", [5, 8, 13, 30])
-    def test_exact_laws_against_pointwise_sup(self, n):
-        pairs = [
-            (pi_conditioned(n), zeta_law(n)),
-            (zeta_law(n), pi_conditioned(n)),
-            (fixed_point_pmf(n), poisson_truncated(n - 2)),
-            (poisson_truncated(n - 2), fixed_point_pmf(n)),
-        ]
-        for d1, d2 in pairs:
-            expected = max(
-                1 - d1.get(x, 0) / d2[x] if x in d2 else Fraction(1)
-                for x in set(d1) | set(d2)
-            )
-            assert separation_discrepancy(d1, d2) == expected
-
     def test_index_n_minus_4_term_is_negative(self):
         # 1 - e D_4 / 4! = 1 - 9e/24, contradicting the claimed positive sign
         term = separation_ratio_term(20, 16)

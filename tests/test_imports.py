@@ -2,8 +2,9 @@
 module imports or reads a private name of another, the package imports
 nothing beyond the standard library and its declared dependencies, it
 reads no environment variable beyond its two, one module states the rule
-for exact weights, and every function, class and method it defines is
-named somewhere outside its own definition."""
+for exact weights, no function restates the type or minimum of a count
+that `check_integer` checks, and every function, class and method it
+defines is named somewhere outside its own definition."""
 import ast
 import re
 import sys
@@ -167,6 +168,51 @@ def test_one_module_states_the_weight_rule():
     # laws, kernel rows and chain invariants share `exactdist.checked_weights`
     holders = [p.stem for p in SOURCES if "den must be a positive int" in p.read_text()]
     assert holders == ["exactdist"]
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == name
+        or isinstance(node.func, ast.Attribute) and node.func.attr == name
+    )
+
+
+def restated_integer_checks(source: str) -> list[str]:
+    """The `raise ValueError(...)` whose message says "must be an integer"
+    or "must be >=", inside a function of source that calls
+    `check_integer`: a check that rule already makes."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or not any(
+            _calls(node, "check_integer") for node in ast.walk(func)
+        ):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Raise) and node.exc is not None and _calls(node.exc, "ValueError"):
+                text = "".join(
+                    part.value for arg in node.exc.args for part in ast.walk(arg)
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                )
+                if "must be an integer" in text or "must be >=" in text:
+                    found.append(f"{func.name} (line {node.lineno})")
+    return found
+
+
+def test_one_rule_checks_each_count():
+    # every count's type and minimum is `coupling.check_integer`'s to check
+    assert [f for p in SOURCES for f in restated_integer_checks(p.read_text())] == []
+
+
+def test_a_restated_integer_check_is_caught():
+    source = (
+        "def f(n, k):\n    check_integer('n', n, 1)\n    if k < 2:\n"
+        "        raise ValueError(f'k must be >= {2}')\n\n"
+        "def g(n):\n    coupling.check_integer('n', n, 0)\n"
+        "    if n % 2:\n        raise ValueError('n must be an integer')\n"
+        "    raise ValueError('n must be even')\n\n"
+        "def h(n):\n    if n < 1:\n        raise ValueError('n must be >= 1')\n"
+    )
+    assert restated_integer_checks(source) == ["f (line 4)", "g (line 9)"]
 
 
 def test_environment_reads_resolve_constants():
