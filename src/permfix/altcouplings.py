@@ -35,10 +35,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import native
-from .coupling import check_integer, check_integers, plugin_sigma
+from .coupling import plugin_sigma
 from .exactdist import ExactDist
 from .perms import check_guard
-from .rng import VectorStreams, check_seed, grid_cut, scramble
+from .rng import VectorStreams, check_integer, check_integers, check_seed, grid_cut, scramble
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def mallows_discrepancy(N: int, replicas: int, K: int, seed: int) -> MallowsDisc
     check_integer("N", N, 1)
     check_integer("K", K, N + 1)
     check_integer("replicas", replicas, 1)
-    seed = check_seed(seed)
+    check_seed(seed)
     cuts = np.array([grid_cut(1.0 / n) for n in range(1, K + 1)], dtype=np.uint64)
     lib, base = native.library(), scramble(seed)
 
@@ -215,9 +215,11 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     counted and the replica dropped (53-bit uniforms make them
     astronomically unlikely).  Both engines compare the 53-bit words j of
     the uniforms: the compiled loop (`native.library()`'s
-    `permfix_ascent_peak`) runs each replica to its end, and the numpy body,
-    its fallback, runs column n over the replicas still live.  Either way a
-    replica reads the same words and no others.  The replicas are split
+    `permfix_ascent_peak`) runs each replica to its end, on x86-64 CPUs with
+    AVX-512 F and DQ 8 replicas at a time in vector lanes, each group until
+    all 8 have ended, and the numpy body, its fallback, runs column n over
+    the replicas still live.  Either way a replica reads the same words and
+    no others.  The replicas are split
     once, one contiguous share per CPU the process may run on
     (`native.shares`), and the shares run in parallel.  A share [a, b) fills
     its own joint counts by the compiled loop, which derives its replicas'
@@ -229,7 +231,7 @@ def ascent_peak_batch(samples: int, seed: int, ns: Sequence[int] = ()) -> Ascent
     """
     check_integer("samples", samples, 1)
     ns = tuple(dict.fromkeys(check_integers("every N in ns", ns, 1)))
-    seed = check_seed(seed)
+    check_seed(seed)
     lib, base = native.library(), scramble(seed)
 
     def share(a: int, b: int) -> tuple[int, np.ndarray]:

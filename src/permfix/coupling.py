@@ -48,14 +48,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from . import native
 from .exactdist import ExactDist, exp_interval
 from .kernels import CONSTANT_K, StochasticKernel, penta_moves, reversible_pair
-from .rng import TWO_NEG53, VectorStreams, check_seed, grid_cut
+from .rng import TWO_NEG53, VectorStreams, check_integer, check_integers, check_seed, grid_cut
 
 # the catalogue labels (`kernels.reversible_pair`) of X's and Y's kernels
 _SELECTOR_LABELS = {
@@ -66,30 +66,6 @@ _SELECTOR_LABELS = {
 SELECTORS = tuple(_SELECTOR_LABELS)
 START_MODES = ("shared", "independent", "copy_x")
 STAT_NAMES = ("neq", "tau_gt", "z_pos", "ztilde_pos", "zhat_pos", "tau0x_gt", "tau0y_gt")
-
-
-def check_integer(name: str, value: object, minimum: int) -> None:
-    """ValueError unless value is an int of at least minimum; a bool is
-    refused, though Python counts it as one.  The one type and range rule
-    for the counts of the Monte Carlo entry points and for the N of
-    `altcouplings`' exact laws."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-
-
-def check_integers(name: str, values: Iterable[object], minimum: int) -> tuple[int, ...]:
-    """values as a tuple, read once (they may be a one-shot iterable), each
-    checked by `check_integer`; ValueError when values is not iterable."""
-    try:
-        items = iter(values)
-    except TypeError:
-        raise ValueError(f"{name} must be an iterable of integers") from None
-    values = tuple(items)
-    for value in values:
-        check_integer(name, value, minimum)
-    return values
 
 
 @dataclass(frozen=True)
@@ -108,7 +84,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("N", 5), ("horizon", 0), ("replicas", 1)):
             check_integer(name, getattr(self, name), minimum)
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        check_seed(self.seed)
         if self.selector not in SELECTORS:
             raise ValueError(f"selector must be one of {SELECTORS}")
         if self.start_mode not in START_MODES:

@@ -10,11 +10,13 @@ built for them.  Each loop draws the 53-bit words j of its uniforms (the
 uniform is the float j 2^-53) and decides on those words as the numpy
 bodies do.
 
-On x86-64, `permfix_advance` and `permfix_mallows` also hold bodies that
-move one replica per 64-bit lane of AVX-512, with SplitMix64 by lane
-multiplies (one helper for both).  `advance_lanes` moves two groups of 8
+On x86-64, each of the three loops also holds a body that moves one
+replica per 64-bit lane of AVX-512, with SplitMix64 by lane multiplies
+(helpers shared by all three).  `advance_lanes` moves two groups of 8
 replicas per step, so that each group's gathers of cuts and event bytes
 overlap the other's, while 16 or more remain, then one group of 8;
+`ascent_peak_lanes` runs the same ladder, each lane drawing until
+its peak or its tie and each group until none of its lanes is open;
 `mallows_lanes` moves 8 replicas at a time against one broadcast cut per
 bit, with no gather.  They are compiled for AVX-512 F and DQ whatever the
 build flags, and taken only when the CPU reports both
@@ -109,6 +111,16 @@ INLINE __m512i next_words_lanes(__m512i *s)
 {
     *s = _mm512_add_epi64(*s, _mm512_set1_epi64((long long)GOLDEN));
     return _mm512_srli_epi64(scramble_lanes(*s), 64 - WORD_BITS);
+}
+
+/* `start_state` of replicas r .. r + 7, one per lane. */
+INLINE __m512i start_states_lanes(uint64_t base, int64_t r)
+{
+    const __m512i rank = _mm512_add_epi64(_mm512_set1_epi64((long long)r + 1),
+                                          _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0));
+    return scramble_lanes(_mm512_add_epi64(
+        _mm512_set1_epi64((long long)base),
+        _mm512_mullo_epi64(rank, _mm512_set1_epi64((long long)GOLDEN))));
 }
 
 /* 8 replicas of permfix_advance, one per lane: stream state, X, Y, event byte. */
@@ -213,16 +225,10 @@ LANES static void advance_lanes(uint64_t *states, int64_t *xs, int64_t *ys, uint
 LANES static int64_t mallows_lanes(uint64_t base, int64_t first, int64_t count, int64_t N,
                                    int64_t K, const uint64_t *cuts, uint64_t skip)
 {
-    const __m512i golden = _mm512_set1_epi64((long long)GOLDEN), one = _mm512_set1_epi64(1);
-    const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    const __m512i one = _mm512_set1_epi64(1);
     int64_t differ = 0;
     for (int64_t r = first; r < first + count; r += 8) {
-        /* `start_state` of replica r + lane, plus skip */
-        __m512i rank = _mm512_add_epi64(_mm512_set1_epi64((long long)r + 1), lane);
-        __m512i s = _mm512_add_epi64(
-            scramble_lanes(_mm512_add_epi64(_mm512_set1_epi64((long long)base),
-                                            _mm512_mullo_epi64(rank, golden))),
-            _mm512_set1_epi64((long long)skip));
+        __m512i s = _mm512_add_epi64(start_states_lanes(base, r), _mm512_set1_epi64((long long)skip));
         __mmask8 prev = N == 1 ? 0xFF : _mm512_cmplt_epu64_mask(
             next_words_lanes(&s), _mm512_set1_epi64((long long)cuts[N - 1]));
         __m512i diff = _mm512_maskz_mov_epi64(prev, one);
@@ -235,6 +241,86 @@ LANES static int64_t mallows_lanes(uint64_t base, int64_t first, int64_t count, 
         differ += __builtin_popcount(_mm512_test_epi64_mask(diff, diff));
     }
     return differ;
+}
+
+/* 8 replicas of permfix_ascent_peak, one per lane: stream state, last
+   word, S (0 while unset) and 64 S + T once the peak is seen; the lanes
+   still drawing, and those that tied. */
+struct peaks {
+    __m512i s, curr, ascent, cell;
+    __mmask8 open, tied;
+};
+
+INLINE struct peaks start_peaks(uint64_t base, int64_t r)
+{
+    struct peaks g;
+    g.s = start_states_lanes(base, r);
+    g.curr = next_words_lanes(&g.s);
+    g.ascent = g.cell = _mm512_setzero_si512();
+    g.open = 0xFF;
+    g.tied = 0;
+    return g;
+}
+
+/* Step n of permfix_ascent_peak's loop in the open lanes of g. */
+INLINE void step_peaks(struct peaks *g, int64_t n)
+{
+    const __m512i next = next_words_lanes(&g->s), at = _mm512_set1_epi64(n);
+    const __mmask8 eq = _mm512_mask_cmpeq_epu64_mask(g->open, g->curr, next);
+    const __mmask8 gt = _mm512_mask_cmpgt_epu64_mask(g->open, g->curr, next);
+    const __mmask8 lt = _mm512_mask_cmplt_epu64_mask(g->open, g->curr, next);
+    const __mmask8 rose = _mm512_test_epi64_mask(g->ascent, g->ascent);
+    const __mmask8 peak = gt & rose; /* the first descent after S is a peak */
+    g->cell = _mm512_mask_add_epi64(g->cell, peak, _mm512_slli_epi64(g->ascent, 6), at);
+    g->ascent = _mm512_mask_mov_epi64(g->ascent, lt & (__mmask8)~rose, at);
+    g->tied |= eq;
+    g->open &= (__mmask8)~(eq | peak);
+    g->curr = next;
+}
+
+/* Count g's 8 replicas: a tie, or one more in joint[64 S + T]. */
+INLINE void record_peaks(const struct peaks *g, int64_t *joint, int64_t *ties)
+{
+    int64_t cell[8];
+    _mm512_storeu_si512(cell, g->cell);
+    for (int l = 0; l < 8; l++) {
+        if (g->tied >> l & 1)
+            ++*ties;
+        else
+            joint[cell[l]]++;
+    }
+}
+
+/* permfix_ascent_peak for count replicas first .. first + count - 1,
+   count a multiple of 8 (first any), one replica per lane: two groups of 8
+   per step loop, so that each group's words and loop exit overlap the
+   other's, while 16 or more replicas remain; then one group.  A group
+   draws until none of its lanes is open. */
+LANES static int64_t ascent_peak_lanes(uint64_t base, int64_t first, int64_t count,
+                                       int64_t *joint)
+{
+    int64_t ties = 0, r = first;
+    for (; r + 16 <= first + count; r += 16) {
+        struct peaks a = start_peaks(base, r), b = start_peaks(base, r + 8);
+        for (int64_t n = 1; a.open | b.open; n++) {
+            if (n == 64)
+                return -1;
+            step_peaks(&a, n);
+            step_peaks(&b, n);
+        }
+        record_peaks(&a, joint, &ties);
+        record_peaks(&b, joint, &ties);
+    }
+    if (r < first + count) {
+        struct peaks a = start_peaks(base, r);
+        for (int64_t n = 1; a.open; n++) {
+            if (n == 64)
+                return -1;
+            step_peaks(&a, n);
+        }
+        record_peaks(&a, joint, &ties);
+    }
+    return ties;
 }
 #endif
 
@@ -295,11 +381,22 @@ void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
    peak T or its first tie.  joint holds 64 x 64 counts, joint[64 S + T] of
    the replicas with first ascent S and first peak T.  Returns the number
    of replicas dropped for a tie, or -1 when a replica has neither after 64
-   words. */
+   words.
+   On x86-64 CPUs with AVX-512 F and DQ, the first count - count % 8
+   replicas run in lanes (`ascent_peak_lanes`: 16 at a time, two groups of
+   8 per step, then one group of 8) and the rest by the loop below. */
 int64_t permfix_ascent_peak(uint64_t base, int64_t first, int64_t count, int64_t *joint)
 {
-    int64_t ties = 0;
-    for (int64_t r = first; r < first + count; r++) {
+    int64_t ties = 0, lanes = 0;
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (has_lanes()) {
+        lanes = count - count % 8;
+        ties = ascent_peak_lanes(base, first, lanes, joint);
+        if (ties < 0)
+            return -1;
+    }
+#endif
+    for (int64_t r = first + lanes; r < first + count; r++) {
         uint64_t s = start_state(base, r);
         uint64_t curr = next_word(&s);
         int64_t ascent = 0; /* S, 0 while unset */

@@ -11,8 +11,8 @@ doubles and as Fractions with denominator 2^53; an engine may compare the
 """
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -39,22 +39,48 @@ def scramble(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def check_seed(seed: int) -> int:
-    """seed as an int, or ValueError when it is not an integer in [0, 2^64).
+def check_integer(name: str, value: object, minimum: int) -> None:
+    """ValueError unless value is an int of at least minimum; a bool is
+    refused, though Python counts it as one.  The one type and range rule
+    for the counts of the Monte Carlo entry points and for the N of
+    `altcouplings`' exact laws."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_integers(name: str, values: Iterable[object], minimum: int) -> tuple[int, ...]:
+    """values as a tuple, read once (they may be a one-shot iterable), each
+    checked by `check_integer`; ValueError when values is not iterable."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable of integers") from None
+    values = tuple(items)
+    for value in values:
+        check_integer(name, value, minimum)
+    return values
+
+
+def check_seed(seed: object) -> int:
+    """seed, or ValueError when it is not an integer in [0, 2^64).
 
     The scramble reduces the seed mod 2^64, so a seed outside that range
     would silently draw the same words as the one inside it, and a bool
     would draw those of 0 or 1; every stream is checked here when it is
     made (`VectorStreams`), and by each routine whose compiled loop derives
-    its streams from the seed itself.  A numpy integer is an integer.
+    its streams from the seed itself.  The type rule is `check_integer`'s,
+    that of every count, so a numpy integer is refused.
     """
     try:
-        value = None if isinstance(seed, bool) else operator.index(seed)
-    except TypeError:
-        value = None
-    if value is None or not 0 <= value <= MASK64:
+        check_integer("seed", seed, 0)
+        valid = seed <= MASK64
+    except ValueError:
+        valid = False
+    if not valid:
         raise ValueError(f"seed must lie in the integers [0, 2^64), got {seed!r}")
-    return value
+    return seed
 
 
 def grid_cut(c: Fraction | float) -> int:

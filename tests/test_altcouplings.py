@@ -1,4 +1,5 @@
 """Mallows bit-chain and ascent/peak couplings."""
+import contextlib
 import itertools
 import math
 import shutil
@@ -44,6 +45,22 @@ def on_eighths(monkeypatch):
     vector_words = VectorStreams.next_words
     monkeypatch.setattr(Stream, "uniform", lambda self: math.floor(scalar_uniform(self) * 8) / 8)
     monkeypatch.setattr(VectorStreams, "next_words", lambda self: vector_words(self) & np.uint64(7 << 61))
+
+
+@contextlib.contextmanager
+def three_bit_loops(monkeypatch, tmp_path):
+    """The loops built with 3-bit words, in a cache under tmp_path, so the
+    compiled loops compare on the 1/8 grid of `on_eighths`; every patch of
+    monkeypatch is undone on leaving."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "BUILD", (native.BUILD[0], "-DWORD_BITS=3", *native.BUILD[1:]))
+    native.library.cache_clear()
+    try:
+        assert native.library() is not None
+        yield
+    finally:
+        monkeypatch.undo()
+        native.library.cache_clear()
 
 
 def scalar_batch(seed, samples, ns=()):
@@ -289,15 +306,8 @@ class TestAscentPeakBatch:
         expected = scalar_batch(seed, 2000)
         assert expected.ties > 0
         assert on_numpy(lambda: ascent_peak_batch(2000, seed), monkeypatch) == expected
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(native, "BUILD", (native.BUILD[0], "-DWORD_BITS=3", *native.BUILD[1:]))
-        native.library.cache_clear()
-        try:
-            assert native.library() is not None
+        with three_bit_loops(monkeypatch, tmp_path):
             assert ascent_peak_batch(2000, seed) == expected
-        finally:
-            monkeypatch.undo()
-            native.library.cache_clear()
 
     def test_repeated_n_counted_once(self):
         assert ascent_peak_batch(1000, seed=3, ns=(4, 4, 5)) == ascent_peak_batch(1000, seed=3, ns=(4, 5))
@@ -412,7 +422,9 @@ class TestEngineEquivalence:
     results.  Replica r reads stream (seed, r) in every engine, so a run of
     fewer replicas is a prefix of one of more."""
 
-    @pytest.mark.parametrize("samples", [1, 3, 61, 20_000])
+    # 7 .. 33 replicas: at the edges of the compiled loop's groups of 8
+    # lanes and of its steps of two groups
+    @pytest.mark.parametrize("samples", [1, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 61, 20_000])
     @pytest.mark.parametrize("seed", [0, TOP_SEED])
     def test_ascent_peak(self, compiled, monkeypatch, seed, samples):
         ns = (1, 63)
@@ -452,7 +464,9 @@ class TestShares:
             m.setattr(native, "cpus", lambda: k)
             return routine()
 
-    @pytest.mark.parametrize("samples", [1, 3, 61, 20_000])
+    # 1,003 replicas: no share after the first starts at a multiple of 8
+    # (see test_mallows)
+    @pytest.mark.parametrize("samples", [1, 3, 61, 1003, 20_000])
     @pytest.mark.parametrize("seed", [0, TOP_SEED])
     def test_ascent_peak(self, compiled, monkeypatch, seed, samples):
         results = [
@@ -475,16 +489,25 @@ class TestShares:
             except TieEncountered:
                 tied.add(r * 8 // samples)  # its share of eight
         assert len(tied) > 1
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(native, "BUILD", (native.BUILD[0], "-DWORD_BITS=3", *native.BUILD[1:]))
-        native.library.cache_clear()
-        try:
-            assert native.library() is not None
+        with three_bit_loops(monkeypatch, tmp_path):
             for k in (1, 2, 3, 8):
                 assert self.on_cpus(k, lambda: ascent_peak_batch(samples, seed), monkeypatch) == expected
-        finally:
-            monkeypatch.undo()
-            native.library.cache_clear()
+
+    def test_ascent_peak_ragged_shares_on_three_bit_words(self, compiled, monkeypatch, tmp_path):
+        # on the 1/8 grid about 3 replicas in 10 tie: 17 replicas on one
+        # share run two groups of lanes and one replica on the scalar loop,
+        # and 1,003 on three shares run 328 lanes and 6 or 7 scalar
+        # replicas each, so tied lanes, peaked lanes and the remainder meet
+        # in one call
+        seed = 17
+        on_eighths(monkeypatch)
+        expected = {samples: scalar_batch(seed, samples, ns=(2, 4)) for samples in (17, 1003)}
+        assert all(batch.ties > 0 and batch.samples > 0 for batch in expected.values())
+        with three_bit_loops(monkeypatch, tmp_path):
+            for samples, batch in expected.items():
+                for k in (1, 3):
+                    run = lambda: ascent_peak_batch(samples, seed, ns=(2, 4))
+                    assert self.on_cpus(k, run, monkeypatch) == batch
 
     # 1,003 replicas: 501 + 502 on 2 CPUs and 334 + 334 + 335 on 3, so no
     # share after the first starts at a multiple of 8 and every share ends

@@ -137,9 +137,10 @@ class TestRunConfig:
             RunConfig(N=8, horizon=10, replicas=2, seed=0, checkpoints=(p for p in (2, 2.5)))
 
     @pytest.mark.parametrize("seed", [np.int64(1), np.uint64((1 << 64) - 1)])
-    def test_seed_is_stored_as_an_int(self, seed):
-        cfg = RunConfig(N=8, horizon=3, replicas=2, seed=seed)
-        assert type(cfg.seed) is int and cfg.seed == int(seed)
+    def test_numpy_integer_seed_is_refused(self, seed):
+        # the seed's type rule is that of the counts (`check_integer`)
+        with pytest.raises(ValueError, match="seed must lie in"):
+            RunConfig(N=8, horizon=3, replicas=2, seed=seed)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="N must be >= 5"):

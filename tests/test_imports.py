@@ -199,7 +199,7 @@ def restated_integer_checks(source: str) -> list[str]:
 
 
 def test_one_rule_checks_each_count():
-    # every count's type and minimum is `coupling.check_integer`'s to check
+    # every count's type and minimum is `rng.check_integer`'s to check
     assert [f for p in SOURCES for f in restated_integer_checks(p.read_text())] == []
 
 

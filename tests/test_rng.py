@@ -83,9 +83,12 @@ def test_keep_and_skip_continue_the_scalar_streams(seed, first, count, k, mask):
         assert vector.next_words().tolist() == [s.next_word() for s in kept]
 
 
-@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64), True, False, 1.0, 2.5, "1", None])
+@pytest.mark.parametrize(
+    "seed", [-1, 1 << 64, -(1 << 64), True, False, 1.0, 2.5, "1", None, np.int64(1), np.uint64(MASK64)],
+)
 def test_check_seed_rejects_seeds_outside_64_bits(seed):
-    # a bool would draw the words of 0 or 1, so it is no seed
+    # a bool would draw the words of 0 or 1, so it is no seed; a numpy
+    # integer is refused, as it is for every count (`check_integer`)
     with pytest.raises(ValueError, match="seed must lie in"):
         check_seed(seed)
 
@@ -93,7 +96,6 @@ def test_check_seed_rejects_seeds_outside_64_bits(seed):
 def test_check_seed_accepts_the_64_bit_range():
     assert check_seed(0) == 0
     assert check_seed(MASK64) == MASK64
-    assert type(check_seed(np.uint64(MASK64))) is int
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
