@@ -36,9 +36,9 @@ import numpy as np
 
 from . import native
 from .coupling import plugin_sigma
-from .exactdist import ExactDist
+from .exactdist import ExactDist, check_integer, check_integers
 from .perms import check_guard
-from .rng import VectorStreams, check_integer, check_integers, check_seed, grid_cut, scramble
+from .rng import VectorStreams, check_seed, grid_cut, scramble
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +85,10 @@ def _mallows_differ_numpy(streams: VectorStreams, N: int, K: int, cuts: np.ndarr
     if N == 1:
         prev = np.ones(len(streams.states), dtype=bool)
     else:
-        prev = (streams.next_words() >> 11) < cuts[N - 1]
+        prev = streams.words() < cuts[N - 1]
     diff = prev.astype(np.int64)  # S_N - S_K, accumulated from X_N on
     for n in range(N + 1, K + 1):
-        bit = (streams.next_words() >> 11) < cuts[n - 1]
+        bit = streams.words() < cuts[n - 1]
         diff -= prev & bit
         prev = bit
     return int(np.count_nonzero(diff))
@@ -185,9 +185,9 @@ def _ascent_peak_numpy(streams: VectorStreams, joint: np.ndarray) -> int:
     ties = 0
     s_live = np.zeros(len(streams.states), dtype=np.int8)  # S of each live replica, 0 while unset
     rose = np.zeros(len(streams.states), dtype=bool)  # U_{n-1} < U_n
-    j_curr = streams.next_words() >> 11
+    j_curr = streams.words()
     for n in range(1, 64):  # P[T > 63] <= 2^63/64!: never reached in practice
-        j_next = streams.next_words() >> 11
+        j_next = streams.words()
         asc = j_curr < j_next
         s_live[(s_live == 0) & asc] = n
         peak = rose & (j_curr > j_next)

@@ -53,9 +53,9 @@ from typing import Mapping
 import numpy as np
 
 from . import native
-from .exactdist import ExactDist, exp_interval
+from .exactdist import ExactDist, check_integer, check_integers, exp_interval
 from .kernels import CONSTANT_K, StochasticKernel, penta_moves, reversible_pair
-from .rng import TWO_NEG53, VectorStreams, check_integer, check_integers, check_seed, grid_cut
+from .rng import TWO_NEG53, VectorStreams, check_seed, grid_cut
 
 # the catalogue labels (`kernels.reversible_pair`) of X's and Y's kernels
 _SELECTOR_LABELS = {
@@ -261,10 +261,10 @@ def _block_start(
     their event bytes, the `_arrivals` of the start states."""
     cdf_x, cdf_y = tables[4:]
     streams = VectorStreams(cfg.seed, first, count)
-    j = streams.next_words() >> 11
+    j = streams.words()
     X = np.searchsorted(cdf_x, j, side="right")
     if cfg.start_mode == "independent":
-        j = streams.next_words() >> 11
+        j = streams.words()
     Y = X.copy() if cfg.start_mode == "copy_x" else np.searchsorted(cdf_y, j, side="right")
     return streams, X, Y, _event_byte(0, 0, 0, *_arrivals(X, Y))
 
@@ -297,7 +297,7 @@ def _advance_numpy(tables, events, streams, X, Y, ev, steps, path=None) -> None:
     down_x, stay_x, down_y, stay_y = tables[:4]
     size = len(down_x)
     for _ in range(steps):
-        j = streams.next_words() >> 11
+        j = streams.words()
         Xn, Yn = step(X, j, down_x, stay_x), step(Y, j, down_y, stay_y)
         ev |= events[(X * size + Y) * 9 + 3 * (X + 1 - Xn) + (Y + 1 - Yn)]
         X[:], Y[:] = Xn, Yn
@@ -472,8 +472,7 @@ def drift_certificate(N: int, which: str = "R") -> DriftCertificate:
     R_tilde the rate theta is the best of the grid 1, 1/2, 1/4, 1/8; any
     theta in (0, 1/2) restores a positive margin.
     """
-    if N < 5:
-        raise ValueError("N must be >= 5")
+    check_integer("N", N, 5)
     if which not in CONSTANT_K:
         raise ValueError("which must be 'R' or 'R_tilde'")
     if which == "R":
@@ -483,7 +482,7 @@ def drift_certificate(N: int, which: str = "R") -> DriftCertificate:
     return max((_drift_for(N, which, t) for t in thetas), key=lambda cert: cert.c_est)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so a bool or a float misses it and is refused
 def _c_hat(N: int) -> float:
     """c_hat, the smaller of the certified R and R_tilde rates, once per N."""
     return float(min(drift_certificate(N, which).c_est for which in ("R", "R_tilde")))
@@ -504,6 +503,7 @@ def assemble_tv_bound(N: int, n: int, estimates: Aggregates | None = None) -> TV
     """5 * 2^N n / N! + 2 e^{1 - c_hat n / N^3} with c_hat the smaller of the
     R and R_tilde drift rates, plus the same bound rebuilt from empirical
     terms (Z, Z-tilde, Z-hat and both hitting tails) when provided."""
+    check_integer("n", n, 0)
     c_hat = _c_hat(N)
     linear = float(Fraction(5 * 2 ** N * n, math.factorial(N)))
     exp_term = 2 * math.exp(min(1.0 - c_hat * n / N ** 3, 700.0))

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -46,6 +46,31 @@ from typing import Union
 
 class PrecisionInsufficient(ArithmeticError):
     """Raised when a requested quantity is not resolved at the working precision."""
+
+
+def check_integer(name: str, value: object, minimum: int) -> None:
+    """ValueError unless value is an int of at least minimum; a bool is
+    refused, though Python counts it as one.  The one type and range rule
+    for every size and count the package takes: N, k, n_max, k_max and
+    digits here and in the other exact modules, and the counts of the
+    Monte Carlo entry points."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_integers(name: str, values: Iterable[object], minimum: int) -> tuple[int, ...]:
+    """values as a tuple, read once (they may be a one-shot iterable), each
+    checked by `check_integer`; ValueError when values is not iterable."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable of integers") from None
+    values = tuple(items)
+    for value in values:
+        check_integer(name, value, minimum)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +119,7 @@ def exp_interval(x: Fraction | int, digits: int) -> Interval:
     a = abs(a)
     if a > b:
         raise ValueError("exp_interval needs |x| <= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    check_integer("digits", digits, 1)
     scale = 10 ** digits
     s, den, power = 1, 1, 1  # s_k, b^k k!, a^k
     k = 0
@@ -112,7 +136,7 @@ def exp_interval(x: Fraction | int, digits: int) -> Interval:
     return Interval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so a bool or a float misses it and is refused
 def inv_e_interval(digits: int) -> Interval:
     """Rational enclosure of e^{-1} of width below 10^-digits."""
     return exp_interval(-1, digits)
@@ -121,6 +145,7 @@ def inv_e_interval(digits: int) -> Interval:
 def enclosure_digits(N: int) -> int:
     """Digits of e^{-1} that resolve 2^N/(N+1)!, about 10^{-N log10 N}: that
     many plus a 20-digit guard, and never fewer than 50."""
+    check_integer("N", N, 0)
     return max(50, math.ceil(N * math.log10(max(N, 1))) + 20)
 
 
@@ -132,8 +157,7 @@ def derangements(n_max: int) -> tuple[int, ...]:
     """Exact derangement counts D_0 .. D_{n_max}, by D_n = n D_{n-1} + (-1)^n
     from D_0 = 1 (the alternating sum D_n = n! sum_{k<=n} (-1)^k / k!,
     multiplied by n!)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_integer("n_max", n_max, 0)
     vals = [1]
     for n in range(1, n_max + 1):
         vals.append(n * vals[-1] + (-1 if n & 1 else 1))
@@ -253,8 +277,7 @@ def fixed_point_pmf(N: int) -> ExactDist:
     pi(x) = C(N, x) D_{N-x} / N!, that is D_{N-x} / ((N-x)! x!); the
     impossible value N-1 carries weight 0 and is omitted from the support.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_integer("N", N, 1)
     table = derangements(N)
     return ExactDist(
         math.factorial(N), {x: math.comb(N, x) * table[N - x] for x in range(N + 1)}
@@ -263,8 +286,7 @@ def fixed_point_pmf(N: int) -> ExactDist:
 
 def pi_conditioned(N: int) -> ExactDist:
     """The fixed-point law conditioned on [0, N-4]."""
-    if N < 5:
-        raise ValueError("conditioning needs N >= 5")
+    check_integer("N", N, 5)
     return fixed_point_pmf(N).restrict(0, N - 4)
 
 
@@ -284,15 +306,13 @@ class PoissonRef:
     digits: int
 
     def __post_init__(self) -> None:
-        if self.digits < 1:
-            raise ValueError("digits must be >= 1")
+        check_integer("digits", self.digits, 1)
 
 
 def poisson_pmf(k_max: int, digits: int | None = None) -> PoissonRef:
     """Poisson(1) with an e^{-1} enclosure of `enclosure_digits(k_max)`
     digits, or of `digits` when given."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    check_integer("k_max", k_max, 0)
     return PoissonRef(enclosure_digits(k_max) if digits is None else digits)
 
 
@@ -302,16 +322,14 @@ def poisson_truncated(k_max: int) -> ExactDist:
 
     This is the law called zeta when k_max = N - 4.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    check_integer("k_max", k_max, 0)
     nums = {x: math.perm(k_max, k_max - x) for x in range(k_max + 1)}
     return ExactDist(sum(nums.values()), nums)
 
 
 def zeta_law(N: int) -> ExactDist:
     """Poisson(1) conditioned on [0, N-4]."""
-    if N < 4:
-        raise ValueError("zeta needs N >= 4")
+    check_integer("N", N, 4)
     return poisson_truncated(N - 4)
 
 
@@ -388,8 +406,7 @@ def tv_bracket(N: int) -> tuple[Fraction, Fraction]:
 
     lower = N/(N+2) * 2^{N+1}/(N+1)!,  upper = (2^{N+1} - 1)/(N+1)!.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_integer("N", N, 1)
     fact = math.factorial(N + 1)
     lower = Fraction(N, N + 2) * Fraction(2 ** (N + 1), fact)
     upper = Fraction(2 ** (N + 1) - 1, fact)
@@ -402,8 +419,7 @@ def log_rate(N: int) -> float:
     The distance is computed against `poisson_pmf(N)`, whose e^{-1} enclosure
     has `enclosure_digits(N)` digits.
     """
-    if N < 4:
-        raise ValueError("log_rate needs N >= 4")
+    check_integer("N", N, 4)
     return log_rate_from_tv(N, tv_distance(fixed_point_pmf(N), poisson_pmf(N), "total"))
 
 

@@ -38,6 +38,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from .exactdist import (
     ExactDist,
+    check_integer,
     checked_weights,
     derangements,
     fixed_point_pmf,
@@ -51,6 +52,7 @@ from .perms import check_guard, fixed_point_sums
 
 def state_space(N: int) -> tuple[int, ...]:
     """V = [0, N-2] u {N}: the values eta_1 can take (N-1 is impossible)."""
+    check_integer("N", N, 0)
     return tuple(range(N - 1)) + (N,)
 
 
@@ -202,8 +204,7 @@ class PFunction:
 
 def p_bruteforce(N: int) -> PFunction:
     """p by full enumeration of S_N (guarded: N! permutations)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_integer("N", N, 1)
     check_guard(N, 8, "p_bruteforce")
     count, two_cycles = fixed_point_sums(N)
     values = {x: Fraction(two_cycles[x], c) for x, c in enumerate(count) if c}
@@ -213,8 +214,7 @@ def p_bruteforce(N: int) -> PFunction:
 def p_closedform(N: int) -> PFunction:
     """p(x) = (1/2) (D_{N-x-2} / (N-x-2)!) ((N-x)! / D_{N-x}) for x <= N-2,
     that is D_{m-2} m(m-1) / (2 D_m) with m = N-x: one `Fraction` per x."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_integer("N", N, 1)
     table = derangements(N)
     values: dict[int, Fraction] = {N: Fraction(0)}
     for x in range(N - 1):
@@ -241,8 +241,7 @@ def p_recursion(N: int) -> PFunction:
     The third route to p, independent of the other two; `permfix kernel`
     and the acceptance tests check it against the closed form.
     """
-    if N < 4:
-        raise ValueError("the recursion needs N >= 4")
+    check_integer("N", N, 4)
     k: dict[int, Fraction] = {N - 3: Fraction(0)}
     for x in range(N - 4, -1, -1):
         k[x] = recursion_map(N, x, k[x + 1])
@@ -314,6 +313,7 @@ def build_penta(N: int, p: PFunction) -> StochasticKernel:
     (p(N-3) = 0 kills (N-3, N-1), p(N-2) = 1 kills (N-2, N-1), p(N) = 0
     kills both upward moves from N).
     """
+    check_integer("N", N, 1)
     if p.N != N:
         raise ValueError("p was built for a different N")
     V = state_space(N)
@@ -324,6 +324,7 @@ def build_tridiag_tilde(N: int, p: PFunction) -> StochasticKernel:
     """P~ : the birth-and-death kernel keeping only the moves of P between
     neighbours of V, so the size-two move between N-2 and N stays (N-1 is
     not a state); removed weight goes to the diagonal."""
+    check_integer("N", N, 1)
     if p.N != N:
         raise ValueError("p was built for a different N")
     V = state_space(N)
@@ -339,8 +340,7 @@ def hat_ordering(N: int) -> tuple[int, ...]:
     neighbor moves of the reordered chain are exactly the size-two moves of
     P plus the 0-1 edge that keeps it irreducible.
     """
-    if N < 4:
-        raise ValueError("the hat ordering needs N >= 4")
+    check_integer("N", N, 4)
     head = (N - 1) // 2
     z = tuple(N - 3 - 2 * i for i in range(head)) + tuple(
         2 + 2 * i - N for i in range(head, N)
@@ -381,8 +381,7 @@ def restricted_kernel(N: int, label: str) -> StochasticKernel:
     """
     if label not in RESTRICTED_LABELS:
         raise ValueError(f"label must be one of {RESTRICTED_LABELS}")
-    if N < 5:
-        raise ValueError("the restricted kernels need N >= 5")
+    check_integer("N", N, 5)
     states = tuple(range(N - 3))
     if label == "P_check":
         p = p_closedform(N)
@@ -404,8 +403,7 @@ def poisson_reversible_penta(N: int) -> StochasticKernel:
     N-x-1 and 1 (size one and two), down-rates x(N-x) and x(x-1).  The
     truncation of Poisson(1) to [0, N] is exactly reversible for it.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    check_integer("N", N, 2)
     states = tuple(range(N + 1))
     inside = {y: y for y in states}
     moves = (_relabelled(penta_moves(N, x, 1), inside) for x in states)

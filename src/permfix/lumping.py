@@ -38,7 +38,7 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from . import kernels
-from .exactdist import ExactDist, checked_weights, over_one_denominator
+from .exactdist import ExactDist, check_integer, checked_weights, over_one_denominator
 from .kernels import StochasticKernel
 from .perms import (
     CycleType,
@@ -185,8 +185,7 @@ def dynkin_check(chain: PartitionedChain) -> dict[tuple[Hashable, Hashable], boo
 def transposition_walk(N: int) -> StochasticKernel:
     """The random-transposition walk on S_N, T(sigma, tau sigma) = 2/(N(N-1)),
     on the lexicographic ranks range(N!): rank r is row r of the table."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    check_integer("N", N, 2)
     check_guard(N, 8, "transposition_walk")
     moves = np.column_stack(list(transposition_ranks(permutation_table(N))))  # [sigma, (a b)]
     den = N * (N - 1) // 2
@@ -196,6 +195,7 @@ def transposition_walk(N: int) -> StochasticKernel:
 
 def uniform_on_permutations(N: int) -> ExactDist:
     """The uniform law on S_N, on the lexicographic ranks (guarded: N! states)."""
+    check_integer("N", N, 0)
     check_guard(N, 8, "uniform_on_permutations")
     size = math.factorial(N)
     return ExactDist(size, dict.fromkeys(range(size), 1))
@@ -284,8 +284,7 @@ def cycle_type_chain(N: int) -> PartitionedChain:
     invariant law and the eta_1 partition.  The guard bounds the number of
     cycle types (22 at N = 8); no walk on N! states is built.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    check_integer("N", N, 2)
     check_guard(N, 8, "cycle_type_chain")
     types = all_cycle_types(N)
     kernel = StochasticKernel(types, [_cycle_type_row(t) for t in types], label=f"Q_cycle_{N}")

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactdist import Interval, enclosure_digits, fixed_point_pmf, inv_e_interval
+from .exactdist import Interval, check_integer, enclosure_digits, fixed_point_pmf, inv_e_interval
 from .kernels import p_closedform, state_space
 from .perms import check_guard, fixed_point_sums
 
 
 def bell_numbers(k_max: int) -> list[int]:
     """Bell numbers B_0..B_{k_max} by the Bell triangle (exact integers)."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    check_integer("k_max", k_max, 0)
     bells = [1]
     row = [1]
     for _ in range(k_max):
@@ -37,8 +36,10 @@ def bell_numbers(k_max: int) -> list[int]:
 def falling_moment(N: int, k: int) -> Fraction:
     """E[F_k] under pi_N, computed from the exact law as one integer sum
     over its denominator; equals 1 for k <= N."""
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
+    check_integer("N", N, 1)
+    check_integer("k", k, 0)
+    if k > N:
+        raise ValueError("k must be <= N")
     den, nums = fixed_point_pmf(N).integer_weights
     return Fraction(sum(n * math.perm(x, k) for x, n in nums.items()), den)
 
@@ -49,8 +50,7 @@ def raw_moment_equality(N: int, k: int) -> tuple[Fraction, int, bool]:
     The Bell number is the k-th raw moment of Poisson(1); the two agree for
     all k <= N and must differ at k = N + 1.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_integer("k", k, 0)
     den, nums = fixed_point_pmf(N).integer_weights
     moment = Fraction(sum(n * x ** k for x, n in nums.items()), den)
     bell = bell_numbers(k)[k]
@@ -60,15 +60,19 @@ def raw_moment_equality(N: int, k: int) -> tuple[Fraction, int, bool]:
 def eta2_fk(N: int, k: int) -> Fraction:
     """E[eta_2 F_k] under the uniform law on S_N: 1/2 for k <= N-2 and 0
     for k in {N-1, N}."""
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
+    check_integer("N", N, 0)
+    check_integer("k", k, 0)
+    if k > N:
+        raise ValueError("k must be <= N")
     return Fraction(1, 2) if k <= N - 2 else Fraction(0)
 
 
 def eta2_fk_bruteforce(N: int, k: int) -> Fraction:
     """`eta2_fk` summed over all of S_N (guarded at N = 8)."""
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
+    check_integer("N", N, 0)
+    check_integer("k", k, 0)
+    if k > N:
+        raise ValueError("k must be <= N")
     check_guard(N, 8, "eta2_fk_bruteforce")
     _, two_cycles = fixed_point_sums(N)
     total = sum(t * math.perm(x, k) for x, t in enumerate(two_cycles))
@@ -97,8 +101,7 @@ class GramMatrix:
 
 def gram(N: int) -> GramMatrix:
     """Closed-form Gram matrix: G_{k,l} = k! sum_{r=0}^{k ^ (N-l)} C(l, k-r)/r! for k <= l."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_integer("N", N, 1)
     idx = state_space(N)
     entries = []
     for k in idx:
@@ -114,6 +117,7 @@ def gram(N: int) -> GramMatrix:
 
 def gram_bruteforce(N: int) -> GramMatrix:
     """E[F_k F_l] by enumeration of S_N (the oracle for the closed form)."""
+    check_integer("N", N, 0)
     check_guard(N, 7, "gram_bruteforce")
     idx = state_space(N)
     hist, _ = fixed_point_sums(N)
@@ -171,8 +175,7 @@ class CoefficientSystems:
 
 def coefficient_systems(N: int) -> CoefficientSystems:
     """Solve the Gram system for a and verify f = 2p exactly on V."""
-    if N < 4:
-        raise ValueError("N must be >= 4")
+    check_integer("N", N, 4)
     G = gram(N)
     idx = G.indices
     a = solve_exact(G.entries, [2 * eta2_fk(N, k) for k in idx])

@@ -14,18 +14,18 @@ On x86-64, each of the three loops also holds a body that moves one
 replica per 64-bit lane of AVX-512, with SplitMix64 by lane multiplies
 (helpers shared by all three).  `advance_lanes` moves two groups of 8
 replicas per step, so that each group's gathers of cuts and event bytes
-overlap the other's, while 16 or more remain, then one group of 8;
-`ascent_peak_lanes` runs the same ladder, each lane drawing until
-its peak or its tie and each group until none of its lanes is open;
+overlap the other's, over the largest multiple of 16 replicas of the call;
+`ascent_peak_lanes` does the same, each lane drawing until its peak or its
+tie and each pair of groups until none of its lanes is open;
 `mallows_lanes` moves 8 replicas at a time against one broadcast cut per
-bit, with no gather.  They are compiled for AVX-512 F and DQ whatever the
-build flags, and taken only when the CPU reports both
-(`__builtin_cpu_supports`), over the largest multiple of 8 replicas of the
-call; the advance takes its lanes only when the run settles nothing.  The
-rest, settling runs (r-r), other CPUs and other architectures take the
-one-replica loops.  Settling stays there because a settled replica leaves
-its loop at once, while a lane would run on until its 7 neighbours settle.
-Both leave every replica alike.
+bit, with no gather, over the largest multiple of 8.  They are compiled
+for AVX-512 F and DQ whatever the build flags, and taken only when the CPU
+reports both (`__builtin_cpu_supports`); the advance takes its lanes only
+when the run settles nothing.  The rest of the replicas, settling runs
+(r-r), other CPUs and other architectures take the one-replica loops.
+Settling stays there because a settled replica leaves its loop at once,
+while a lane would run on until its 7 neighbours settle.  Both leave every
+replica alike.
 
 Nothing is compiled at import.  The first call of `library()` in a process
 loads the library from the per-user cache $XDG_CACHE_HOME/permfix (or
@@ -193,13 +193,12 @@ INLINE void step_group(struct group *g, const struct tables *t)
 }
 
 /* permfix_advance's moves with settle = 0 for count replicas, a multiple
-   of 8: two groups of 8 per step loop, so that each group's gathers
-   overlap the other's, while 16 or more replicas remain; then one group. */
+   of 16: two groups of 8 per step loop, so that each group's gathers
+   overlap the other's. */
 LANES static void advance_lanes(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
                                 int64_t count, int64_t steps, const struct tables *t)
 {
-    int64_t r = 0;
-    for (; r + 16 <= count; r += 16) {
+    for (int64_t r = 0; r < count; r += 16) {
         struct group a = load_group(states + r, xs + r, ys + r, evs + r);
         struct group b = load_group(states + r + 8, xs + r + 8, ys + r + 8, evs + r + 8);
         for (int64_t k = 0; k < steps; k++) {
@@ -208,12 +207,6 @@ LANES static void advance_lanes(uint64_t *states, int64_t *xs, int64_t *ys, uint
         }
         store_group(a, states + r, xs + r, ys + r, evs + r);
         store_group(b, states + r + 8, xs + r + 8, ys + r + 8, evs + r + 8);
-    }
-    if (r < count) {
-        struct group a = load_group(states + r, xs + r, ys + r, evs + r);
-        for (int64_t k = 0; k < steps; k++)
-            step_group(&a, t);
-        store_group(a, states + r, xs + r, ys + r, evs + r);
     }
 }
 
@@ -292,15 +285,14 @@ INLINE void record_peaks(const struct peaks *g, int64_t *joint, int64_t *ties)
 }
 
 /* permfix_ascent_peak for count replicas first .. first + count - 1,
-   count a multiple of 8 (first any), one replica per lane: two groups of 8
-   per step loop, so that each group's words and loop exit overlap the
-   other's, while 16 or more replicas remain; then one group.  A group
-   draws until none of its lanes is open. */
+   count a multiple of 16 (first any), one replica per lane: two groups of
+   8 per step loop, so that each group's words and loop exit overlap the
+   other's.  A pair of groups draws until none of its lanes is open. */
 LANES static int64_t ascent_peak_lanes(uint64_t base, int64_t first, int64_t count,
                                        int64_t *joint)
 {
-    int64_t ties = 0, r = first;
-    for (; r + 16 <= first + count; r += 16) {
+    int64_t ties = 0;
+    for (int64_t r = first; r < first + count; r += 16) {
         struct peaks a = start_peaks(base, r), b = start_peaks(base, r + 8);
         for (int64_t n = 1; a.open | b.open; n++) {
             if (n == 64)
@@ -310,15 +302,6 @@ LANES static int64_t ascent_peak_lanes(uint64_t base, int64_t first, int64_t cou
         }
         record_peaks(&a, joint, &ties);
         record_peaks(&b, joint, &ties);
-    }
-    if (r < first + count) {
-        struct peaks a = start_peaks(base, r);
-        for (int64_t n = 1; a.open; n++) {
-            if (n == 64)
-                return -1;
-            step_peaks(&a, n);
-        }
-        record_peaks(&a, joint, &ties);
     }
     return ties;
 }
@@ -334,10 +317,10 @@ LANES static int64_t ascent_peak_lanes(uint64_t base, int64_t first, int64_t cou
    settled: every later move keeps x = y and sets no bit its byte lacks, so
    the loop leaves it before drawing its next word.
    On x86-64 CPUs with AVX-512 F and DQ, runs with settle = 0 move the
-   first count - count % 8 replicas in lanes (`advance_lanes`: 16 at a
-   time, two groups of 8 per step, then one group of 8) and the rest by
-   the loop below.  Settling runs stay on that loop: its replicas leave
-   one by one, and a lane could not leave before its 7 neighbours. */
+   first count - count % 16 replicas in lanes (`advance_lanes`: 16 at a
+   time, two groups of 8 per step) and the rest by the loop below.
+   Settling runs stay on that loop: its replicas leave one by one, and a
+   lane could not leave before its 7 neighbours. */
 void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
                      int64_t count, int64_t steps,
                      const uint64_t *down_x, const uint64_t *stay_x,
@@ -350,7 +333,7 @@ void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
         const uintptr_t lead = (uintptr_t)events & 3;
         const struct tables t = {down_x, stay_x, down_y, stay_y,
                                  (const void *)((uintptr_t)events - lead), (int64_t)lead, size};
-        first = count - count % 8;
+        first = count - count % 16;
         advance_lanes(states, xs, ys, evs, first, steps, &t);
     }
 #endif
@@ -382,15 +365,15 @@ void permfix_advance(uint64_t *states, int64_t *xs, int64_t *ys, uint8_t *evs,
    the replicas with first ascent S and first peak T.  Returns the number
    of replicas dropped for a tie, or -1 when a replica has neither after 64
    words.
-   On x86-64 CPUs with AVX-512 F and DQ, the first count - count % 8
+   On x86-64 CPUs with AVX-512 F and DQ, the first count - count % 16
    replicas run in lanes (`ascent_peak_lanes`: 16 at a time, two groups of
-   8 per step, then one group of 8) and the rest by the loop below. */
+   8 per step) and the rest by the loop below. */
 int64_t permfix_ascent_peak(uint64_t base, int64_t first, int64_t count, int64_t *joint)
 {
     int64_t ties = 0, lanes = 0;
 #if defined(__x86_64__) && defined(__GNUC__)
     if (has_lanes()) {
-        lanes = count - count % 8;
+        lanes = count - count % 16;
         ties = ascent_peak_lanes(base, first, lanes, joint);
         if (ties < 0)
             return -1;

@@ -22,6 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .exactdist import check_integer
+
 GUARD_ENV = "PERMFIX_GUARD_N"
 ROWS_PER_SLICE = 1 << 16  # rows of the table `fixed_point_sums` transposes at once; 8! < 2^16 < 9!
 
@@ -57,8 +59,7 @@ def permutation_table(N: int) -> np.ndarray:
     Built level by level: the permutations of range(k) starting with f are f
     followed by those of range(k-1), with every value >= f moved up by one.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    check_integer("N", N, 0)
     table = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, N + 1):
         m = len(table)

@@ -12,9 +12,10 @@ doubles and as Fractions with denominator 2^53; an engine may compare the
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
+
+from .exactdist import check_integer
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -37,30 +38,6 @@ def scramble(value: int) -> int:
     z = ((z ^ (z >> 30)) * MIX1) & MASK64
     z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return z ^ (z >> 31)
-
-
-def check_integer(name: str, value: object, minimum: int) -> None:
-    """ValueError unless value is an int of at least minimum; a bool is
-    refused, though Python counts it as one.  The one type and range rule
-    for the counts of the Monte Carlo entry points and for the N of
-    `altcouplings`' exact laws."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-
-
-def check_integers(name: str, values: Iterable[object], minimum: int) -> tuple[int, ...]:
-    """values as a tuple, read once (they may be a one-shot iterable), each
-    checked by `check_integer`; ValueError when values is not iterable."""
-    try:
-        items = iter(values)
-    except TypeError:
-        raise ValueError(f"{name} must be an iterable of integers") from None
-    values = tuple(items)
-    for value in values:
-        check_integer(name, value, minimum)
-    return values
 
 
 def check_seed(seed: object) -> int:
@@ -128,9 +105,13 @@ class VectorStreams:
             self.states = self.states + _U_GOLDEN
             return self._scramble(self.states)
 
+    def words(self) -> np.ndarray:
+        """The 53-bit word j of the next uniform of each replica, out >> 11."""
+        return self.next_words() >> _U11
+
     def uniforms(self) -> np.ndarray:
-        """One 53-bit dyadic uniform per replica."""
-        return (self.next_words() >> _U11).astype(np.float64) * TWO_NEG53
+        """One 53-bit dyadic uniform per replica, j 2^-53."""
+        return self.words().astype(np.float64) * TWO_NEG53
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the rows a boolean mask selects; the others stop advancing."""

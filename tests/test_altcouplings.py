@@ -422,8 +422,8 @@ class TestEngineEquivalence:
     results.  Replica r reads stream (seed, r) in every engine, so a run of
     fewer replicas is a prefix of one of more."""
 
-    # 7 .. 33 replicas: at the edges of the compiled loop's groups of 8
-    # lanes and of its steps of two groups
+    # 7 .. 33 replicas: at the edges of the compiled loop's steps of two
+    # groups of 8 lanes
     @pytest.mark.parametrize("samples", [1, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 61, 20_000])
     @pytest.mark.parametrize("seed", [0, TOP_SEED])
     def test_ascent_peak(self, compiled, monkeypatch, seed, samples):
@@ -496,7 +496,7 @@ class TestShares:
     def test_ascent_peak_ragged_shares_on_three_bit_words(self, compiled, monkeypatch, tmp_path):
         # on the 1/8 grid about 3 replicas in 10 tie: 17 replicas on one
         # share run two groups of lanes and one replica on the scalar loop,
-        # and 1,003 on three shares run 328 lanes and 6 or 7 scalar
+        # and 1,003 on three shares run 320 lanes and 14 or 15 scalar
         # replicas each, so tied lanes, peaked lanes and the remainder meet
         # in one call
         seed = 17

@@ -821,11 +821,10 @@ def advance_numpy_settling(tables, events, streams, X, Y, ev, steps):
 
 class TestLanes:
     """Where the CPU has AVX-512 F and DQ, the compiled advance moves the
-    first count - count % 8 replicas of a non-settling run in lanes, two
-    groups of 8 per step while 16 or more remain, then one group of 8, and
-    the rest one by one; settling runs (r-r) move one by one everywhere.
-    Every replica ends as the numpy advance leaves it, held where it
-    settled."""
+    first count - count % 16 replicas of a non-settling run in lanes, two
+    groups of 8 per step, and the rest one by one; settling runs (r-r)
+    move one by one everywhere.  Every replica ends as the numpy advance
+    leaves it, held where it settled."""
 
     @pytest.mark.parametrize("N", [5, 8, 30, 200])  # N = 200: the 349 KB event table
     @pytest.mark.parametrize("replicas", [1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 61])
@@ -849,8 +848,8 @@ class TestLanes:
         # the lanes read the event table by aligned dwords; a table starting
         # at any byte of one gives the same bytes.  At N = 8 every group of 8
         # replicas reaches the top pair of states, whose entries end the
-        # table: 17 and 33 replicas run both groups of the 16-replica body,
-        # 25 the one-group body after it
+        # table: 17, 25 and 33 replicas run both groups of the 16-replica
+        # body once or twice, and 1 or 9 replicas one by one after it
         for replicas in (17, 25, 33):
             cfg = RunConfig(N=8, horizon=0, replicas=replicas, seed=3, selector="pcheck-rtilde")
             tables, events = coupling._grid_tables(cfg), coupling._event_table(cfg.N)

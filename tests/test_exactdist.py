@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permfix import coupling, exactdist
+from permfix import altcouplings, coupling, exactdist, kernels, lumping, moments, perms
 from permfix.exactdist import (
     ExactDist,
     Interval,
@@ -224,6 +224,102 @@ class TestCheckedWeights:
         held = checked_weights(3, given)[1]
         given[0] = 5
         assert held == {0: 2, 1: 1}
+
+
+# (label, call, name, minimum): every public function and class that takes
+# a size or a count, called with the value under test in one argument
+SIZE_ARGUMENTS = [
+    ("derangements", derangements, "n_max", 0),
+    ("fixed_point_pmf", fixed_point_pmf, "N", 1),
+    ("pi_conditioned", pi_conditioned, "N", 5),
+    ("poisson_pmf", poisson_pmf, "k_max", 0),
+    ("poisson_pmf-digits", lambda v: poisson_pmf(4, digits=v), "digits", 1),
+    ("PoissonRef", PoissonRef, "digits", 1),
+    ("poisson_truncated", poisson_truncated, "k_max", 0),
+    ("zeta_law", zeta_law, "N", 4),
+    ("tv_bracket", tv_bracket, "N", 1),
+    ("log_rate", log_rate, "N", 4),
+    ("exp_interval", lambda v: exp_interval(-1, v), "digits", 1),
+    ("inv_e_interval", inv_e_interval, "digits", 1),
+    ("enclosure_digits", enclosure_digits, "N", 0),
+    ("state_space", kernels.state_space, "N", 0),
+    ("PFunction", lambda v: kernels.PFunction(N=v, values={}), "N", 0),
+    ("p_bruteforce", kernels.p_bruteforce, "N", 1),
+    ("p_closedform", kernels.p_closedform, "N", 1),
+    ("p_recursion", kernels.p_recursion, "N", 4),
+    ("build_penta", lambda v: kernels.build_penta(v, kernels.p_closedform(5)), "N", 1),
+    ("build_tridiag_tilde", lambda v: kernels.build_tridiag_tilde(v, kernels.p_closedform(5)), "N", 1),
+    ("hat_ordering", kernels.hat_ordering, "N", 4),
+    ("build_hat", kernels.build_hat, "N", 4),
+    ("hat_stationary", kernels.hat_stationary, "N", 4),
+    ("restricted_kernel", lambda v: kernels.restricted_kernel(v, "R"), "N", 5),
+    ("build_restricted", kernels.build_restricted, "N", 5),
+    ("poisson_reversible_penta", kernels.poisson_reversible_penta, "N", 2),
+    ("reversible_pair", lambda v: kernels.reversible_pair(v, "R_tilde"), "N", 5),
+    ("permutation_table", perms.permutation_table, "N", 0),
+    ("fixed_point_sums", perms.fixed_point_sums, "N", 0),
+    ("transposition_walk", lumping.transposition_walk, "N", 2),
+    ("uniform_on_permutations", lumping.uniform_on_permutations, "N", 0),
+    ("cycle_type_chain", lumping.cycle_type_chain, "N", 2),
+    ("permutation_chain", lumping.permutation_chain, "N", 2),
+    ("bell_numbers", moments.bell_numbers, "k_max", 0),
+    ("falling_moment-N", lambda v: moments.falling_moment(v, 0), "N", 1),
+    ("falling_moment-k", lambda v: moments.falling_moment(6, v), "k", 0),
+    ("raw_moment_equality-N", lambda v: moments.raw_moment_equality(v, 0), "N", 1),
+    ("raw_moment_equality-k", lambda v: moments.raw_moment_equality(6, v), "k", 0),
+    ("eta2_fk-N", lambda v: moments.eta2_fk(v, 0), "N", 0),
+    ("eta2_fk-k", lambda v: moments.eta2_fk(6, v), "k", 0),
+    ("eta2_fk_bruteforce-N", lambda v: moments.eta2_fk_bruteforce(v, 0), "N", 0),
+    ("eta2_fk_bruteforce-k", lambda v: moments.eta2_fk_bruteforce(6, v), "k", 0),
+    ("gram", moments.gram, "N", 1),
+    ("gram_bruteforce", moments.gram_bruteforce, "N", 0),
+    ("coefficient_systems", moments.coefficient_systems, "N", 4),
+    ("drift_certificate", coupling.drift_certificate, "N", 5),
+    ("suggested_horizon", coupling.suggested_horizon, "N", 5),
+    ("assemble_tv_bound-N", lambda v: coupling.assemble_tv_bound(v, 10), "N", 5),
+    ("assemble_tv_bound-n", lambda v: coupling.assemble_tv_bound(10, v), "n", 0),
+    ("selector_kernels", lambda v: coupling.selector_kernels(v, "r-r"), "N", 5),
+    ("RunConfig-N", lambda v: coupling.RunConfig(N=v, horizon=1, replicas=1, seed=0), "N", 5),
+    ("RunConfig-horizon", lambda v: coupling.RunConfig(N=8, horizon=v, replicas=1, seed=0), "horizon", 0),
+    ("RunConfig-replicas", lambda v: coupling.RunConfig(N=8, horizon=1, replicas=v, seed=0), "replicas", 1),
+    ("mallows_exact_pmf", altcouplings.mallows_exact_pmf, "N", 1),
+    ("mallows_discrepancy-N", lambda v: altcouplings.mallows_discrepancy(v, 10, 30, 0), "N", 1),
+    ("mallows_discrepancy-replicas", lambda v: altcouplings.mallows_discrepancy(10, v, 30, 0), "replicas", 1),
+    ("mallows_discrepancy-K", lambda v: altcouplings.mallows_discrepancy(10, 10, v, 0), "K", 11),
+    ("ascent_peak_batch-samples", lambda v: altcouplings.ascent_peak_batch(v, 0), "samples", 1),
+    ("ascent_peak_batch-ns", lambda v: altcouplings.ascent_peak_batch(10, 0, ns=(4, v)), "every N in ns", 1),
+    ("peak_tail_exact", altcouplings.peak_tail_exact, "N", 2),
+]
+
+
+class TestOneIntegerRule:
+    """`check_integer`, the one type and range rule of every size and count,
+    met at each size argument of the package."""
+
+    @pytest.mark.parametrize("value", [True, 5.0, np.int64(5), "5"], ids=["bool", "float", "numpy", "str"])
+    @pytest.mark.parametrize("call, name, minimum", [case[1:] for case in SIZE_ARGUMENTS],
+                             ids=[case[0] for case in SIZE_ARGUMENTS])
+    def test_a_non_integer_is_refused(self, call, name, minimum, value):
+        with pytest.raises(ValueError) as refused:
+            call(value)
+        assert str(refused.value) == f"{name} must be an integer"
+
+    @pytest.mark.parametrize("call, name, minimum", [case[1:] for case in SIZE_ARGUMENTS],
+                             ids=[case[0] for case in SIZE_ARGUMENTS])
+    def test_one_below_the_minimum_is_refused(self, call, name, minimum):
+        with pytest.raises(ValueError) as refused:
+            call(minimum - 1)
+        assert str(refused.value) == f"{name} must be >= {minimum}"
+
+    @pytest.mark.parametrize("call, value", [
+        (inv_e_interval, 7), (coupling.suggested_horizon, 30), (lambda v: coupling.assemble_tv_bound(v, 10), 30),
+    ], ids=["inv_e_interval", "suggested_horizon", "assemble_tv_bound"])
+    def test_a_cached_size_is_refused_after_its_int_is_cached(self, call, value):
+        # their caches key on the type too, so True, 1.0 and 1 are three keys
+        call(value)
+        for same in (float(value), np.int64(value)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(same)
 
 
 class TestIntegerBuilders:

@@ -2,9 +2,10 @@
 module imports or reads a private name of another, the package imports
 nothing beyond the standard library and its declared dependencies, it
 reads no environment variable beyond its two, one module states the rule
-for exact weights, no function restates the type or minimum of a count
-that `check_integer` checks, and every function, class and method it
-defines is named somewhere outside its own definition."""
+for exact weights, no function but `check_integer` states an integer
+minimum and none that calls it restates its type rule, and every
+function, class and method it defines is named somewhere outside its own
+definition."""
 import ast
 import re
 import sys
@@ -177,29 +178,36 @@ def _calls(node: ast.AST, name: str) -> bool:
     )
 
 
+HAND_MINIMUM = re.compile(r"must be >=|needs? N >=|needs? 0 <=")
+
+
 def restated_integer_checks(source: str) -> list[str]:
-    """The `raise ValueError(...)` whose message says "must be an integer"
-    or "must be >=", inside a function of source that calls
-    `check_integer`: a check that rule already makes."""
+    """The `raise ValueError(...)` of source that restate `check_integer`'s
+    rule: a hand-written minimum ("must be >=", "need N >=" or "need 0 <=",
+    "needs" too) in any function but `check_integer` itself, and "must be
+    an integer" in a function that calls `check_integer`, a check that
+    rule already makes.  A function that parses an integer out of text, as
+    `perms.check_guard` does its environment variable, may say "must be an
+    integer"; the CLI's `ConfigError`, which carries the field path, is no
+    `ValueError(...)` call and is not read."""
     found = []
     for func in ast.walk(ast.parse(source)):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or not any(
-            _calls(node, "check_integer") for node in ast.walk(func)
-        ):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "check_integer":
             continue
+        calls_rule = any(_calls(node, "check_integer") for node in ast.walk(func))
         for node in ast.walk(func):
             if isinstance(node, ast.Raise) and node.exc is not None and _calls(node.exc, "ValueError"):
                 text = "".join(
                     part.value for arg in node.exc.args for part in ast.walk(arg)
                     if isinstance(part, ast.Constant) and isinstance(part.value, str)
                 )
-                if "must be an integer" in text or "must be >=" in text:
+                if HAND_MINIMUM.search(text) or calls_rule and "must be an integer" in text:
                     found.append(f"{func.name} (line {node.lineno})")
     return found
 
 
 def test_one_rule_checks_each_count():
-    # every count's type and minimum is `rng.check_integer`'s to check
+    # every size's and count's type and minimum is `exactdist.check_integer`'s to check
     assert [f for p in SOURCES for f in restated_integer_checks(p.read_text())] == []
 
 
@@ -210,9 +218,17 @@ def test_a_restated_integer_check_is_caught():
         "def g(n):\n    coupling.check_integer('n', n, 0)\n"
         "    if n % 2:\n        raise ValueError('n must be an integer')\n"
         "    raise ValueError('n must be even')\n\n"
-        "def h(n):\n    if n < 1:\n        raise ValueError('n must be >= 1')\n"
+        "def h(n):\n    if n < 1:\n        raise ValueError('n must be >= 1')\n\n"
+        "def i(N):\n    if N < 5:\n        raise ValueError('conditioning needs N >= 5')\n"
+        "    if N < 4:\n        raise ValueError('the kernels need N >= 4')\n"
+        "    if not 0 <= N <= 9:\n        raise ValueError('need 0 <= N <= 9')\n\n"
+        "def check_integer(name, value, minimum):\n"
+        "    raise ValueError(f'{name} must be >= {minimum}')\n\n"
+        "def parse(raw):\n    raise ValueError('GUARD must be an integer')\n"
     )
-    assert restated_integer_checks(source) == ["f (line 4)", "g (line 9)"]
+    assert restated_integer_checks(source) == [
+        "f (line 4)", "g (line 9)", "h (line 14)", "i (line 18)", "i (line 20)", "i (line 22)",
+    ]
 
 
 def test_environment_reads_resolve_constants():

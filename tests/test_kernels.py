@@ -482,7 +482,7 @@ class TestCatalogue:
 
     @pytest.mark.parametrize("label", RESTRICTED_LABELS)
     def test_restricted_label_refused_at_n4(self, label):
-        with pytest.raises(ValueError, match="N >= 5"):
+        with pytest.raises(ValueError, match="N must be >= 5"):
             reversible_pair(4, label)
 
 

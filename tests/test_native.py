@@ -1,8 +1,9 @@
 """The shares the compiled loops run in: how `native.shares` splits the
 replicas, that it raises what any share raises after every share has
-joined, and that on one CPU it starts no thread; and the C source itself:
-that it compiles without a warning and that every loop's ctypes
-declaration has its C parameter count."""
+joined, and that on one CPU it starts no thread; the ascent/peak loop's
+-1 for an unresolved replica; and the C source itself: that it compiles
+without a warning and that every loop's ctypes declaration has its C
+parameter count."""
 import os
 import re
 import shutil
@@ -11,10 +12,12 @@ import sys
 import threading
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from permfix import altcouplings, native
 from permfix.coupling import RunConfig, run_coupling
+from permfix.rng import scramble
 
 
 def routines():
@@ -152,6 +155,57 @@ class TestLoopsInShares:
                 if name == "permfix_advance":
                     result = result.by_time
                 assert expected.setdefault(name, result) == result
+
+
+# `next_word` and `next_words_lanes` made to return the previous word plus
+# one: every replica rises from its first word on and never peaks
+RISING_WORDS = (
+    ("return scramble(*s += GOLDEN) >> (64 - WORD_BITS);", "return ++*s;"),
+    (
+        "*s = _mm512_add_epi64(*s, _mm512_set1_epi64((long long)GOLDEN));\n"
+        "    return _mm512_srli_epi64(scramble_lanes(*s), 64 - WORD_BITS);",
+        "return *s = _mm512_add_epi64(*s, _mm512_set1_epi64(1));",
+    ),
+)
+
+
+class TestUnresolvedReplica:
+    """Both compiled ascent/peak bodies, the lanes and the one-replica
+    loop, return -1 when a replica has no peak after 64 words, having
+    counted nothing, and the batch raises it."""
+
+    @pytest.fixture
+    def rising(self, monkeypatch, tmp_path):
+        """The loops built from words that only rise, in a cache under
+        tmp_path; the loaded library is dropped again on leaving."""
+        if shutil.which(native.BUILD[0]) is None:
+            pytest.skip("no C compiler")
+        source = native.SOURCE
+        for old, new in RISING_WORDS:
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(native, "SOURCE", source)
+        native.library.cache_clear()
+        try:
+            lib = native.library()
+            assert lib is not None
+            yield lib
+        finally:
+            monkeypatch.undo()
+            native.library.cache_clear()
+
+    # under 16 replicas the one-replica loop runs alone; from 16 on the
+    # lanes run first, where the CPU has them, and return before it
+    @pytest.mark.parametrize("count", [1, 7, 8, 15, 16, 17, 33])
+    def test_the_loop_returns_minus_one_and_counts_nothing(self, rising, count):
+        joint = np.zeros((64, 64), dtype=np.int64)
+        assert rising.permfix_ascent_peak(scramble(5), 3, count, joint) == -1
+        assert not joint.any()
+
+    def test_the_batch_raises(self, rising):
+        with pytest.raises(RuntimeError, match="unresolved after 64 uniforms"):
+            altcouplings.ascent_peak_batch(33, seed=5)
 
 
 class TestOneSplitPerCall:
