@@ -29,6 +29,17 @@ result.  B is one integer sum over the largest factorial it meets.
 `lumping` included: an `ExactDist`'s stored numerators, or any mapping's
 over the lcm of its denominators, so every exact sum in the package is an
 integer sum over a denominator known before the sum.
+
+The pure per-N builders, `derangements`, `fixed_point_pmf` and
+`poisson_truncated` here and `kernels.p_closedform`, are memoised by
+`lru_cache(maxsize=8, typed=True)`: one N is visited by several routes in
+a row (a log rate, a TV, p, the kernels and their laws), which then share
+one build, and eight entries keep the memory flat.  The key carries the
+argument's type, so a bool, a float or a numpy integer misses the cache and
+is refused as before.  Sharing is safe because every cached object is
+immutable: a tuple, an `ExactDist` (its `integer_weights` can be neither
+reassigned nor deleted, its numerators a read-only mapping) or a frozen
+`PFunction`.
 """
 from __future__ import annotations
 
@@ -153,6 +164,7 @@ def enclosure_digits(N: int) -> int:
 # derangement numbers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8, typed=True)  # typed, so a bool or a float misses it and is refused
 def derangements(n_max: int) -> tuple[int, ...]:
     """Exact derangement counts D_0 .. D_{n_max}, by D_n = n D_{n-1} + (-1)^n
     from D_0 = 1 (the alternating sum D_n = n! sum_{k<=n} (-1)^k / k!,
@@ -218,14 +230,22 @@ class ExactDist(Mapping[int, Fraction]):
     by one gcd, zero numerators dropped and the atoms increasing.  The law
     reads as a read-only mapping from each atom to its reduced `Fraction`
     weight, built where it is read, so two laws are equal when their
-    weights are (a dict of the same weights included).
+    weights are (a dict of the same weights included).  `integer_weights`
+    is set once, in `__init__`: assigning or deleting it afterwards raises
+    AttributeError, so a law shared by a cache stays the law it was built as.
     """
 
     __slots__ = ("integer_weights",)
 
     def __init__(self, den: int, numerators: Mapping[int, int]) -> None:
         atoms = dict(sorted(zip(map(_atom, numerators), numerators.values())))
-        self.integer_weights = checked_weights(den, atoms)
+        object.__setattr__(self, "integer_weights", checked_weights(den, atoms))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ExactDist is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ExactDist is read-only: cannot delete {name!r}")
 
     def __getitem__(self, x: int) -> Fraction:
         den, nums = self.integer_weights
@@ -271,6 +291,7 @@ def over_one_denominator(weights: Mapping) -> tuple[int, Mapping]:
     return den, {s: n * (den // d) for s, (n, d) in ratios.items()}
 
 
+@lru_cache(maxsize=8, typed=True)  # typed, so a bool or a float misses it and is refused
 def fixed_point_pmf(N: int) -> ExactDist:
     """Law of the number of fixed points of a uniform permutation of N items.
 
@@ -316,6 +337,7 @@ def poisson_pmf(k_max: int, digits: int | None = None) -> PoissonRef:
     return PoissonRef(enclosure_digits(k_max) if digits is None else digits)
 
 
+@lru_cache(maxsize=8, typed=True)  # typed, so a bool or a float misses it and is refused
 def poisson_truncated(k_max: int) -> ExactDist:
     """Poisson(1) conditioned on [0, k_max]: exactly rational, weights prop. to 1/x!,
     that is the numerators k_max!/x! over their sum.

@@ -100,8 +100,10 @@ class GramMatrix:
 
 
 def gram(N: int) -> GramMatrix:
-    """Closed-form Gram matrix: G_{k,l} = k! sum_{r=0}^{k ^ (N-l)} C(l, k-r)/r! for k <= l."""
-    check_integer("N", N, 1)
+    """Closed-form Gram matrix: G_{k,l} = k! sum_{r=0}^{k ^ (N-l)} C(l, k-r)/r! for k <= l.
+
+    N = 0 is allowed, as it is for `gram_bruteforce`: V = {0} and G = [[1]]."""
+    check_integer("N", N, 0)
     idx = state_space(N)
     entries = []
     for k in idx:

@@ -133,6 +133,18 @@ class TestExactDist:
         with pytest.raises(TypeError):
             d.integer_weights[1][0] = 2
 
+    @pytest.mark.parametrize("build", [lambda: ExactDist(4, {0: 1, 2: 3}), lambda: fixed_point_pmf(5)],
+                             ids=["constructed", "cached"])
+    def test_integer_weights_cannot_be_reassigned_or_deleted(self, build):
+        d = build()
+        before = d.integer_weights
+        with pytest.raises(AttributeError):
+            d.integer_weights = (1, {0: 1})
+        with pytest.raises(AttributeError):
+            del d.integer_weights
+        assert d.integer_weights is before
+        assert build().integer_weights == before
+
     def test_equal_by_weights(self):
         weights = {0: Fraction(1, 4), 2: Fraction(3, 4)}
         assert ExactDist(4, {0: 1, 2: 3}) == weights
@@ -271,7 +283,7 @@ SIZE_ARGUMENTS = [
     ("eta2_fk-k", lambda v: moments.eta2_fk(6, v), "k", 0),
     ("eta2_fk_bruteforce-N", lambda v: moments.eta2_fk_bruteforce(v, 0), "N", 0),
     ("eta2_fk_bruteforce-k", lambda v: moments.eta2_fk_bruteforce(6, v), "k", 0),
-    ("gram", moments.gram, "N", 1),
+    ("gram", moments.gram, "N", 0),
     ("gram_bruteforce", moments.gram_bruteforce, "N", 0),
     ("coefficient_systems", moments.coefficient_systems, "N", 4),
     ("drift_certificate", coupling.drift_certificate, "N", 5),
@@ -313,13 +325,26 @@ class TestOneIntegerRule:
 
     @pytest.mark.parametrize("call, value", [
         (inv_e_interval, 7), (coupling.suggested_horizon, 30), (lambda v: coupling.assemble_tv_bound(v, 10), 30),
-    ], ids=["inv_e_interval", "suggested_horizon", "assemble_tv_bound"])
+        (derangements, 5), (fixed_point_pmf, 5), (kernels.p_closedform, 5), (poisson_truncated, 5),
+    ], ids=["inv_e_interval", "suggested_horizon", "assemble_tv_bound",
+            "derangements", "fixed_point_pmf", "p_closedform", "poisson_truncated"])
     def test_a_cached_size_is_refused_after_its_int_is_cached(self, call, value):
         # their caches key on the type too, so True, 1.0 and 1 are three keys
         call(value)
         for same in (float(value), np.int64(value)):
             with pytest.raises(ValueError, match="must be an integer"):
                 call(same)
+
+
+@pytest.mark.parametrize("build", [derangements, fixed_point_pmf, kernels.p_closedform, poisson_truncated],
+                         ids=lambda build: build.__name__)
+def test_per_n_builders_are_built_once_and_bounded(build):
+    # the routes for one N share one build; eight entries keep memory flat
+    assert build(37) is build(37)
+    assert build.cache_info().maxsize == 8
+    for n in range(40, 50):
+        build(n)
+    assert build.cache_info().currsize == 8
 
 
 class TestIntegerBuilders:

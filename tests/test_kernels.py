@@ -226,8 +226,10 @@ class TestRestrictedKernels:
     @pytest.mark.parametrize("label", ("P_tilde", "P_hat", "P_check", "R", "R_tilde"))
     def test_birth_death_stationary_equals_ratio_form(self, label):
         # every bandwidth-one kernel of the catalogue; each law but R_tilde's
-        # is built without `birth_death_stationary`
-        for n in range(5, 61):
+        # is built without `birth_death_stationary`.  The sampled N past 60
+        # reach 200, where dividing each edge by its gcd shortens the
+        # product form's integers most.
+        for n in [*range(5, 61), 75, 100, 128, 150, 199, 200]:
             kernel, law = reversible_pair(n, label)
             stationary = birth_death_stationary(kernel)
             assert stationary == exact_reference.birth_death_stationary(kernel)

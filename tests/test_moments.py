@@ -109,7 +109,7 @@ class TestGram:
         assert gram(n).entries == gram_bruteforce(n).entries
 
     def test_symmetric_and_first_row_ones(self):
-        builds = [gram(n) for n in range(1, 13)] + [gram_bruteforce(n) for n in range(1, 8)]
+        builds = [gram(n) for n in range(0, 13)] + [gram_bruteforce(n) for n in range(0, 8)]
         for g in builds:
             size = len(g.indices)
             assert len(g.entries) == size and all(len(r) == size for r in g.entries)

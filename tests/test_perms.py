@@ -179,7 +179,7 @@ class TestFixedPointSums:
         """Every caller over its whole guard range: p and eta2_fk to 8, gram to 7."""
         if n >= 1:
             assert kernels.p_bruteforce(n).values == kernels.p_closedform(n).values
-        if 1 <= n <= 7:
+        if n <= 7:
             assert moments.gram_bruteforce(n).entries == moments.gram(n).entries
         assert all(moments.eta2_fk_bruteforce(n, k) == moments.eta2_fk(n, k) for k in range(n + 1))
 
