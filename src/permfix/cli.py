@@ -145,13 +145,12 @@ def cmd_exact(args: argparse.Namespace) -> int:
         pi = exactdist.fixed_point_pmf(N)
         for x, w in pi.items():
             pi_rows.append({"N": N, "x": x, "num": w.numerator, "den": w.denominator})
-        ref = exactdist.poisson_pmf(N)
-        tv_half = exactdist.tv_distance(pi, ref, "half")
+        tv_half = exactdist.tv_distance(pi, exactdist.poisson_pmf(N), "half")
         tv_total = tv_half.scale(2)
         lower, upper = exactdist.tv_bracket(N)
         in_bracket = tv_total.certainly_within(lower, upper)
         report.verdict(f"tv_bracket_N{N}", in_bracket)
-        row = {
+        summary.append({
             "N": N,
             "tv_half_lo": float(tv_half.lo),
             "tv_half_hi": float(tv_half.hi),
@@ -160,9 +159,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
             "bracket_lower": lower,
             "bracket_upper": upper,
             "in_bracket": in_bracket,
-        }
-        row["log_rate"] = exactdist.log_rate_from_tv(N, tv_total) if N >= 4 else ""
-        summary.append(row)
+            "log_rate": exactdist.log_rate(N) if N >= 4 else "",
+        })
     report.write_table("pi_table", pi_rows, args.format)
     report.write_table("exact_summary", summary, args.format)
     return report.finish()

@@ -36,10 +36,11 @@ The pure per-N builders, `derangements`, `fixed_point_pmf` and
 a row (a log rate, a TV, p, the kernels and their laws), which then share
 one build, and eight entries keep the memory flat.  The key carries the
 argument's type, so a bool, a float or a numpy integer misses the cache and
-is refused as before.  Sharing is safe because every cached object is
-immutable: a tuple, an `ExactDist` (its `integer_weights` can be neither
-reassigned nor deleted, its numerators a read-only mapping) or a frozen
-`PFunction`.
+is refused as before.  So is the TV against Poisson(1), keyed on a
+hashable law and the reference, which `log_rate` then shares with its
+caller.  Every cached object is immutable: a tuple, an `Interval`, an
+`ExactDist` (`integer_weights` can be neither reassigned nor deleted, its
+numerators a read-only mapping) or a frozen `PFunction`.
 """
 from __future__ import annotations
 
@@ -229,10 +230,11 @@ class ExactDist(Mapping[int, Fraction]):
     stored once, as `integer_weights` = (den, {atom: numerator}) reduced
     by one gcd, zero numerators dropped and the atoms increasing.  The law
     reads as a read-only mapping from each atom to its reduced `Fraction`
-    weight, built where it is read, so two laws are equal when their
-    weights are (a dict of the same weights included).  `integer_weights`
-    is set once, in `__init__`: assigning or deleting it afterwards raises
-    AttributeError, so a law shared by a cache stays the law it was built as.
+    weight, built where it is read, so two laws are equal (and hash equal)
+    when their weights are, a dict of the same weights included.
+    `integer_weights` is set once, in `__init__`: assigning or deleting it
+    afterwards raises AttributeError, so a law shared by a cache stays the
+    law it was built as.
     """
 
     __slots__ = ("integer_weights",)
@@ -256,6 +258,10 @@ class ExactDist(Mapping[int, Fraction]):
 
     def __len__(self) -> int:
         return len(self.integer_weights[1])
+
+    def __hash__(self) -> int:
+        den, nums = self.integer_weights
+        return hash((den, tuple(nums.items())))
 
     def __repr__(self) -> str:
         den, nums = self.integer_weights
@@ -394,6 +400,7 @@ def tv_distance(d1: DistLike, d2: DistLike, convention: str) -> Fraction | Inter
     return half if convention == "half" else 2 * half
 
 
+@lru_cache(maxsize=8)  # one N's routes share the TV; an error is raised, not cached
 def _tv_against_poisson(d: ExactDist, ref: PoissonRef) -> Interval:
     """sum_x (d(x) - e^{-1}/x!)_+ as the exact linear form A + B e^{-1}.
 
@@ -436,22 +443,14 @@ def tv_bracket(N: int) -> tuple[Fraction, Fraction]:
 
 
 def log_rate(N: int) -> float:
-    """ln(TV(pi_N, Poisson(1))) / (N ln N), total convention.
-
-    The distance is computed against `poisson_pmf(N)`, whose e^{-1} enclosure
-    has `enclosure_digits(N)` digits.
-    """
-    check_integer("N", N, 4)
-    return log_rate_from_tv(N, tv_distance(fixed_point_pmf(N), poisson_pmf(N), "total"))
-
-
-def log_rate_from_tv(N: int, tv: Interval) -> float:
-    """`log_rate` from the total TV at N, enclosed as `tv`: the mean of
-    ln(lo) and ln(hi), over N ln N.
+    """ln(TV(pi_N, Poisson(1))) / (N ln N), total convention: the mean of
+    ln(lo) and ln(hi) of the TV against `poisson_pmf(N)`, over N ln N.
 
     The logarithms are taken in `decimal` at 40 significant digits: a double
     holds 17, so 23 guard digits remain before the one rounding to float.
     """
+    check_integer("N", N, 4)
+    tv = tv_distance(fixed_point_pmf(N), poisson_pmf(N), "total")
     if tv.lo <= 0:
         raise PrecisionInsufficient(f"TV for N={N} not resolved away from zero")
     with localcontext(Context(prec=40)):

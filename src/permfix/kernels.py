@@ -8,7 +8,7 @@ driven by the conditional two-cycle mean p(x) = E[eta_2 | eta_1 = x], with
 
 and the diagonal completing each row.  Three independent routes to p are
 provided (brute-force enumeration, the derangement closed form, and the
-reversibility recursion), together with the derived birth-and-death kernels
+reversibility recursion in p), with the derived birth-and-death kernels
 and an exact detailed-balance check, which for a law with positive weights
 also settles Kolmogorov's cycle criterion.  A kernel row enters and is
 stored as integer numerators over one row denominator (N(N-1) times the
@@ -231,31 +231,30 @@ def p_closedform(N: int) -> PFunction:
     return PFunction(N=N, values=values)
 
 
-def recursion_map(N: int, x: int, r: Fraction | int) -> Fraction:
-    """F_x(r) = (N-x)(N-x-1-r) / ((N-x-1)^2 - r); fixed point F_x(1) = 1.
+def recursion_map(N: int, x: int, p: Fraction | int) -> Fraction:
+    """p(x) from p(x+1) = p by reversibility: m(m-1-2p) / (2((m-1)^2 - 2p))
+    with m = N-x; fixed point 1/2.
 
-    With m = N-x and r = a/b this is m((m-1)b - a) / ((m-1)^2 b - a), one
+    With p = a/b this is m((m-1)b - 2a) / (2((m-1)^2 b - 2a)), one
     `Fraction` built from integers.
     """
-    a, b = r.as_integer_ratio()
+    a, b = p.as_integer_ratio()
     m = N - x
-    return Fraction(m * ((m - 1) * b - a), (m - 1) ** 2 * b - a)
+    return Fraction(m * ((m - 1) * b - 2 * a), 2 * ((m - 1) ** 2 * b - 2 * a))
 
 
 def p_recursion(N: int) -> PFunction:
-    """p from the downward reversibility iteration seeded at k(N-3) = 0.
+    """p from the downward reversibility iteration: the forced values
+    p(N) = 0, p(N-2) = 1 and p(N-3) = 0, then p(x) = `recursion_map`(N, x,
+    p(x+1)) for x = N-4 down to 0, in one pass.
 
-    Writes k = 2p and iterates k(x) = F_x(k(x+1)) from x = N-4 down to 0.
     The third route to p, independent of the other two; `permfix kernel`
     and the acceptance tests check it against the closed form.
     """
     check_integer("N", N, 4)
-    k: dict[int, Fraction] = {N - 3: Fraction(0)}
+    values = {N: Fraction(0), N - 2: Fraction(1), N - 3: Fraction(0)}
     for x in range(N - 4, -1, -1):
-        k[x] = recursion_map(N, x, k[x + 1])
-    values = {x: v / 2 for x, v in k.items()}
-    values[N - 2] = Fraction(1)
-    values[N] = Fraction(0)
+        values[x] = recursion_map(N, x, values[x + 1])
     return PFunction(N=N, values=values)
 
 
@@ -273,7 +272,8 @@ def penta_moves(N: int, x: int, k: Fraction | int) -> Moves:
     by two at k, all over N(N-1).  P, P~, P^ and P_check have k = 2p(x); R
     and P_bar set k = 1, and R~ sets k = 1/2.  With k = a/b the moves are
     integer numerators over N(N-1) b.  Each builder keeps the moves its
-    state space and band allow.
+    state space and band allow.  N is not checked here: this is a formula
+    for one state, and every caller has checked N.
     """
     a, b = k.as_integer_ratio()
     return N * (N - 1) * b, {

@@ -49,6 +49,7 @@ def check_guard(N: int, limit: int, what: str) -> None:
 
 def iter_permutations(N: int) -> Iterator[tuple[int, ...]]:
     """All permutations of range(N) in lexicographic order."""
+    check_integer("N", N, 0)
     return _permutations(range(N))
 
 
@@ -195,6 +196,7 @@ class CycleType:
 
 def all_cycle_types(N: int) -> list[CycleType]:
     """Cycle types of S_N (integer partitions of N), sorted by multiplicity vector."""
+    check_integer("N", N, 0)
     types: list[CycleType] = []
 
     def build(remaining: int, max_part: int, counts: list[int]) -> None:

@@ -150,20 +150,11 @@ def test_exact_files_match_frozen_digests(tmp_path, capsys):
     assert digests == golden
 
 
-def test_exact_computes_one_tv_per_n(tmp_path, capsys, monkeypatch):
-    # the log rate is read off the TV the row already holds
-    calls = []
-    real = exactdist.tv_distance
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(exactdist, "tv_distance", counted)
+def test_exact_computes_one_tv_per_n(tmp_path, capsys, clear_memos):
+    # the log rate reads the memoised TV the row already holds
     code, _ = run_cli(capsys, "exact", "--n", "3..12", "--out", str(tmp_path))
     assert code == 0
-    assert len(calls) == 10
-    monkeypatch.undo()
+    assert exactdist._tv_against_poisson.cache_info().misses == 10
     with (tmp_path / "exact_summary.csv").open() as fh:
         rates = {int(row["N"]): row["log_rate"] for row in csv.DictReader(fh)}
     assert rates[3] == ""
@@ -218,7 +209,7 @@ def test_kernel_guard_skip(tmp_path, capsys):
     ["kernel", "--n", "50"],
     ["exact", "--n", "4..30"],
 ], ids=["kernel-30", "kernel-50", "exact-4..30"])
-def test_files_equal_the_reference_routes(argv, tmp_path, capsys, monkeypatch):
+def test_files_equal_the_reference_routes(argv, tmp_path, capsys, monkeypatch, clear_memos):
     # the same files when every kernel's JSON is built from `entry()` and
     # e^x is enclosed one `Fraction` term at a time, so the reduction of
     # large denominators is pinned beyond the frozen digests' N
@@ -229,9 +220,8 @@ def test_files_equal_the_reference_routes(argv, tmp_path, capsys, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(StochasticKernel, "to_json_dict", json_from_entries)
         m.setattr(exactdist, "exp_interval", series_exp_interval)
-        exactdist.inv_e_interval.cache_clear()
+        clear_memos()
         assert main(argv + ["--out", str(tmp_path / "reference")]) == 0
-    exactdist.inv_e_interval.cache_clear()
     capsys.readouterr()
     fast = tree(tmp_path / "fast")
     assert len(fast) == (8 if argv[0] == "kernel" else 2)

@@ -1038,7 +1038,7 @@ class TestAssembledBound:
         assert assemble_tv_bound(10, quartic).analytic_bound > 0
         assert assemble_tv_bound(10, linear).analytic_bound > 0
 
-    def test_rates_computed_once_per_n(self, monkeypatch):
+    def test_rates_computed_once_per_n(self, monkeypatch, clear_memos):
         # R takes one certificate, R_tilde one per theta of its grid
         calls = []
         real = coupling._drift_for
@@ -1048,7 +1048,7 @@ class TestAssembledBound:
             return real(N, which, theta)
 
         monkeypatch.setattr(coupling, "_drift_for", counted)
-        coupling._c_hat.cache_clear()
+        clear_memos()
         for n in (0, 100, 10 ** 6):
             assemble_tv_bound(11, n)
         suggested_horizon(11, exponent=4)

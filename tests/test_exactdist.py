@@ -151,6 +151,13 @@ class TestExactDist:
         assert ExactDist(4, {0: 1, 2: 3}) == ExactDist(8, {2: 6, 0: 2})
         assert ExactDist(4, {0: 1, 2: 3}) != ExactDist(4, {0: 3, 2: 1})
 
+    def test_equal_laws_hash_equal(self):
+        # built apart, in another order and over another denominator
+        law, twin = ExactDist(4, {0: 1, 2: 3}), ExactDist(8, {2: 6, 0: 2})
+        assert law is not twin and hash(law) == hash(twin)
+        assert hash(fixed_point_pmf(12)) == hash(ExactDist(*fixed_point_pmf(12).integer_weights))
+        assert len({law, twin, ExactDist(4, {0: 3, 2: 1})}) == 2
+
     def test_negative_atom_and_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative integers"):
             ExactDist(1, {-1: 1})
@@ -269,6 +276,8 @@ SIZE_ARGUMENTS = [
     ("poisson_reversible_penta", kernels.poisson_reversible_penta, "N", 2),
     ("reversible_pair", lambda v: kernels.reversible_pair(v, "R_tilde"), "N", 5),
     ("permutation_table", perms.permutation_table, "N", 0),
+    ("iter_permutations", perms.iter_permutations, "N", 0),
+    ("all_cycle_types", perms.all_cycle_types, "N", 0),
     ("fixed_point_sums", perms.fixed_point_sums, "N", 0),
     ("transposition_walk", lumping.transposition_walk, "N", 2),
     ("uniform_on_permutations", lumping.uniform_on_permutations, "N", 0),
@@ -516,6 +525,23 @@ class TestTvDistance:
                 with pytest.raises(PrecisionInsufficient, match="not resolved at 10 digits"):
                     tv_distance(*args, convention)
 
+    def test_an_equal_law_and_ref_share_one_tv(self, clear_memos):
+        memo = exactdist._tv_against_poisson
+        half = tv_distance(fixed_point_pmf(20), poisson_pmf(20), "half")
+        twin = ExactDist(*fixed_point_pmf(20).integer_weights)
+        total = tv_distance(PoissonRef(enclosure_digits(20)), twin, "total")
+        assert (memo.cache_info().hits, memo.cache_info().misses) == (1, 1)
+        assert total == half.scale(2)
+        assert memo.cache_info().maxsize == 8
+
+    def test_a_coarse_ref_is_refused_on_every_call(self, clear_memos):
+        # the error is raised each time, never cached as an answer
+        memo = exactdist._tv_against_poisson
+        for calls in (1, 2, 3):
+            with pytest.raises(PrecisionInsufficient, match="not resolved at 10 digits"):
+                tv_distance(fixed_point_pmf(30), poisson_pmf(30, digits=10), "half")
+            assert (memo.cache_info().misses, memo.cache_info().currsize) == (calls, 0)
+
 
 def term_by_term_tv(d1, d2, convention):
     """The distance between two exact laws, one Fraction term at a time."""
@@ -647,7 +673,7 @@ class TestLogRate:
         value = log_rate(4)
         assert value < 0 and math.isfinite(value)
 
-    def test_insufficient_precision_detected(self, monkeypatch):
+    def test_insufficient_precision_detected(self, monkeypatch, clear_memos):
         with pytest.raises(PrecisionInsufficient):
             tv_distance(fixed_point_pmf(30), poisson_pmf(30, digits=10), "total")
         monkeypatch.setattr(exactdist, "enclosure_digits", lambda N: 10)

@@ -62,12 +62,12 @@ class TestPFunctions:
 
     def test_recursion_first_step(self):
         p = p_recursion(4)
-        assert p[0] == Fraction(2, 3)  # k(0) = 4*3/9 = 4/3
+        assert p[0] == Fraction(2, 3)  # p(0) = 4*3 / (2*9), from p(1) = 0
 
     def test_recursion_fixed_point_of_map(self):
         for n in (5, 9, 17):
             for x in range(0, n - 3):
-                assert recursion_map(n, x, Fraction(1)) == 1
+                assert recursion_map(n, x, Fraction(1, 2)) == Fraction(1, 2)
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_triple_agreement(self, n):
