@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -252,8 +253,13 @@ def cmd_project(args: argparse.Namespace) -> int:
     return report.finish()
 
 
+def _couple_name(field: str) -> str:
+    """A `coupling.RunConfig` field as `couple` names it: horizon is n."""
+    return "n" if field == "horizon" else field
+
+
 def _load_couple_config(args: argparse.Namespace) -> coupling.RunConfig:
-    data: dict[str, Any] = {}
+    data: dict[str, Any] = {"replicas": 1000, "seed": 0}
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text())
@@ -266,36 +272,25 @@ def _load_couple_config(args: argparse.Namespace) -> coupling.RunConfig:
                       ("seed", args.seed)):
         if flag is not None:
             data[key] = flag
-    # each field's type and range is RunConfig's to check
-    fields = {"N", "n", "replicas", "seed", "selector", "emit_traces", "start_mode", "checkpoints"}
-    unknown = set(data) - fields
+    # RunConfig's fields, its horizon spelled n; each field's type and range
+    # is RunConfig's to check
+    fields = {_couple_name(f.name): f.name for f in dataclasses.fields(coupling.RunConfig)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"config.{sorted(unknown)[0]}: unknown field")
     for required in ("N", "n"):
         if required not in data:
             raise ConfigError(f"config.{required}: missing")
     try:
-        return coupling.RunConfig(
-            N=data["N"],
-            horizon=data["n"],
-            replicas=data.get("replicas", 1000),
-            seed=data.get("seed", 0),
-            selector=data.get("selector", "pcheck-r"),
-            start_mode=data.get("start_mode", "shared"),
-            emit_traces=data.get("emit_traces", False),
-            checkpoints=data.get("checkpoints", ()),
-        )
+        return coupling.RunConfig(**{fields[name]: value for name, value in data.items()})
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
 
 
 def cmd_couple(args: argparse.Namespace) -> int:
     cfg = _load_couple_config(args)
-    report = Report("couple", {
-        "N": cfg.N, "n": cfg.horizon, "replicas": cfg.replicas, "seed": cfg.seed,
-        "selector": cfg.selector, "start_mode": cfg.start_mode, "emit_traces": cfg.emit_traces,
-        "checkpoints": list(cfg.checkpoints),
-    }, args.out)
+    settings = {_couple_name(name): value for name, value in dataclasses.asdict(cfg).items()}
+    report = Report("couple", settings, args.out)
 
     stats = coupling.run_coupling(cfg)
     rows = []
@@ -338,7 +333,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
     mono_rows = []
     for label in ("R", "R_tilde"):
-        kern, _ = kernels.reversible_pair(cfg.N, label)
+        kern = kernels.restricted_kernel(cfg.N, label)
         cert = coupling.monotonicity_certificate(kern)
         report.verdict(f"monotone_{kern.label}", cert.ok)
         mono_rows += [{"kernel": kern.label, "x": x, "margin": m} for x, m in cert.margins]

@@ -237,14 +237,14 @@ def _event_byte(*flags) -> np.ndarray:
     return sum(np.asarray(f, dtype=np.uint8) << b for b, f in enumerate(flags)).astype(np.uint8)
 
 
-@lru_cache(maxsize=8)  # built once per run's N, not per block; 349 KB at N = 200
 def _event_table(N: int) -> np.ndarray:
     """The event byte of every move: one per (x, y, mx, my), at index
     (x (N-3) + y) 9 + 3 mx + my, for the step to x' = x + 1 - mx,
     y' = y + 1 - my (`step`, with mx and my the numbers of the state's
     (down, stay) grid numerators above the step's word j).  Entries of
-    moves off [0, N-4], which never happen, are filled all the same.  The
-    table is shared by every run at N, so it is read-only."""
+    moves off [0, N-4], which never happen, are filled all the same.
+    `run_coupling` builds it once per run, before the shares, and the
+    advances only read it, so it is read-only."""
     x, y, mx, my = np.ix_(*(np.arange(n) for n in (N - 3, N - 3, 3, 3)))
     xn, yn = x + 1 - mx, y + 1 - my
     table = _event_byte(*_events(x, y, xn, yn), *_arrivals(xn, yn)).ravel()
@@ -482,7 +482,7 @@ def drift_certificate(N: int, which: str = "R") -> DriftCertificate:
     return max((_drift_for(N, which, t) for t in thetas), key=lambda cert: cert.c_est)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed, so a bool or a float misses it and is refused
+@lru_cache(maxsize=8, typed=True)  # typed, so a bool or a float misses it and is refused
 def _c_hat(N: int) -> float:
     """c_hat, the smaller of the certified R and R_tilde rates, once per N."""
     return float(min(drift_certificate(N, which).c_est for which in ("R", "R_tilde")))

@@ -30,16 +30,16 @@ result.  B is one integer sum over the largest factorial it meets.
 over the lcm of its denominators, so every exact sum in the package is an
 integer sum over a denominator known before the sum.
 
-The pure per-N builders, `derangements`, `fixed_point_pmf` and
-`poisson_truncated` here and `kernels.p_closedform`, are memoised by
-`lru_cache(maxsize=8, typed=True)`: one N is visited by several routes in
-a row (a log rate, a TV, p, the kernels and their laws), which then share
-one build, and eight entries keep the memory flat.  The key carries the
-argument's type, so a bool, a float or a numpy integer misses the cache and
-is refused as before.  So is the TV against Poisson(1), keyed on a
-hashable law and the reference, which `log_rate` then shares with its
-caller.  Every cached object is immutable: a tuple, an `Interval`, an
-`ExactDist` (`integer_weights` can be neither reassigned nor deleted, its
+A value is memoised only where a route reads it again, each by
+`lru_cache(maxsize=8, typed=True)`: `fixed_point_pmf`, `inv_e_interval`
+and the TV against Poisson(1) here, `kernels.p_closedform` and
+`coupling._c_hat`.  The routes that visit one N (a log rate, a TV, p, the
+kernels and their laws) run in a row and share one build; eight entries
+keep the memory flat, and the typed key lets a bool, a float or a numpy
+integer miss and be refused.  The TV is keyed on the reference and on a
+law, which hashes once; `log_rate` shares it with its caller.  Every
+cached object is immutable: an `Interval`, an `ExactDist` (its
+`integer_weights` and kept hash can be neither reassigned nor deleted, its
 numerators a read-only mapping) or a frozen `PFunction`.
 """
 from __future__ import annotations
@@ -148,7 +148,7 @@ def exp_interval(x: Fraction | int, digits: int) -> Interval:
     return Interval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
 
-@lru_cache(maxsize=None, typed=True)  # typed, so a bool or a float misses it and is refused
+@lru_cache(maxsize=8, typed=True)  # typed, so a bool or a float misses it and is refused
 def inv_e_interval(digits: int) -> Interval:
     """Rational enclosure of e^{-1} of width below 10^-digits."""
     return exp_interval(-1, digits)
@@ -165,7 +165,6 @@ def enclosure_digits(N: int) -> int:
 # derangement numbers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8, typed=True)  # typed, so a bool or a float misses it and is refused
 def derangements(n_max: int) -> tuple[int, ...]:
     """Exact derangement counts D_0 .. D_{n_max}, by D_n = n D_{n-1} + (-1)^n
     from D_0 = 1 (the alternating sum D_n = n! sum_{k<=n} (-1)^k / k!,
@@ -232,12 +231,12 @@ class ExactDist(Mapping[int, Fraction]):
     reads as a read-only mapping from each atom to its reduced `Fraction`
     weight, built where it is read, so two laws are equal (and hash equal)
     when their weights are, a dict of the same weights included.
-    `integer_weights` is set once, in `__init__`: assigning or deleting it
-    afterwards raises AttributeError, so a law shared by a cache stays the
-    law it was built as.
+    `integer_weights` is set once, in `__init__`, and the hash is kept on
+    its first call: assigning or deleting either raises AttributeError, so
+    a law shared by a cache stays the law it was built as.
     """
 
-    __slots__ = ("integer_weights",)
+    __slots__ = ("integer_weights", "_hash")
 
     def __init__(self, den: int, numerators: Mapping[int, int]) -> None:
         atoms = dict(sorted(zip(map(_atom, numerators), numerators.values())))
@@ -260,8 +259,12 @@ class ExactDist(Mapping[int, Fraction]):
         return len(self.integer_weights[1])
 
     def __hash__(self) -> int:
-        den, nums = self.integer_weights
-        return hash((den, tuple(nums.items())))
+        try:
+            return self._hash
+        except AttributeError:  # the first call
+            den, nums = self.integer_weights
+            object.__setattr__(self, "_hash", hash((den, tuple(nums.items()))))
+            return self._hash
 
     def __repr__(self) -> str:
         den, nums = self.integer_weights
@@ -343,7 +346,6 @@ def poisson_pmf(k_max: int, digits: int | None = None) -> PoissonRef:
     return PoissonRef(enclosure_digits(k_max) if digits is None else digits)
 
 
-@lru_cache(maxsize=8, typed=True)  # typed, so a bool or a float misses it and is refused
 def poisson_truncated(k_max: int) -> ExactDist:
     """Poisson(1) conditioned on [0, k_max]: exactly rational, weights prop. to 1/x!,
     that is the numerators k_max!/x! over their sum.
@@ -400,7 +402,7 @@ def tv_distance(d1: DistLike, d2: DistLike, convention: str) -> Fraction | Inter
     return half if convention == "half" else 2 * half
 
 
-@lru_cache(maxsize=8)  # one N's routes share the TV; an error is raised, not cached
+@lru_cache(maxsize=8, typed=True)  # one N's routes share the TV; an error is raised, not cached
 def _tv_against_poisson(d: ExactDist, ref: PoissonRef) -> Interval:
     """sum_x (d(x) - e^{-1}/x!)_+ as the exact linear form A + B e^{-1}.
 

@@ -21,10 +21,10 @@ cancelling, and the invariance check w K = w adds each column over the
 lcm of the row denominators.  A `Fraction` is built only where a value is
 read: an entry, a value of p, a residual.
 
-`p_closedform` is memoised as the per-N builders of `exactdist` are, by
+`p_closedform` is memoised by the package's one memo rule,
 `lru_cache(maxsize=8, typed=True)`: the routes that need p at one N (the
 kernels P, P~, P^ and P_check, the moments) share one build, and a bool, a
-float or a numpy integer misses the cache and is refused.  The shared
+float or a numpy integer misses the memo and is refused.  The shared
 `PFunction` is frozen, its values a read-only mapping.
 
 One catalogue pairs each of the seven kernels with the law it is

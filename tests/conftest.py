@@ -6,10 +6,11 @@ from permfix import coupling, exactdist, kernels
 
 @pytest.fixture
 def clear_memos():
-    """A `clear()` that empties each memoised module-level function of
-    `exactdist`, `kernels` and `coupling`, run at setup and teardown; the
-    test calls it again wherever it swaps a route that a memo would
-    otherwise answer for."""
+    """A `clear()` that empties the memos of `exactdist`, `kernels` and
+    `coupling` (`fixed_point_pmf`, `inv_e_interval`, `_tv_against_poisson`,
+    `p_closedform` and `_c_hat`), run at setup and teardown; the test calls
+    it again wherever it swaps a route that a memo would otherwise answer
+    for."""
     def clear():
         for module in (exactdist, kernels, coupling):
             for value in vars(module).values():

@@ -480,12 +480,34 @@ def test_couple_bad_field_type(field, message, tmp_path, capsys):
 
 
 def test_couple_unknown_field(tmp_path, capsys):
+    # RunConfig's horizon is spelled n in a config, so horizon is unknown there
     config = tmp_path / "bad.json"
-    for name, value in (("replica", 5), ("precision", "double")):
+    for name, value in (("replica", 5), ("precision", "double"), ("horizon", 10)):
         config.write_text(json.dumps({"N": 8, "n": 10, name: value}))
         code = main(["couple", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 2
         assert f"config.{name}: unknown field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["N", "n"])
+def test_couple_missing_field(name, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({key: 8 for key in ("N", "n") if key != name}))
+    assert main(["couple", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert f"config.{name}: missing" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_couple_settings_match_frozen_hash(tmp_path, capsys):
+    # the settings are RunConfig's fields, horizon spelled n, with the CLI's
+    # default seed; a renamed key or a changed value changes the hash
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"N": 8, "n": 50, "checkpoints": [10, 0], "selector": "r-r"}))
+    code, report = run_cli(
+        capsys, "couple", "--config", str(config), "--replicas", "300", "--out", str(tmp_path / "run")
+    )
+    assert code == 0
+    assert report["config_hash"] == "c481ce0114729a3ba325f96eaafade9a97a3c6657b77f4d2242b04099645e862"
 
 
 def test_all_rejects_a_bad_config_before_writing(tmp_path, capsys):

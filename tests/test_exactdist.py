@@ -158,6 +158,19 @@ class TestExactDist:
         assert hash(fixed_point_pmf(12)) == hash(ExactDist(*fixed_point_pmf(12).integer_weights))
         assert len({law, twin, ExactDist(4, {0: 3, 2: 1})}) == 2
 
+    def test_hash_is_kept_and_read_only(self):
+        law = ExactDist(8, {2: 6, 0: 2})
+        with pytest.raises(AttributeError):
+            law._hash = 0  # not even before the first call
+        first = hash(law)
+        den, nums = law.integer_weights
+        assert hash(law) == first == law._hash == hash((den, tuple(nums.items())))
+        with pytest.raises(AttributeError):
+            law._hash = first + 1
+        with pytest.raises(AttributeError):
+            del law._hash
+        assert hash(law) == first
+
     def test_negative_atom_and_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative integers"):
             ExactDist(1, {-1: 1})
@@ -338,17 +351,19 @@ class TestOneIntegerRule:
     ], ids=["inv_e_interval", "suggested_horizon", "assemble_tv_bound",
             "derangements", "fixed_point_pmf", "p_closedform", "poisson_truncated"])
     def test_a_cached_size_is_refused_after_its_int_is_cached(self, call, value):
-        # their caches key on the type too, so True, 1.0 and 1 are three keys
+        # refused whether or not a memo sits in front: a memo keys on the
+        # type too, so True, 1.0 and 1 are three keys and only 1 is a hit
         call(value)
         for same in (float(value), np.int64(value)):
             with pytest.raises(ValueError, match="must be an integer"):
                 call(same)
 
 
-@pytest.mark.parametrize("build", [derangements, fixed_point_pmf, kernels.p_closedform, poisson_truncated],
+@pytest.mark.parametrize("build", [fixed_point_pmf, kernels.p_closedform, inv_e_interval],
                          ids=lambda build: build.__name__)
 def test_per_n_builders_are_built_once_and_bounded(build):
-    # the routes for one N share one build; eight entries keep memory flat
+    # the routes for one N (for inv_e_interval, one digit count) share one
+    # build; eight entries keep memory flat
     assert build(37) is build(37)
     assert build.cache_info().maxsize == 8
     for n in range(40, 50):

@@ -3,9 +3,9 @@ module imports or reads a private name of another, the package imports
 nothing beyond the standard library and its declared dependencies, it
 reads no environment variable beyond its two, one module states the rule
 for exact weights, no function but `check_integer` states an integer
-minimum and none that calls it restates its type rule, and every
+minimum and none that calls it restates its type rule, every
 function, class and method it defines is named somewhere outside its own
-definition."""
+definition, and its memos are the five kept, each under one rule."""
 import ast
 import re
 import sys
@@ -229,6 +229,49 @@ def test_a_restated_integer_check_is_caught():
     assert restated_integer_checks(source) == [
         "f (line 4)", "g (line 9)", "h (line 14)", "i (line 18)", "i (line 20)", "i (line 22)",
     ]
+
+
+MEMO_RULE = "lru_cache(maxsize=8, typed=True)"
+# a memo stays only where a route reads its value again
+MEMOS = {"exactdist.fixed_point_pmf", "exactdist.inv_e_interval", "exactdist._tv_against_poisson",
+         "kernels.p_closedform", "coupling._c_hat"}
+
+
+def memo_decorators(source: str) -> dict[str, str]:
+    """{function: decorator} for each module-level function of source that
+    `lru_cache` or `cache` decorates, the decorator as written; a memo
+    local to a call, as in `altcouplings.peak_tail_exact`, is not read."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(deco)}
+                if names & {"lru_cache", "cache"}:
+                    found[node.name] = ast.unparse(deco)
+    return found
+
+
+def test_memo_census():
+    memos = {
+        f"{p.stem}.{name}": deco for p in MODULES for name, deco in memo_decorators(p.read_text()).items()
+    }
+    # the compiled library is loaded once per process, so it is memoised unbounded
+    assert memos.pop("native.library") == "lru_cache(maxsize=None)"
+    assert memos == dict.fromkeys(MEMOS, MEMO_RULE)
+
+
+def test_a_stray_memo_is_caught():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@lru_cache(maxsize=8, typed=True)\ndef kept(n):\n    return n\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef unbounded(n):\n    return n\n\n"
+        "@cache\ndef bare(n):\n    return n\n\n"
+        "def outer(n):\n    @lru_cache(maxsize=None)\n    def local(k):\n        return k\n"
+        "    return local(n)\n"
+    )
+    assert memo_decorators(source) == {
+        "kept": MEMO_RULE, "unbounded": "functools.lru_cache(maxsize=None)", "bare": "cache",
+    }
 
 
 def test_environment_reads_resolve_constants():
